@@ -163,6 +163,11 @@ def main() -> None:
         start = time.perf_counter()
         execution = workload.run()
         seconds = time.perf_counter() - start
+        if position == 0:
+            # Read before the probe and the checks allocate anything.
+            peak_rss_mb = (
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            )
         if tracer is not None:
             tracer.end_run()
             if position == 0:
@@ -185,6 +190,7 @@ def main() -> None:
         "import_s": import_s,
         "numpy": numpy.__version__,
         "overhead_s": overhead_s,
+        "peak_rss_mb": peak_rss_mb,
         "probes": probes,
         "runs": runs,
     }
@@ -195,9 +201,6 @@ def main() -> None:
         result["missing"] = tracer.missing
         result["spans"] = tracer.chrome_events(origin)
         result["layer_runs"] = tracer.runs
-    result["peak_rss_mb"] = (
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    )
     sys.stdout.write(json.dumps(result) + "\n")
 
 

@@ -15,17 +15,21 @@ from __future__ import annotations
 
 import time
 
+#: The loop's length and how often it is timed.  ``REFERENCE_S`` holds
+#: for these values only: changing either puts results on another scale.
+ROUNDS = 150_000
+REPEATS = 3
 REFERENCE_S = 0.02
 
 
-def probe(rounds: int = 150_000, repeats: int = 3) -> float:
-    """Seconds of the fastest of ``repeats`` timings of the fixed loop."""
+def probe() -> float:
+    """Seconds of the fastest of ``REPEATS`` timings of the fixed loop."""
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         table = {i: i for i in range(256)}
         acc = 0
         start = time.perf_counter()
-        for i in range(rounds):
+        for i in range(ROUNDS):
             key = i & 255
             table[key] = table[key] + 1
             acc ^= table[(key * 31) & 255]

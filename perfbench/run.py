@@ -21,7 +21,8 @@ end-to-end metrics of ``BENCHMARK.json``:
 * ``warm_run_s``: each later execution in a warm process;
 * ``dispatches_per_s``: simulated dispatches (execution records) per
   host second of a warm execution;
-* ``peak_rss_mb``: maximum resident memory of a cold process.
+* ``peak_rss_mb``: maximum resident memory of a cold process, read as
+  soon as its execution returns, before the probe and the output checks.
 
 Times are put on one host-speed scale before the medians are taken
 (see ``probe.py``): each is multiplied by ``REFERENCE_S`` over the

@@ -95,8 +95,7 @@ Span = tuple[str, float, float, int, str]  # name, start, end, parent, run
 class Tracer:
     """Installs the shims, keeps per-run layer stats and spans."""
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self.clock = clock
+    def __init__(self) -> None:
         self.runs: dict[str, dict[str, Stat]] = {}
         self.spans: list[Span] = []
         self.missing: list[str] = []
@@ -112,14 +111,14 @@ class Tracer:
     def start_run(self, run: str) -> None:
         """Attribute everything from now on to run id ``run``."""
         self.end_run()
-        self._run, self._run_start = run, self.clock()
+        self._run, self._run_start = run, time.perf_counter()
         self._stats = self.runs.setdefault(run, {})
 
     def end_run(self) -> None:
         """Close the current run id with a span covering it."""
         if self._run:
             self.spans.append(
-                (f"run.{self._run}", self._run_start, self.clock(), -1,
+                (f"run.{self._run}", self._run_start, time.perf_counter(), -1,
                  self._run)
             )
             self._run = ""
@@ -131,7 +130,7 @@ class Tracer:
 
     def _wrap(self, fn: Callable[..., Any], layer: str) -> Callable[..., Any]:
         tracer = self
-        clock = self.clock
+        clock = time.perf_counter
         stack = self._stack
         keep_span = layer in SPAN_LAYERS
 
