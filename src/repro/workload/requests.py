@@ -20,24 +20,29 @@ model on the 60 FPS camera skips every other frame).
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .scenarios import ScenarioModel
+import numpy as np
 
-__all__ = ["FramePlan", "InferenceRequest"]
+from .scenarios import ScenarioModel
+from .sensors import FloatArray, InputSource, IntArray
+
+__all__ = ["FramePlan", "InferenceRequest", "request_times_s"]
 
 _request_ids = itertools.count()
 
 
 @dataclass(frozen=True)
 class FramePlan:
-    """Maps a model's frame index onto sensor frames and deadlines.
+    """Maps a model's frame indices onto sensor frames and deadlines.
 
-    ``effective_fps`` and ``stride`` are cached: both are pure functions
-    of the (frozen) scenario model, and the runtime asks for them once
-    per frame mapping — thousands of times per run.
+    The batch methods take an int array of model frames; the one-frame
+    accessors are the batch of one.  ``effective_fps`` and ``stride`` are
+    cached: both are pure functions of the (frozen) scenario model.
     """
 
     scenario_model: ScenarioModel
@@ -58,46 +63,101 @@ class FramePlan:
         sensor_fps = self.scenario_model.model.primary_sensor.fps
         return sensor_fps / self.effective_fps
 
+    def sensor_frames(self, model_frames: IntArray) -> IntArray:
+        """The primary-sensor frame id consumed by each model frame."""
+        if (model_frames < 0).any():
+            raise ValueError(
+                f"model_frame must be >= 0, got {model_frames.min()}"
+            )
+        return (model_frames * self.stride).astype(np.int64)
+
+    def sensor_reads(
+        self, model_frames: IntArray
+    ) -> list[tuple[InputSource, IntArray]]:
+        """Each of the model's sensors, with the frame ids it delivers.
+
+        Sensors stream at aligned rates in XRBench (Table 3 aligns camera
+        and lidar at 60 FPS); the frame id is re-derived for sensors whose
+        rate differs from the primary.
+        """
+        sensor_frames = self.sensor_frames(model_frames)
+        primary_fps = self.scenario_model.model.primary_sensor.fps
+        return [
+            (
+                sensor,
+                np.rint(sensor_frames * sensor.fps / primary_fps).astype(
+                    np.int64
+                ),
+            )
+            for sensor in self.scenario_model.model.sensors
+        ]
+
+    def deadlines_s(self, model_frames: IntArray) -> FloatArray:
+        """Nominal arrival of each next consumed frame (Definition 8)."""
+        sensor = self.scenario_model.model.primary_sensor
+        return sensor.nominal_arrivals_s(self.sensor_frames(model_frames + 1))
+
     def sensor_frame_for(self, model_frame: int) -> int:
         """The sensor frame id consumed by ``model_frame``."""
-        if model_frame < 0:
-            raise ValueError(f"model_frame must be >= 0, got {model_frame}")
-        return int(model_frame * self.stride)
+        return int(self.sensor_frames(np.array([model_frame]))[0])
 
     def request_time_s(self, model_frame: int, seed: int = 0) -> float:
-        """Jittered availability time of the model frame's input data.
-
-        Multi-modal models (DR) wait for *all* their sensors to deliver the
-        frame, so the request time is the max across sensors.
-        """
-        sensor_frame = self.sensor_frame_for(model_frame)
-        times = []
-        for sensor in self.scenario_model.model.sensors:
-            # Sensors stream at aligned rates in XRBench (Table 3 aligns
-            # camera and lidar at 60 FPS); re-derive the frame id for
-            # sensors whose rate differs from the primary.
-            primary_fps = self.scenario_model.model.primary_sensor.fps
-            frame = int(round(sensor_frame * sensor.fps / primary_fps))
-            times.append(sensor.arrival_s(frame, seed))
-        return max(times)
+        """Jittered availability time of one model frame's input data."""
+        (times,) = request_times_s([(self, np.array([model_frame]))], seed)
+        return float(times[0])
 
     def deadline_s(self, model_frame: int) -> float:
         """Nominal arrival of the next consumed frame (Definition 8)."""
-        sensor = self.scenario_model.model.primary_sensor
-        next_sensor_frame = self.sensor_frame_for(model_frame + 1)
-        return sensor.nominal_arrival_s(next_sensor_frame)
+        return float(self.deadlines_s(np.array([model_frame]))[0])
 
     def num_frames(self, duration_s: float) -> int:
-        """How many model frames stream within ``duration_s``."""
+        """How many model frames stream within ``duration_s``.
+
+        Nominal arrivals never fall as the frame index grows, so the
+        streamed frames are a prefix: the count is the first frame whose
+        nominal arrival is at or past ``duration_s``.
+        """
         if duration_s <= 0:
             raise ValueError(f"duration must be > 0, got {duration_s}")
-        count = 0
+        sensor = self.scenario_model.model.primary_sensor
+        # One sensor frame past the duration, plus a frame of margin.
+        count = int(duration_s * self.effective_fps) + 3
         while True:
-            sensor_frame = self.sensor_frame_for(count)
-            sensor = self.scenario_model.model.primary_sensor
-            if sensor.nominal_arrival_s(sensor_frame) >= duration_s:
-                return count
-            count += 1
+            arrivals = sensor.nominal_arrivals_s(
+                self.sensor_frames(np.arange(count))
+            )
+            if arrivals[-1] >= duration_s:
+                return int(np.searchsorted(arrivals, duration_s))
+            count *= 2
+
+
+def request_times_s(
+    frames: Sequence[tuple[FramePlan, IntArray]], seed: int
+) -> list[FloatArray]:
+    """Jittered request times (Definition 7) of several models' frames.
+
+    A model frame's request time is the latest arrival among its
+    sensors: multi-modal models (DR) wait for *all* of them.  Each sensor
+    is drawn once, over every frame any of the models reads from it, so
+    models sharing a sensor share its draws and the fixed cost of a draw
+    is paid once per sensor.
+    """
+    reads = [plan.sensor_reads(model_frames) for plan, model_frames in frames]
+    wanted: dict[InputSource, list[IntArray]] = {}
+    for model_reads in reads:
+        for sensor, ids in model_reads:
+            wanted.setdefault(sensor, []).append(ids)
+    drawn = {}
+    for sensor, chunks in wanted.items():
+        ids = np.unique(np.concatenate(chunks))
+        drawn[sensor] = (ids, sensor.arrivals_s(ids, seed))
+    return [
+        functools.reduce(np.maximum, [
+            drawn[sensor][1][np.searchsorted(drawn[sensor][0], ids)]
+            for sensor, ids in model_reads
+        ])
+        for model_reads in reads
+    ]
 
 
 @dataclass(slots=True)

@@ -10,32 +10,147 @@ time; Definition 7 formalises the jittered request time as
 with ``Dist`` a distribution over [0, 1] (Gaussian by default in the paper;
 we use a clipped Gaussian) and ``rand`` a deterministic function of the
 sensor and frame id, so a run is reproducible for a given seed.
+
+Arrival times are computed a batch of frames at a time
+(:meth:`InputSource.arrivals_s`); the one-frame accessors are the batch
+of one.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Any, Callable
 
 import numpy as np
+import numpy.typing as npt
 
 __all__ = ["InputSource", "CAMERA", "LIDAR", "MICROPHONE", "SENSORS", "get_sensor"]
 
+IntArray = npt.NDArray[np.int64]
+FloatArray = npt.NDArray[np.float64]
 
-@lru_cache(maxsize=1 << 16)
-def _jitter_unit(name: str, frame_id: int, seed: int) -> float:
-    """The clipped-Gaussian draw ``u`` for one (sensor, frame, seed).
+# numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 
-    A pure function of its key — seeding a fresh generator per draw is
-    what makes frames order-independent, but it costs ~50µs each, so the
-    draw is memoised.  Models sharing a sensor (and repeated runs of the
-    same seeds) reuse the entry; the cache bound keeps memory flat under
-    long sweeps.
+
+def _hash_multipliers(
+    init: int, mult: int, count: int
+) -> tuple[npt.NDArray[np.uint32], npt.NDArray[np.uint32]]:
+    """The multiplier before and after each of ``count`` hash steps.
+
+    SeedSequence multiplies its hash constant by ``mult`` at every step,
+    whatever the data, so the schedule is the same for every seed.
     """
-    digest = hashlib.sha256(f"{name}:{frame_id}:{seed}".encode()).digest()
-    rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-    return float(np.clip(rng.normal(0.5, 1.0 / 6.0), 0.0, 1.0))
+    before, after = [], []
+    value = init
+    for _ in range(count):
+        before.append(value)
+        value = value * mult & 0xFFFFFFFF
+        after.append(value)
+    return (
+        np.array(before, np.uint32)[:, None],
+        np.array(after, np.uint32)[:, None],
+    )
+
+
+#: Pool mixing: 4 entropy words, then 3 cross mixes from each pool word.
+_MIX_BEFORE, _MIX_AFTER = _hash_multipliers(_INIT_A, _MULT_A, 16)
+#: Output: 8 uint32 words (4 uint64), drawn cyclically from the pool.
+_OUT_BEFORE, _OUT_AFTER = _hash_multipliers(_INIT_B, _MULT_B, 8)
+_OTHERS = tuple([d for d in range(4) if d != src] for src in range(4))
+
+
+def _seed_words(entropy: npt.NDArray[np.uint32]) -> npt.NDArray[np.uint64]:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for many seeds.
+
+    ``entropy`` holds each seed ``s < 2**64`` as a row of its low and high
+    32-bit words.  numpy pads a seed's entropy to the 4-word pool with
+    zeros, and a seed below ``2**32`` (one word) hashes exactly like
+    ``[s, 0]``, so every row takes the same path.  The arithmetic is
+    SeedSequence's own, on uint32 arrays (wrapping like its C code).
+    Within one source word's cross mixes that word does not change, so
+    its three mixes are one array step.  Returns ``(len(entropy), 4)``
+    C-contiguous rows, each what PCG64 asks its seed sequence for.
+    """
+    pool = np.zeros((4, len(entropy)), np.uint32)
+    pool[:2] = entropy.T
+    pool = (pool ^ _MIX_BEFORE[:4]) * _MIX_AFTER[:4]
+    pool ^= pool >> _XSHIFT
+    for src, others in enumerate(_OTHERS):
+        step = slice(4 + 3 * src, 7 + 3 * src)
+        hashed = (pool[src] ^ _MIX_BEFORE[step]) * _MIX_AFTER[step]
+        hashed ^= hashed >> _XSHIFT
+        mixed = pool[others] * _MIX_MULT_L - hashed * _MIX_MULT_R
+        pool[others] = mixed ^ (mixed >> _XSHIFT)
+    out = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _OUT_BEFORE) * _OUT_AFTER
+    out ^= out >> _XSHIFT
+    words = np.ascontiguousarray(out.T).view("<u8")
+    return words.astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _seeded_normal() -> Callable[[npt.NDArray[np.uint64]], float]:
+    """``Generator(PCG64(words)).normal(0.5, 1/6)`` for one row of words.
+
+    Built on first use, so importing the package does not import
+    ``numpy.random``.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):  # type: ignore[misc]
+        """Seed words computed ahead of time by :func:`_seed_words`."""
+
+        def __init__(self, words: npt.NDArray[np.uint64]) -> None:
+            self.words = words
+
+        def generate_state(
+            self, n_words: int, dtype: Any = np.uint32
+        ) -> npt.NDArray[np.uint64]:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(
+                    f"precomputed seed words are 4 x uint64, not "
+                    f"{n_words} x {dtype}"
+                )
+            return self.words
+
+    def draw(words: npt.NDArray[np.uint64]) -> float:
+        normal: float = Generator(PCG64(SeedWords(words))).normal(
+            0.5, 1.0 / 6.0
+        )
+        return normal
+
+    return draw
+
+
+def _jitter_units(name: str, frame_ids: IntArray, seed: int) -> FloatArray:
+    """The clipped-Gaussian draws ``u`` for (sensor, frame, seed) keys.
+
+    Each draw is exactly
+    ``clip(default_rng(int.from_bytes(sha256(key)[:8], "little"))
+    .normal(0.5, 1/6), 0, 1)`` for ``key = f"{name}:{frame}:{seed}"``:
+    a pure function of its key, so frames are order-independent.  The
+    seed-sequence hashing of the whole batch is array arithmetic
+    (:func:`_seed_words`); each draw then seeds PCG64 with its words and
+    runs numpy's own normal sampler, about 1.5 µs a draw against 7–8 µs
+    for a fresh ``default_rng``.
+    """
+    sha256 = hashlib.sha256
+    digests = b"".join(
+        sha256(f"{name}:{frame}:{seed}".encode()).digest()[:8]
+        for frame in frame_ids.tolist()
+    )
+    words = _seed_words(np.frombuffer(digests, "<u4").reshape(-1, 2))
+    draw = _seeded_normal()
+    return np.array(
+        [min(max(draw(row), 0.0), 1.0) for row in words], np.float64
+    )
 
 
 @dataclass(frozen=True)
@@ -71,14 +186,14 @@ class InputSource:
         """Nominal seconds between consecutive frames."""
         return 1.0 / self.fps
 
-    def nominal_arrival_s(self, frame_id: int) -> float:
-        """Unjittered arrival time of ``frame_id`` (seconds)."""
-        if frame_id < 0:
-            raise ValueError(f"frame_id must be >= 0, got {frame_id}")
-        return self.init_latency_ms / 1e3 + frame_id / self.fps
+    def nominal_arrivals_s(self, frame_ids: IntArray) -> FloatArray:
+        """Unjittered arrival times of ``frame_ids`` (seconds)."""
+        if (frame_ids < 0).any():
+            raise ValueError(f"frame_id must be >= 0, got {frame_ids.min()}")
+        return self.init_latency_ms / 1e3 + frame_ids / self.fps
 
-    def jitter_s(self, frame_id: int, seed: int = 0) -> float:
-        """Deterministic jitter for ``frame_id`` in seconds.
+    def jitters_s(self, frame_ids: IntArray, seed: int = 0) -> FloatArray:
+        """Deterministic jitter of each of ``frame_ids`` in seconds.
 
         The jitter is ``2*Jt*(u - 0.5)`` where ``u`` is drawn from a
         Gaussian centred at 0.5 (sigma 1/6) clipped to [0, 1], seeded by a
@@ -86,19 +201,31 @@ class InputSource:
         observing this frame sees the same arrival time.
         """
         if self.jitter_ms == 0.0:
-            return 0.0
-        u = _jitter_unit(self.name, frame_id, seed)
+            return np.zeros(len(frame_ids))
+        u = _jitter_units(self.name, frame_ids, seed)
         return 2.0 * (self.jitter_ms / 1e3) * (u - 0.5)
 
-    def arrival_s(self, frame_id: int, seed: int = 0) -> float:
-        """Jittered arrival time of ``frame_id`` (Definition 7), seconds.
+    def arrivals_s(self, frame_ids: IntArray, seed: int = 0) -> FloatArray:
+        """Jittered arrival times of ``frame_ids`` (Definition 7), seconds.
 
         Clamped at zero: a frame cannot arrive before the stream starts.
         """
-        return max(
-            0.0,
-            self.nominal_arrival_s(frame_id) + self.jitter_s(frame_id, seed),
+        times = self.nominal_arrivals_s(frame_ids) + self.jitters_s(
+            frame_ids, seed
         )
+        return np.where(times > 0.0, times, 0.0)
+
+    def nominal_arrival_s(self, frame_id: int) -> float:
+        """Unjittered arrival time of one frame (seconds)."""
+        return float(self.nominal_arrivals_s(np.array([frame_id]))[0])
+
+    def jitter_s(self, frame_id: int, seed: int = 0) -> float:
+        """Deterministic jitter of one frame in seconds."""
+        return float(self.jitters_s(np.array([frame_id]), seed)[0])
+
+    def arrival_s(self, frame_id: int, seed: int = 0) -> float:
+        """Jittered arrival time of one frame (Definition 7), seconds."""
+        return float(self.arrivals_s(np.array([frame_id]), seed)[0])
 
 
 CAMERA = InputSource("camera", "Images", fps=60.0, jitter_ms=0.05)
