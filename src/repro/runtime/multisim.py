@@ -802,6 +802,9 @@ class MultiScenarioSimulator:
         #: Every session's waiting work, maintained in dispatch order on
         #: offer/take — schedulers read this view directly.
         waiting = WaitingQueue()
+        #: Request ids are run-scoped: every load generator of the run
+        #: numbers its requests from this one counter.
+        request_ids = itertools.count()
 
         def enter_phase(state: _SessionState, phase: int) -> None:
             """Swap the session onto phase ``phase`` and stream its roots.
@@ -816,6 +819,7 @@ class MultiScenarioSimulator:
                 stop - start,
                 state.spec.seed,
                 frame_loss_probability=state.spec.frame_loss_probability,
+                request_ids=request_ids,
             )
             state.phase = phase
             state.loadgen = loadgen

@@ -21,9 +21,8 @@ model on the 60 FPS camera skips every other frame).
 from __future__ import annotations
 
 import functools
-import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,8 +31,6 @@ from .scenarios import ScenarioModel
 from .sensors import FloatArray, InputSource, IntArray
 
 __all__ = ["FramePlan", "InferenceRequest", "request_times_s"]
-
-_request_ids = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -167,13 +164,18 @@ class InferenceRequest:
     Slotted: the runtime materialises one per streamed frame (thousands
     per multi-session run) and mutates the timing fields on the hot
     path, so attribute access goes through fixed slots, not a dict.
+
+    ``request_id`` is given by the creator: the load generator numbers
+    requests from its ``request_ids`` counter, which a simulation run
+    shares across every generator it builds, so ids are unique within
+    the run and the same every time the run is repeated.
     """
 
     model_code: str
     model_frame: int
     request_time_s: float
     deadline_s: float
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = 0
     #: Filled in by the runtime.
     start_time_s: float | None = None
     end_time_s: float | None = None

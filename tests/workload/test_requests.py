@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.workload import FramePlan, InferenceRequest, ScenarioModel, get_model
+from repro.workload import (
+    FramePlan,
+    InferenceRequest,
+    LoadGenerator,
+    ScenarioModel,
+    get_model,
+    get_scenario,
+)
 
 
 def plan(code: str, fps: float) -> FramePlan:
@@ -138,8 +147,18 @@ class TestInferenceRequest:
         assert not r2.missed_deadline
 
     def test_request_ids_unique(self):
-        ids = {InferenceRequest("HT", i, 0.0, 1.0).request_id for i in range(50)}
-        assert len(ids) == 50
+        # Ids come from the creator: generators sharing one counter (as
+        # the phases of a simulation run do) never reuse an id.
+        ids = itertools.count()
+        scenario = get_scenario("vr_gaming")
+        requests = [
+            request
+            for seed in (0, 1)
+            for request in LoadGenerator(
+                scenario, 0.5, seed, request_ids=ids
+            ).root_requests()
+        ]
+        assert [r.request_id for r in requests] == list(range(len(requests)))
 
     def test_repr_states(self):
         r = self.make()
