@@ -466,8 +466,9 @@ def compile_plan(
         else:
             chains = _plan_chains(spec, tuple(r.scenario for r in rows))
     else:
-        # The suite path dispatches whole models (run_full_suite never
-        # forwarded granularity) and the single path has no chains.
+        # Suite and single specs dispatch whole models (RunSpec rejects
+        # a suite spec with granularity="segment"), so they have no
+        # chains.
         chains = ()
 
     faults = None

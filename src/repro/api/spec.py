@@ -134,6 +134,17 @@ class RunSpec:
                     "suite specs run the full scenario suite; "
                     f"drop scenario={scenario!r} or set suite=False"
                 )
+            # The suite runs each scenario as one session with
+            # whole-model dispatch; accepting either field would be a
+            # silent no-op.
+            for name, default in (("sessions", 1), ("granularity", "model")):
+                value = getattr(self, name)
+                if value != default:
+                    raise ValueError(
+                        f"suite specs run each scenario as one session "
+                        f"with whole-model dispatch; {name}={value!r} "
+                        f"would be ignored, drop it or set suite=False"
+                    )
         else:
             if scenario is None:
                 raise ValueError(

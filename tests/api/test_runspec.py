@@ -8,6 +8,7 @@ schedulers and both granularities.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -39,6 +40,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="suite"):
             RunSpec(scenario="ar_gaming", suite=True)
         assert RunSpec.for_suite("A").mode == "suite"
+
+    @pytest.mark.parametrize(
+        "field, value", [("sessions", 4), ("granularity", "segment")]
+    )
+    def test_suite_rejects_fields_it_would_ignore(self, field, value):
+        message = re.escape(f"{field}={value!r} would be ignored")
+        with pytest.raises(ValueError, match=message):
+            RunSpec(suite=True, **{field: value})
+        data = RunSpec.for_suite("A").to_dict()
+        data[field] = value
+        with pytest.raises(ValueError, match=message):
+            RunSpec.from_dict(data)
 
     def test_scenario_required_without_suite(self):
         with pytest.raises(ValueError, match="scenario"):
