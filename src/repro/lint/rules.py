@@ -78,9 +78,11 @@ _WALL_CLOCK_CALLS: frozenset[str] = frozenset(
     }
 )
 
-#: numpy RNG constructors that are fine *when seeded* (D002): the
-#: ``_unit_roll``/``_jitter_unit`` idiom derives a seed from a sha256
-#: digest and builds a one-shot generator from it.
+#: numpy RNG constructors that are fine *when seeded* (D002): the keyed
+#: draws derive a seed from a sha256 digest of their key and build a
+#: one-shot generator from it -- ``loadgen._unit_roll`` as
+#: ``default_rng(seed)``, ``sensors._jitter_units`` as
+#: ``Generator(PCG64(...))`` fed precomputed ``SeedSequence`` words.
 _SEEDED_RNG_CONSTRUCTORS: frozenset[str] = frozenset(
     {"default_rng", "Generator", "SeedSequence", "PCG64", "Philox"}
 )
@@ -245,7 +247,8 @@ class SeededRngOnly(Rule):
     description = (
         "stateful/unseeded RNG (random.*, np.random.* module calls) is "
         "banned in src/repro/: randomness must flow through seeded "
-        "generator construction (the _unit_roll/_jitter_unit idiom)"
+        "generator construction keyed by a sha256 digest (the "
+        "_unit_roll/_jitter_units idiom)"
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[tuple[int, str]]:
@@ -263,7 +266,7 @@ class SeededRngOnly(Rule):
                     node.lineno,
                     f"stdlib random call {dotted}() draws from hidden "
                     "global state; derive draws from seeded keys "
-                    "(the _unit_roll/_jitter_unit idiom)",
+                    "(the _unit_roll/_jitter_units idiom)",
                 )
             elif dotted.startswith("numpy.random."):
                 tail = dotted.rsplit(".", 1)[1]

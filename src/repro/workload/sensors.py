@@ -138,8 +138,8 @@ def _jitter_units(name: str, frame_ids: IntArray, seed: int) -> FloatArray:
     a pure function of its key, so frames are order-independent.  The
     seed-sequence hashing of the whole batch is array arithmetic
     (:func:`_seed_words`); each draw then seeds PCG64 with its words and
-    runs numpy's own normal sampler, about 1.5 µs a draw against 7–8 µs
-    for a fresh ``default_rng``.
+    runs numpy's own normal sampler: about 1.5 µs a draw against 7–8 µs
+    for a fresh ``default_rng`` (numpy 2.4 on an AMD EPYC host).
     """
     sha256 = hashlib.sha256
     digests = b"".join(
