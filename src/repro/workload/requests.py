@@ -146,7 +146,10 @@ def request_times_s(
             wanted.setdefault(sensor, []).append(ids)
     drawn = {}
     for sensor, chunks in wanted.items():
-        ids = np.unique(np.concatenate(chunks))
+        # The distinct frame ids, sorted.  (np.unique would import
+        # numpy.ma, about 1.5 MB of resident memory, on first use.)
+        ids = np.sort(np.concatenate(chunks))
+        ids = ids[np.diff(ids, prepend=-1) != 0]
         drawn[sensor] = (ids, sensor.arrivals_s(ids, seed))
     return [
         functools.reduce(np.maximum, [
