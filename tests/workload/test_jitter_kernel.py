@@ -10,12 +10,15 @@ kept here as the reference, so every float must match exactly.
 from __future__ import annotations
 
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.runtime.admission import DEGRADATION_LADDER
 from repro.workload import SCENARIO_ORDER, SENSORS, get_scenario, scale_rates
 from repro.workload.loadgen import _root_schedule
@@ -141,7 +144,11 @@ class TestJitterUnits:
             "import sys, repro, repro.api, repro.cli\n"
             "assert 'numpy.random' not in sys.modules\n"
         )
-        subprocess.run([sys.executable, "-c", code], check=True)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        subprocess.run(
+            [sys.executable, "-c", code], check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
 
 
 # -- the schedules built from it -------------------------------------------------
