@@ -802,8 +802,8 @@ class MultiScenarioSimulator:
         #: Every session's waiting work, maintained in dispatch order on
         #: offer/take — schedulers read this view directly.
         waiting = WaitingQueue()
-        #: Request ids are run-scoped: every load generator of the run
-        #: numbers its requests from this one counter.
+        #: Request ids are run-scoped: every request the run creates,
+        #: root or dependent, takes the next id from this one counter.
         request_ids = itertools.count()
 
         def enter_phase(state: _SessionState, phase: int) -> None:
@@ -819,7 +819,6 @@ class MultiScenarioSimulator:
                 stop - start,
                 state.spec.seed,
                 frame_loss_probability=state.spec.frame_loss_probability,
-                request_ids=request_ids,
             )
             state.phase = phase
             state.loadgen = loadgen
@@ -833,6 +832,7 @@ class MultiScenarioSimulator:
             for request in loadgen.root_requests():
                 request.request_time_s += start
                 request.deadline_s += start
+                request.request_id = next(request_ids)
                 state.phase_of[request.request_id] = phase
                 events.push(
                     request.request_time_s,
@@ -1222,6 +1222,7 @@ class MultiScenarioSimulator:
                                 if child is not None:
                                     child.request_time_s += state.offset_s
                                     child.deadline_s += state.offset_s
+                                    child.request_id = next(request_ids)
                                     state.phase_of[child.request_id] = (
                                         state.phase
                                     )

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -116,19 +115,12 @@ class LoadGenerator:
             sensor glitches).  Lost frames never become requests; the QoE
             denominator still counts them, so sensor flakiness degrades
             QoE exactly like runtime drops do.
-        request_ids: where request ids come from.  A simulation run
-            passes one counter to every generator it builds, so its
-            requests are numbered in creation order, the same on every
-            repeat of the run.
     """
 
     scenario: UsageScenario
     duration_s: float
     seed: int = 0
     frame_loss_probability: float = 0.0
-    request_ids: Iterator[int] = field(
-        default_factory=itertools.count, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -165,14 +157,12 @@ class LoadGenerator:
         the request objects themselves are always fresh — the runtime
         mutates them.
         """
-        ids = self.request_ids
         return [
             InferenceRequest(
                 model_code=code,
                 model_frame=frame,
                 request_time_s=request_time_s,
                 deadline_s=deadline_s,
-                request_id=next(ids),
             )
             for request_time_s, code, frame, deadline_s in _root_schedule(
                 self.scenario,
@@ -224,7 +214,6 @@ class LoadGenerator:
             model_frame=down_frame,
             request_time_s=ready_time_s,
             deadline_s=deadlines[down_frame],
-            request_id=next(self.request_ids),
         )
 
     def expected_frames(self) -> dict[str, int]:

@@ -168,10 +168,9 @@ class InferenceRequest:
     per multi-session run) and mutates the timing fields on the hot
     path, so attribute access goes through fixed slots, not a dict.
 
-    ``request_id`` is given by the creator: the load generator numbers
-    requests from its ``request_ids`` counter, which a simulation run
-    shares across every generator it builds, so ids are unique within
-    the run and the same every time the run is repeated.
+    ``request_id`` is 0 until a simulation run numbers the request from
+    its own counter, so ids are unique within the run and the same
+    every time the run is repeated.
     """
 
     model_code: str

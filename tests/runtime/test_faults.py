@@ -319,12 +319,15 @@ class TestRecoveryMachinery:
         assert sum(s.faults.lost for s in result.sessions) >= len(abandoned)
 
     def test_fault_action_ids_repeat_within_a_process(self):
-        """Request ids are run-scoped, so the fault log a spec exports is
-        the same however many runs came before it in the process."""
+        """Request ids are run-scoped: unique within a run, and the fault
+        log a spec exports is the same however many runs came before it
+        in the process."""
         def actions(result):
             return [s.faults.actions for s in result.sessions]
 
         first, second = run_sim("flaky"), run_sim("flaky")
+        ids = [r.request_id for r in first.all_requests()]
+        assert len(set(ids)) == len(ids)
         assert any(actions(first)), "flaky produced no fault actions"
         # FaultAction equality includes request_id.
         assert actions(first) == actions(second)

@@ -2,19 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.workload import (
-    FramePlan,
-    InferenceRequest,
-    LoadGenerator,
-    ScenarioModel,
-    get_model,
-    get_scenario,
-)
+from repro.workload import FramePlan, InferenceRequest, ScenarioModel, get_model
 
 
 def plan(code: str, fps: float) -> FramePlan:
@@ -145,20 +136,6 @@ class TestInferenceRequest:
         r2 = self.make()
         r2.end_time_s = 0.040
         assert not r2.missed_deadline
-
-    def test_request_ids_unique(self):
-        # Ids come from the creator: generators sharing one counter (as
-        # the phases of a simulation run do) never reuse an id.
-        ids = itertools.count()
-        scenario = get_scenario("vr_gaming")
-        requests = [
-            request
-            for seed in (0, 1)
-            for request in LoadGenerator(
-                scenario, 0.5, seed, request_ids=ids
-            ).root_requests()
-        ]
-        assert [r.request_id for r in requests] == list(range(len(requests)))
 
     def test_repr_states(self):
         r = self.make()
