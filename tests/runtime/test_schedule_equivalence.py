@@ -8,12 +8,15 @@ registered scheduler x both granularities x 1/4/16 sessions.  The
 maintained-state dispatch path must reproduce every schedule exactly:
 each checksum hashes the full ``(start_s, sub_index, task_code)``
 execution log, so any reordering, timing drift, or dropped/duplicated
-dispatch changes the digest.
+dispatch changes the digest.  ``GOLDEN_REQUESTS`` adds what the
+dispatch log cannot see: every request a run creates, dispatched or
+not, with its id, timing and terminal state, and the per-session QoE
+denominators.
 
 If a deliberate scheduling-semantics change ever invalidates these,
-regenerate with ``checksum_of(run_case(...))`` and say so loudly in the
-commit message — this file is the contract that perf work does not move
-schedules.
+regenerate with ``checksum_of(run_case(...))`` (or
+``request_checksum_of``) and say so loudly in the commit message — this
+file is the contract that perf work does not move schedules.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ import json
 import pytest
 
 from repro.hardware import build_accelerator
-from repro.runtime import MultiScenarioSimulator, make_scheduler
+from repro.runtime import (
+    MultiScenarioSimulator,
+    SessionPhase,
+    SessionSpec,
+    make_scheduler,
+)
 from repro.runtime.segmentation import dispatch_segment_code
 from repro.workload import churn_windows, get_scenario
 
@@ -145,6 +153,49 @@ GOLDEN_FAULTS: dict[tuple[str, str, int, str], tuple[int, str]] = {
 }
 
 
+#: name -> ``run_case`` arguments of the request-level golden cells:
+#: one static cell plus one per mechanism that decides a request's fate
+#: besides the dispatch log — churn with preemption and the slack
+#: governor, a mid-run activity switch, both admission policies (the
+#: degrade cell fires 4 degrade actions, so cancelled phase tails are
+#: uncounted) and engine faults.
+REQUEST_CELLS: dict[str, dict] = {
+    "static_16": dict(scheduler="latency_greedy", granularity="model",
+                      sessions=16),
+    "churn_edf_slack_16": dict(scheduler="edf", granularity="segment",
+                               sessions=16, churn=0.25, preemptive=True,
+                               dvfs="slack"),
+    "phase_4": dict(scheduler="latency_greedy", granularity="model",
+                    sessions=4, phase="social_interaction_b"),
+    "degrade_16": dict(scheduler="latency_greedy", granularity="model",
+                       sessions=16, admission="degrade"),
+    "shed_16": dict(scheduler="latency_greedy", granularity="model",
+                    sessions=16, admission="shed"),
+    "flaky_4": dict(scheduler="edf", granularity="segment", sessions=4,
+                    faults="flaky"),
+}
+
+#: name -> sha256 of :func:`request_checksum_of`.  The schedule digests
+#: above see only what dispatched; these pin every request a run
+#: creates — including the ones superseded before they ever ran — with
+#: its run-scoped id, timing and terminal state, and each session's
+#: QoE denominators (``spawned_frames``).
+GOLDEN_REQUESTS: dict[str, str] = {
+    "static_16":
+        "7635b8264dc648afe8b9573dc556dedb009e0f0eedf41bdc355ba2f5a880ac9d",
+    "churn_edf_slack_16":
+        "884df9da043a18c7f46d48d3de27923927b99f6595d9cdb0aaaf37b22f30e533",
+    "phase_4":
+        "8f840a6944820811fba61d56daf27d6ea7fd8a396da810b49120d6ede9b0f9e5",
+    "degrade_16":
+        "54cba11765e4c7fefb0494d1fae16f7ade4357da647ee7214bca94d8cc9f9ab8",
+    "shed_16":
+        "99875101a7a812a44d148de2803a59d5002c19e95422731a1f9dae9566460b23",
+    "flaky_4":
+        "6ba343395759f7b1c5eb6bf53ce6502aa34147b96418b53bc3a103c665315ced",
+}
+
+
 def run_case(
     scheduler: str,
     granularity: str,
@@ -153,25 +204,45 @@ def run_case(
     preemptive: bool = False,
     dvfs: str = "static",
     faults: str = "none",
+    admission: str = "none",
+    phase: str | None = None,
 ):
+    """One golden cell.  ``phase`` names a scenario every session
+    switches to halfway through the run (one :class:`SessionPhase`)."""
     kwargs = {"preemptive": True} if preemptive else {}
     windows = (
         churn_windows(sessions, DURATION_S, churn, BASE_SEED)
         if churn
         else None
     )
-    return MultiScenarioSimulator.replicate(
-        get_scenario(SCENARIO),
-        build_accelerator(ACCELERATOR, PES),
-        make_scheduler(scheduler, **kwargs),
-        sessions,
-        base_seed=BASE_SEED,
+    options = dict(
+        system=build_accelerator(ACCELERATOR, PES),
+        scheduler=make_scheduler(scheduler, **kwargs),
         duration_s=DURATION_S,
         granularity=granularity,
-        windows=windows,
         dvfs_policy=dvfs,
         faults=faults,
         fault_seed=BASE_SEED,
+        admission=admission,
+    )
+    if phase is not None:
+        switch = (SessionPhase(DURATION_S / 2, get_scenario(phase)),)
+        return MultiScenarioSimulator(
+            sessions=[
+                SessionSpec(i, get_scenario(SCENARIO), BASE_SEED + i,
+                            phases=switch)
+                for i in range(sessions)
+            ],
+            **options,
+        ).run()
+    return MultiScenarioSimulator.replicate(
+        get_scenario(SCENARIO),
+        options.pop("system"),
+        options.pop("scheduler"),
+        sessions,
+        base_seed=BASE_SEED,
+        windows=windows,
+        **options,
     ).run()
 
 
@@ -195,6 +266,34 @@ def checksum_of(result) -> tuple[int, str]:
     ]
     blob = json.dumps(rows, separators=(",", ":")).encode()
     return len(rows), hashlib.sha256(blob).hexdigest()
+
+
+def request_checksum_of(result) -> str:
+    """sha256 over every session's requests and QoE denominators.
+
+    Per session: its sorted ``spawned_frames`` and one row per request
+    in log order — id, model, frame, request time, deadline, ``dropped``,
+    ``failed_faulted`` and end time — with times rounded to a
+    nanosecond like :func:`checksum_of`.
+    """
+
+    def ns(t):
+        return None if t is None else round(t, 9)
+
+    doc = [
+        [
+            sorted(session.spawned_frames.items()),
+            [
+                [r.request_id, r.model_code, r.model_frame,
+                 ns(r.request_time_s), ns(r.deadline_s), r.dropped,
+                 r.failed_faulted, ns(r.end_time_s)]
+                for r in session.requests
+            ],
+        ]
+        for session in result.sessions
+    ]
+    blob = json.dumps(doc, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -231,6 +330,12 @@ def test_fault_schedule_matches_golden(scheduler, granularity, sessions,
     result = run_case(scheduler, granularity, sessions, faults=faults)
     key = (scheduler, granularity, sessions, faults)
     assert checksum_of(result) == GOLDEN_FAULTS[key]
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN_REQUESTS))
+def test_requests_match_golden(cell):
+    result = run_case(**REQUEST_CELLS[cell])
+    assert request_checksum_of(result) == GOLDEN_REQUESTS[cell]
 
 
 def test_faults_none_is_bit_identical_to_historical_path():
