@@ -1,25 +1,38 @@
 """Event machinery of the discrete-event benchmark runtime.
 
-Six event kinds drive the simulation.  Two carry work: an
-inference-request *arrival* (generated by the load generator, or spawned
-when an upstream model completes and its dependency triggers) and an
-inference *completion* on a sub-accelerator.  Three mark session
-lifecycle transitions in dynamic multi-tenant runs: *session join*
-(a tenant comes online and its request stream starts), *session leave*
-(the tenant departs; its waiting work is retired) and *session phase*
-(the tenant switches activity — e.g. AR gaming to social — and streams a
-different scenario from that point).  The sixth, *control tick*, fires
-periodically when a QoE admission controller is installed and lets it
-shed or degrade overloaded sessions.  Lifecycle and control events carry
-no request.
+Eleven event kinds (:class:`EventKind`) drive the simulation:
+
+* work: an inference-request *arrival* — a sensor frame of a root model,
+  or a dependent request spawned when an upstream inference completes —
+  and an inference *completion* on a sub-accelerator;
+* session lifecycle in dynamic multi-tenant runs: *session join* (the
+  tenant's request stream starts), *session leave* (its waiting work is
+  retired) and *session phase* (it switches activity and streams a
+  different scenario from then on);
+* the *control tick*, periodic when a QoE admission controller is
+  installed, at which it may shed or degrade overloaded sessions;
+* fault injection: *engine fail* and *engine recover*, *thermal
+  throttle* and *thermal release*, and *work retry* when a killed
+  item's backoff expires.
 
 Events are totally ordered by (time, sequence number) so simultaneous
-events resolve deterministically; lifecycle events are scheduled at
-simulator build time, which gives them lower sequence numbers — and
-therefore priority — over same-instant arrivals and completions.  The
-event loop drains all events sharing the minimum timestamp as one batch
-(see :meth:`EventQueue.pop_fields` / :attr:`EventQueue.next_time_s`),
-processing them in exactly this (time, seq) order.
+events resolve deterministically.  Lifecycle, control-tick and fault
+events are scheduled when the run starts, which gives them lower
+sequence numbers — and therefore priority — over same-instant arrivals
+and completions.  The event loop drains all events sharing the minimum
+timestamp as one batch (see :meth:`EventQueue.pop_fields` /
+:attr:`EventQueue.next_time_s`), processing them in exactly this
+(time, seq) order.
+
+Root arrivals are streamed rather than pushed up front.  When a session
+enters a phase, the event loop reserves one sequence number per root
+request of the phase (:meth:`EventQueue.reserve`) and pushes only the
+first arrival; each arrival, as it pops, pushes the next one under its
+reserved number.  Every arrival thus carries the key it would have had
+if the whole sorted schedule had been pushed at once, and the next one
+is on the heap before it could be the minimum, so the pop order and
+:attr:`EventQueue.next_time_s` are unchanged while the heap holds a few
+entries per session instead of every frame of the run.
 """
 
 from __future__ import annotations
@@ -65,14 +78,17 @@ class Event:
 
     ``session_id`` tags the tenant session the event belongs to in
     multi-session runs; single-session runs use the default 0.
-    ``request`` is ``None`` for session lifecycle events
-    (JOIN/LEAVE/PHASE), which concern the session as a whole.
+    ``request`` is the request of a work event and ``None`` for events
+    that concern a session or an engine as a whole.  A streamed root
+    arrival carries its stream's cursor there instead, which the event
+    loop turns into the request when the event pops; the queue itself
+    never looks inside.
     """
 
     time_s: float
     seq: int
     kind: EventKind = field(compare=False)
-    request: InferenceRequest | None = field(default=None, compare=False)
+    request: object = field(default=None, compare=False)
     sub_index: int | None = field(default=None, compare=False)
     session_id: int = field(default=0, compare=False)
 
@@ -94,8 +110,7 @@ class EventQueue:
     """
 
     _heap: list[
-        tuple[float, int, EventKind, InferenceRequest | None, int | None,
-              int]
+        tuple[float, int, EventKind, object, int | None, int]
     ] = field(default_factory=list)
     _seq: itertools.count = field(default_factory=itertools.count)
 
@@ -114,6 +129,35 @@ class EventQueue:
             (time_s, next(self._seq), kind, request, sub_index, session_id),
         )
 
+    def reserve(self, n: int) -> int:
+        """Take ``n`` consecutive sequence numbers; returns the first.
+
+        For a caller that streams an already-sorted run of events one
+        at a time, pushing each with :meth:`push_reserved` once its
+        predecessor pops: event ``k`` of the run goes in under
+        ``first + k``, the number it would have had if the whole run had
+        been pushed now.
+        """
+        first = next(self._seq)
+        self._seq = itertools.count(first + n)
+        return first
+
+    def push_reserved(
+        self,
+        time_s: float,
+        seq: int,
+        kind: EventKind,
+        request: object = None,
+        sub_index: int | None = None,
+        session_id: int = 0,
+    ) -> None:
+        """Push an event under a sequence number from :meth:`reserve`."""
+        if time_s < 0:
+            raise ValueError(f"event time must be >= 0, got {time_s}")
+        heapq.heappush(
+            self._heap, (time_s, seq, kind, request, sub_index, session_id)
+        )
+
     def pop(self) -> Event:
         if not self._heap:
             raise IndexError("pop from empty event queue")
@@ -121,8 +165,7 @@ class EventQueue:
 
     def pop_fields(
         self,
-    ) -> tuple[float, int, EventKind, InferenceRequest | None, int | None,
-               int]:
+    ) -> tuple[float, int, EventKind, object, int | None, int]:
         """Pop the next event as its raw heap tuple (the hot-path API).
 
         Returns ``(time_s, seq, kind, request, sub_index, session_id)``

@@ -66,7 +66,10 @@ Key properties:
   randomness — including the churn plan — flows through the per-session
   seeds: two runs with the same specs are bit-identical.
 * **Incremental dispatch state**: the event loop never recomputes what it
-  can maintain.  Waiting work lives in one
+  can maintain.  Root arrivals stream from one cursor per session phase,
+  so the event heap holds a few entries per session rather than the
+  whole schedule, and a root's request is built only when it arrives
+  (see :mod:`repro.runtime.events`).  Waiting work lives in one
   :class:`~repro.runtime.queues.WaitingQueue` updated on
   arrival/dispatch/retirement (work items are built — and their segment
   plans resolved — once per request, not once per scheduler call);
@@ -274,6 +277,27 @@ class _SessionState:
     @property
     def active_duration_s(self) -> float:
         return sum(stop - start for start, stop, _ in self.windows)
+
+
+@dataclass(slots=True)
+class _ArrivalCursor:
+    """One session phase's root arrivals, streamed one event at a time.
+
+    ``rows`` is the phase's root schedule
+    (:meth:`~repro.workload.LoadGenerator.root_schedule`: sorted, in
+    phase-local time).  Row ``k`` arrives at ``rows[k][0] + start_s`` as
+    event ``first_seq + k`` and becomes request ``first_id + k``; both
+    blocks are reserved when the phase is entered, so every arrival
+    keeps the event key and request id it would have had if the whole
+    schedule were pushed then.  ``index`` is the row on the event heap.
+    """
+
+    rows: tuple[tuple[float, str, int, float], ...]
+    start_s: float
+    first_seq: int
+    first_id: int
+    phase: int
+    index: int = 0
 
 
 @dataclass
@@ -715,9 +739,10 @@ class MultiScenarioSimulator:
                 )
 
         # The QoE control plane: per-session decision logs, the phases
-        # cancelled by degrade actions (their pre-scheduled arrival
-        # tails are uncounted, not charged as drops), and each session's
-        # planned-activity baseline further degradation scales from.
+        # cancelled by degrade actions (their cursors keep streaming the
+        # arrival tails, which are uncounted, not charged as drops), and
+        # each session's planned-activity baseline further degradation
+        # scales from.
         # All empty — and control ticks unscheduled — when no controller
         # is installed, leaving the historical event stream untouched.
         controller = self._controller
@@ -809,10 +834,13 @@ class MultiScenarioSimulator:
         def enter_phase(state: _SessionState, phase: int) -> None:
             """Swap the session onto phase ``phase`` and stream its roots.
 
-            The phase's load generator works in phase-local time;
-            request and deadline times are shifted to absolute run time
-            here, once, as the requests are scheduled.
+            The phase's roots get an arrival cursor holding blocks of
+            event sequence numbers and request ids, one per root; only
+            the first root goes on the heap (see :class:`_ArrivalCursor`).
+            The load generator works in phase-local time; the cursor
+            shifts each root to absolute run time as it arrives.
             """
+            nonlocal request_ids
             start, stop, scenario = state.windows[phase]
             loadgen = LoadGenerator(
                 scenario,
@@ -828,17 +856,16 @@ class MultiScenarioSimulator:
                 state.spawned.setdefault(sm.code, 0)
             for code, count in loadgen.expected_frames().items():
                 state.spawned[code] += count
-            sid = state.spec.session_id
-            for request in loadgen.root_requests():
-                request.request_time_s += start
-                request.deadline_s += start
-                request.request_id = next(request_ids)
-                state.phase_of[request.request_id] = phase
-                events.push(
-                    request.request_time_s,
-                    EventKind.ARRIVAL,
-                    request,
-                    session_id=sid,
+            rows = loadgen.root_schedule()
+            if rows:
+                first_id = next(request_ids)
+                request_ids = itertools.count(first_id + len(rows))
+                cursor = _ArrivalCursor(
+                    rows, start, events.reserve(len(rows)), first_id, phase
+                )
+                events.push_reserved(
+                    rows[0][0] + start, cursor.first_seq, EventKind.ARRIVAL,
+                    cursor, session_id=state.spec.session_id,
                 )
 
         def retire_waiting(session_id: int,
@@ -876,7 +903,7 @@ class MultiScenarioSimulator:
             the *planned* activity is spliced in after it, and the
             session enters it like any phase change.  The truncated
             phase is marked cancelled so its not-yet-arrived tail
-            (scheduled when the phase was entered) is uncounted rather
+            (which its arrival cursor keeps streaming) is uncounted rather
             than charged as drops — the degraded stream replaces it
             from this instant, keeping QoE denominators honest.
             """
@@ -915,12 +942,7 @@ class MultiScenarioSimulator:
                 chain = chains[code] = SegmentChain(code, (None,))
             codes = chain.codes
             return WorkItem(
-                request=request,
-                session_id=session_id,
-                segment_index=0,
-                num_segments=len(codes),
-                task_code=codes[0],
-                chain=chain,
+                request, session_id, 0, len(codes), codes[0], chain
             )
 
         def start(item: WorkItem, engine: ExecutionEngine,
@@ -1147,6 +1169,7 @@ class MultiScenarioSimulator:
         heap = events._heap  # drained via pop_fields; peeked for batching
         pop_fields = events.pop_fields
         push = events.push
+        push_reserved = events.push_reserved
         finish = fleet.finish
 
         while heap:
@@ -1154,9 +1177,33 @@ class MultiScenarioSimulator:
             while True:
                 state = states[session_id]
                 if kind is ARRIVAL:
-                    phase = state.phase_of.get(
-                        request.request_id, state.phase
-                    )
+                    if request.__class__ is _ArrivalCursor:
+                        # A streamed root: build this row's request, then
+                        # put the cursor's next row on the heap under its
+                        # reserved sequence number.
+                        cursor = request
+                        k = cursor.index
+                        rows = cursor.rows
+                        _, code, frame, deadline_s = rows[k]
+                        request = InferenceRequest(
+                            code, frame, now_s, deadline_s + cursor.start_s,
+                            cursor.first_id + k,
+                        )
+                        phase = state.phase_of[request.request_id] = (
+                            cursor.phase
+                        )
+                        k += 1
+                        if k < len(rows):
+                            cursor.index = k
+                            push_reserved(
+                                rows[k][0] + cursor.start_s,
+                                cursor.first_seq + k, ARRIVAL, cursor,
+                                None, session_id,
+                            )
+                    else:
+                        phase = state.phase_of.get(
+                            request.request_id, state.phase
+                        )
                     if (
                         controller is not None
                         and phase in cancelled[session_id]

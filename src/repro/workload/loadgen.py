@@ -1,7 +1,8 @@
 """Load generator: turns a usage scenario into timed inference requests.
 
 Root models (those driven directly by sensors) get their full request
-schedule generated up front from the jittered sensor streams.  Dependent
+schedule generated up front from the jittered sensor streams, as timing
+rows the runtime turns into requests one arrival at a time.  Dependent
 models (downstream of a data or control dependency) are *not* scheduled
 here — the runtime spawns their requests when the upstream inference
 completes, rolling the dependency's trigger probability with a
@@ -150,12 +151,27 @@ class LoadGenerator:
     def plan_for(self, code: str) -> FramePlan:
         return self._plans[code]
 
+    def root_schedule(self) -> tuple[tuple[float, str, int, float], ...]:
+        """The sensor-driven requests' timing, sorted by request time.
+
+        ``(request_time_s, model_code, model_frame, deadline_s)`` rows
+        from the memoised schedule (:func:`_root_schedule`).  The tuple
+        is shared between every generator with the same parameters, so
+        it is immutable; the runtime builds each row's request only when
+        the row arrives.
+        """
+        return _root_schedule(
+            self.scenario,
+            self.duration_s,
+            self.seed,
+            self.frame_loss_probability,
+        )
+
     def root_requests(self) -> list[InferenceRequest]:
         """All requests for sensor-driven models, sorted by request time.
 
-        Timing comes from the memoised schedule (:func:`_root_schedule`);
-        the request objects themselves are always fresh — the runtime
-        mutates them.
+        The batch view of :meth:`root_schedule`: the request objects are
+        always fresh, since callers mutate them.
         """
         return [
             InferenceRequest(
@@ -164,12 +180,8 @@ class LoadGenerator:
                 request_time_s=request_time_s,
                 deadline_s=deadline_s,
             )
-            for request_time_s, code, frame, deadline_s in _root_schedule(
-                self.scenario,
-                self.duration_s,
-                self.seed,
-                self.frame_loss_probability,
-            )
+            for request_time_s, code, frame, deadline_s
+            in self.root_schedule()
         ]
 
     def dependency_triggers(
