@@ -110,16 +110,19 @@ class TestQueueOrdering:
 
 
 class _TracingQueue(EventQueue):
-    """An EventQueue that logs every popped tuple (test instrumentation)."""
+    """An EventQueue that logs every popped tuple and the heap size it
+    was popped from (test instrumentation)."""
 
     instances: list["_TracingQueue"] = []
 
     def __init__(self) -> None:
         super().__init__()
         self.trace: list[tuple] = []
+        self.sizes: list[int] = []
         _TracingQueue.instances.append(self)
 
     def pop_fields(self):
+        self.sizes.append(len(self))
         fields = super().pop_fields()
         self.trace.append(fields)
         return fields
@@ -252,6 +255,27 @@ class TestEndToEndOrdering:
                    r.segment_index, r.session_id, r.dvfs)
                   for r in b.records]
         assert rows_a == rows_b
+
+
+def test_event_heap_holds_o_sessions_entries(traced_queue):
+    """Root arrivals stream from one cursor per session phase, so the
+    heap never holds the run's whole schedule: at most a root arrival
+    and a lifecycle event or spawned dependent per session, plus one
+    completion per engine.  (Every push lands between two pops, so the
+    size seen at each pop is the high-water mark.)"""
+    sessions = 64
+    system = build_accelerator("J", 8192)
+    MultiScenarioSimulator.replicate(
+        get_scenario("vr_gaming"),
+        system,
+        make_scheduler("latency_greedy"),
+        sessions,
+        duration_s=0.5,
+    ).run()
+    (events,) = traced_queue.instances
+    arrivals = sum(f[2] is EventKind.ARRIVAL for f in events.trace)
+    assert arrivals > 3000, "the run should stream thousands of frames"
+    assert max(events.sizes) <= 2 * sessions + system.num_subs
 
 
 def test_windows_churn_cell_matches_replicate_contract():
