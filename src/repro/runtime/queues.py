@@ -110,13 +110,13 @@ class WaitingQueue:
     _items: list[WorkItem] = field(default_factory=list)
     _keys: list[tuple[float, int, str]] = field(default_factory=list)
     _by_key: dict[tuple[int, str], WorkItem] = field(default_factory=dict)
-    dropped: list[InferenceRequest] = field(default_factory=list)
 
     def offer(self, item: WorkItem) -> WorkItem | None:
         """Add a fresh work item; returns the displaced stale item, if any.
 
-        The stale item's request is marked dropped, exactly like
-        :meth:`PendingQueue.offer`.
+        The stale item's request is marked dropped, as in
+        :meth:`PendingQueue.offer`; the request's flag and the returned
+        item are the record of the drop.
         """
         request = item.request
         key = (item.session_id, request.model_code)
@@ -126,7 +126,6 @@ class WaitingQueue:
             del self._items[index]
             del self._keys[index]
             stale.request.dropped = True
-            self.dropped.append(stale.request)
         self._by_key[key] = item
         order = (request.request_time_s, item.session_id,
                  request.model_code)
@@ -162,10 +161,10 @@ class WaitingQueue:
     def purge_session(self, session_id: int) -> list[WorkItem]:
         """Retire every waiting item of one session (departure / phase end).
 
-        The retired items' requests are marked dropped and appended to
-        ``dropped``: they were streamed while the session was online but
-        will never run, so they degrade QoE exactly like freshness drops
-        do.  Returns the retired items, oldest data first.
+        The retired items' requests are marked dropped: they were
+        streamed while the session was online but will never run, so
+        they degrade QoE exactly like freshness drops do.  Returns the
+        retired items, oldest data first.
         """
         retired = [
             item for item in self._items if item.session_id == session_id
@@ -182,7 +181,6 @@ class WaitingQueue:
         for item in retired:
             del self._by_key[(session_id, item.request.model_code)]
             item.request.dropped = True
-            self.dropped.append(item.request)
         return retired
 
     def _locate(self, item: WorkItem) -> int:

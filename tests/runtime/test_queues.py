@@ -99,9 +99,24 @@ class TestWaitingQueue:
         displaced = q.offer(new)
         assert displaced is old
         assert old.request.dropped
-        assert q.dropped == [old.request]
+        assert not new.request.dropped
         # The same model in a different session is untouched.
+        assert not other_session.request.dropped
         assert list(q) == [other_session, new]
+
+    def test_purge_session_retires_only_that_session(self):
+        q = WaitingQueue()
+        late = item("HT", t=0.5, session=1)
+        early = item("ES", t=0.1, session=1)
+        other = item("HT", t=0.2, session=2)
+        for work in (late, early, other):
+            q.offer(work)
+        assert q.purge_session(1) == [early, late]
+        assert early.request.dropped and late.request.dropped
+        assert not other.request.dropped
+        assert list(q) == [other]
+        assert q.peek(1, "HT") is None
+        assert q.purge_session(1) == []
 
     def test_take_removes(self):
         q = WaitingQueue()
