@@ -122,11 +122,8 @@ class EventQueue:
         sub_index: int | None = None,
         session_id: int = 0,
     ) -> None:
-        if time_s < 0:
-            raise ValueError(f"event time must be >= 0, got {time_s}")
-        heapq.heappush(
-            self._heap,
-            (time_s, next(self._seq), kind, request, sub_index, session_id),
+        self.push_reserved(
+            time_s, next(self._seq), kind, request, sub_index, session_id
         )
 
     def reserve(self, n: int) -> int:
@@ -151,7 +148,8 @@ class EventQueue:
         sub_index: int | None = None,
         session_id: int = 0,
     ) -> None:
-        """Push an event under a sequence number from :meth:`reserve`."""
+        """Push an event under a sequence number already taken from the
+        counter: by :meth:`reserve`, or by :meth:`push` for the next one."""
         if time_s < 0:
             raise ValueError(f"event time must be >= 0, got {time_s}")
         heapq.heappush(

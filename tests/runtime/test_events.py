@@ -41,6 +41,9 @@ class TestEventQueue:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="event time"):
             EventQueue().push(-0.1, EventKind.ARRIVAL, req())
+        q = EventQueue()
+        with pytest.raises(ValueError, match="event time"):
+            q.push_reserved(-0.1, q.reserve(1), EventKind.ARRIVAL, req())
 
     def test_next_time(self):
         q = EventQueue()
@@ -54,3 +57,39 @@ class TestEventQueue:
         event = q.pop()
         assert event.kind is EventKind.COMPLETION
         assert event.sub_index == 2
+
+    def test_reserved_stream_pops_like_pushing_it_up_front(self):
+        """A sorted run streamed one event at a time, each pushed under
+        its reserved number when its predecessor pops, drains in the
+        same (time, seq) order as the whole run pushed at once —
+        including ties with events pushed before and after it."""
+        run = [0.1, 0.1, 0.2, 0.3, 0.3]
+        others = [(0.1, EventKind.COMPLETION), (0.3, EventKind.COMPLETION),
+                  (0.2, EventKind.SESSION_LEAVE)]
+
+        eager = EventQueue()
+        eager.push(0.1, EventKind.SESSION_JOIN)
+        for t in run:
+            eager.push(t, EventKind.ARRIVAL)
+        for t, kind in others:
+            eager.push(t, kind)
+
+        lazy = EventQueue()
+        lazy.push(0.1, EventKind.SESSION_JOIN)
+        first = lazy.reserve(len(run))
+        lazy.push_reserved(run[0], first, EventKind.ARRIVAL, 0)
+        for t, kind in others:
+            lazy.push(t, kind)
+
+        expected = [eager.pop_fields()[:3] for _ in range(len(eager))]
+        popped = []
+        while lazy:
+            fields = lazy.pop_fields()
+            popped.append(fields[:3])
+            k = fields[3]
+            if fields[2] is EventKind.ARRIVAL and k + 1 < len(run):
+                lazy.push_reserved(
+                    run[k + 1], first + k + 1, EventKind.ARRIVAL, k + 1
+                )
+            assert len(lazy) <= 1 + len(others)
+        assert popped == expected
