@@ -208,16 +208,17 @@ def run_case(
     phase: str | None = None,
 ):
     """One golden cell.  ``phase`` names a scenario every session
-    switches to halfway through the run (one :class:`SessionPhase`)."""
+    switches to halfway through the run (one :class:`SessionPhase`);
+    such cells take no churn windows."""
     kwargs = {"preemptive": True} if preemptive else {}
     windows = (
         churn_windows(sessions, DURATION_S, churn, BASE_SEED)
         if churn
         else None
     )
+    system = build_accelerator(ACCELERATOR, PES)
+    policy = make_scheduler(scheduler, **kwargs)
     options = dict(
-        system=build_accelerator(ACCELERATOR, PES),
-        scheduler=make_scheduler(scheduler, **kwargs),
         duration_s=DURATION_S,
         granularity=granularity,
         dvfs_policy=dvfs,
@@ -233,12 +234,14 @@ def run_case(
                             phases=switch)
                 for i in range(sessions)
             ],
+            system=system,
+            scheduler=policy,
             **options,
         ).run()
     return MultiScenarioSimulator.replicate(
         get_scenario(SCENARIO),
-        options.pop("system"),
-        options.pop("scheduler"),
+        system,
+        policy,
         sessions,
         base_seed=BASE_SEED,
         windows=windows,
