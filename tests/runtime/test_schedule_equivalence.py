@@ -11,7 +11,8 @@ execution log, so any reordering, timing drift, or dropped/duplicated
 dispatch changes the digest.  ``GOLDEN_REQUESTS`` adds what the
 dispatch log cannot see: every request a run creates, dispatched or
 not, with its id, timing and terminal state, and the per-session QoE
-denominators.
+denominators.  ``GOLDEN_FAULT_LOGS`` pins the fault-recovery decisions
+(kills, retries, requeues, abandoned retries) per session.
 
 If a deliberate scheduling-semantics change ever invalidates these,
 regenerate with ``checksum_of(run_case(...))`` (or
@@ -158,7 +159,12 @@ GOLDEN_FAULTS: dict[tuple[str, str, int, str], tuple[int, str]] = {
 #: besides the dispatch log — churn with preemption and the slack
 #: governor, a mid-run activity switch, both admission policies (the
 #: degrade cell fires 4 degrade actions, so cancelled phase tails are
-#: uncounted) and engine faults.
+#: uncounted) and engine faults.  Two cells pin the phase-membership
+#: checks: ``phase_same_2`` switches to the *same* activity, so the new
+#: phase keeps the ES -> GE dependency live and a stale-phase completion
+#: that spawned a dependent would show; ``degrade_flaky_6`` reaches a
+#: retry that fires after a degrade phase change (``session_gone``) and
+#: a segment chain stopped by a phase change.
 REQUEST_CELLS: dict[str, dict] = {
     "static_16": dict(scheduler="latency_greedy", granularity="model",
                       sessions=16),
@@ -173,6 +179,11 @@ REQUEST_CELLS: dict[str, dict] = {
                     sessions=16, admission="shed"),
     "flaky_4": dict(scheduler="edf", granularity="segment", sessions=4,
                     faults="flaky"),
+    "phase_same_2": dict(scheduler="edf", granularity="segment",
+                         sessions=2, phase="vr_gaming"),
+    "degrade_flaky_6": dict(scheduler="edf", granularity="segment",
+                            sessions=6, faults="flaky",
+                            admission="degrade"),
 }
 
 #: name -> sha256 of :func:`request_checksum_of`.  The schedule digests
@@ -193,6 +204,21 @@ GOLDEN_REQUESTS: dict[str, str] = {
         "99875101a7a812a44d148de2803a59d5002c19e95422731a1f9dae9566460b23",
     "flaky_4":
         "6ba343395759f7b1c5eb6bf53ce6502aa34147b96418b53bc3a103c665315ced",
+    "phase_same_2":
+        "1255c103c25ec910c4cc7d0c0c3d651c6cec8f21432588c39f28a8d066f108ed",
+    "degrade_flaky_6":
+        "39b60181f138e7634368e39ee6352972aad0326cae293c6c0faaf0c146443e7f",
+}
+
+#: name (a ``REQUEST_CELLS`` key) -> sha256 of :func:`fault_log_checksum_of`:
+#: every session's fault-recovery log, so a retry that requeues where it
+#: should have been abandoned (or the reverse) fails even when the
+#: request rows happen to agree.
+GOLDEN_FAULT_LOGS: dict[str, str] = {
+    "flaky_4":
+        "498d72a3e40ee2f0510b888d31d05e24cd48c42b6c89b5e69472bcef870ecc82",
+    "degrade_flaky_6":
+        "c1adb0985d8ede24bc66bca7dfe11cd3c0e660bd678a99643e67a6dc597bc436",
 }
 
 
@@ -299,6 +325,30 @@ def request_checksum_of(result) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def fault_log_checksum_of(result) -> str:
+    """sha256 over every session's :class:`~repro.runtime.FaultRecord`.
+
+    Per session in id order: ``killed``, ``retries``, ``recovered`` and
+    ``lost``, the recovery latencies, and one row per action — time,
+    kind, engine index, request id, model code and attempt — with times
+    rounded to a nanosecond.  A session without a record is ``null``.
+    """
+    doc = [
+        None if (log := session.faults) is None else [
+            log.killed, log.retries, log.recovered, log.lost,
+            [round(t, 9) for t in log.recovery_latencies_s],
+            [
+                [round(a.time_s, 9), a.kind, a.engine_index, a.request_id,
+                 a.model_code, a.attempt]
+                for a in log.actions
+            ],
+        ]
+        for session in result.sessions
+    ]
+    blob = json.dumps(doc, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
 @pytest.mark.parametrize(
     "scheduler,granularity,sessions",
     sorted(GOLDEN),
@@ -339,6 +389,12 @@ def test_fault_schedule_matches_golden(scheduler, granularity, sessions,
 def test_requests_match_golden(cell):
     result = run_case(**REQUEST_CELLS[cell])
     assert request_checksum_of(result) == GOLDEN_REQUESTS[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN_FAULT_LOGS))
+def test_fault_logs_match_golden(cell):
+    result = run_case(**REQUEST_CELLS[cell])
+    assert fault_log_checksum_of(result) == GOLDEN_FAULT_LOGS[cell]
 
 
 def test_faults_none_is_bit_identical_to_historical_path():
