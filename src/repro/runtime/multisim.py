@@ -4,9 +4,10 @@ This is the production-shaped core of the runtime.  Where the seed
 :class:`~repro.runtime.simulator.Simulator` drove exactly one scenario
 against one accelerator, :class:`MultiScenarioSimulator` multiplexes any
 number of independent *sessions* — each a scenario instance bound to its
-own seed (a distinct user), with its own load generator, pending queue,
-dependency tracker and QoE accounting — onto one shared
-:class:`~repro.hardware.AcceleratorSystem` through a single event queue.
+own seed (a distinct user), with its own load generator, dependency
+tracker and QoE accounting — onto one shared
+:class:`~repro.hardware.AcceleratorSystem` through a single event queue
+and one shared waiting queue.
 
 Key properties:
 
@@ -71,10 +72,15 @@ Key properties:
   whole schedule, and a root's request is built only when it arrives
   (see :mod:`repro.runtime.events`).  Waiting work lives in one
   :class:`~repro.runtime.queues.WaitingQueue` updated on
-  arrival/dispatch/retirement (work items are built — and their segment
-  plans resolved — once per request, not once per scheduler call);
-  resumable segments sit in a heap; engine idleness is a set maintained
-  by :class:`~repro.runtime.engine.EngineFleet` on begin/finish; and
+  arrival/dispatch/retirement: a dict whose insertion order is the
+  dispatch order, so a fresh frame superseding a waiting one costs two
+  dict operations (work items are built — and their segment plans
+  resolved — once per request, not once per scheduler call).  Whether a
+  request belongs to its session's current phase is one comparison of
+  its run-scoped id against the id the phase started at
+  (``_SessionState.phase_ids``), not a per-request map.  Resumable
+  segments sit in a heap; engine idleness is a set maintained by
+  :class:`~repro.runtime.engine.EngineFleet` on begin/finish; and
   per-session record partitioning is a single pass at result-build time.
 """
 
@@ -82,6 +88,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -258,8 +265,16 @@ class _SessionState:
     covering its active lifetime; ``phase`` indexes the current one.
     ``loadgen``/``deps`` belong to the current phase and work in
     *phase-local* time (``offset_s`` translates to absolute run time).
-    ``phase_of`` maps request ids to the phase that generated them, so
-    completions of stale-phase work spawn no cascades.
+
+    ``phase_ids[p]`` is the run's next request id when phase ``p`` was
+    entered.  Requests are numbered from one increasing counter: a
+    phase's roots take the block reserved on entering it, its dependents
+    are numbered at spawn (only a current-phase completion spawns), and
+    phases are entered in index order.  So a request of this session
+    belongs to phase ``p`` exactly when ``phase_ids[p] <= request_id <
+    phase_ids[p + 1]`` — to the current phase when ``request_id >=
+    phase_ids[phase]`` — and completions of stale-phase work spawn no
+    cascades.
     """
 
     spec: SessionSpec
@@ -272,7 +287,7 @@ class _SessionState:
     deps: DependencyTracker | None = None
     offset_s: float = 0.0
     active: bool = False
-    phase_of: dict[int, int] = field(default_factory=dict)
+    phase_ids: list[int] = field(default_factory=list)
 
     @property
     def active_duration_s(self) -> float:
@@ -857,9 +872,10 @@ class MultiScenarioSimulator:
             for code, count in loadgen.expected_frames().items():
                 state.spawned[code] += count
             rows = loadgen.root_schedule()
+            first_id = next(request_ids)
+            request_ids = itertools.count(first_id + len(rows))
+            state.phase_ids.append(first_id)
             if rows:
-                first_id = next(request_ids)
-                request_ids = itertools.count(first_id + len(rows))
                 cursor = _ArrivalCursor(
                     rows, start, events.reserve(len(rows)), first_id, phase
                 )
@@ -1189,9 +1205,7 @@ class MultiScenarioSimulator:
                             code, frame, now_s, deadline_s + cursor.start_s,
                             cursor.first_id + k,
                         )
-                        phase = state.phase_of[request.request_id] = (
-                            cursor.phase
-                        )
+                        phase = cursor.phase
                         k += 1
                         if k < len(rows):
                             cursor.index = k
@@ -1201,9 +1215,11 @@ class MultiScenarioSimulator:
                                 None, session_id,
                             )
                     else:
-                        phase = state.phase_of.get(
-                            request.request_id, state.phase
-                        )
+                        # A dependent: numbered at spawn, inside its
+                        # phase's id range.
+                        phase = bisect_right(
+                            state.phase_ids, request.request_id
+                        ) - 1
                     if (
                         controller is not None
                         and phase in cancelled[session_id]
@@ -1213,7 +1229,6 @@ class MultiScenarioSimulator:
                         # the degraded stream, so it was never offered
                         # — uncount it instead of charging a drop.
                         state.spawned[request.model_code] -= 1
-                        state.phase_of.pop(request.request_id, None)
                     elif not state.active or phase != state.phase:
                         # Streamed, but the session departed (or switched
                         # activity) before the frame could even queue: it
@@ -1254,8 +1269,8 @@ class MultiScenarioSimulator:
                             )
                         stale = (
                             not state.active
-                            or state.phase_of.get(request.request_id)
-                            != state.phase
+                            or request.request_id
+                            < state.phase_ids[state.phase]
                         )
                         if not stale:
                             for dep in state.deps.downstream_of(
@@ -1270,9 +1285,6 @@ class MultiScenarioSimulator:
                                     child.request_time_s += state.offset_s
                                     child.deadline_s += state.offset_s
                                     child.request_id = next(request_ids)
-                                    state.phase_of[child.request_id] = (
-                                        state.phase
-                                    )
                                     # Triggered work is "streamed" for
                                     # QoE purposes the moment it spawns.
                                     state.spawned[child.model_code] += 1
@@ -1282,9 +1294,11 @@ class MultiScenarioSimulator:
                                         child,
                                         session_id=session_id,
                                     )
-                    elif state.active and state.phase_of.get(
-                        request.request_id
-                    ) == state.phase:
+                    elif (
+                        state.active
+                        and request.request_id
+                        >= state.phase_ids[state.phase]
+                    ):
                         successor = item.successor(
                             item.chain.codes[item.segment_index + 1]
                         )
@@ -1381,7 +1395,7 @@ class MultiScenarioSimulator:
                         rid = request.request_id
                         if (
                             not state.active
-                            or state.phase_of.get(rid) != state.phase
+                            or rid < state.phase_ids[state.phase]
                         ):
                             # The session departed or switched activity
                             # while the backoff timer ran: nothing to

@@ -1,25 +1,24 @@
-"""Runtime data structures (Figure 2): request queues, the active
+"""Runtime data structures (Figure 2): the waiting queue, the active
 inference table, and the dependency tracker.
 
-The pending queue implements the frame-freshness drop policy: at most one
-*waiting* request per model.  When a new frame arrives while the previous
-one is still waiting to start, the stale frame is dropped — processing it
-could no longer contribute to the target rate (its successor has already
-arrived), and real XR runtimes prefer the fresh frame.  Requests that have
-*started* are never aborted.
-
-:class:`WaitingQueue` is the multi-tenant generalisation: one structure
-spanning every session, holding session-tagged
-:class:`~repro.runtime.engine.WorkItem` values in dispatch order and
-applying the same drop policy per (session, model).  It is maintained
-incrementally on offer/take, so the event loop hands schedulers a
-ready-sorted view instead of rebuilding and re-sorting a list on every
-scheduler call.
+:class:`WaitingQueue` implements the frame-freshness drop policy: at most
+one *waiting* request per (session, model).  When a new frame arrives
+while the previous one is still waiting to start, the stale frame is
+dropped — processing it could no longer contribute to the target rate
+(its successor has already arrived), and real XR runtimes prefer the
+fresh frame.  Requests that have *started* are never aborted.  One queue
+spans every session, holding session-tagged
+:class:`~repro.runtime.engine.WorkItem` values readable in dispatch
+order, so the event loop hands schedulers a ready-sorted view instead of
+rebuilding and re-sorting a list on every scheduler call.  Arrivals come
+in time order, so the queue keeps that order by appending: a fresh frame
+superseding a waiting one costs two dict operations, and only an
+out-of-order offer (a fault retry) costs a re-sort, once, at the next
+read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -28,52 +27,10 @@ from repro.workload import Dependency, InferenceRequest, UsageScenario
 from .engine import WorkItem
 
 __all__ = [
-    "PendingQueue",
     "WaitingQueue",
     "ActiveInferenceTable",
     "DependencyTracker",
 ]
-
-
-@dataclass
-class PendingQueue:
-    """At-most-one waiting request per model; stale frames are dropped.
-
-    Legacy single-tenant structure, kept as public API alongside
-    :class:`ActiveInferenceTable`; the multi-tenant event loop's live
-    waiting state is :class:`WaitingQueue` below.
-    """
-
-    _waiting: dict[str, InferenceRequest] = field(default_factory=dict)
-    dropped: list[InferenceRequest] = field(default_factory=list)
-
-    def offer(self, request: InferenceRequest) -> InferenceRequest | None:
-        """Add a request; returns the displaced stale request, if any."""
-        stale = self._waiting.get(request.model_code)
-        if stale is not None:
-            stale.dropped = True
-            self.dropped.append(stale)
-        self._waiting[request.model_code] = request
-        return stale
-
-    def take(self, request: InferenceRequest) -> None:
-        """Remove a request that is about to be dispatched."""
-        current = self._waiting.get(request.model_code)
-        if current is not request:
-            raise ValueError(
-                f"request {request!r} is not waiting (queue holds {current!r})"
-            )
-        del self._waiting[request.model_code]
-
-    def waiting(self) -> list[InferenceRequest]:
-        """All waiting requests, oldest data first."""
-        return sorted(
-            self._waiting.values(),
-            key=lambda r: (r.request_time_s, r.model_code),
-        )
-
-    def __len__(self) -> int:
-        return len(self._waiting)
 
 
 def _dispatch_order(item: WorkItem) -> tuple[float, int, str]:
@@ -85,68 +42,76 @@ def _dispatch_order(item: WorkItem) -> tuple[float, int, str]:
     )
 
 
-@dataclass
+#: Below every dispatch key: the largest key offered to an empty queue.
+_NO_KEY: tuple[float, int, str] = (float("-inf"), -1, "")
+
+
+@dataclass(slots=True)
 class WaitingQueue:
-    """All sessions' waiting work, maintained in dispatch order.
+    """All sessions' waiting work, read in dispatch order.
 
-    The multi-tenant counterpart of :class:`PendingQueue`: at most one
-    waiting :class:`WorkItem` per (session, model); offering a fresh
-    frame drops the stale one (frame-freshness policy).  Items are kept
-    sorted by ``(request_time_s, session_id, model_code)`` — inserted and
-    removed by bisection — so reading the queue is free for the event
-    loop and for schedulers, which receive this object directly as their
-    waiting view.  Treat it as read-only inside a scheduler: only the
-    event loop offers and takes.
+    At most one waiting :class:`WorkItem` per (session, model); offering
+    a fresh frame drops the stale one (frame-freshness policy).  Reads — iteration,
+    indexing, :meth:`purge_session` — see the items sorted by
+    ``(request_time_s, session_id, model_code)``, so schedulers receive
+    this object directly as their waiting view.  Treat it as read-only
+    inside a scheduler: only the event loop offers and takes.
 
-    The sort keys live in ``_keys``, a list kept exactly parallel to
-    ``_items``: bisection then compares plain tuples instead of calling
-    a key function O(log n) times per insert/remove, which is the hot
-    cost at fleet scale (the key is computed once per offer).  The key
-    fields are stable for a waiting item — request times are only ever
-    shifted *before* the item is offered — so the parallel lists cannot
-    drift.
+    The items live in one dict keyed by (session, model), and its
+    insertion order *is* the dispatch order.  Arrivals come in time
+    order, so an offer almost always carries a key no smaller than any
+    offered since the queue was last empty (``_max_key``); appending it
+    keeps the dict sorted, and removals keep it sorted, so superseding a
+    frame is two dict operations.  An offer that would land out of order
+    — a fault retry, or a same-instant arrival of a lower session —
+    marks the order stale (``_unordered``) instead, and the next read
+    re-sorts once (:meth:`_restore_order`).  Waiting keys are unique
+    (one item per (session, model)), so the sorted order is unique and
+    every read sees exactly the list a bisection-maintained queue would
+    hold.  The key fields are stable for a waiting item — request times
+    are only ever shifted *before* the item is offered.
     """
 
-    _items: list[WorkItem] = field(default_factory=list)
-    _keys: list[tuple[float, int, str]] = field(default_factory=list)
     _by_key: dict[tuple[int, str], WorkItem] = field(default_factory=dict)
+    _max_key: tuple[float, int, str] = _NO_KEY
+    _unordered: bool = False
 
     def offer(self, item: WorkItem) -> WorkItem | None:
         """Add a fresh work item; returns the displaced stale item, if any.
 
-        The stale item's request is marked dropped, as in
-        :meth:`PendingQueue.offer`; the request's flag and the returned
-        item are the record of the drop.
+        The stale item's request is marked dropped; the request's flag
+        and the returned item are the record of the drop.
         """
         request = item.request
-        key = (item.session_id, request.model_code)
-        stale = self._by_key.get(key)
+        session_id = item.session_id
+        code = request.model_code
+        key = (session_id, code)
+        by_key = self._by_key
+        stale = by_key.pop(key, None)
         if stale is not None:
-            index = self._locate(stale)
-            del self._items[index]
-            del self._keys[index]
             stale.request.dropped = True
-        self._by_key[key] = item
-        order = (request.request_time_s, item.session_id,
-                 request.model_code)
-        index = bisect_right(self._keys, order)
-        self._items.insert(index, item)
-        self._keys.insert(index, order)
+        by_key[key] = item
+        order = (request.request_time_s, session_id, code)
+        if order >= self._max_key:
+            self._max_key = order
+        else:
+            self._unordered = True
         return stale
 
     def take(self, item: WorkItem) -> None:
         """Remove an item that is about to be dispatched."""
         key = (item.session_id, item.request.model_code)
-        current = self._by_key.get(key)
+        by_key = self._by_key
+        current = by_key.get(key)
         if current is not item:
             raise ValueError(
                 f"work item {item!r} is not waiting "
                 f"(queue holds {current!r})"
             )
-        index = self._locate(item)
-        del self._items[index]
-        del self._keys[index]
-        del self._by_key[key]
+        del by_key[key]
+        if not by_key:
+            self._max_key = _NO_KEY
+            self._unordered = False
 
     def peek(self, session_id: int, model_code: str) -> WorkItem | None:
         """The waiting item for ``(session, model)``, if any.
@@ -166,45 +131,52 @@ class WaitingQueue:
         they degrade QoE exactly like freshness drops do.  Returns the
         retired items, oldest data first.
         """
+        if self._unordered:
+            self._restore_order()
+        by_key = self._by_key
         retired = [
-            item for item in self._items if item.session_id == session_id
+            item for item in by_key.values() if item.session_id == session_id
         ]
-        if not retired:
-            return []
-        kept = [
-            (key, item)
-            for key, item in zip(self._keys, self._items)
-            if item.session_id != session_id
-        ]
-        self._keys = [key for key, _ in kept]
-        self._items = [item for _, item in kept]
         for item in retired:
-            del self._by_key[(session_id, item.request.model_code)]
+            del by_key[(session_id, item.request.model_code)]
             item.request.dropped = True
+        if not by_key:
+            self._max_key = _NO_KEY
+            self._unordered = False
         return retired
 
-    def _locate(self, item: WorkItem) -> int:
-        """Index of ``item`` in the sorted list (identity match)."""
-        index = bisect_left(self._keys, _dispatch_order(item))
-        while index < len(self._items):
-            if self._items[index] is item:
-                return index
-            index += 1
-        raise ValueError(f"work item {item!r} is not in the queue")
+    def _restore_order(self) -> None:
+        """Rebuild the dict in dispatch order after an out-of-order offer."""
+        self._by_key = dict(sorted(
+            self._by_key.items(),
+            key=lambda entry: _dispatch_order(entry[1]),
+        ))
+        self._unordered = False
 
     # -- read-only sequence view (what schedulers see) -----------------------
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._by_key)
 
     def __bool__(self) -> bool:
-        return bool(self._items)
+        return bool(self._by_key)
 
     def __getitem__(self, index: int) -> WorkItem:
-        return self._items[index]
+        """The item at ``index`` in dispatch order.
+
+        The head is O(1); any other index builds the list (no built-in
+        scheduler indexes past the head).
+        """
+        if self._unordered:
+            self._restore_order()
+        if index == 0 and self._by_key:
+            return next(iter(self._by_key.values()))
+        return list(self._by_key.values())[index]
 
     def __iter__(self) -> Iterator[WorkItem]:
-        return iter(self._items)
+        if self._unordered:
+            self._restore_order()
+        return iter(self._by_key.values())
 
 
 @dataclass

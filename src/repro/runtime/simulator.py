@@ -9,7 +9,7 @@ single session, preserving the seed semantics exactly:
 
 1. The load generator schedules every sensor-driven inference request
    (with jittered arrival times) as ARRIVAL events.
-2. On arrival, a request enters the pending queue; a stale waiting frame
+2. On arrival, a request enters the waiting queue; a stale waiting frame
    of the same model is dropped (frame-freshness policy, see
    :mod:`repro.runtime.queues`).
 3. Whenever an engine is idle and requests wait, the scheduler picks a

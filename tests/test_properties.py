@@ -9,7 +9,6 @@ from repro.core import energy_score, qoe_score, realtime_score
 from repro.core.aggregate import InferenceScore, ModelScore, ScenarioScore
 from repro.costmodel import CostModel, Dataflow
 from repro.nn import GraphBuilder, GraphExecutor
-from repro.runtime import PendingQueue
 from repro.workload import InferenceRequest
 
 
@@ -184,28 +183,3 @@ class TestRandomScenarioSimulation:
         score = score_simulation(result)
         assert 0.0 <= score.overall <= 1.0
         assert 0.0 <= score.qoe <= 1.0
-
-
-class TestPendingQueueProperties:
-    @given(
-        arrivals=st.lists(
-            st.tuples(st.sampled_from(["A", "B", "C"]),
-                      st.floats(0, 10)),
-            min_size=1, max_size=50,
-        )
-    )
-    def test_at_most_one_waiting_per_model(self, arrivals):
-        q = PendingQueue()
-        for i, (code, t) in enumerate(sorted(arrivals, key=lambda x: x[1])):
-            q.offer(InferenceRequest(code, i, t, t + 1))
-        waiting = q.waiting()
-        codes = [r.model_code for r in waiting]
-        assert len(codes) == len(set(codes))
-
-    @given(n=st.integers(1, 30))
-    def test_conservation(self, n):
-        # Every offered request is either waiting or dropped.
-        q = PendingQueue()
-        for i in range(n):
-            q.offer(InferenceRequest("A", i, float(i), float(i) + 1))
-        assert len(q.waiting()) + len(q.dropped) == n
