@@ -42,7 +42,7 @@ def _dispatch_order(item: WorkItem) -> tuple[float, int, str]:
     )
 
 
-#: Below every dispatch key: the largest key offered to an empty queue.
+#: Compares below every dispatch key: the ``_max_key`` of an empty queue.
 _NO_KEY: tuple[float, int, str] = (float("-inf"), -1, "")
 
 
@@ -51,8 +51,8 @@ class WaitingQueue:
     """All sessions' waiting work, read in dispatch order.
 
     At most one waiting :class:`WorkItem` per (session, model); offering
-    a fresh frame drops the stale one (frame-freshness policy).  Reads — iteration,
-    indexing, :meth:`purge_session` — see the items sorted by
+    a fresh frame drops the stale one (frame-freshness policy).  Reads —
+    iteration, indexing, :meth:`purge_session` — see the items sorted by
     ``(request_time_s, session_id, model_code)``, so schedulers receive
     this object directly as their waiting view.  Treat it as read-only
     inside a scheduler: only the event loop offers and takes.
