@@ -66,10 +66,10 @@ class WaitingQueue:
     — a fault retry, or a same-instant arrival of a lower session —
     marks the order stale (``_unordered``) instead, and the next read
     re-sorts once (:meth:`_restore_order`).  Waiting keys are unique
-    (one item per (session, model)), so the sorted order is unique and
-    every read sees exactly the list a bisection-maintained queue would
-    hold.  The key fields are stable for a waiting item — request times
-    are only ever shifted *before* the item is offered.
+    (one item per (session, model)), so the sorted order is unique: every
+    read sees the same list whatever order the items were offered in.
+    The key fields are stable for a waiting item — request times are
+    only ever shifted *before* the item is offered.
     """
 
     _by_key: dict[tuple[int, str], WorkItem] = field(default_factory=dict)

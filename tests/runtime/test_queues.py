@@ -101,9 +101,8 @@ class TestWaitingQueue:
             q.take(old)
 
     def test_equal_sort_keys_coexist(self):
-        # Identical (t, session, model) keys cannot collide in practice
-        # (one waiting frame per session/model), but bisection must still
-        # locate the right identity among equal keys.
+        # Same-instant frames of one model differ only by session id;
+        # taking the middle one must leave the others in order.
         q = WaitingQueue()
         a = item("HT", t=0.2, session=0)
         b = item("HT", t=0.2, session=1)
