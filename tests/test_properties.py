@@ -9,6 +9,7 @@ from repro.core import energy_score, qoe_score, realtime_score
 from repro.core.aggregate import InferenceScore, ModelScore, ScenarioScore
 from repro.costmodel import CostModel, Dataflow
 from repro.nn import GraphBuilder, GraphExecutor
+from repro.runtime import WaitingQueue, WorkItem
 from repro.workload import InferenceRequest
 
 
@@ -183,3 +184,55 @@ class TestRandomScenarioSimulation:
         score = score_simulation(result)
         assert 0.0 <= score.overall <= 1.0
         assert 0.0 <= score.qoe <= 1.0
+
+
+class TestWaitingQueueProperties:
+    @given(
+        arrivals=st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from(["A", "B", "C"]),
+                      st.floats(0, 10)),
+            min_size=1, max_size=50,
+        )
+    )
+    def test_at_most_one_waiting_per_session_and_model(self, arrivals):
+        # Offered in time order, as the event loop offers arrivals: the
+        # view holds exactly the freshest frame of each (session, model),
+        # in dispatch order.
+        q = WaitingQueue()
+        freshest: dict[tuple[int, str], WorkItem] = {}
+        ordered = sorted(arrivals, key=lambda x: x[2])
+        for i, (session, code, t) in enumerate(ordered):
+            work = WorkItem(InferenceRequest(code, i, t, t + 1), session)
+            q.offer(work)
+            freshest[(session, code)] = work
+        waiting = list(q)
+        keys = [(w.session_id, w.request.model_code) for w in waiting]
+        assert len(keys) == len(set(keys))
+        assert {id(w) for w in waiting} == {id(w) for w in freshest.values()}
+        order = [
+            (w.request.request_time_s, w.session_id, w.request.model_code)
+            for w in waiting
+        ]
+        assert order == sorted(order)
+
+    @given(n=st.integers(1, 30), sessions=st.integers(1, 3))
+    def test_conservation(self, n, sessions):
+        # Every offered request is either waiting or was displaced, and
+        # exactly the displaced ones are marked dropped.
+        q = WaitingQueue()
+        offered, displaced = [], []
+        for i in range(n):
+            work = WorkItem(
+                InferenceRequest("A", i, float(i), float(i) + 1), i % sessions
+            )
+            offered.append(work)
+            stale = q.offer(work)
+            if stale is not None:
+                displaced.append(stale)
+        assert len(q) + len(displaced) == n
+        assert {id(w) for w in q} | {id(w) for w in displaced} == {
+            id(w) for w in offered
+        }
+        assert [w.request.dropped for w in offered] == [
+            any(w is d for d in displaced) for w in offered
+        ]
