@@ -13,6 +13,8 @@ dispatch log cannot see: every request a run creates, dispatched or
 not, with its id, timing and terminal state, and the per-session QoE
 denominators.  ``GOLDEN_FAULT_LOGS`` pins the fault-recovery decisions
 (kills, retries, requeues, abandoned retries) per session.
+``GOLDEN_WIDE`` pins every policy on a four-engine fleet, where engine
+choice is not decided between two engines.
 
 If a deliberate scheduling-semantics change ever invalidates these,
 regenerate with ``checksum_of(run_case(...))`` (or
@@ -27,6 +29,7 @@ import json
 
 import pytest
 
+from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
 from repro.runtime import (
     MultiScenarioSimulator,
@@ -222,6 +225,35 @@ GOLDEN_FAULT_LOGS: dict[str, str] = {
 }
 
 
+#: (scheduler, granularity) -> (record count, sha256 digest) of
+#: ``WIDE_SESSIONS`` sessions on accelerator ``WIDE_ACCELERATOR``.  Every
+#: cell above runs on J's two engines, where an idle list is ``[0, 1]``
+#: or a single engine, so an engine's index always equals its position
+#: in the list.  M has four engines (WS/OS/WS/OS: two pairs that tie on
+#: latency), so its idle lists include ones like ``[1, 3]``, and engine
+#: choice must map the chosen index, and break ties, correctly.
+WIDE_ACCELERATOR = "M"
+WIDE_SESSIONS = 16
+GOLDEN_WIDE: dict[tuple[str, str], tuple[int, str]] = {
+    ("latency_greedy", "model"):
+        (132, "b1c861fc3640ec56a211b6a3828da5044073e245d4d074ce1381652a6a441b69"),
+    ("latency_greedy", "segment"):
+        (264, "a0d2226f034e588ce76f9e0e4af3302753f2d4629bfd7a42aa12b0de4a883531"),
+    ("round_robin", "model"):
+        (131, "93484778950bc48a64291bff3c6a9bba94fa32b2112f75bc1ee00a68e7553eca"),
+    ("round_robin", "segment"):
+        (262, "c70ac1f0a081d8c4e309575c10f4430ef2a31b1e85d6018680fab7467474737b"),
+    ("edf", "model"):
+        (145, "a80b871c1173de837c12b0994b222e77ca648b444252c25a7f55280289a1997a"),
+    ("edf", "segment"):
+        (290, "ddfde93ab74695facca53c1ded4caf2cac00e34be2d7eabdd82d61730359a80b"),
+    ("rate_monotonic", "model"):
+        (163, "de6f83297663ba3ebe8858c2a55de904d98a948f55eb62ef5dad60b0c2806cdb"),
+    ("rate_monotonic", "segment"):
+        (326, "dc456666e5779db39a28b223f98c716a9315f36a6d1bcd4bfc99c4ff7b69b00e"),
+}
+
+
 def run_case(
     scheduler: str,
     granularity: str,
@@ -232,17 +264,20 @@ def run_case(
     faults: str = "none",
     admission: str = "none",
     phase: str | None = None,
+    accelerator: str = ACCELERATOR,
+    costs: CostTable | None = None,
 ):
     """One golden cell.  ``phase`` names a scenario every session
     switches to halfway through the run (one :class:`SessionPhase`);
-    such cells take no churn windows."""
+    such cells take no churn windows.  ``costs`` replaces the run's
+    default cost table."""
     kwargs = {"preemptive": True} if preemptive else {}
     windows = (
         churn_windows(sessions, DURATION_S, churn, BASE_SEED)
         if churn
         else None
     )
-    system = build_accelerator(ACCELERATOR, PES)
+    system = build_accelerator(accelerator, PES)
     policy = make_scheduler(scheduler, **kwargs)
     options = dict(
         duration_s=DURATION_S,
@@ -252,6 +287,8 @@ def run_case(
         fault_seed=BASE_SEED,
         admission=admission,
     )
+    if costs is not None:
+        options["costs"] = costs
     if phase is not None:
         switch = (SessionPhase(DURATION_S / 2, get_scenario(phase)),)
         return MultiScenarioSimulator(
@@ -395,6 +432,29 @@ def test_requests_match_golden(cell):
 def test_fault_logs_match_golden(cell):
     result = run_case(**REQUEST_CELLS[cell])
     assert fault_log_checksum_of(result) == GOLDEN_FAULT_LOGS[cell]
+
+
+@pytest.mark.parametrize(
+    "scheduler,granularity",
+    sorted(GOLDEN_WIDE),
+    ids=lambda v: str(v),
+)
+def test_wide_fleet_schedule_matches_golden(scheduler, granularity):
+    result = run_case(scheduler, granularity, WIDE_SESSIONS,
+                      accelerator=WIDE_ACCELERATOR)
+    assert checksum_of(result) == GOLDEN_WIDE[(scheduler, granularity)]
+
+
+@pytest.mark.parametrize(
+    "scheduler", sorted({s for s, g in GOLDEN_WIDE if g == "model"}),
+)
+def test_wide_fleet_keyed_pricing_matches_dense(scheduler):
+    """A plain :class:`CostTable` has no dense view, so every engine
+    choice is priced per engine (the path single-scenario runs take);
+    it must pick the engines the cached table's dense row picks."""
+    result = run_case(scheduler, "model", WIDE_SESSIONS,
+                      accelerator=WIDE_ACCELERATOR, costs=CostTable())
+    assert checksum_of(result) == GOLDEN_WIDE[(scheduler, "model")]
 
 
 def test_faults_none_is_bit_identical_to_historical_path():
