@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.costmodel import CostTable
@@ -10,10 +12,11 @@ from repro.runtime import (
     SCHEDULERS,
     EarliestDeadlineScheduler,
     LatencyGreedyScheduler,
+    MultiScenarioSimulator,
     RoundRobinScheduler,
     make_scheduler,
 )
-from repro.workload import InferenceRequest
+from repro.workload import InferenceRequest, get_scenario
 
 
 def req(code="HT", frame=0, t=0.0, deadline=0.033):
@@ -121,3 +124,77 @@ class TestEDF:
         b = req("ES", t=0.01, deadline=0.2)
         choice = s.pick(0.1, [a, b], [0], hda_j, table)
         assert choice[0] is b
+
+
+class BusyEnginePolicy:
+    """A faulty policy: answers with an engine that is not idle.
+
+    It remembers every engine it has been offered and returns the
+    lowest-indexed one that is busy now, if any.
+    """
+
+    def __init__(self):
+        self.engines = {}
+
+    def select(self, now_s, waiting, idle_engines, system, costs):
+        if not waiting or not idle_engines:
+            return None
+        self.engines.update((e.index, e) for e in idle_engines)
+        idle = {e.index for e in idle_engines}
+        busy = [e for i, e in sorted(self.engines.items()) if i not in idle]
+        return waiting[0], busy[0] if busy else idle_engines[0]
+
+
+class PreemptToBusyEnginePolicy(BusyEnginePolicy):
+    """Preempts every resuming chain, then names a busy engine.
+
+    Only the ``select`` call that follows ``should_preempt`` misbehaves,
+    so the busy engine reaches the event loop's resume pass alone.
+    """
+
+    preemptive = True
+
+    def __init__(self):
+        super().__init__()
+        self.preempting = False
+
+    def should_preempt(self, now_s, resuming, waiting, system, costs):
+        self.preempting = True
+        return True
+
+    def select(self, now_s, waiting, idle_engines, system, costs):
+        choice = super().select(now_s, waiting, idle_engines, system, costs)
+        if not self.preempting and choice is not None:
+            choice = choice[0], idle_engines[0]
+        self.preempting = False
+        return choice
+
+
+class CopiedItemPolicy:
+    """A faulty policy: answers with a copy of the head item."""
+
+    def select(self, now_s, waiting, idle_engines, system, costs):
+        if not waiting or not idle_engines:
+            return None
+        return dataclasses.replace(waiting[0]), idle_engines[0]
+
+
+def run_policy(policy, granularity="model"):
+    return MultiScenarioSimulator.replicate(
+        get_scenario("vr_gaming"), build_accelerator("J", 8192), policy, 4,
+        duration_s=0.25, granularity=granularity,
+    ).run()
+
+
+class TestEventLoopGuards:
+    def test_busy_engine_rejected_when_filling_engines(self):
+        with pytest.raises(ValueError, match="chose busy engine"):
+            run_policy(BusyEnginePolicy())
+
+    def test_busy_engine_rejected_when_preempting(self):
+        with pytest.raises(ValueError, match="chose busy engine"):
+            run_policy(PreemptToBusyEnginePolicy(), granularity="segment")
+
+    def test_item_must_be_the_waiting_one(self):
+        with pytest.raises(ValueError, match="not waiting"):
+            run_policy(CopiedItemPolicy())
