@@ -7,19 +7,26 @@ engine that runs it fastest, and only overflows elsewhere when its home
 engine is busy and the request is about to miss its deadline — and races
 it against the built-in schedulers on the saturated AR-gaming workload.
 
+A scheduler is any object with ``select(now_s, waiting, idle_engines,
+system, costs)``: ``waiting`` holds the waiting work items in dispatch
+order (oldest data first) and ``idle_engines`` the idle engines in index
+order.  It returns one item of ``waiting`` and one engine of
+``idle_engines``, or ``None`` to leave the engines idle.
+
 Run:  python examples/custom_scheduler.py
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro import Harness, build_accelerator
 from repro.core import score_simulation
 from repro.costmodel import CostTable
 from repro.hardware import AcceleratorSystem
-from repro.runtime import Simulator, make_scheduler
-from repro.workload import InferenceRequest, get_scenario
+from repro.runtime import ExecutionEngine, Simulator, WorkItem, make_scheduler
+from repro.workload import get_scenario
 
 
 @dataclass
@@ -39,31 +46,33 @@ class AffinityScheduler:
             )
         return self._home[code]
 
-    def pick(
+    def select(
         self,
         now_s: float,
-        waiting: list[InferenceRequest],
-        idle_engines: list[int],
+        waiting: Sequence[WorkItem],
+        idle_engines: Sequence[ExecutionEngine],
         system: AcceleratorSystem,
         costs: CostTable,
-    ) -> tuple[InferenceRequest, int] | None:
+    ) -> tuple[WorkItem, ExecutionEngine] | None:
         if not waiting or not idle_engines:
             return None
-        for request in waiting:
+        idle = {engine.index: engine for engine in idle_engines}
+        for item in waiting:
+            request = item.request
             home = self._home_engine(request.model_code, system, costs)
-            if home in idle_engines:
-                return request, home
+            if home in idle:
+                return item, idle[home]
             # Home engine busy: spill to the fastest idle engine only if
             # waiting longer would likely blow the deadline.
             slack_left = request.deadline_s - now_s
             if slack_left < self.spill_margin_s:
                 best = min(
                     idle_engines,
-                    key=lambda i: system.model_cost(
-                        costs, request.model_code, i
+                    key=lambda e: system.model_cost(
+                        costs, request.model_code, e.index
                     ).latency_s,
                 )
-                return request, best
+                return item, best
         return None
 
 

@@ -121,7 +121,7 @@ from .events import EventKind, EventQueue
 from .faults import FaultAction, FaultPlan, FaultRecord, make_fault_plan
 from .governor import DispatchContext, DvfsGovernor, make_governor
 from .queues import DependencyTracker, WaitingQueue
-from .scheduler import Scheduler, SegmentScheduler, as_segment_scheduler
+from .scheduler import Scheduler
 from .segmentation import SegmentChain, dispatch_segment_code, split_graph
 from .simulator import SimulationResult
 
@@ -404,9 +404,12 @@ class MultiScenarioSimulator:
             mid-run :class:`SessionPhase` changes; the defaults are the
             static all-alive case.
         system: the shared accelerator system.
-        scheduler: a legacy :class:`Scheduler` (adapted automatically) or
-            a session-aware :class:`SegmentScheduler`.  If the policy
-            keeps cross-run state it should expose ``reset()``, which is
+        scheduler: the dispatch policy, any object implementing the
+            :class:`~repro.runtime.scheduler.Scheduler` protocol's
+            ``select(now_s, waiting, idle_engines, system, costs)``
+            (checked at construction).  It is called directly with the
+            live waiting view and idle list.  If the policy keeps
+            cross-run state it should expose ``reset()``, which is
             invoked at the start of every run so a shared instance gives
             order-independent results.
         duration_s: streamed seconds per session (must be positive).
@@ -457,7 +460,7 @@ class MultiScenarioSimulator:
 
     sessions: list[SessionSpec]
     system: AcceleratorSystem
-    scheduler: Scheduler | SegmentScheduler
+    scheduler: Scheduler
     duration_s: float = 1.0
     costs: CostTable = field(default_factory=CachedCostTable)
     granularity: str = "model"
@@ -477,6 +480,11 @@ class MultiScenarioSimulator:
                 f"duration_s must be > 0, got {self.duration_s} "
                 f"(a zero-length run has no streamed frames and no "
                 f"utilization denominator)"
+            )
+        if not callable(getattr(self.scheduler, "select", None)):
+            raise TypeError(
+                f"scheduler {self.scheduler!r} does not implement "
+                f"select(now_s, waiting, idle_engines, system, costs)"
             )
         ids = [spec.session_id for spec in self.sessions]
         if len(set(ids)) != len(ids):
@@ -547,7 +555,7 @@ class MultiScenarioSimulator:
         cls,
         scenario: UsageScenario,
         system: AcceleratorSystem,
-        scheduler: Scheduler | SegmentScheduler,
+        scheduler: Scheduler,
         num_sessions: int,
         base_seed: int = 0,
         frame_loss_probability: float = 0.0,
@@ -679,10 +687,10 @@ class MultiScenarioSimulator:
         # Stateful policies (rotors, inferred periods) start every run
         # clean, so back-to-back runs through one shared instance are
         # order-independent.
-        reset = getattr(self.scheduler, "reset", None)
+        scheduler = self.scheduler
+        reset = getattr(scheduler, "reset", None)
         if callable(reset):
             reset()
-        scheduler = as_segment_scheduler(self.scheduler)
         preemptive = bool(getattr(scheduler, "preemptive", False))
         costs = self.costs
         if self.granularity == "segment" and not hasattr(

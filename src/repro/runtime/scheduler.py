@@ -1,30 +1,20 @@
 """Pluggable inference dispatchers/schedulers.
 
-The scheduler decides, whenever an engine is free and requests are
-waiting, which (request, engine) pair to dispatch next.  XRBench ships a
+The scheduler decides, whenever an engine is free and work is waiting,
+which (work item, engine) pair to dispatch next.  XRBench ships a
 latency-greedy scheduler (the paper's default for cost-model runs) and a
-round-robin scheduler (its default for real systems); an EDF scheduler is
-included as the kind of runtime optimisation the paper encourages users
-to plug in.
+round-robin scheduler (its default for real systems); EDF and
+rate-monotonic schedulers are included as the kind of runtime
+optimisation the paper encourages users to plug in.
 
-Schedulers are deliberately simple objects with a single method so user
-code can swap in anything (the yellow "user-customisable" boxes of
-Figure 2).
+Schedulers are deliberately simple objects with one required method so
+user code can swap in anything (the yellow "user-customisable" boxes of
+Figure 2).  :class:`Scheduler` is that protocol: ``select`` picks a
+``(work item, engine)`` pair, where work items carry session identity
+and segment position and engines are stateful
+:class:`~repro.runtime.engine.ExecutionEngine` objects.
 
-Two interfaces coexist:
-
-* :class:`Scheduler` — the legacy whole-request protocol: pick a
-  ``(request, engine index)`` pair from flat lists.
-* :class:`SegmentScheduler` — the multi-tenant protocol: pick a
-  ``(work item, engine)`` pair, where work items carry session identity
-  and segment position and engines are stateful
-  :class:`~repro.runtime.engine.ExecutionEngine` objects.
-
-:class:`SchedulerAdapter` lifts any legacy scheduler into the new
-protocol, so the four registered policies keep working unchanged under
-session multiplexing and segment-level dispatch.
-
-Two optional protocol extensions (both forwarded by the adapter):
+Two optional protocol extensions:
 
 * ``reset()`` — clear any cross-run state (a round-robin rotor, lazily
   inferred periods).  The event loop calls it at the start of every run,
@@ -53,9 +43,6 @@ from .engine import ExecutionEngine, WorkItem
 
 __all__ = [
     "Scheduler",
-    "SegmentScheduler",
-    "SchedulerAdapter",
-    "as_segment_scheduler",
     "LatencyGreedyScheduler",
     "RoundRobinScheduler",
     "EarliestDeadlineScheduler",
@@ -67,22 +54,7 @@ __all__ = [
 
 
 class Scheduler(Protocol):
-    """Dispatch decision interface."""
-
-    def pick(
-        self,
-        now_s: float,
-        waiting: list[InferenceRequest],
-        idle_engines: list[int],
-        system: AcceleratorSystem,
-        costs: CostTable,
-    ) -> tuple[InferenceRequest, int] | None:
-        """Choose the next dispatch, or ``None`` to leave engines idle."""
-        ...
-
-
-class SegmentScheduler(Protocol):
-    """Session- and segment-aware dispatch interface.
+    """Dispatch decision interface.
 
     ``waiting`` is the event loop's *maintained* waiting view (a
     :class:`~repro.runtime.queues.WaitingQueue`): a read-only sequence of
@@ -91,6 +63,10 @@ class SegmentScheduler(Protocol):
     never rebuilt per call.  ``idle_engines`` is likewise the maintained
     index-ordered idle list.  Both are live views owned by the event
     loop: read them, never mutate or retain them across calls.
+
+    The chosen item must be one of ``waiting`` (the object itself, not
+    an equal copy) and the chosen engine one of ``idle_engines``; the
+    event loop raises ``ValueError`` otherwise.
     """
 
     def select(
@@ -105,131 +81,39 @@ class SegmentScheduler(Protocol):
         ...
 
 
-@dataclass
-class SchedulerAdapter:
-    """Presents segment-granular, session-tagged work to a legacy policy.
-
-    The wrapped scheduler sees plain request/engine-index lists exactly as
-    before (materialised fresh per call from the maintained views, so the
-    legacy policy can never corrupt the event loop's state); the adapter
-    maps its choice back onto the work item and the engine object.
-    Engine-fit heuristics keep pricing by the *whole* model code — an
-    acceptable approximation for a segment, whose relative engine
-    affinity matches its parent model's.
-    """
-
-    inner: Scheduler
-
-    def select(
-        self,
-        now_s: float,
-        waiting: Sequence[WorkItem],
-        idle_engines: Sequence[ExecutionEngine],
-        system: AcceleratorSystem,
-        costs: CostTable,
-    ) -> tuple[WorkItem, ExecutionEngine] | None:
-        if not waiting or not idle_engines:
-            return None
-        choice = self.inner.pick(
-            now_s,
-            [item.request for item in waiting],
-            [engine.index for engine in idle_engines],
-            system,
-            costs,
-        )
-        if choice is None:
-            return None
-        request, sub_index = choice
-        item = next(
-            (w for w in waiting if w.request is request), None
-        )
-        if item is None:
-            raise ValueError(
-                f"scheduler picked {request!r}, which is not waiting"
-            )
-        engine = next(
-            (e for e in idle_engines if e.index == sub_index), None
-        )
-        if engine is None:
-            raise ValueError(
-                f"scheduler chose busy engine {sub_index} "
-                f"(idle: {[e.index for e in idle_engines]})"
-            )
-        return item, engine
-
-    @property
-    def preemptive(self) -> bool:
-        """Whether the wrapped policy opted into segment preemption."""
-        return bool(getattr(self.inner, "preemptive", False))
-
-    def should_preempt(
-        self,
-        now_s: float,
-        resuming: WorkItem,
-        waiting: Sequence[WorkItem],
-        system: AcceleratorSystem,
-        costs: CostTable,
-    ) -> bool:
-        """Forward the segment-boundary preemption query to the policy.
-
-        The legacy hook sees plain requests, mirroring ``pick``.
-        """
-        hook = getattr(self.inner, "should_preempt", None)
-        if hook is None:
-            return False
-        return hook(
-            now_s,
-            resuming.request,
-            [item.request for item in waiting],
-            system,
-            costs,
-        )
-
-    def reset(self) -> None:
-        """Clear the wrapped policy's cross-run state, if it keeps any."""
-        reset = getattr(self.inner, "reset", None)
-        if callable(reset):
-            reset()
-
-
-def as_segment_scheduler(
-    scheduler: Scheduler | SegmentScheduler,
-) -> SegmentScheduler:
-    """Lift a legacy scheduler into the session/segment protocol."""
-    if hasattr(scheduler, "select"):
-        return scheduler  # already segment-aware
-    return SchedulerAdapter(scheduler)
-
-
 def _best_engine(
-    request: InferenceRequest,
-    idle_engines: list[int],
+    code: str,
+    idle_engines: Sequence[ExecutionEngine],
     system: AcceleratorSystem,
     costs: CostTable,
-) -> int:
-    """The idle engine with the lowest expected latency for this model.
+) -> ExecutionEngine:
+    """The idle engine with the lowest expected latency for model ``code``.
 
-    A table exposing ``dense_view`` (:class:`~repro.costmodel.
-    CachedCostTable`) answers the whole sweep from one per-fleet latency
-    row; other tables are priced per engine.  Both paths pick the same
-    engine: the dense row holds the cache's own nominal-point floats and
-    breaks latency ties toward the lowest index, exactly like the
-    ``min`` key (``idle_engines`` is index-ordered).
+    Engines are priced for the whole model at the nominal operating
+    point, also when the item is one segment of it: a segment's relative
+    engine affinity matches its parent model's.  A table exposing
+    ``dense_view`` (:class:`~repro.costmodel.CachedCostTable`) answers
+    the whole sweep from one per-fleet latency row; other tables are
+    priced per engine.  Both paths pick the same engine: the dense row
+    holds the cache's own nominal-point floats and breaks latency ties
+    toward the lowest index, exactly like the ``min`` key
+    (``idle_engines`` is index-ordered).
     """
     if len(idle_engines) == 1:
         return idle_engines[0]
     dense = getattr(costs, "dense_view", None)
-    if dense is not None:
-        return dense(system).best_engine_index(
-            request.model_code, idle_engines, None
+    if dense is None:
+        return min(
+            idle_engines,
+            key=lambda e: (
+                system.model_cost(costs, code, e.index).latency_s,
+                e.index,
+            ),
         )
-    return min(
-        idle_engines,
-        key=lambda i: (
-            system.model_cost(costs, request.model_code, i).latency_s,
-            i,
-        ),
+    best = dense(system).best_engine_index(
+        code, [e.index for e in idle_engines], None
     )
+    return next(e for e in idle_engines if e.index == best)
 
 
 @dataclass
@@ -240,18 +124,20 @@ class LatencyGreedyScheduler:
     expected latency" (artifact appendix D.2).
     """
 
-    def pick(
+    def select(
         self,
         now_s: float,
-        waiting: list[InferenceRequest],
-        idle_engines: list[int],
+        waiting: Sequence[WorkItem],
+        idle_engines: Sequence[ExecutionEngine],
         system: AcceleratorSystem,
         costs: CostTable,
-    ) -> tuple[InferenceRequest, int] | None:
+    ) -> tuple[WorkItem, ExecutionEngine] | None:
         if not waiting or not idle_engines:
             return None
-        request = waiting[0]  # oldest data first
-        return request, _best_engine(request, idle_engines, system, costs)
+        item = waiting[0]  # oldest data first
+        return item, _best_engine(
+            item.request.model_code, idle_engines, system, costs
+        )
 
 
 @dataclass
@@ -260,26 +146,26 @@ class RoundRobinScheduler:
 
     _next_engine: int = 0
 
-    def pick(
+    def select(
         self,
         now_s: float,
-        waiting: list[InferenceRequest],
-        idle_engines: list[int],
+        waiting: Sequence[WorkItem],
+        idle_engines: Sequence[ExecutionEngine],
         system: AcceleratorSystem,
         costs: CostTable,
-    ) -> tuple[InferenceRequest, int] | None:
+    ) -> tuple[WorkItem, ExecutionEngine] | None:
         if not waiting or not idle_engines:
             return None
-        request = waiting[0]
-        # Advance the rotor to the next idle engine.  The probe set makes
-        # each membership test O(1) without changing the probe order, so
-        # picks are identical to the original list-scan formulation.
-        idle = set(idle_engines)
+        # Advance the rotor to the next idle engine.  The probe dict
+        # makes each membership test O(1) without changing the probe
+        # order, so choices are identical to a scan of the idle list.
+        idle = {engine.index: engine for engine in idle_engines}
         for offset in range(system.num_subs):
             candidate = (self._next_engine + offset) % system.num_subs
-            if candidate in idle:
+            engine = idle.get(candidate)
+            if engine is not None:
                 self._next_engine = (candidate + 1) % system.num_subs
-                return request, candidate
+                return waiting[0], engine
         return None
 
     def reset(self) -> None:
@@ -301,30 +187,38 @@ class EarliestDeadlineScheduler:
     #: resume-first order is pinned by the golden schedule checksums).
     preemptive: bool = False
 
-    def pick(
+    def select(
         self,
         now_s: float,
-        waiting: list[InferenceRequest],
-        idle_engines: list[int],
+        waiting: Sequence[WorkItem],
+        idle_engines: Sequence[ExecutionEngine],
         system: AcceleratorSystem,
         costs: CostTable,
-    ) -> tuple[InferenceRequest, int] | None:
+    ) -> tuple[WorkItem, ExecutionEngine] | None:
         if not waiting or not idle_engines:
             return None
-        request = min(waiting, key=lambda r: (r.deadline_s, r.request_time_s))
-        return request, _best_engine(request, idle_engines, system, costs)
+        item = min(
+            waiting,
+            key=lambda w: (w.request.deadline_s, w.request.request_time_s),
+        )
+        return item, _best_engine(
+            item.request.model_code, idle_engines, system, costs
+        )
 
     def should_preempt(
         self,
         now_s: float,
-        resuming: InferenceRequest,
-        waiting: list[InferenceRequest],
+        resuming: WorkItem,
+        waiting: Sequence[WorkItem],
         system: AcceleratorSystem,
         costs: CostTable,
     ) -> bool:
         if not self.preemptive or not waiting:
             return False
-        return min(r.deadline_s for r in waiting) < resuming.deadline_s
+        return (
+            min(w.request.deadline_s for w in waiting)
+            < resuming.request.deadline_s
+        )
 
 
 @dataclass
@@ -372,33 +266,37 @@ class RateMonotonicScheduler:
             self.periods[request.model_code] = inferred
         return inferred
 
-    def pick(
+    def select(
         self,
         now_s: float,
-        waiting: list[InferenceRequest],
-        idle_engines: list[int],
+        waiting: Sequence[WorkItem],
+        idle_engines: Sequence[ExecutionEngine],
         system: AcceleratorSystem,
         costs: CostTable,
-    ) -> tuple[InferenceRequest, int] | None:
+    ) -> tuple[WorkItem, ExecutionEngine] | None:
         if not waiting or not idle_engines:
             return None
-        request = min(
-            waiting, key=lambda r: (self._period(r), r.request_time_s)
+        item = min(
+            waiting,
+            key=lambda w: (self._period(w.request), w.request.request_time_s),
         )
-        return request, _best_engine(request, idle_engines, system, costs)
+        return item, _best_engine(
+            item.request.model_code, idle_engines, system, costs
+        )
 
     def should_preempt(
         self,
         now_s: float,
-        resuming: InferenceRequest,
-        waiting: list[InferenceRequest],
+        resuming: WorkItem,
+        waiting: Sequence[WorkItem],
         system: AcceleratorSystem,
         costs: CostTable,
     ) -> bool:
         if not self.preemptive or not waiting:
             return False
         return (
-            min(self._period(r) for r in waiting) < self._period(resuming)
+            min(self._period(w.request) for w in waiting)
+            < self._period(resuming.request)
         )
 
     def reset(self) -> None:

@@ -13,7 +13,7 @@ single session, preserving the seed semantics exactly:
    of the same model is dropped (frame-freshness policy, see
    :mod:`repro.runtime.queues`).
 3. Whenever an engine is idle and requests wait, the scheduler picks a
-   (request, engine) pair; the analytical cost model supplies the
+   (work item, engine) pair; the analytical cost model supplies the
    inference latency and energy; a COMPLETION event is scheduled.
 4. On completion, downstream dependencies may spawn new requests (data
    deps always, control deps with the scenario's trigger probability),

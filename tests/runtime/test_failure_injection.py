@@ -7,7 +7,14 @@ import pytest
 from repro.core import Harness, HarnessConfig
 from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
-from repro.runtime import RateMonotonicScheduler, Simulator, make_scheduler
+from repro.runtime import (
+    EngineFleet,
+    ExecutionEngine,
+    RateMonotonicScheduler,
+    Simulator,
+    WorkItem,
+    make_scheduler,
+)
 from repro.workload import InferenceRequest, LoadGenerator, get_scenario
 
 
@@ -90,24 +97,27 @@ class TestSimulatorUnderFrameLoss:
 
 
 class TestRateMonotonicScheduler:
-    def req(self, code, period, t=0.0):
-        return InferenceRequest(code, 0, t, t + period)
+    def item(self, code, period, t=0.0):
+        return WorkItem(InferenceRequest(code, 0, t, t + period))
+
+    def select(self, scheduler, waiting):
+        system = build_accelerator("J", 4096)
+        engines = EngineFleet(
+            [ExecutionEngine(sub) for sub in system.subs]
+        ).engines
+        return scheduler.select(0.0, waiting, engines, system, CostTable())
 
     def test_prefers_shortest_period(self):
         s = RateMonotonicScheduler()
-        system = build_accelerator("J", 4096)
-        slow = self.req("PD", 1 / 30)
-        fast = self.req("ES", 1 / 60)
-        choice = s.pick(0.0, [slow, fast], [0, 1], system, CostTable())
-        assert choice[0] is fast
+        slow = self.item("PD", 1 / 30)
+        fast = self.item("ES", 1 / 60)
+        assert self.select(s, [slow, fast])[0] is fast
 
     def test_explicit_periods_override(self):
         s = RateMonotonicScheduler(periods={"PD": 0.001, "ES": 1.0})
-        system = build_accelerator("J", 4096)
-        pd = self.req("PD", 1 / 30)
-        es = self.req("ES", 1 / 60)
-        choice = s.pick(0.0, [pd, es], [0, 1], system, CostTable())
-        assert choice[0] is pd
+        pd = self.item("PD", 1 / 30)
+        es = self.item("ES", 1 / 60)
+        assert self.select(s, [pd, es])[0] is pd
 
     def test_end_to_end_run(self, cost_table):
         harness = Harness(

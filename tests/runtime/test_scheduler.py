@@ -11,21 +11,45 @@ from repro.hardware import build_accelerator
 from repro.runtime import (
     SCHEDULERS,
     EarliestDeadlineScheduler,
+    EngineFleet,
+    ExecutionEngine,
     LatencyGreedyScheduler,
     MultiScenarioSimulator,
     RoundRobinScheduler,
+    SessionSpec,
+    WorkItem,
     make_scheduler,
 )
 from repro.workload import InferenceRequest, get_scenario
 
 
-def req(code="HT", frame=0, t=0.0, deadline=0.033):
-    return InferenceRequest(code, frame, t, deadline)
+def item(code="HT", frame=0, t=0.0, deadline=0.033):
+    return WorkItem(InferenceRequest(code, frame, t, deadline))
+
+
+def engines_of(system):
+    """The system's engines, built as the event loop's fleet builds them."""
+    return EngineFleet([ExecutionEngine(sub) for sub in system.subs]).engines
 
 
 @pytest.fixture(scope="module")
 def hda_j():
     return build_accelerator("J", 4096)  # WS@2048 + OS@2048
+
+
+@pytest.fixture(scope="module")
+def hda_j_engines(hda_j):
+    return engines_of(hda_j)
+
+
+@pytest.fixture(scope="module")
+def quad():
+    return build_accelerator("H", 4096)
+
+
+@pytest.fixture(scope="module")
+def quad_engines(quad):
+    return engines_of(quad)
 
 
 @pytest.fixture(scope="module")
@@ -51,78 +75,82 @@ class TestFactory:
 
 
 class TestLatencyGreedy:
-    def test_returns_none_when_nothing_waiting(self, hda_j, table):
+    def test_returns_none_when_nothing_waiting(self, hda_j, hda_j_engines,
+                                               table):
         s = LatencyGreedyScheduler()
-        assert s.pick(0.0, [], [0, 1], hda_j, table) is None
+        assert s.select(0.0, [], hda_j_engines, hda_j, table) is None
 
     def test_returns_none_when_no_idle_engine(self, hda_j, table):
         s = LatencyGreedyScheduler()
-        assert s.pick(0.0, [req()], [], hda_j, table) is None
+        assert s.select(0.0, [item()], [], hda_j, table) is None
 
-    def test_picks_oldest_request(self, hda_j, table):
+    def test_picks_oldest_request(self, hda_j, hda_j_engines, table):
         s = LatencyGreedyScheduler()
-        older, newer = req(frame=0, t=0.0), req(frame=1, t=0.1)
-        choice = s.pick(0.2, [older, newer], [0, 1], hda_j, table)
+        older, newer = item(frame=0, t=0.0), item(frame=1, t=0.1)
+        choice = s.select(0.2, [older, newer], hda_j_engines, hda_j, table)
         assert choice[0] is older
 
-    def test_picks_fastest_engine_for_model(self, hda_j, table):
+    def test_picks_fastest_engine_for_model(self, hda_j, hda_j_engines,
+                                            table):
+        ws, os_ = hda_j_engines
         # SR (transformer) strongly prefers the WS engine (index 0).
         s = LatencyGreedyScheduler()
-        _, engine = s.pick(0.0, [req("SR")], [0, 1], hda_j, table)
-        assert engine == 0
+        _, engine = s.select(0.0, [item("SR")], hda_j_engines, hda_j, table)
+        assert engine is ws
         # DE (depthwise-heavy) prefers the OS engine (index 1).
-        _, engine = s.pick(0.0, [req("DE")], [0, 1], hda_j, table)
-        assert engine == 1
+        _, engine = s.select(0.0, [item("DE")], hda_j_engines, hda_j, table)
+        assert engine is os_
 
-    def test_respects_idle_restriction(self, hda_j, table):
+    def test_respects_idle_restriction(self, hda_j, hda_j_engines, table):
         s = LatencyGreedyScheduler()
-        _, engine = s.pick(0.0, [req("SR")], [1], hda_j, table)
-        assert engine == 1  # fastest engine is busy; take what's idle
+        os_ = hda_j_engines[1]
+        _, engine = s.select(0.0, [item("SR")], [os_], hda_j, table)
+        assert engine is os_  # fastest engine is busy; take what's idle
 
 
 class TestRoundRobin:
-    def test_cycles_engines(self, table):
-        quad = build_accelerator("H", 4096)
+    def test_cycles_engines(self, quad, quad_engines, table):
         s = RoundRobinScheduler()
         engines = []
         for frame in range(4):
-            _, engine = s.pick(0.0, [req(frame=frame)], [0, 1, 2, 3],
-                               quad, table)
+            _, engine = s.select(0.0, [item(frame=frame)], quad_engines,
+                                 quad, table)
             engines.append(engine)
-        assert engines == [0, 1, 2, 3]
+        assert all(a is b for a, b in zip(engines, quad_engines, strict=True))
 
-    def test_skips_busy_engines(self, table):
-        quad = build_accelerator("H", 4096)
+    def test_skips_busy_engines(self, quad, quad_engines, table):
         s = RoundRobinScheduler()
-        _, engine = s.pick(0.0, [req()], [2, 3], quad, table)
-        assert engine == 2
+        idle = quad_engines[2:]
+        _, engine = s.select(0.0, [item()], idle, quad, table)
+        assert engine is quad_engines[2]
 
-    def test_reset(self, table):
-        quad = build_accelerator("H", 4096)
+    def test_reset(self, quad, quad_engines, table):
         s = RoundRobinScheduler()
-        s.pick(0.0, [req()], [0, 1, 2, 3], quad, table)
+        s.select(0.0, [item()], quad_engines, quad, table)
         s.reset()
-        _, engine = s.pick(0.0, [req(frame=1)], [0, 1, 2, 3], quad, table)
-        assert engine == 0
+        _, engine = s.select(0.0, [item(frame=1)], quad_engines, quad, table)
+        assert engine is quad_engines[0]
 
-    def test_none_when_empty(self, table):
-        quad = build_accelerator("H", 4096)
-        assert RoundRobinScheduler().pick(0.0, [], [0], quad, table) is None
+    def test_none_when_empty(self, quad, quad_engines, table):
+        assert RoundRobinScheduler().select(
+            0.0, [], quad_engines[:1], quad, table
+        ) is None
 
 
 class TestEDF:
-    def test_picks_most_urgent(self, hda_j, table):
+    def test_picks_most_urgent(self, hda_j, hda_j_engines, table):
         s = EarliestDeadlineScheduler()
-        relaxed = req("HT", t=0.0, deadline=0.5)
-        urgent = req("ES", t=0.1, deadline=0.2)
-        choice = s.pick(0.2, [relaxed, urgent], [0, 1], hda_j, table)
+        relaxed = item("HT", t=0.0, deadline=0.5)
+        urgent = item("ES", t=0.1, deadline=0.2)
+        choice = s.select(0.2, [relaxed, urgent], hda_j_engines, hda_j,
+                          table)
         assert choice[0] is urgent
 
-    def test_ties_break_on_request_time(self, hda_j, table):
+    def test_ties_break_on_request_time(self, hda_j, hda_j_engines, table):
         s = EarliestDeadlineScheduler()
-        a = req("HT", t=0.05, deadline=0.2)
-        b = req("ES", t=0.01, deadline=0.2)
-        choice = s.pick(0.1, [a, b], [0], hda_j, table)
+        a = item("HT", t=0.05, deadline=0.2)
+        b = item("ES", t=0.01, deadline=0.2)
+        choice = s.select(0.1, [a, b], hda_j_engines[:1], hda_j, table)
         assert choice[0] is b
 
 
@@ -186,7 +214,24 @@ def run_policy(policy, granularity="model"):
     ).run()
 
 
+class PickOnlyPolicy:
+    """A policy written against a (request, engine index) interface."""
+
+    def pick(self, now_s, waiting, idle_engines, system, costs):
+        return None
+
+
 class TestEventLoopGuards:
+    def test_policy_without_select_rejected_at_construction(self):
+        with pytest.raises(TypeError, match=(
+            r"select\(now_s, waiting, idle_engines, system, costs\)"
+        )):
+            MultiScenarioSimulator(
+                sessions=[SessionSpec(0, get_scenario("vr_gaming"))],
+                system=build_accelerator("J", 8192),
+                scheduler=PickOnlyPolicy(),
+            )
+
     def test_busy_engine_rejected_when_filling_engines(self):
         with pytest.raises(ValueError, match="chose busy engine"):
             run_policy(BusyEnginePolicy())

@@ -1,6 +1,6 @@
 """Property tests: invariants that must hold across ALL registered policies.
 
-Each policy is exercised both directly (randomised pick() calls) and
+Each policy is exercised both directly (randomised select() calls) and
 end-to-end through the multi-tenant engine, whose ExecutionEngine raises
 on any occupancy violation — so a completed run is itself the proof that
 the policy never dispatched to a busy engine.
@@ -17,9 +17,12 @@ from repro.hardware import build_accelerator
 from repro.runtime import (
     SCHEDULERS,
     EarliestDeadlineScheduler,
+    EngineFleet,
+    ExecutionEngine,
     MultiScenarioSimulator,
     RateMonotonicScheduler,
     RoundRobinScheduler,
+    WorkItem,
     make_scheduler,
 )
 from repro.workload import UNIT_MODELS, InferenceRequest, get_scenario
@@ -38,20 +41,27 @@ def quad():
     return build_accelerator("H", 4096)  # four engines
 
 
-def random_case(rng):
-    """A random scheduling situation: some waiting requests, some idle."""
+@pytest.fixture(scope="module")
+def engines(quad):
+    return EngineFleet([ExecutionEngine(sub) for sub in quad.subs]).engines
+
+
+def random_case(rng, engines):
+    """A random scheduling situation: some waiting work, some idle engines."""
     waiting = [
-        InferenceRequest(
+        WorkItem(InferenceRequest(
             model_code=rng.choice(MODEL_CODES),
             model_frame=frame,
             request_time_s=round(rng.uniform(0.0, 0.5), 4),
             deadline_s=round(rng.uniform(0.5, 1.0), 4),
-        )
+        ))
         for frame in range(rng.randint(1, 6))
     ]
-    waiting.sort(key=lambda r: r.request_time_s)
-    idle = sorted(rng.sample(range(4), rng.randint(1, 4)))
-    now = max(r.request_time_s for r in waiting)
+    waiting.sort(key=lambda w: w.request.request_time_s)
+    idle = [
+        engines[i] for i in sorted(rng.sample(range(4), rng.randint(1, 4)))
+    ]
+    now = max(w.request.request_time_s for w in waiting)
     return now, waiting, idle
 
 
@@ -71,47 +81,49 @@ class TestRegistryConstruction:
             make_scheduler("magic")
 
 
-class TestPickInvariants:
+class TestSelectInvariants:
     @pytest.mark.parametrize("name", POLICIES)
     def test_never_picks_busy_engine_or_foreign_request(
-        self, name, quad, table
+        self, name, quad, engines, table
     ):
         rng = random.Random(hash(name) & 0xFFFF)
         for _ in range(50):
             scheduler = make_scheduler(name)
-            now, waiting, idle = random_case(rng)
-            choice = scheduler.pick(now, waiting, idle, quad, table)
+            now, waiting, idle = random_case(rng, engines)
+            choice = scheduler.select(now, waiting, idle, quad, table)
             assert choice is not None  # work and capacity -> must dispatch
-            request, engine = choice
-            assert request in waiting
-            assert engine in idle
+            item, engine = choice
+            assert any(item is w for w in waiting)
+            assert any(engine is e for e in idle)
 
     @pytest.mark.parametrize("name", POLICIES)
-    def test_no_dispatch_without_work_or_capacity(self, name, quad, table):
+    def test_no_dispatch_without_work_or_capacity(self, name, quad, engines,
+                                                  table):
         scheduler = make_scheduler(name)
-        req = InferenceRequest("HT", 0, 0.0, 0.033)
-        assert scheduler.pick(0.0, [], [0, 1], quad, table) is None
-        assert scheduler.pick(0.0, [req], [], quad, table) is None
+        item = WorkItem(InferenceRequest("HT", 0, 0.0, 0.033))
+        assert scheduler.select(0.0, [], engines[:2], quad, table) is None
+        assert scheduler.select(0.0, [item], [], quad, table) is None
 
-    def test_edf_picks_earliest_deadline(self, quad, table):
+    def test_edf_picks_earliest_deadline(self, quad, engines, table):
         rng = random.Random(99)
         scheduler = EarliestDeadlineScheduler()
         for _ in range(50):
-            now, waiting, idle = random_case(rng)
-            choice = scheduler.pick(now, waiting, idle, quad, table)
-            request, _ = choice
-            assert request.deadline_s == min(r.deadline_s for r in waiting)
+            now, waiting, idle = random_case(rng, engines)
+            item, _ = scheduler.select(now, waiting, idle, quad, table)
+            assert item.request.deadline_s == min(
+                w.request.deadline_s for w in waiting
+            )
 
-    def test_round_robin_rotor_resets(self, quad, table):
+    def test_round_robin_rotor_resets(self, quad, engines, table):
         scheduler = RoundRobinScheduler()
-        req = InferenceRequest("HT", 0, 0.0, 0.033)
+        item = WorkItem(InferenceRequest("HT", 0, 0.0, 0.033))
         first = [
-            scheduler.pick(0.0, [req], [0, 1, 2, 3], quad, table)[1]
+            scheduler.select(0.0, [item], engines, quad, table)[1].index
             for _ in range(3)
         ]
         scheduler.reset()
         again = [
-            scheduler.pick(0.0, [req], [0, 1, 2, 3], quad, table)[1]
+            scheduler.select(0.0, [item], engines, quad, table)[1].index
             for _ in range(3)
         ]
         assert first == again == [0, 1, 2]

@@ -16,12 +16,14 @@ import pytest
 from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
 from repro.runtime import (
+    EngineFleet,
+    ExecutionEngine,
     MultiScenarioSimulator,
     RateMonotonicScheduler,
     RoundRobinScheduler,
-    SchedulerAdapter,
     SessionSpec,
     Simulator,
+    WorkItem,
     make_scheduler,
 )
 from repro.workload import InferenceRequest, get_scenario
@@ -36,6 +38,11 @@ def req(code="HT", frame=0, t=0.0, deadline=0.033):
 @pytest.fixture(scope="module")
 def system():
     return build_accelerator("J", 8192)  # two engines: the rotor matters
+
+
+@pytest.fixture(scope="module")
+def engines(system):
+    return EngineFleet([ExecutionEngine(sub) for sub in system.subs]).engines
 
 
 def run_once(scheduler, system, sessions=4):
@@ -96,11 +103,6 @@ class TestResetProtocol:
         ).run()
         assert schedule_of(result) == schedule_of(fresh)
 
-    def test_adapter_forwards_reset(self):
-        scheduler = RoundRobinScheduler(_next_engine=3)
-        SchedulerAdapter(scheduler).reset()
-        assert scheduler._next_engine == 0
-
     def test_memoizing_rate_monotonic_is_run_order_independent(
         self, system
     ):
@@ -113,14 +115,10 @@ class TestResetProtocol:
 
 
 class TestRateMonotonicMemoization:
-    def pick_args(self, system):
-        return [0], system, CostTable()
-
-    def test_memoizes_inferred_period_per_model_code(self, system):
+    def test_memoizes_inferred_period_per_model_code(self, system, engines):
         scheduler = RateMonotonicScheduler(memoize_periods=True)
-        idle, sys_, costs = self.pick_args(system)
-        first = req("HT", 0, t=0.0, deadline=0.020)
-        scheduler.pick(0.0, [first], idle, sys_, costs)
+        first = WorkItem(req("HT", 0, t=0.0, deadline=0.020))
+        scheduler.select(0.0, [first], engines[:1], system, CostTable())
         assert scheduler.periods["HT"] == pytest.approx(0.020)
         # A later request of the same model with different slack reuses
         # the memoized period instead of re-inferring.
@@ -128,14 +126,13 @@ class TestRateMonotonicMemoization:
         assert scheduler._period(later) == pytest.approx(0.020)
         assert scheduler.periods["HT"] == pytest.approx(0.020)
 
-    def test_default_reinfers_per_request(self, system):
+    def test_default_reinfers_per_request(self, system, engines):
         # The historical behaviour (pinned by the golden schedules):
         # without opting in, nothing is memoized and each request's own
         # slack decides its priority.
         scheduler = RateMonotonicScheduler()
-        idle, sys_, costs = self.pick_args(system)
-        scheduler.pick(0.0, [req("HT", 0, t=0.0, deadline=0.020)],
-                       idle, sys_, costs)
+        scheduler.select(0.0, [WorkItem(req("HT", 0, t=0.0, deadline=0.020))],
+                         engines[:1], system, CostTable())
         assert "HT" not in scheduler.periods
         assert scheduler._period(
             req("HT", 5, t=0.5, deadline=0.590)
@@ -175,20 +172,26 @@ class TestRateMonotonicMemoization:
 
 
 class TestRoundRobinRotor:
-    def test_set_probe_preserves_pick_order(self, system):
-        # The rotor probe is now set-based; picks must be unchanged
-        # (the golden schedules pin the full behaviour — this unit test
-        # pins the probe logic in isolation).
+    def test_set_probe_preserves_pick_order(self, system, engines):
+        # The rotor probes a dict of the idle engines; choices must be
+        # those of a scan of the idle list (the golden schedules pin the
+        # full behaviour — this unit test pins the probe logic in
+        # isolation).
         scheduler = RoundRobinScheduler()
         costs = CostTable()
-        waiting = [req()]
-        assert scheduler.pick(0.0, waiting, [0, 1], system, costs)[1] == 0
-        assert scheduler.pick(0.0, waiting, [0, 1], system, costs)[1] == 1
-        assert scheduler.pick(0.0, waiting, [0, 1], system, costs)[1] == 0
+        waiting = [WorkItem(req())]
+        ws, os_ = engines
+
+        def chosen(idle):
+            return scheduler.select(0.0, waiting, idle, system, costs)[1]
+
+        assert chosen([ws, os_]) is ws
+        assert chosen([ws, os_]) is os_
+        assert chosen([ws, os_]) is ws
         # Busy engine 0: the rotor skips to 1 and wraps.
-        assert scheduler.pick(0.0, waiting, [1], system, costs)[1] == 1
-        assert scheduler.pick(0.0, waiting, [1], system, costs)[1] == 1
-        assert scheduler.pick(0.0, waiting, [0], system, costs)[1] == 0
+        assert chosen([os_]) is os_
+        assert chosen([os_]) is os_
+        assert chosen([ws]) is ws
 
 
 class TestDegenerateResults:
