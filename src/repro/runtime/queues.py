@@ -1,5 +1,7 @@
-"""Runtime data structures (Figure 2): the waiting queue, the active
-inference table, and the dependency tracker.
+"""Runtime data structures (Figure 2): the waiting queue and the
+dependency tracker.  Figure 2's active inference table is
+:class:`~repro.runtime.engine.EngineFleet`, which tracks what each engine
+runs.
 
 :class:`WaitingQueue` implements the frame-freshness drop policy: at most
 one *waiting* request per (session, model).  When a new frame arrives
@@ -22,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.workload import Dependency, InferenceRequest, UsageScenario
+from repro.workload import Dependency, UsageScenario
 
 from .engine import WorkItem
 
 __all__ = [
     "WaitingQueue",
-    "ActiveInferenceTable",
     "DependencyTracker",
 ]
 
@@ -177,36 +178,6 @@ class WaitingQueue:
         if self._unordered:
             self._restore_order()
         return iter(self._by_key.values())
-
-
-@dataclass
-class ActiveInferenceTable:
-    """Which request is running on which engine."""
-
-    _active: dict[int, InferenceRequest] = field(default_factory=dict)
-
-    def start(self, sub_index: int, request: InferenceRequest) -> None:
-        if sub_index in self._active:
-            raise ValueError(
-                f"engine {sub_index} is already running "
-                f"{self._active[sub_index]!r} (hardware-occupancy condition)"
-            )
-        self._active[sub_index] = request
-
-    def finish(self, sub_index: int) -> InferenceRequest:
-        try:
-            return self._active.pop(sub_index)
-        except KeyError:
-            raise ValueError(f"engine {sub_index} is idle") from None
-
-    def idle_engines(self, num_subs: int) -> list[int]:
-        return [i for i in range(num_subs) if i not in self._active]
-
-    def running(self) -> dict[int, InferenceRequest]:
-        return dict(self._active)
-
-    def __len__(self) -> int:
-        return len(self._active)
 
 
 @dataclass

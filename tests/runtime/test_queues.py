@@ -9,7 +9,6 @@ from test_schedule_equivalence import REQUEST_CELLS, run_case
 import repro.runtime.multisim as multisim
 from repro.hardware import build_accelerator
 from repro.runtime import (
-    ActiveInferenceTable,
     DependencyTracker,
     MultiScenarioSimulator,
     WaitingQueue,
@@ -282,32 +281,6 @@ class TestReSortsInRealRuns:
         )
         assert requeued > 0, "the flaky cell should requeue killed work"
         assert queue.resorts == requeued
-
-
-class TestActiveInferenceTable:
-    def test_start_finish_roundtrip(self):
-        t = ActiveInferenceTable()
-        r = req()
-        t.start(0, r)
-        assert t.running() == {0: r}
-        assert t.finish(0) is r
-        assert len(t) == 0
-
-    def test_hardware_occupancy_condition(self):
-        # Appendix B.2: one engine cannot run two models simultaneously.
-        t = ActiveInferenceTable()
-        t.start(0, req("HT"))
-        with pytest.raises(ValueError, match="occupancy"):
-            t.start(0, req("ES"))
-
-    def test_finish_idle_engine_raises(self):
-        with pytest.raises(ValueError, match="idle"):
-            ActiveInferenceTable().finish(3)
-
-    def test_idle_engines(self):
-        t = ActiveInferenceTable()
-        t.start(1, req())
-        assert t.idle_engines(3) == [0, 2]
 
 
 class TestDependencyTracker:
