@@ -81,7 +81,7 @@ class TestRegistryConstruction:
             make_scheduler("magic")
 
 
-class TestSelectInvariants:
+class TestPickInvariants:
     @pytest.mark.parametrize("name", POLICIES)
     def test_never_picks_busy_engine_or_foreign_request(
         self, name, quad, engines, table
