@@ -253,6 +253,30 @@ GOLDEN_WIDE: dict[tuple[str, str], tuple[int, str]] = {
         (326, "dc456666e5779db39a28b223f98c716a9315f36a6d1bcd4bfc99c4ff7b69b00e"),
 }
 
+#: (scheduler, granularity) -> sha256 of :func:`request_checksum_of` for
+#: the ``GOLDEN_WIDE`` cells.  The schedule digest does not record which
+#: session a dispatch served, so two same-instant dispatches that trade
+#: engines between sessions leave it unchanged; the requests' end times
+#: do not.
+GOLDEN_WIDE_REQUESTS: dict[tuple[str, str], str] = {
+    ("latency_greedy", "model"):
+        "2e223da8ed5178869e555ca4dc2339f0241cab227c510e5ffb7c20a4577e7077",
+    ("latency_greedy", "segment"):
+        "2e223da8ed5178869e555ca4dc2339f0241cab227c510e5ffb7c20a4577e7077",
+    ("round_robin", "model"):
+        "82a858b4feb2b934171097adf2db9ff03b43e5a3feb609ad9a7d95884d8c7cf6",
+    ("round_robin", "segment"):
+        "82a858b4feb2b934171097adf2db9ff03b43e5a3feb609ad9a7d95884d8c7cf6",
+    ("edf", "model"):
+        "ef201398c71cee271d03ca72f0a688376087f596a35d4a86e66d54b7f77651ad",
+    ("edf", "segment"):
+        "ef201398c71cee271d03ca72f0a688376087f596a35d4a86e66d54b7f77651ad",
+    ("rate_monotonic", "model"):
+        "e7af6bda87fc30b66c0522440337a100abe95a81d9e0410e8e992df14eadc59f",
+    ("rate_monotonic", "segment"):
+        "e7af6bda87fc30b66c0522440337a100abe95a81d9e0410e8e992df14eadc59f",
+}
+
 
 def run_case(
     scheduler: str,
@@ -442,7 +466,9 @@ def test_fault_logs_match_golden(cell):
 def test_wide_fleet_schedule_matches_golden(scheduler, granularity):
     result = run_case(scheduler, granularity, WIDE_SESSIONS,
                       accelerator=WIDE_ACCELERATOR)
-    assert checksum_of(result) == GOLDEN_WIDE[(scheduler, granularity)]
+    key = (scheduler, granularity)
+    assert checksum_of(result) == GOLDEN_WIDE[key]
+    assert request_checksum_of(result) == GOLDEN_WIDE_REQUESTS[key]
 
 
 @pytest.mark.parametrize(
@@ -454,7 +480,9 @@ def test_wide_fleet_keyed_pricing_matches_dense(scheduler):
     it must pick the engines the cached table's dense row picks."""
     result = run_case(scheduler, "model", WIDE_SESSIONS,
                       accelerator=WIDE_ACCELERATOR, costs=CostTable())
-    assert checksum_of(result) == GOLDEN_WIDE[(scheduler, "model")]
+    key = (scheduler, "model")
+    assert checksum_of(result) == GOLDEN_WIDE[key]
+    assert request_checksum_of(result) == GOLDEN_WIDE_REQUESTS[key]
 
 
 def test_faults_none_is_bit_identical_to_historical_path():

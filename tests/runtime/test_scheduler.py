@@ -207,18 +207,18 @@ class CopiedItemPolicy:
         return dataclasses.replace(waiting[0]), idle_engines[0]
 
 
-def run_policy(policy, granularity="model"):
-    return MultiScenarioSimulator.replicate(
-        get_scenario("vr_gaming"), build_accelerator("J", 8192), policy, 4,
-        duration_s=0.25, granularity=granularity,
-    ).run()
-
-
 class PickOnlyPolicy:
     """A policy written against a (request, engine index) interface."""
 
     def pick(self, now_s, waiting, idle_engines, system, costs):
         return None
+
+
+def run_policy(policy, granularity="model"):
+    return MultiScenarioSimulator.replicate(
+        get_scenario("vr_gaming"), build_accelerator("J", 8192), policy, 4,
+        duration_s=0.25, granularity=granularity,
+    ).run()
 
 
 class TestEventLoopGuards:
