@@ -14,7 +14,9 @@ not, with its id, timing and terminal state, and the per-session QoE
 denominators.  ``GOLDEN_FAULT_LOGS`` pins the fault-recovery decisions
 (kills, retries, requeues, abandoned retries) per session.
 ``GOLDEN_WIDE`` pins every policy on a four-engine fleet, where engine
-choice is not decided between two engines.
+choice is not decided between two engines.  ``GOLDEN_GOVERNED`` and
+``GOLDEN_DYNAMIC_DVFS`` pin the DVFS governors' choices: the point every
+dispatch ran at and the energy it was charged.
 
 If a deliberate scheduling-semantics change ever invalidates these,
 regenerate with ``checksum_of(run_case(...))`` (or
@@ -278,6 +280,57 @@ GOLDEN_WIDE_REQUESTS: dict[tuple[str, str], str] = {
 }
 
 
+#: name -> ``run_case`` arguments of the governed golden cells.  The
+#: governed ``GOLDEN_DYNAMIC`` cells never downshift outside a thermal
+#: clamp, never meet a thermal fault and run on J's two engines only:
+#: ``slack_wide_2`` downshifts (eco) and races (boost) on M's four
+#: engines, and the two thermal cells run each governor against a
+#: thermal ceiling, where the clamped ladder decides.
+GOVERNED_CELLS: dict[str, dict] = {
+    "slack_wide_2": dict(scheduler="edf", granularity="segment",
+                         sessions=2, dvfs="slack", accelerator="M"),
+    "slack_thermal_2": dict(scheduler="edf", granularity="segment",
+                            sessions=2, dvfs="slack", faults="thermal"),
+    "race_thermal_4": dict(scheduler="latency_greedy", granularity="model",
+                           sessions=4, dvfs="race_to_idle",
+                           faults="thermal"),
+}
+
+#: name -> ((record count, :func:`checksum_of` digest),
+#: :func:`request_checksum_of` digest, :func:`dvfs_checksum_of` digest).
+GOLDEN_GOVERNED: dict[str, tuple[tuple[int, str], str, str]] = {
+    "slack_wide_2": (
+        (168, "25ddcbca3a012af78d2ce684af66266fc49cb040038254cc41fae00cdeb7c09b"),
+        "078ab7df44a63f3ce6e148258e58420c974a9b7a909a0c5623635d22c2f2b2db",
+        "929e99eddd1fb651ac2bae33d8d7c3317f481faa0d911fb05d601c5fa9a55eb6",
+    ),
+    "slack_thermal_2": (
+        (158, "a9bbaa3d0e9ed47189252634b6d5e3a921984da6a29fbaf67b36fc93259c0fa5"),
+        "b566376d9903be317549baeb2f32ac26b6123418d5f6f520853136b5aff7a8c9",
+        "a995094c2465417cd08e425b2343cc189b076a8328f67a1389c9444cc935acfa",
+    ),
+    "race_thermal_4": (
+        (100, "7b4cd3c99919ef6926402fdeb6fc3c846088bdcb28a7179c0ba2c691ef3ec07e"),
+        "ca3bd2931a4808823f063aee431c3edee809af9b3511ba44f796356af2a5064d",
+        "1f72371f989aea9e8072a0b1e0f8dacf4a468eb18a0f2f6b75f2ed023b0546d8",
+    ),
+}
+
+#: ``GOLDEN_DYNAMIC`` key -> :func:`dvfs_checksum_of` digest, for the
+#: governed cells there: their schedule digests record neither the
+#: point each dispatch ran at nor the energy it was charged.
+GOLDEN_DYNAMIC_DVFS: dict[tuple[str, str, int, float, bool, str], str] = {
+    ("edf", "model", 4, 0.0, False, "race_to_idle"):
+        "4700c303e9dee1768c080b358956158103aae38f365a1561bf17cbcad494a6a0",
+    ("edf", "segment", 16, 0.25, True, "slack"):
+        "789e8b834425fd8af6977ad0c03e8777bfdcaebac3b2e99b27a0482ed5dff2af",
+    ("latency_greedy", "model", 16, 0.0, False, "slack"):
+        "b15dcd0f8e4818a04a642cc439c6e9bb5164ae8adf2956be4335756add8ff577",
+    ("latency_greedy", "segment", 16, 0.0, False, "slack"):
+        "34ec75297dc248bec403768272f06e462e5832e718f30150b69a07aeff119b57",
+}
+
+
 def run_case(
     scheduler: str,
     granularity: str,
@@ -386,6 +439,22 @@ def request_checksum_of(result) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def dvfs_checksum_of(result) -> str:
+    """sha256 of the (start_s, sub_index, dvfs, energy_mj) log.
+
+    One row per record, like :func:`checksum_of`: the name of the DVFS
+    point the interval ran at and the energy it was charged, with the
+    start time and the energy rounded to 1e-9 so a last-bit difference
+    in float summation cannot move the digest.
+    """
+    rows = [
+        [round(r.start_s, 9), r.sub_index, r.dvfs, round(r.energy_mj, 9)]
+        for r in result.records
+    ]
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
 def fault_log_checksum_of(result) -> str:
     """sha256 over every session's :class:`~repro.runtime.FaultRecord`.
 
@@ -432,6 +501,22 @@ def test_dynamic_schedule_matches_golden(scheduler, granularity, sessions,
                       dvfs)
     key = (scheduler, granularity, sessions, churn, preemptive, dvfs)
     assert checksum_of(result) == GOLDEN_DYNAMIC[key]
+    if key in GOLDEN_DYNAMIC_DVFS:
+        assert dvfs_checksum_of(result) == GOLDEN_DYNAMIC_DVFS[key]
+
+
+def test_every_governed_dynamic_cell_pins_its_dvfs_log():
+    governed = {key for key in GOLDEN_DYNAMIC if key[-1] != "static"}
+    assert governed == set(GOLDEN_DYNAMIC_DVFS)
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN_GOVERNED))
+def test_governed_cells_match_golden(cell):
+    result = run_case(**GOVERNED_CELLS[cell])
+    schedule, requests, dvfs = GOLDEN_GOVERNED[cell]
+    assert checksum_of(result) == schedule
+    assert request_checksum_of(result) == requests
+    assert dvfs_checksum_of(result) == dvfs
 
 
 @pytest.mark.parametrize(
