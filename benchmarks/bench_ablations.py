@@ -82,10 +82,10 @@ def test_ablation_dvfs(benchmark, cost_table):
 def test_ablation_model_splitting(benchmark):
     """Herald-style PD segmentation on the saturated 4K J system."""
     from repro.core import score_simulation
+    from repro.costmodel import CachedCostTable
     from repro.hardware import build_accelerator
     from repro.runtime import (
         LatencyGreedyScheduler,
-        SegmentedCostTable,
         Simulator,
         segment_scenario,
     )
@@ -96,7 +96,7 @@ def test_ablation_model_splitting(benchmark):
         for k in (1, 2, 4):
             base = get_scenario("ar_gaming")
             if k == 1:
-                scenario, table = base, SegmentedCostTable()
+                scenario, table = base, CachedCostTable()
             else:
                 scenario, table = segment_scenario(base, "PD", k)
             sim = Simulator(

@@ -16,10 +16,10 @@ Run:  python examples/model_splitting.py
 from __future__ import annotations
 
 from repro.core import score_simulation
+from repro.costmodel import CachedCostTable
 from repro.hardware import build_accelerator
 from repro.runtime import (
     LatencyGreedyScheduler,
-    SegmentedCostTable,
     Simulator,
     segment_scenario,
 )
@@ -29,7 +29,7 @@ from repro.workload import get_scenario
 def run(segments: int, total_pes: int = 4096):
     base = get_scenario("ar_gaming")
     if segments == 1:
-        scenario, table = base, SegmentedCostTable()
+        scenario, table = base, CachedCostTable()
     else:
         scenario, table = segment_scenario(base, "PD", segments)
     sim = Simulator(

@@ -4,8 +4,8 @@ from .analysis import CostModel, LayerCost, ModelCost
 from .cached import (
     CachedCostTable,
     CostCacheStats,
-    DenseCostView,
     GraphRegistry,
+    PriceTable,
     UncachedCostTable,
 )
 from .dataflow import DATAFLOW_SPECS, Dataflow, DataflowSpec
@@ -22,7 +22,6 @@ __all__ = [
     "CostCacheStats",
     "CostModel",
     "CostTable",
-    "DenseCostView",
     "UncachedCostTable",
     "DATAFLOW_SPECS",
     "DEFAULT_ENERGY_MODEL",
@@ -32,5 +31,6 @@ __all__ = [
     "GraphRegistry",
     "LayerCost",
     "ModelCost",
+    "PriceTable",
     "SHARED_COST_TABLE",
 ]

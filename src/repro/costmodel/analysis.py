@@ -24,6 +24,7 @@ contribute their streaming time.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.core.config import (
@@ -37,10 +38,28 @@ from repro.nn import LayerSpec, ModelGraph
 from .dataflow import DATAFLOW_SPECS, Dataflow, DataflowSpec
 from .energy import DEFAULT_ENERGY_MODEL, EnergyModel
 
-__all__ = ["LayerCost", "ModelCost", "CostModel", "memoized_model_cost"]
+__all__ = [
+    "LayerCost", "ModelCost", "CostModel", "memoized_model_cost",
+    "ordered_sum",
+]
 
 #: Cycles to fill/drain the PE array pipeline per layer.
 _RAMP_CYCLES = 512.0
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Add ``values`` left to right, starting from ``0``.
+
+    This is what the built-in ``sum()`` computes on CPython 3.11 and
+    earlier.  CPython 3.12 made ``sum()`` of floats compensated, which
+    can round the last bit differently, and the schedulers and DVFS
+    governors compare the prices these reductions produce: reducing
+    through this loop gives every interpreter the same prices.
+    """
+    total: float = 0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -214,14 +233,14 @@ class CostModel:
     def model_cost(self, graph: ModelGraph) -> ModelCost:
         """Analyse a whole model graph, layer by layer."""
         costs = tuple(self.layer_cost(layer) for layer in graph.layers)
-        total_cycles = sum(c.latency_cycles for c in costs)
+        total_cycles = ordered_sum(c.latency_cycles for c in costs)
         total_macs = float(graph.total_macs)
         return ModelCost(
             model_name=graph.name,
             dataflow=self.dataflow,
             num_pes=self.num_pes,
             latency_s=total_cycles / CLOCK_HZ,
-            energy_mj=sum(c.energy_mj for c in costs),
+            energy_mj=ordered_sum(c.energy_mj for c in costs),
             utilization=(
                 total_macs / (total_cycles * self.num_pes)
                 if total_cycles > 0
@@ -235,6 +254,9 @@ class CostModel:
 #: and ModelGraph are both frozen and hashable, and the analysis is a
 #: deterministic function of the pair, so the answer — an immutable
 #: ModelCost — can be shared across every cost table in the process.
+#: Its DVFS-scaled counterparts live beside it in the same way:
+#: :func:`repro.costmodel.dvfs.memoized_scale_cost` keys on the identity
+#: of the nominal ModelCost this memo hands out.
 _MODEL_COST_MEMO: dict[tuple[CostModel, ModelGraph], ModelCost] = {}
 
 

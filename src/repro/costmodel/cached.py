@@ -2,11 +2,21 @@
 
 The runtime's hot loop prices work constantly: every scheduler pass asks
 "what would this model (or segment) cost on that engine at its current
-DVFS state", once per idle engine per decision.  :class:`CachedCostTable`
-memoises the fully-derived answer keyed on
-``(task code, engine dataflow, engine PE count, DVFS point)`` so the
-dispatch path degenerates to one dict probe, and it counts hits/misses so
-harnesses can report the cache's effectiveness.
+DVFS state", once per idle engine per decision.  Two layers answer it.
+
+:class:`CachedCostTable` memoises the fully-derived answer keyed on
+``(task code, engine dataflow, engine PE count, DVFS point)``, carries
+the graph registry that makes segment codes priceable, and counts hits
+and misses so harnesses can report the cache's effectiveness.  Its
+scaled costs come from process-wide memos
+(:func:`~repro.costmodel.analysis.memoized_model_cost` and, beside it,
+:func:`~repro.costmodel.dvfs.memoized_scale_cost`), so a fresh table per
+run re-derives nothing the process has already analysed.
+
+:class:`PriceTable` is one run's prices on one fleet, indexed by
+integers: code id, engine index and ladder position.  The event loop
+builds it from its :class:`CachedCostTable` when the run starts, and the
+dispatch path reads it by index instead of hashing a key per question.
 
 :class:`UncachedCostTable` is the deliberate anti-optimisation: it
 re-runs the analytical layer-by-layer model on *every* query.  It exists
@@ -18,34 +28,22 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Protocol
-
-import numpy as np
-import numpy.typing as npt
+from typing import Protocol, TypeVar
 
 from repro.nn import ModelGraph
 from repro.workload import UNIT_MODELS
 
 from .analysis import CostModel, ModelCost, memoized_model_cost
 from .dataflow import Dataflow
-from .dvfs import DvfsPoint, scale_cost
+from .dvfs import DvfsPoint, memoized_scale_cost
 from .model_cost import CostTable
 
 __all__ = [
     "CostCacheStats",
     "GraphRegistry",
     "CachedCostTable",
-    "DenseCostView",
+    "PriceTable",
     "UncachedCostTable",
-]
-
-#: One dense pricing row: (lat tuple, energy tuple, lat array, energy
-#: array), all indexed by engine position.
-Row = tuple[
-    tuple[float, ...],
-    tuple[float, ...],
-    npt.NDArray[np.float64],
-    npt.NDArray[np.float64],
 ]
 
 
@@ -121,14 +119,26 @@ class CostCacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
+class _Indexed(Protocol):
+    """Anything with an engine index (fleet or runtime engines)."""
+
+    @property
+    def index(self) -> int: ...
+
+
+_E = TypeVar("_E", bound=_Indexed)
+
+
 class CachedCostTable(GraphRegistry, CostTable):
     """Memoised dispatch-path costs keyed on (task, engine, DVFS state).
 
-    Wraps any base :class:`CostTable` (including a
-    :class:`~repro.runtime.segmentation.SegmentedCostTable`); unknown task
-    codes fall through to the base table.  Segment graphs produced at
-    dispatch time are registered with :meth:`register_graph` so virtual
-    segment codes are priceable without touching the global model zoo.
+    Wraps any base :class:`CostTable`; unknown task codes fall through
+    to the base table.  Segment graphs — dispatch-time pieces and
+    :func:`~repro.runtime.segmentation.segment_scenario` variants — are
+    registered with :meth:`register_graph`, so virtual segment codes
+    are priceable without touching the global model zoo.  A run reads
+    these costs by index through the :class:`PriceTable` it builds with
+    :meth:`price_table`.
     """
 
     def __init__(self, base: CostTable | None = None) -> None:
@@ -139,10 +149,7 @@ class CachedCostTable(GraphRegistry, CostTable):
         self._entries: dict[
             tuple[str, Dataflow, int, DvfsPoint | None], ModelCost
         ] = {}
-        self._views: dict[
-            tuple[tuple[int, Dataflow, int], ...], DenseCostView
-        ] = {}
-        self._last_view: tuple[object, DenseCostView] | None = None
+        self._prices: PriceTable | None = None
 
     # -- lookups -------------------------------------------------------------
 
@@ -170,9 +177,15 @@ class CachedCostTable(GraphRegistry, CostTable):
             self.stats.hits += 1
             return entry
         self.stats.misses += 1
-        cost = self._compute(task_code, dataflow, num_pes)
-        if dvfs is not None:
-            cost = scale_cost(cost, dvfs)
+        if dvfs is None:
+            cost = self._compute(task_code, dataflow, num_pes)
+        else:
+            # Scale the nominal entry when this table already holds it:
+            # deriving it again would re-hash a registered graph.
+            nominal = self._entries.get((task_code, dataflow, num_pes, None))
+            if nominal is None:
+                nominal = self._compute(task_code, dataflow, num_pes)
+            cost = memoized_scale_cost(nominal, dvfs)
         self._entries[key] = cost
         return cost
 
@@ -193,133 +206,144 @@ class CachedCostTable(GraphRegistry, CostTable):
         """
         return self._lookup(task_code, sub.dataflow, sub.num_pes, dvfs)
 
-    def dense_view(self, system: FleetLike) -> DenseCostView:
-        """The dense per-fleet pricing view over this cache.
+    # -- per-run price tables ------------------------------------------------
 
-        ``system`` is an :class:`~repro.hardware.AcceleratorSystem` (any
-        object with an index-ordered ``subs`` tuple of engine
-        descriptors).  Views are memoised per engine signature — two
-        runs sharing a table and a fleet shape share the dense rows —
-        with an identity fast path for the repeat caller (the dispatch
-        loop asks for the same system every decision).
+    def price_table(
+        self,
+        system: FleetLike,
+        points: Iterable[DvfsPoint | None],
+        codes: Iterable[str],
+    ) -> PriceTable:
+        """A new price table for one run on ``system``.
+
+        ``points`` are the DVFS points the run can price besides nominal
+        and ``codes`` every task code it can dispatch (see
+        :class:`PriceTable`).  Until the next call, :meth:`prices`
+        returns the new table for ``system``: that is how the
+        schedulers and governors, which are handed this cost table and
+        the system, reach the run's prices.
         """
-        cached = self._last_view
-        if cached is not None and cached[0] is system:
-            return cached[1]
-        subs = tuple(system.subs)
-        key = tuple((s.index, s.dataflow, s.num_pes) for s in subs)
-        view = self._views.get(key)
-        if view is None:
-            view = self._views[key] = DenseCostView(self, subs)
-        self._last_view = (system, view)
-        return view
+        prices = self._prices = PriceTable(self, system, points, codes)
+        return prices
+
+    def prices(self, system: FleetLike) -> PriceTable | None:
+        """The latest run's price table on ``system``, if there is one."""
+        prices = self._prices
+        if prices is not None and prices.system is system:
+            return prices
+        return None
 
 
-class DenseCostView:
-    """Fleet-wide task pricing: one row of floats per (task, DVFS point).
+class PriceTable:
+    """One run's prices on one fleet, indexed by integers.
 
-    The candidate sweep of the dispatch path — "which idle engine runs
-    this item fastest?" — priced every candidate through a keyed dict
-    probe (tuple construction, hash, stats bump) per engine per decision.
-    This view flattens the cache into per-``(task, point)`` rows indexed
-    by engine position: a row is filled once through
-    :meth:`CachedCostTable._lookup` (so the floats are *the* cached
-    values — answers are bit-identical to per-call pricing, and misses
-    hit the stats counters exactly as before) and every later sweep is a
-    tuple index or, for wide fleets, one numpy ``take``/``argmin``.
+    ``costs[code_id][engine_index][position]`` is the :class:`ModelCost`
+    of one task code on one engine at one point of the run's DVFS
+    ladder.  The run fixes both axes when it starts: :attr:`ids`
+    numbers every code it can dispatch, and :attr:`ladder` holds
+    nominal (``None``) at position 0, then the run's points in the
+    order given, each once.  A point's position is resolved by identity
+    (:meth:`position`), once per run or per throttle rather than per
+    dispatch, so reading a price hashes nothing.  A point off the
+    ladder has no position; callers price it through the keyed lookup.
 
-    Each row keeps both plain-tuple and ``float64`` ndarray forms:
-    scalar probes and narrow fleets (most Table 5 systems have 2–8
-    engines) are faster through the tuples, while wide fleets amortise
-    numpy's per-call overhead across one vectorised reduction.  Both
-    paths return identical floats — ``float64`` stores Python floats
-    exactly — and both break latency ties toward the lowest engine
-    index (``argmin`` returns the first occurrence and candidate lists
-    are index-ordered).
+    Every entry is filled through the owning :class:`CachedCostTable`'s
+    keyed lookup, so the floats are the cached values — a read here
+    answers exactly what the keyed path answers — and a first pricing
+    of a (code, engine, point) counts as that table's miss.  Each read
+    afterwards (:meth:`cost`, :meth:`ladder_row`, :meth:`fastest`)
+    counts as a hit.
+
+    The table is per run: only the scaled costs behind it are
+    process-wide (the memos), which keeps its fill cheap.  Sharing the
+    counting tables across runs would make the hit and miss counts the
+    multi-session report prints depend on what ran earlier.
     """
 
-    #: Idle-list width above which the numpy reduction beats the scalar
-    #: loop (empirically; either path gives identical answers).
-    VECTOR_WIDTH = 8
+    __slots__ = (
+        "system", "ladder", "position_by_id", "ids", "costs", "nominal",
+        "stats",
+    )
 
-    __slots__ = ("table", "subs", "_rows")
-
-    def __init__(self, table: CachedCostTable, subs: Iterable[EngineLike]) -> None:
-        self.table = table
-        self.subs = tuple(subs)
-        if [s.index for s in self.subs] != list(range(len(self.subs))):
+    def __init__(
+        self,
+        table: CachedCostTable,
+        system: FleetLike,
+        points: Iterable[DvfsPoint | None],
+        codes: Iterable[str],
+    ) -> None:
+        subs = tuple(system.subs)
+        if [s.index for s in subs] != list(range(len(subs))):
             raise ValueError(
-                "dense view needs an index-ordered engine tuple, got "
-                f"{[s.index for s in self.subs]}"
+                "price table needs an index-ordered engine tuple, got "
+                f"{[s.index for s in subs]}"
             )
-        #: (task_code, dvfs) -> dense pricing row.
-        self._rows: dict[tuple[str, DvfsPoint | None], Row] = {}
+        ladder: list[DvfsPoint | None] = [None]
+        for point in points:
+            if all(point is not known for known in ladder):
+                ladder.append(point)
+        self.system = system
+        self.ladder = tuple(ladder)
+        #: ``id(point)`` -> ladder position (the ladder keeps the points
+        #: alive, so an id cannot be reused while the table lives).
+        self.position_by_id = {
+            id(point): position for position, point in enumerate(ladder)
+        }
+        #: Every engine at the nominal position, for :meth:`fastest`.
+        self.nominal = (0,) * len(subs)
+        self.stats = table.stats
+        self.ids: dict[str, int] = {}
+        self.costs: list[tuple[tuple[ModelCost, ...], ...]] = []
+        lookup = table._lookup
+        for code in codes:
+            if code in self.ids:
+                continue
+            self.ids[code] = len(self.costs)
+            self.costs.append(tuple(
+                tuple(
+                    lookup(code, sub.dataflow, sub.num_pes, point)
+                    for point in self.ladder
+                )
+                for sub in subs
+            ))
 
-    def _fill(self, task_code: str, dvfs: DvfsPoint | None) -> Row:
-        lookup = self.table._lookup
-        costs = [
-            lookup(task_code, sub.dataflow, sub.num_pes, dvfs)
-            for sub in self.subs
-        ]
-        lats = tuple(c.latency_s for c in costs)
-        ens = tuple(c.energy_mj for c in costs)
-        entry = (
-            lats,
-            ens,
-            np.asarray(lats, dtype=np.float64),
-            np.asarray(ens, dtype=np.float64),
-        )
-        self._rows[(task_code, dvfs)] = entry
-        return entry
+    def position(self, point: DvfsPoint | None) -> int | None:
+        """The ladder position of ``point`` (by identity), if it has one."""
+        return self.position_by_id.get(id(point))
 
-    def row(self, task_code: str, dvfs: DvfsPoint | None = None) -> Row:
-        """The row of ``task_code`` at ``dvfs``: (lat, en, lat[], en[])."""
-        entry = self._rows.get((task_code, dvfs))
-        if entry is None:
-            return self._fill(task_code, dvfs)
-        # A row hit answers one dispatch-path pricing question, same as
-        # a _lookup hit did — keep the cache-effectiveness stats honest.
-        self.table.stats.hits += 1
-        return entry
+    def cost(self, code_id: int, engine_index: int,
+             position: int) -> ModelCost:
+        """One code's cost on one engine at one ladder position."""
+        self.stats.hits += 1
+        return self.costs[code_id][engine_index][position]
 
-    def latencies(self, task_code: str,
-                  dvfs: DvfsPoint | None = None) -> npt.NDArray[np.float64]:
-        """Per-engine latency array of ``task_code`` at ``dvfs``."""
-        return self.row(task_code, dvfs)[2]
+    def ladder_row(self, code_id: int,
+                   engine_index: int) -> tuple[ModelCost, ...]:
+        """One code's costs on one engine, indexed by ladder position."""
+        self.stats.hits += 1
+        return self.costs[code_id][engine_index]
 
-    def latency_energy(
-        self, task_code: str, engine_index: int,
-        dvfs: DvfsPoint | None = None,
-    ) -> tuple[float, float]:
-        """(latency_s, energy_mj) of one engine — a scalar probe."""
-        entry = self.row(task_code, dvfs)
-        return entry[0][engine_index], entry[1][engine_index]
+    def fastest(self, code_id: int, engines: Iterable[_E],
+                positions: Sequence[int]) -> _E:
+        """The engine among ``engines`` that runs ``code_id`` fastest.
 
-    def best_engine_index(
-        self, task_code: str, idle_indices: Sequence[int],
-        dvfs: DvfsPoint | None = None,
-    ) -> int:
-        """Fastest engine for ``task_code`` among ``idle_indices``.
-
-        ``idle_indices`` must be ascending (the fleet's idle list is);
-        ties on latency go to the lowest index on both the scalar and
-        the vectorised path.
+        Each engine is priced at its own ``positions[engine.index]``.
+        ``engines`` must be index-ordered and non-empty (the fleet's
+        idle list is), so keeping the first of equal latencies breaks
+        ties toward the lowest index, like ``min`` keyed on
+        (latency, index).
         """
-        entry = self._rows.get((task_code, dvfs))
-        if entry is None:
-            entry = self._fill(task_code, dvfs)
-        else:
-            self.table.stats.hits += 1
-        if len(idle_indices) > self.VECTOR_WIDTH:
-            taken = entry[2].take(idle_indices)
-            return idle_indices[int(taken.argmin())]
-        lats = entry[0]
-        best = idle_indices[0]
-        best_lat = lats[best]
-        for index in idle_indices[1:]:
-            lat = lats[index]
-            if lat < best_lat:
-                best, best_lat = index, lat
+        self.stats.hits += 1
+        row = self.costs[code_id]
+        best: _E | None = None
+        best_latency = 0.0
+        for engine in engines:
+            index = engine.index
+            latency = row[index][positions[index]].latency_s
+            if best is None or latency < best_latency:
+                best, best_latency = engine, latency
+        if best is None:
+            raise ValueError("no engine to choose from")
         return best
 
 

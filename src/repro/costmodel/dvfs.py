@@ -14,6 +14,9 @@ than open-ended.  This module makes that trade concrete:
   point, *consistently*: the per-layer breakdown and utilization are
   rescaled along with the totals, so layer sums always equal the model
   totals at every ladder point.
+* :func:`memoized_scale_cost` — :func:`scale_cost` answered from a
+  process-wide memo, so each (engine shape, graph, point) is scaled once
+  per process however many cost tables price it.
 * :func:`best_point_for_slack` — picks the slowest (most energy-efficient)
   point that still fits a latency budget, i.e. the paper's
   slack-into-energy optimisation.
@@ -26,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .analysis import _RAMP_CYCLES, LayerCost, ModelCost
+from .analysis import _RAMP_CYCLES, LayerCost, ModelCost, ordered_sum
 
 __all__ = ["DvfsPoint", "DEFAULT_DVFS_POINTS", "scale_cost",
-           "best_point_for_slack"]
+           "memoized_scale_cost", "best_point_for_slack"]
 
 
 @dataclass(frozen=True)
@@ -150,8 +153,8 @@ def scale_cost(cost: ModelCost, point: DvfsPoint,
         _scale_layer(lc, point, energy_factor) for lc in cost.layer_costs
     )
     if layers:
-        latency_s = sum(lc.latency_s for lc in layers)
-        energy_mj = sum(lc.energy_mj for lc in layers)
+        latency_s = ordered_sum(lc.latency_s for lc in layers)
+        energy_mj = ordered_sum(lc.energy_mj for lc in layers)
     else:
         # Hand-built costs without a layer breakdown: scale the totals.
         latency_s = cost.latency_s * point.latency_scale
@@ -167,6 +170,31 @@ def scale_cost(cost: ModelCost, point: DvfsPoint,
         utilization=utilization,
         layer_costs=layers,
     )
+
+
+#: Process-wide memo of :func:`scale_cost` at the default leakage
+#: fraction: ``(id(nominal), point) -> (nominal, scaled)``.  Keyed on the
+#: identity of the nominal cost (the value holds a reference, so the id
+#: cannot be reused while the entry lives): two tables with different
+#: base tables or registered graphs price different nominal objects and
+#: never share an entry, while every table over the shared
+#: :func:`~repro.costmodel.analysis.memoized_model_cost` answers does.
+_SCALED_COST_MEMO: dict[
+    tuple[int, DvfsPoint], tuple[ModelCost, ModelCost]
+] = {}
+
+
+def memoized_scale_cost(cost: ModelCost, point: DvfsPoint) -> ModelCost:
+    """``scale_cost(cost, point)`` answered from the process-wide memo.
+
+    Each :class:`~repro.costmodel.CachedCostTable` is per run, so without
+    this memo every run re-derived the same scaled costs layer by layer.
+    """
+    key = (id(cost), point)
+    entry = _SCALED_COST_MEMO.get(key)
+    if entry is None:
+        entry = _SCALED_COST_MEMO[key] = (cost, scale_cost(cost, point))
+    return entry[1]
 
 
 def best_point_for_slack(

@@ -100,11 +100,15 @@ class AcceleratorSystem:
         sub_index: int,
         dvfs: DvfsPoint | None = None,
     ) -> ModelCost:
-        """DVFS-aware cost lookup through the dispatch-path cache.
+        """DVFS-aware keyed cost lookup.
 
         A :class:`~repro.costmodel.CachedCostTable` answers from its
         (task, engine, DVFS) memo; any other table falls back to the
-        plain per-engine lookup plus on-the-fly DVFS scaling.
+        plain per-engine lookup plus on-the-fly DVFS scaling.  During a
+        run the dispatch path does not come here for a cached table: it
+        reads the run's :class:`~repro.costmodel.PriceTable` by index.
+        This keyed path prices tables without prices, points off the
+        run's ladder, and callers outside a run.
         """
         sub = self.subs[sub_index]
         lookup = getattr(table, "engine_cost", None)

@@ -217,8 +217,9 @@ class FaultPlan:
 
     @property
     def has_thermal(self) -> bool:
-        """Whether any event moves a DVFS ceiling (disables the dense
-        uniform-base pricing fast path for the run)."""
+        """Whether any event moves a DVFS ceiling (the run then prices
+        the thermal clamp points and reads each engine's effective
+        point)."""
         return any(e.kind in (THERMAL_THROTTLE, THERMAL_RELEASE)
                    for e in self.events)
 

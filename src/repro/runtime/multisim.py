@@ -49,10 +49,12 @@ Key properties:
   rates normalise by *active* (not streamed) duration.  System-level busy
   time and the execution-record log live on the
   :class:`MultiSessionResult`.
-* **Cost caching**: dispatch-path pricing flows through
-  :meth:`repro.hardware.AcceleratorSystem.engine_cost`, which answers
-  from a :class:`~repro.costmodel.CachedCostTable` keyed on
-  (task, engine, DVFS state) when one is supplied.
+* **Cost caching**: with a :class:`~repro.costmodel.CachedCostTable`
+  (the default) each run builds one :class:`~repro.costmodel.PriceTable`
+  — every code it can dispatch, on every engine, at every DVFS point it
+  can run — and the dispatch path reads prices by (code id, engine
+  index, ladder position).  Other tables are priced per call through
+  :meth:`repro.hardware.AcceleratorSystem.engine_cost`.
 * **Slack-aware DVFS** (``dvfs_policy``): a
   :class:`~repro.runtime.governor.DvfsGovernor` consulted at every
   dispatch boundary may move the engine's operating point per piece of
@@ -415,7 +417,10 @@ class MultiScenarioSimulator:
         duration_s: streamed seconds per session (must be positive).
         costs: the cost table; for segment granularity a table without a
             graph registry is wrapped in a :class:`CachedCostTable` so
-            virtual segment codes are priceable.
+            virtual segment codes are priceable.  A table keeping prices
+            (``CachedCostTable``) gets a per-run
+            :class:`~repro.costmodel.PriceTable` the dispatch path reads
+            by index; any other table is priced per call.
         granularity: ``"model"`` (whole-model dispatch, the seed
             behaviour) or ``"segment"`` (split models yield engines at
             segment boundaries).
@@ -617,28 +622,28 @@ class MultiScenarioSimulator:
     def _plan_segments(self, costs) -> dict[str, SegmentChain]:
         """Per-model compile-time segment chains, registering segment graphs.
 
-        Models that cannot be split (too few layers, no residual-safe
-        cuts) are simply absent — the event loop gives them a lazy
-        whole-model chain.  Phase scenarios' models are planned too — a
-        session may only stream them mid-run.  Each plan is a
-        :class:`~repro.runtime.segmentation.SegmentChain`: the piece
-        codes plus prebuilt suffix views and a per-(engine, point)
-        latency memo, resolved once here instead of per request.
+        Every model a session can stream gets a chain — phase scenarios'
+        models too, as a session may only stream them mid-run.  Each is
+        a :class:`~repro.runtime.segmentation.SegmentChain`: the piece
+        codes plus prebuilt suffix views and a per-(engine, ladder
+        position) latency memo, resolved once here instead of per
+        request.  Models that are not split (model granularity, too few
+        layers, no residual-safe cuts) get a whole-model chain.
         """
-        plans: dict[str, SegmentChain] = {}
-        if self.granularity != "segment" or self.segments_per_model < 2:
-            return plans
+        split = self.granularity == "segment" and self.segments_per_model >= 2
         planned = self.segment_plan
-        seen: set[str] = set()
+        plans: dict[str, SegmentChain] = {}
         scenarios = []
         for spec in self.sessions:
             scenarios.append(spec.scenario)
             scenarios.extend(p.scenario for p in spec.phases)
         for scenario in scenarios:
             for sm in scenario.models:
-                if sm.code in seen:
+                if sm.code in plans:
                     continue
-                seen.add(sm.code)
+                plans[sm.code] = SegmentChain(sm.code, (None,))
+                if not split:
+                    continue
                 if planned is not None:
                     # A compiled plan is the authority on what splits:
                     # absent models run whole without re-attempting the
@@ -713,23 +718,44 @@ class MultiScenarioSimulator:
         ])
         idle = fleet.idle  # live, index-ordered; maintained by the fleet
         engines = fleet.engines
-        # Candidate sweeps price through the table's dense per-fleet view
-        # when it has one (CachedCostTable); the vectorised sweep prices
-        # one (task, point) row, so it needs every engine at the same
-        # base point — mixed engine_dvfs configurations keep the
-        # per-engine lookup path.
-        dense = getattr(costs, "dense_view", None)
-        view = dense(self.system) if dense is not None else None
-        base_points = {engine.dvfs for engine in fleet}
-        # A fault plan with thermal events moves per-engine ceilings
-        # mid-run, so the uniform-base dense sweep (one row for the
-        # whole fleet) cannot be trusted — fall back to per-engine
-        # pricing for the run.
         fplan = self._fault_plan
-        uniform_base = len(base_points) == 1 and (
-            fplan is None or not fplan.has_thermal
+        thermal = fplan is not None and fplan.has_thermal
+        # The throttle clamp points come off the governor's ladder when
+        # one is installed, so governed and clamped choices price the
+        # same points.
+        thermal_ladder = tuple(
+            getattr(governor, "points", DEFAULT_DVFS_POINTS)
         )
-        base_point = base_points.pop() if uniform_base else None
+        # A table keeping prices (CachedCostTable) gets one price table
+        # for the run: every code the run can dispatch, on every engine,
+        # at every point the run can price — nominal, the governor's
+        # ladder, the engines' base points and the thermal clamp points.
+        # The dispatch path reads it by (code id, engine index, ladder
+        # position): a work item's code id is its chain's ``ids`` entry,
+        # and ``positions[i]`` is engine i's effective point, resolved
+        # here and again whenever a throttle fires or lifts.
+        price_table = getattr(costs, "price_table", None)
+        prices = None
+        if price_table is not None:
+            points = [*getattr(governor, "points", ())]
+            points.extend(engine.dvfs for engine in engines)
+            if thermal:
+                points.extend(thermal_ladder)
+            codes = []
+            for chain in chains.values():
+                codes.append(chain.model_code)
+                codes.extend(code for code in chain.codes if code)
+            prices = price_table(self.system, points, codes)
+            for chain in chains.values():
+                chain.ids = tuple(
+                    prices.ids[code or chain.model_code]
+                    for code in chain.codes
+                )
+            base_positions = [prices.position(e.dvfs) for e in engines]
+            positions = list(base_positions)
+        #: The governor's view of each dispatch instant: one object per
+        #: run, updated in place (see DispatchContext).
+        context = DispatchContext()
         events = EventQueue()
         states: dict[int, _SessionState] = {}
         for spec in sorted(self.sessions, key=lambda s: s.session_id):
@@ -808,7 +834,6 @@ class MultiScenarioSimulator:
         retry_counts: dict[int, int] = {}
         kill_times: dict[int, float] = {}
         thermal_caps: dict[tuple[float, int], float] = {}
-        thermal = fplan is not None and fplan.has_thermal
         if fplan is not None:
             fault_kinds = {
                 "engine_fail": EventKind.ENGINE_FAIL,
@@ -830,12 +855,6 @@ class MultiScenarioSimulator:
                     thermal_caps[(fe.time_s, fe.engine_index)] = (
                         fe.max_frequency_scale
                     )
-            # The throttle clamp points come off the governor's ladder
-            # when one is installed, so governed and clamped choices
-            # price the same points.
-            thermal_ladder = tuple(
-                getattr(governor, "points", DEFAULT_DVFS_POINTS)
-            )
 
         #: In-flight requests waiting for their next segment, as a heap
         #: ordered like the waiting queue (oldest data first, session and
@@ -910,12 +929,18 @@ class MultiScenarioSimulator:
                 heapq.heapify(resumable)
 
         def cheapest_latency(code: str) -> float:
-            """A task's best-engine latency, priced through the cache."""
+            """A task's best-engine latency at the engines' base points."""
+            code_id = prices.ids.get(code) if prices is not None else None
+            if code_id is None:
+                return min(
+                    self.system.engine_cost(
+                        costs, code, engine.index, engine.dvfs
+                    ).latency_s
+                    for engine in engines
+                )
             return min(
-                self.system.engine_cost(
-                    costs, code, engine.index, engine.dvfs
-                ).latency_s
-                for engine in engines
+                prices.cost(code_id, index, base_positions[index]).latency_s
+                for index in range(len(engines))
             )
 
         def apply_degrade(action: ControlAction) -> None:
@@ -956,14 +981,11 @@ class MultiScenarioSimulator:
 
             Segment plans are resolved exactly once, here, and ride on
             the work item — as its compile-time chain — for the rest of
-            the request's life: successors and governor reservations
-            index the chain instead of re-probing the plan table.
-            Models without a split plan get a lazy whole-model chain.
+            the request's life: successors, prices and governor
+            reservations index the chain instead of re-probing the plan
+            table.
             """
-            code = request.model_code
-            chain = chains.get(code)
-            if chain is None:
-                chain = chains[code] = SegmentChain(code, (None,))
+            chain = chains[request.model_code]
             codes = chain.codes
             return WorkItem(
                 request, session_id, 0, len(codes), codes[0], chain
@@ -973,38 +995,50 @@ class MultiScenarioSimulator:
                   now_s: float) -> None:
             state = states[item.session_id]
             request = item.request
+            index = engine.index
             if governor is None:
-                # effective_dvfs is the identical object as the base
-                # point unless a thermal ceiling is active, so the
-                # clamp probe stays off the fault-free hot path.
-                point = engine.effective_dvfs if thermal else engine.dvfs
-                cost = self.system.engine_cost(
-                    costs, item.code, engine.index, point
-                )
+                if prices is not None:
+                    cost = prices.cost(
+                        item.chain.ids[item.segment_index], index,
+                        positions[index],
+                    )
+                else:
+                    # effective_dvfs is the identical object as the base
+                    # point unless a thermal ceiling is active, so the
+                    # clamp probe stays off the fault-free hot path.
+                    point = engine.effective_dvfs if thermal else engine.dvfs
+                    cost = self.system.engine_cost(
+                        costs, item.code, index, point
+                    )
                 end_s = fleet.begin(engine, item, now_s, cost)
             else:
                 # The dispatch boundary is the governor's decision
                 # point: it may move the engine's operating point for
-                # this piece of work (cost lookups stay cached — the
-                # table keys on the point).  The remaining chain is the
-                # item's prebuilt suffix view, whose latency memo the
-                # governor prices its reservations from.
-                context = DispatchContext(
-                    contended=bool(waiting) or bool(resumable),
-                    next_event_s=events.next_time_s,
-                    has_dependents=bool(
-                        state.deps is not None
-                        and state.deps.downstream_of(request.model_code)
-                    ),
+                # this piece of work.  The remaining chain is the item's
+                # prebuilt suffix view, whose latency memo the governor
+                # prices its reservations from.  The returned point is
+                # priced at its ladder position (resolved by identity);
+                # a point off the ladder goes through the keyed lookup.
+                context.contended = bool(waiting) or bool(resumable)
+                context.next_event_s = events.next_time_s
+                context.has_dependents = (
+                    state.deps is not None
+                    and request.model_code in state.deps.upstream
                 )
                 point = governor.select(
                     now_s, item, engine,
                     item.chain.suffixes[item.segment_index + 1],
                     self.system, costs, context,
                 )
-                cost = self.system.engine_cost(
-                    costs, item.code, engine.index, point
-                )
+                at = prices.position(point) if prices is not None else None
+                if at is None:
+                    cost = self.system.engine_cost(
+                        costs, item.code, index, point
+                    )
+                else:
+                    cost = prices.cost(
+                        item.chain.ids[item.segment_index], index, at
+                    )
                 end_s = fleet.begin(engine, item, now_s, cost, dvfs=point)
             if item.is_first_segment:
                 request.start_time_s = now_s
@@ -1013,13 +1047,13 @@ class MultiScenarioSimulator:
             # A single scalar cannot express segment migration: this ends
             # up as the *final* segment's engine.  Exact per-segment
             # attribution lives in the ExecutionRecords.
-            request.accelerator_id = engine.index
+            request.accelerator_id = index
             # Per-session busy time clips to the session's active span
             # (arrival to departure/horizon): the drain tail past it is
             # real execution (the records keep it) but must not push the
             # session's window-normalised utilization past 100%.
             active_end_s = state.windows[-1][1]
-            state.busy_time_s[engine.index] += max(
+            state.busy_time_s[index] += max(
                 0.0, min(end_s, active_end_s) - now_s
             )
             if item.is_final_segment:
@@ -1028,36 +1062,26 @@ class MultiScenarioSimulator:
                 end_s,
                 EventKind.COMPLETION,
                 request,
-                engine.index,
+                index,
                 session_id=item.session_id,
             )
 
         def best_engine_for(item: WorkItem) -> ExecutionEngine:
-            # Single idle engine: nothing to compare.  Uniform base
-            # point + dense view: one latency-row sweep, lowest index
-            # wins ties — the same choice as the ``min`` below, minus
-            # the per-candidate keyed lookups.
+            # Single idle engine: nothing to compare.  Otherwise each
+            # idle engine is priced at its own effective point (its base
+            # point, or its thermal clamp while throttled); the lowest
+            # latency wins and ties go to the lowest index.
             if len(idle) == 1:
                 return idle[0]
-            if view is not None and uniform_base:
-                return engines[view.best_engine_index(
-                    item.code, [e.index for e in idle], base_point
-                )]
-            if thermal:
-                return min(
-                    idle,
-                    key=lambda e: (
-                        self.system.engine_cost(
-                            costs, item.code, e.index, e.effective_dvfs
-                        ).latency_s,
-                        e.index,
-                    ),
+            if prices is not None:
+                return prices.fastest(
+                    item.chain.ids[item.segment_index], idle, positions
                 )
             return min(
                 idle,
                 key=lambda e: (
                     self.system.engine_cost(
-                        costs, item.code, e.index, e.dvfs
+                        costs, item.code, e.index, e.effective_dvfs
                     ).latency_s,
                     e.index,
                 ),
@@ -1389,13 +1413,20 @@ class MultiScenarioSimulator:
                 elif kind is ENGINE_RECOVER:
                     fleet.recover(sub_index, now_s)
                 elif kind is THERMAL_THROTTLE:
-                    engines[sub_index].throttle(
+                    engine = engines[sub_index]
+                    engine.throttle(
                         now_s,
                         thermal_caps[(now_s, sub_index)],
                         thermal_ladder,
                     )
+                    if prices is not None:
+                        positions[sub_index] = prices.position(
+                            engine.effective_dvfs
+                        )
                 elif kind is THERMAL_RELEASE:
                     engines[sub_index].release_thermal(now_s)
+                    if prices is not None:
+                        positions[sub_index] = base_positions[sub_index]
                 elif kind is WORK_RETRY:
                     item = retry_items.pop(request.request_id, None)
                     if item is not None:

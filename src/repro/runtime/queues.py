@@ -185,6 +185,15 @@ class DependencyTracker:
     """Maps completed upstream inferences to downstream spawns."""
 
     scenario: UsageScenario
+    #: Codes whose completion triggers downstream models: a set probe
+    #: answers "does this model have dependents" without building
+    #: :meth:`downstream_of`'s list.
+    upstream: frozenset[str] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.upstream = frozenset(
+            d.upstream for d in self.scenario.dependencies
+        )
 
     def downstream_of(self, model_code: str) -> list[Dependency]:
         """Dependencies that fire when ``model_code`` completes a frame."""

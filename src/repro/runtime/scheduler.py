@@ -91,18 +91,20 @@ def _best_engine(
 
     Engines are priced for the whole model at the nominal operating
     point, also when the item is one segment of it: a segment's relative
-    engine affinity matches its parent model's.  A table exposing
-    ``dense_view`` (:class:`~repro.costmodel.CachedCostTable`) answers
-    the whole sweep from one per-fleet latency row; other tables are
-    priced per engine.  Both paths pick the same engine: the dense row
-    holds the cache's own nominal-point floats and breaks latency ties
-    toward the lowest index, exactly like the ``min`` key
+    engine affinity matches its parent model's.  During a run, a table
+    keeping prices (:class:`~repro.costmodel.CachedCostTable`) answers
+    from the run's :class:`~repro.costmodel.PriceTable` by index; other
+    tables are priced per engine.  Both paths pick the same engine: the
+    price table holds the keyed lookup's nominal floats and breaks
+    latency ties toward the lowest index, exactly like the ``min`` key
     (``idle_engines`` is index-ordered).
     """
     if len(idle_engines) == 1:
         return idle_engines[0]
-    dense = getattr(costs, "dense_view", None)
-    if dense is None:
+    prices_of = getattr(costs, "prices", None)
+    prices = prices_of(system) if prices_of is not None else None
+    code_id = prices.ids.get(code) if prices is not None else None
+    if prices is None or code_id is None:
         return min(
             idle_engines,
             key=lambda e: (
@@ -110,10 +112,7 @@ def _best_engine(
                 e.index,
             ),
         )
-    best = dense(system).best_engine_index(
-        code, [e.index for e in idle_engines], None
-    )
-    return next(e for e in idle_engines if e.index == best)
+    return prices.fastest(code_id, idle_engines, prices.nominal)
 
 
 @dataclass

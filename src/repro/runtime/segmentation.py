@@ -12,7 +12,7 @@ pipelining across engines.
 
 Usage::
 
-    from repro.runtime.segmentation import segment_scenario, SegmentedCostTable
+    from repro.runtime.segmentation import segment_scenario
 
     scenario, table = segment_scenario(get_scenario("ar_gaming"), "PD", 2)
     sim = Simulator(scenario=scenario, system=system,
@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.costmodel import CostTable, Dataflow, GraphRegistry
-from repro.costmodel.analysis import CostModel, ModelCost, memoized_model_cost
+from repro.costmodel import CachedCostTable, PriceTable
 from repro.nn import ModelGraph
 from repro.workload import (
     Dependency,
@@ -32,7 +31,8 @@ from repro.workload import (
     ScenarioModel,
     UsageScenario,
 )
-__all__ = ["split_graph", "SegmentedCostTable", "segment_scenario",
+
+__all__ = ["split_graph", "segment_scenario",
            "segment_code", "dispatch_segment_code",
            "SegmentChain", "ChainSuffix"]
 
@@ -129,23 +129,30 @@ class SegmentChain:
 
     Built once per run at segment-plan time (simulator "spec compile"),
     a chain records the model's piece codes — ``(None,)`` for a model
-    dispatched whole — and memoises the per-``(engine, DVFS point)``
+    dispatched whole — and, once the run has built its
+    :class:`~repro.costmodel.PriceTable`, the pieces' code ids in it
+    (:attr:`ids`).  It memoises the per-``(engine, ladder position)``
     latency suffixes the slack governor reserves deadline budget with.
     The event loop hangs the chain on every
     :class:`~repro.runtime.engine.WorkItem` it creates, so successor
-    segments and governor budget reservations never re-derive the plan
-    per request: resolving segment ``k``'s follow-up is a tuple index,
-    and reserving the remaining chain's time is one memo probe instead
-    of a cost-table query per remaining segment per candidate point.
+    segments, prices and governor budget reservations never re-derive
+    the plan per request: segment ``k``'s follow-up and its code id are
+    tuple indexes, and reserving the remaining chain's time is one memo
+    probe instead of a cost-table query per remaining segment per
+    candidate point.
     """
 
-    __slots__ = ("model_code", "codes", "suffixes", "_latencies")
+    __slots__ = ("model_code", "codes", "ids", "suffixes", "_latencies")
 
     def __init__(self, model_code: str, codes) -> None:
         self.model_code = model_code
         self.codes: tuple[str | None, ...] = tuple(codes)
         if not self.codes:
             raise ValueError(f"segment chain of {model_code!r} is empty")
+        #: ``ids[k]`` is piece ``k``'s code id in the run's price table
+        #: (the model's own id for a whole-model piece); empty until
+        #: the run assigns them, and unused on tables without prices.
+        self.ids: tuple[int, ...] = ()
         #: ``suffixes[k]`` is the read-only view of the codes from
         #: segment ``k`` on (``suffixes[len(codes)]`` is the empty tail a
         #: final segment passes to the governor).  Prebuilt so the
@@ -153,33 +160,30 @@ class SegmentChain:
         self.suffixes = tuple(
             ChainSuffix(self, start) for start in range(len(self.codes) + 1)
         )
-        self._latencies: dict[tuple, tuple[float, ...]] = {}
+        self._latencies: dict[tuple[int, int, int], tuple[float, ...]] = {}
 
     @property
     def num_segments(self) -> int:
         return len(self.codes)
 
     def remaining_latencies(
-        self, start: int, costs, system, engine_index: int, dvfs
+        self, start: int, prices: PriceTable, engine_index: int,
+        position: int,
     ) -> tuple[float, ...]:
         """Latency of each segment from ``start`` on, on one engine.
 
-        Priced through ``system.engine_cost`` exactly like the per-call
-        formulation — same table, same floats — and memoised per
-        ``(start, engine, point)``, which is what turns the governor's
-        remaining-work reservation into a table probe.
+        Read from the run's price table — the floats the per-call keyed
+        formulation prices — and memoised per ``(start, engine, ladder
+        position)``, which is what turns the governor's remaining-work
+        reservation into one probe.
         """
-        key = (start, engine_index, dvfs)
+        key = (start, engine_index, position)
         cached = self._latencies.get(key)
         if cached is None:
-            model_code = self.model_code
-            cached = tuple(
-                system.engine_cost(
-                    costs, code or model_code, engine_index, dvfs
-                ).latency_s
-                for code in self.codes[start:]
+            cached = self._latencies[key] = tuple(
+                prices.cost(code_id, engine_index, position).latency_s
+                for code_id in self.ids[start:]
             )
-            self._latencies[key] = cached
         return cached
 
 
@@ -189,8 +193,9 @@ class ChainSuffix:
     What the event loop hands a :class:`~repro.runtime.governor.DvfsGovernor`
     as ``remaining_codes``: iterating yields the later segments' cost
     codes (``None`` = whole model), and governors that reserve deadline
-    budget can call :meth:`remaining_latencies` to price the whole tail
-    from the chain's memo instead of per-segment cost-table queries.
+    budget can call :meth:`remaining_latencies` to read the whole tail
+    from the chain's memo over the run's price table instead of pricing
+    each segment per call.
     """
 
     __slots__ = ("chain", "start")
@@ -219,41 +224,21 @@ class ChainSuffix:
         )
 
     def remaining_latencies(
-        self, costs, system, engine_index: int, dvfs
+        self, prices: PriceTable, engine_index: int, position: int
     ) -> tuple[float, ...]:
-        """Per-segment latencies of this tail on one engine (memoised)."""
+        """Per-segment latencies of this tail on one engine at one ladder
+        position of the run's price table (memoised on the chain)."""
         return self.chain.remaining_latencies(
-            self.start, costs, system, engine_index, dvfs
+            self.start, prices, engine_index, position
         )
-
-
-class SegmentedCostTable(GraphRegistry, CostTable):
-    """A cost table that also knows the virtual segment graphs."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._graphs = {}
-
-    def cost(
-        self, task_code: str, dataflow: Dataflow, num_pes: int
-    ) -> ModelCost:
-        key = (task_code, dataflow, num_pes)
-        if key in self._cache:
-            return self._cache[key]
-        graph = self._graphs.get(task_code)
-        if graph is None:
-            return super().cost(task_code, dataflow, num_pes)
-        engine = CostModel(dataflow=dataflow, num_pes=num_pes)
-        self._cache[key] = memoized_model_cost(engine, graph)
-        return self._cache[key]
 
 
 def segment_scenario(
     scenario: UsageScenario,
     code: str,
     segments: int,
-    table: SegmentedCostTable | None = None,
-) -> tuple[UsageScenario, SegmentedCostTable]:
+    table: CachedCostTable | None = None,
+) -> tuple[UsageScenario, CachedCostTable]:
     """Replace one model with a chain of pipelined segments.
 
     Returns the variant scenario and a cost table that can price the
@@ -274,7 +259,7 @@ def segment_scenario(
                 f"cannot segment {code!r}: it participates in the "
                 f"dependency {dep.upstream}->{dep.downstream}"
             )
-    table = table or SegmentedCostTable()
+    table = table if table is not None else CachedCostTable()
     pieces = split_graph(base_sm.model.graph, segments)
 
     seg_models: list[ScenarioModel] = []

@@ -54,6 +54,14 @@ class TestCachedCostTable:
         assert slow.latency_s > fast.latency_s
         assert table.stats.misses == 2
 
+    def test_scaled_costs_shared_across_tables(self):
+        # Each run builds a fresh table; the DVFS-scaled cost comes from
+        # the process-wide memo, so a second table re-derives nothing.
+        sub = type("Sub", (), {"dataflow": Dataflow.OS, "num_pes": 4096})()
+        eco = DvfsPoint("eco", 0.5)
+        first = CachedCostTable().engine_cost("SR", sub, eco)
+        assert CachedCostTable().engine_cost("SR", sub, eco) is first
+
     def test_registered_segment_graphs_priceable(self):
         graph = UNIT_MODELS["PD"].graph
         pieces = split_graph(graph, 2)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.core.config import CLOCK_HZ
 from repro.costmodel import (
     DEFAULT_DVFS_POINTS,
     CostTable,
@@ -11,6 +14,21 @@ from repro.costmodel import (
     DvfsPoint,
     best_point_for_slack,
     scale_cost,
+)
+from repro.costmodel.dvfs import memoized_scale_cost
+from repro.hardware import ACCELERATOR_IDS, PE_BUDGETS, build_accelerator
+from repro.workload import UNIT_MODELS
+
+#: Every (dataflow, PE count) engine shape of Table 5's 13 accelerators
+#: at both PE budgets.
+ENGINE_SHAPES = sorted(
+    {
+        (sub.dataflow, sub.num_pes)
+        for acc_id in ACCELERATOR_IDS
+        for pes in PE_BUDGETS.values()
+        for sub in build_accelerator(acc_id, pes).subs
+    },
+    key=lambda shape: (shape[0].value, shape[1]),
 )
 
 
@@ -198,3 +216,74 @@ class TestScaleCostConsistency:
             assert sum(
                 lc.energy_mj for lc in scaled.layer_costs
             ) == pytest.approx(scaled.energy_mj)
+
+
+def _left_to_right(values):
+    """``sum()`` as CPython 3.11 and earlier compute it: no compensation."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+@pytest.mark.parametrize(
+    "dataflow,num_pes", ENGINE_SHAPES,
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_prices_sum_layers_left_to_right(dataflow, num_pes):
+    """Every price is a plain left-to-right sum of its layers.
+
+    CPython 3.12's ``sum()`` of floats is compensated and can round the
+    last bit differently; the governors compare these floats, so the
+    cost model must reduce in the same order on every interpreter.  At
+    nominal, latency is total cycles over the clock.
+    """
+    assert len(ENGINE_SHAPES) == 16
+    for code in sorted(UNIT_MODELS):
+        nominal = CostTable().cost(code, dataflow, num_pes)
+        layers = nominal.layer_costs
+        cycles = _left_to_right(lc.latency_cycles for lc in layers)
+        assert nominal.latency_s == cycles / CLOCK_HZ
+        assert nominal.energy_mj == _left_to_right(
+            lc.energy_mj for lc in layers
+        )
+        for point in DEFAULT_DVFS_POINTS:
+            scaled = scale_cost(nominal, point)
+            assert scaled.latency_s == _left_to_right(
+                lc.latency_s for lc in scaled.layer_costs
+            )
+            assert scaled.energy_mj == _left_to_right(
+                lc.energy_mj for lc in scaled.layer_costs
+            )
+
+
+class TestMemoizedScaleCost:
+    def test_answers_scale_cost_once(self, nominal_cost):
+        for point in DEFAULT_DVFS_POINTS:
+            memo = memoized_scale_cost(nominal_cost, point)
+            assert memo == scale_cost(nominal_cost, point)
+            assert memoized_scale_cost(nominal_cost, point) is memo
+
+    def test_keys_on_the_nominal_cost_identity(self, nominal_cost):
+        # Another table's nominal cost never shares an entry, even when
+        # it is equal: only the identical object does.
+        eco = DEFAULT_DVFS_POINTS[0]
+        twin = dataclasses.replace(nominal_cost)
+        assert memoized_scale_cost(twin, eco) == memoized_scale_cost(
+            nominal_cost, eco
+        )
+        assert memoized_scale_cost(twin, eco) is not memoized_scale_cost(
+            nominal_cost, eco
+        )
+        other = dataclasses.replace(
+            nominal_cost, latency_s=2 * nominal_cost.latency_s,
+            layer_costs=(),
+        )
+        assert memoized_scale_cost(other, eco).latency_s == (
+            2 * nominal_cost.latency_s * eco.latency_scale
+        )
+
+    def test_same_name_different_scale_not_conflated(self, nominal_cost):
+        fast = memoized_scale_cost(nominal_cost, DvfsPoint("boost", 1.3))
+        slow = memoized_scale_cost(nominal_cost, DvfsPoint("boost", 1.1))
+        assert slow.latency_s > fast.latency_s

@@ -5,11 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core import score_simulation
-from repro.costmodel import Dataflow
+from repro.costmodel import CachedCostTable, Dataflow
 from repro.hardware import build_accelerator
 from repro.runtime import (
     LatencyGreedyScheduler,
-    SegmentedCostTable,
     Simulator,
     segment_scenario,
     split_graph,
@@ -68,16 +67,22 @@ class TestSplitGraph:
             split_graph(g, g.num_layers + 1)
 
 
-class TestSegmentedCostTable:
+class TestSegmentGraphPricing:
+    """Segment pieces registered on the one cost-table class.
+
+    Zoo codes falling through to the base table and conflicting
+    registrations are covered in ``tests/costmodel/test_cached.py``.
+    """
+
     def test_registered_graph_used(self):
-        table = SegmentedCostTable()
+        table = CachedCostTable()
         pieces = split_graph(build_model("PD"), 2)
         table.register_graph("PD.0", pieces[0])
         cost = table.cost("PD.0", Dataflow.WS, 4096)
         assert cost.model_name == "plane_detection.0"
 
     def test_segments_cheaper_than_whole(self):
-        table = SegmentedCostTable()
+        table = CachedCostTable()
         pieces = split_graph(build_model("PD"), 2)
         table.register_graph("PD.0", pieces[0])
         table.register_graph("PD.1", pieces[1])
@@ -87,17 +92,6 @@ class TestSegmentedCostTable:
         assert part0 < whole and part1 < whole
         # Splitting adds only the per-layer ramp overhead.
         assert part0 + part1 == pytest.approx(whole, rel=0.05)
-
-    def test_zoo_codes_still_work(self):
-        table = SegmentedCostTable()
-        assert table.cost("KD", Dataflow.WS, 1024).latency_s > 0
-
-    def test_duplicate_registration_rejected(self):
-        table = SegmentedCostTable()
-        pieces = split_graph(build_model("PD"), 2)
-        table.register_graph("PD.0", pieces[0])
-        with pytest.raises(ValueError, match="already registered"):
-            table.register_graph("PD.0", pieces[1])
 
 
 class TestSegmentScenario:
@@ -140,7 +134,7 @@ class TestSegmentScenario:
 class TestSegmentedExecution:
     def run(self, segments: int):
         if segments == 1:
-            scenario, table = get_scenario("ar_gaming"), SegmentedCostTable()
+            scenario, table = get_scenario("ar_gaming"), CachedCostTable()
         else:
             scenario, table = segment_scenario(
                 get_scenario("ar_gaming"), "PD", segments
@@ -192,7 +186,7 @@ class TestSharedTableReuse:
     """
 
     def test_segment_scenario_twice_on_one_table(self):
-        table = SegmentedCostTable()
+        table = CachedCostTable()
         first, t1 = segment_scenario(
             get_scenario("ar_gaming"), "PD", 2, table
         )
@@ -204,7 +198,7 @@ class TestSharedTableReuse:
         assert second.get(segment_code("PD", 0)) is not None
 
     def test_conflicting_split_counts_still_rejected(self):
-        table = SegmentedCostTable()
+        table = CachedCostTable()
         segment_scenario(get_scenario("ar_gaming"), "PD", 2, table)
         with pytest.raises(ValueError, match="already registered"):
             # PD.0 from a 3-way split is a *different* graph under the
@@ -213,7 +207,6 @@ class TestSharedTableReuse:
             segment_scenario(get_scenario("ar_gaming"), "PD", 3, table)
 
     def test_back_to_back_segmented_runs_share_dispatch_table(self):
-        from repro.costmodel import CachedCostTable
         from repro.runtime import MultiScenarioSimulator, make_scheduler
 
         table = CachedCostTable()
