@@ -2,12 +2,43 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.costmodel import CostModel, Dataflow
+from repro.costmodel import DEFAULT_DVFS_POINTS, CostModel, Dataflow, scale_cost
+from repro.hardware import ACCELERATOR_IDS, PE_BUDGETS, build_accelerator
 from repro.nn import GraphBuilder, LayerSpec, OpType
+from repro.runtime import split_graph
+from repro.workload import UNIT_MODELS
 from repro.zoo import build_model
+
+#: Every (dataflow name, PE count) engine shape of Table 5's 13
+#: accelerators at both PE budgets, sorted.
+ENGINE_SHAPES = sorted(
+    {
+        (sub.dataflow.value, sub.num_pes)
+        for acc_id in ACCELERATOR_IDS
+        for pes in PE_BUDGETS.values()
+        for sub in build_accelerator(acc_id, pes).subs
+    }
+)
+
+#: sha256 over ``repr()`` of every price below, fed in loop order.  The
+#: schedule goldens round times to 1 ns and the DVFS pins round energy
+#: to 1e-9 mJ, so neither sees a last-bit change to a price; these do.
+#: ``repr`` hashes nothing, so the hash seed cannot move them, and every
+#: reduction goes through ``ordered_sum``, so no interpreter should.
+GOLDEN_NOMINAL_COSTS = (
+    "086c40ffe597ceb639b89757fde1057e89b524ce4e01761565df92eec6a0eb00"
+)
+GOLDEN_SPLIT_COSTS = (
+    "a757d17b58b380e67c349f9ffb2c7d77a3c218b7978582843140afb119fa5e7e"
+)
+GOLDEN_SCALED_COSTS = (
+    "9b6ebabf4c1fff7f18c5b0cce4e5267a8f6d38ec3b404b1b676dec4a314dda60"
+)
 
 
 def conv(cin=64, cout=64, hw=32, kernel=3):
@@ -174,3 +205,50 @@ class TestCalibrationShape:
         kd = cm.model_cost(build_model("KD")).energy_mj
         assert 200 < pd < 1500
         assert kd < 5
+
+
+def _digest(costs):
+    h = hashlib.sha256()
+    for cost in costs:
+        h.update(repr(cost).encode())
+    return h.hexdigest()
+
+
+def _table5_engines():
+    """(engine, graph) over the 16 engine shapes x the 11 unit models."""
+    for dataflow, num_pes in ENGINE_SHAPES:
+        engine = CostModel(dataflow=Dataflow(dataflow), num_pes=num_pes)
+        for code in sorted(UNIT_MODELS):
+            yield engine, UNIT_MODELS[code].graph
+
+
+@pytest.fixture(scope="module")
+def nominal_costs():
+    return [engine.model_cost(graph) for engine, graph in _table5_engines()]
+
+
+class TestCostDigests:
+    """Every Table 5 price pinned to its last bit."""
+
+    def test_nominal_costs(self, nominal_costs):
+        assert len(ENGINE_SHAPES) == 16
+        assert len(nominal_costs) == 176
+        assert _digest(nominal_costs) == GOLDEN_NOMINAL_COSTS
+
+    def test_split_costs(self):
+        costs = [
+            engine.model_cost(piece)
+            for engine, graph in _table5_engines()
+            for piece in split_graph(graph, 2)
+        ]
+        assert len(costs) == 352
+        assert _digest(costs) == GOLDEN_SPLIT_COSTS
+
+    def test_scaled_costs(self, nominal_costs):
+        costs = [
+            scale_cost(nominal, point)
+            for nominal in nominal_costs
+            for point in DEFAULT_DVFS_POINTS
+        ]
+        assert len(costs) == 704
+        assert _digest(costs) == GOLDEN_SCALED_COSTS
