@@ -155,6 +155,14 @@ class LayerSpec:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         if self.groups < 1:
             raise ValueError(f"groups must be >= 1, got {self.groups}")
+        if self.op in (OpType.CONV2D, OpType.DECONV2D) and (
+            self.in_shape[0] % self.groups or self.out_shape[0] % self.groups
+        ):
+            raise ValueError(
+                f"channel mismatch at {self.name!r}: {self.in_shape[0]} in "
+                f"and {self.out_shape[0]} out channels do not divide into "
+                f"groups={self.groups}"
+            )
 
     # -- tensor accounting ------------------------------------------------
 

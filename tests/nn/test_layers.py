@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.nn import ConvDims, LayerSpec, OpType
+from repro.nn import ConvDims, GraphBuilder, LayerSpec, OpType
 from repro.nn.layers import (
     attention_macs,
     ceil_div,
@@ -72,6 +72,23 @@ class TestLayerSpecValidation:
         with pytest.raises(ValueError, match="stride"):
             LayerSpec(name="x", op=OpType.CONV2D, in_shape=(1, 4, 4),
                       out_shape=(1, 4, 4), kernel=3, stride=0)
+
+    def test_rejects_groups_that_do_not_divide_the_channels(self):
+        # conv_dims() would truncate this to k=2, c=1 and the cost model
+        # would price it; nn.ops.conv2d rejects it as a channel mismatch.
+        with pytest.raises(ValueError, match="channel mismatch"):
+            GraphBuilder("g", (6, 8, 8)).conv(8, groups=4)
+        with pytest.raises(ValueError, match="channel mismatch"):
+            conv_layer(cin=8, cout=6, groups=4)
+        with pytest.raises(ValueError, match="channel mismatch"):
+            LayerSpec(name="d", op=OpType.DECONV2D, in_shape=(6, 4, 4),
+                      out_shape=(8, 8, 8), kernel=4, stride=2, groups=4)
+
+    def test_accepts_groups_that_divide_the_channels(self):
+        layer = conv_layer(cin=8, cout=12, groups=4)
+        assert layer.conv_dims() == ConvDims(
+            k=3, c=2, y=32, x=32, r=3, s=3, groups=4
+        )
 
 
 class TestMacCounting:
