@@ -20,6 +20,14 @@ Latency per layer is ``max(compute, onchip, offchip)`` — the classical
 double-buffered overlap assumption — plus a pipeline-fill ramp.  Layers
 execute back to back; memory-only layers (pooling, upsample, concat)
 contribute their streaming time.
+
+A cold analysis runs in two steps.  Each graph builds its
+dataflow-independent layer table once
+(:attr:`~repro.nn.ModelGraph.layer_table`: conv dims, MACs and tensor
+bytes per layer), and :meth:`CostModel.model_cost` prices an engine in
+one pass over that table, with the engine's constants read once.
+:class:`~repro.costmodel.dataflow.DataflowSpec` stays the one definition
+of the dataflow math.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from repro.core.config import (
     ONCHIP_MEMORY_BYTES,
 )
 from repro.nn import LayerSpec, ModelGraph
+from repro.nn.graph import LayerRow
 
 from .dataflow import DATAFLOW_SPECS, Dataflow, DataflowSpec
 from .energy import DEFAULT_ENERGY_MODEL, EnergyModel
@@ -136,103 +145,95 @@ class CostModel:
 
     # -- per-layer analysis -------------------------------------------------
 
-    def _effective_macs_per_cycle(self, layer: LayerSpec) -> float:
-        """Achieved MAC rate for a compute layer."""
-        dims = layer.conv_dims()
-        assert dims is not None
-        parallelism = self.spec.usable_parallelism(layer, dims)
-        if parallelism <= self.num_pes:
-            occupied = parallelism
-        else:
-            # Tile quantisation: the last pass runs partially occupied.
-            passes = -(-parallelism // self.num_pes)
-            occupied = parallelism / passes
-        return max(1.0, occupied * self.spec.mapping_efficiency)
-
-    def _dram_traffic_bytes(self, layer: LayerSpec) -> float:
-        """Off-chip traffic under the stationary-tensor tiling model."""
-        dims = layer.conv_dims()
-        w = float(layer.weight_bytes)
-        i = float(layer.in_bytes)
-        o = float(layer.out_bytes)
-        if dims is None:
-            # Memory-only op: stream input in, output out.
-            return i + o
-        share = self.buffer_bytes / 2.0
-        if self.dataflow is Dataflow.WS:
-            stationary, streaming = w, i + o
-        elif self.dataflow is Dataflow.OS:
-            stationary, streaming = o, i + w
-        else:  # RS keeps rows of everything; treat the largest as stationary.
-            stationary = max(w, i, o)
-            streaming = w + i + o - stationary
-        passes = max(1.0, stationary / share)
-        return stationary + streaming * passes
-
     def layer_cost(self, layer: LayerSpec) -> LayerCost:
         """Analyse one layer."""
+        return self._layer_costs((LayerRow.of(layer),))[0]
+
+    def _layer_costs(self, rows: Iterable[LayerRow]) -> tuple[LayerCost, ...]:
+        """Analyse ``rows`` in one pass, with the engine's constants hoisted."""
+        spec = self.spec
+        dataflow = self.dataflow
+        num_pes = self.num_pes
+        onchip_bw = self.onchip_bw
+        offchip_bw = self.offchip_bw
+        share = self.buffer_bytes / 2.0
+        mapping_efficiency = spec.mapping_efficiency
+        buf_reads_per_mac = spec.buf_reads_per_mac
         em = self.energy_model
-        dims = layer.conv_dims()
-        dram_bytes = self._dram_traffic_bytes(layer)
-        offchip_cycles = dram_bytes / self.offchip_bw
+        costs: list[LayerCost] = []
+        for name, layer, dims, macs, w, i, o in rows:
+            if dims is None:
+                # No MACs: stream input in, output out.
+                dram_bytes = i + o
+                offchip_cycles = dram_bytes / offchip_bw
+                onchip_cycles = dram_bytes / onchip_bw
+                latency_cycles = (
+                    max(onchip_cycles, offchip_cycles) + _RAMP_CYCLES
+                )
+                energy = (
+                    em.buffer_mj(dram_bytes)
+                    + em.dram_mj(dram_bytes)
+                    + em.leakage_mj(num_pes, latency_cycles / CLOCK_HZ)
+                )
+                costs.append(LayerCost(
+                    name, 0.0, onchip_cycles, offchip_cycles, energy, 0.0
+                ))
+                continue
 
-        if dims is None:
-            # No MACs: only data movement.
-            onchip_bytes = float(layer.in_bytes + layer.out_bytes)
-            onchip_cycles = onchip_bytes / self.onchip_bw
-            latency_cycles = max(onchip_cycles, offchip_cycles) + _RAMP_CYCLES
+            # Off-chip traffic under the stationary-tensor tiling model.
+            if dataflow is Dataflow.WS:
+                stationary, streaming = w, i + o
+            elif dataflow is Dataflow.OS:
+                stationary, streaming = o, i + w
+            else:  # RS keeps rows of everything; the largest is stationary.
+                stationary = max(w, i, o)
+                streaming = w + i + o - stationary
+            dram_bytes = stationary + streaming * max(1.0, stationary / share)
+            offchip_cycles = dram_bytes / offchip_bw
+
+            # Achieved MAC rate.  Tile quantisation: past the array size
+            # the last pass runs partially occupied.
+            parallelism = spec.usable_parallelism(layer, dims)
+            occupied = parallelism
+            if parallelism > num_pes:
+                occupied = parallelism / -(-parallelism // num_pes)
+            compute_cycles = macs / max(1.0, occupied * mapping_efficiency)
+
+            # NoC streaming: tensors cross the on-chip network once per
+            # tile pass (multicast distributes them across PEs; per-MAC
+            # operand reads come from PE-local register files and are
+            # charged to the energy model, not to bandwidth).
+            onchip_cycles = dram_bytes / onchip_bw
+
+            latency_cycles = (
+                max(compute_cycles, onchip_cycles, offchip_cycles)
+                + _RAMP_CYCLES
+            )
+            reuse_i, reuse_w, reuse_o = spec.operand_reuse(layer, dims)
+            buffer_accesses = (
+                macs / reuse_i + macs / reuse_w + macs / reuse_o
+            ) * buf_reads_per_mac
             energy = (
-                em.buffer_mj(onchip_bytes)
+                em.compute_mj(macs)
+                + em.buffer_mj(buffer_accesses)
                 + em.dram_mj(dram_bytes)
-                + em.leakage_mj(self.num_pes, latency_cycles / CLOCK_HZ)
+                + em.leakage_mj(num_pes, latency_cycles / CLOCK_HZ)
             )
-            return LayerCost(
-                layer_name=layer.name,
-                compute_cycles=0.0,
-                onchip_cycles=onchip_cycles,
-                offchip_cycles=offchip_cycles,
-                energy_mj=energy,
-                utilization=0.0,
-            )
-
-        macs = float(layer.macs)
-        compute_cycles = macs / self._effective_macs_per_cycle(layer)
-
-        # NoC streaming: tensors cross the on-chip network once per tile
-        # pass (multicast distributes them across PEs; per-MAC operand
-        # reads come from PE-local register files and are charged to the
-        # energy model, not to bandwidth).
-        reuse_i, reuse_w, reuse_o = self.spec.operand_reuse(layer, dims)
-        onchip_bytes = self._dram_traffic_bytes(layer)
-        onchip_cycles = onchip_bytes / self.onchip_bw
-
-        latency_cycles = (
-            max(compute_cycles, onchip_cycles, offchip_cycles) + _RAMP_CYCLES
-        )
-        latency_s = latency_cycles / CLOCK_HZ
-        buffer_accesses = (
-            macs / reuse_i + macs / reuse_w + macs / reuse_o
-        ) * self.spec.buf_reads_per_mac
-        energy = (
-            em.compute_mj(macs)
-            + em.buffer_mj(buffer_accesses)
-            + em.dram_mj(dram_bytes)
-            + em.leakage_mj(self.num_pes, latency_s)
-        )
-        return LayerCost(
-            layer_name=layer.name,
-            compute_cycles=compute_cycles,
-            onchip_cycles=onchip_cycles,
-            offchip_cycles=offchip_cycles,
-            energy_mj=energy,
-            utilization=min(1.0, macs / (latency_cycles * self.num_pes)),
-        )
+            costs.append(LayerCost(
+                name,
+                compute_cycles,
+                onchip_cycles,
+                offchip_cycles,
+                energy,
+                min(1.0, macs / (latency_cycles * num_pes)),
+            ))
+        return tuple(costs)
 
     # -- whole-model analysis -------------------------------------------------
 
     def model_cost(self, graph: ModelGraph) -> ModelCost:
-        """Analyse a whole model graph, layer by layer."""
-        costs = tuple(self.layer_cost(layer) for layer in graph.layers)
+        """Analyse a whole model graph: one pass over its layer table."""
+        costs = self._layer_costs(graph.layer_table)
         total_cycles = ordered_sum(c.latency_cycles for c in costs)
         total_macs = float(graph.total_macs)
         return ModelCost(
@@ -263,12 +264,12 @@ _MODEL_COST_MEMO: dict[tuple[CostModel, ModelGraph], ModelCost] = {}
 def memoized_model_cost(engine: CostModel, graph: ModelGraph) -> ModelCost:
     """``engine.model_cost(graph)`` answered from the process-wide memo.
 
-    Cost *tables* cache per instance; that still re-pays the full
-    layer-by-layer analysis for every fresh table (each benchmark
-    repeat, each session group) on the same handful of graphs.  This
-    memo hoists the pure computation to process scope.  Deliberately
-    NOT used by :class:`~repro.costmodel.UncachedCostTable`, whose whole
-    point is re-running the analysis per query.
+    Cost *tables* cache per instance; that still re-pays the per-engine
+    pass for every fresh table (each benchmark repeat, each session
+    group) on the same handful of graphs.  This memo hoists the pure
+    computation to process scope.  Deliberately NOT used by
+    :class:`~repro.costmodel.UncachedCostTable`, whose whole point is
+    re-running the per-engine pass per query.
     """
     key = (engine, graph)
     cost = _MODEL_COST_MEMO.get(key)

@@ -19,8 +19,9 @@ builds it from its :class:`CachedCostTable` when the run starts, and the
 dispatch path reads it by index instead of hashing a key per question.
 
 :class:`UncachedCostTable` is the deliberate anti-optimisation: it
-re-runs the analytical layer-by-layer model on *every* query.  It exists
-so ``benchmarks/bench_runtime_throughput.py`` can measure what the cache
+re-runs the analytical model's per-engine pass over the graph's layer
+table on *every* query.  It exists so
+``benchmarks/bench_runtime_throughput.py`` can measure what the cache
 layer buys on identical workloads.
 """
 
@@ -351,8 +352,9 @@ class UncachedCostTable(GraphRegistry, CostTable):
     """Re-runs the analytical cost model on every query (no memoisation).
 
     Only useful as a benchmark baseline: it makes the dispatch path pay
-    the full layer-by-layer analysis cost each time, which is what a
-    naive runtime querying the cost model directly would do.  Carries a
+    the per-engine pass over the graph's layer table each time, which
+    is what a naive runtime querying the cost model directly would do
+    (the table itself is built once per graph).  Carries a
     graph registry so segment-granularity runs stay genuinely uncached
     instead of being wrapped in a cache.
     """

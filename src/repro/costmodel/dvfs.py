@@ -118,13 +118,13 @@ def _scale_layer(lc: LayerCost, point: DvfsPoint,
         offchip = max(0.0, target_max)
     old_cycles = m + _RAMP_CYCLES
     new_cycles = max(compute, onchip, offchip) + _RAMP_CYCLES
-    return replace(
-        lc,
-        compute_cycles=compute,
-        onchip_cycles=onchip,
-        offchip_cycles=offchip,
-        energy_mj=lc.energy_mj * energy_factor,
-        utilization=min(1.0, lc.utilization * old_cycles / new_cycles),
+    return LayerCost(
+        lc.layer_name,
+        compute,
+        onchip,
+        offchip,
+        lc.energy_mj * energy_factor,
+        min(1.0, lc.utilization * old_cycles / new_cycles),
     )
 
 

@@ -11,10 +11,38 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .layers import ConvDims, LayerSpec, OpType, conv_out_hw
 
-__all__ = ["ModelGraph", "GraphBuilder"]
+__all__ = ["LayerRow", "ModelGraph", "GraphBuilder"]
+
+
+class LayerRow(NamedTuple):
+    """One layer's dataflow-independent quantities, as the cost model
+    reads them: what every engine's analysis of the layer shares."""
+
+    name: str
+    layer: LayerSpec
+    dims: ConvDims | None  # None for a memory-only op
+    macs: float
+    weight_bytes: float
+    in_bytes: float
+    out_bytes: float
+
+    @classmethod
+    def of(cls, layer: LayerSpec) -> "LayerRow":
+        dims = layer.conv_dims()
+        return cls(
+            layer.name,
+            layer,
+            dims,
+            float(0 if dims is None else dims.macs),
+            float(layer.weight_bytes),
+            float(layer.in_bytes),
+            float(layer.out_bytes),
+        )
 
 
 @dataclass(frozen=True)
@@ -54,9 +82,21 @@ class ModelGraph:
     def out_shape(self) -> tuple[int, int, int]:
         return self.layers[-1].out_shape
 
-    @property
+    @cached_property
+    def layer_table(self) -> tuple[LayerRow, ...]:
+        """Every layer's :class:`LayerRow`, in execution order.
+
+        Built once per graph object: the cost model prices each engine
+        in one pass over it instead of re-deriving each layer's dims.
+        """
+        return tuple(LayerRow.of(layer) for layer in self.layers)
+
+    @cached_property
     def total_macs(self) -> int:
-        return sum(layer.macs for layer in self.layers)
+        """Multiply-accumulates of the whole graph, from :attr:`layer_table`."""
+        return sum(
+            row.dims.macs for row in self.layer_table if row.dims is not None
+        )
 
     @property
     def total_params(self) -> int:

@@ -7,7 +7,17 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.costmodel import DEFAULT_DVFS_POINTS, CostModel, Dataflow, scale_cost
+from repro.core.config import CLOCK_HZ
+from repro.costmodel import (
+    DEFAULT_DVFS_POINTS,
+    CostModel,
+    Dataflow,
+    EnergyModel,
+    LayerCost,
+    ModelCost,
+    scale_cost,
+)
+from repro.costmodel.analysis import _RAMP_CYCLES, ordered_sum
 from repro.hardware import ACCELERATOR_IDS, PE_BUDGETS, build_accelerator
 from repro.nn import GraphBuilder, LayerSpec, OpType
 from repro.runtime import split_graph
@@ -252,3 +262,250 @@ class TestCostDigests:
         ]
         assert len(costs) == 704
         assert _digest(costs) == GOLDEN_SCALED_COSTS
+
+
+class ReferenceCostModel(CostModel):
+    """The per-layer analysis as it was before the per-graph layer table.
+
+    The three methods are the old code, verbatim: each layer rebuilds its
+    ``ConvDims`` and computes its DRAM traffic twice.  The production
+    model must price every layer and every graph exactly as these do.
+    """
+
+    def _effective_macs_per_cycle(self, layer: LayerSpec) -> float:
+        """Achieved MAC rate for a compute layer."""
+        dims = layer.conv_dims()
+        assert dims is not None
+        parallelism = self.spec.usable_parallelism(layer, dims)
+        if parallelism <= self.num_pes:
+            occupied = parallelism
+        else:
+            # Tile quantisation: the last pass runs partially occupied.
+            passes = -(-parallelism // self.num_pes)
+            occupied = parallelism / passes
+        return max(1.0, occupied * self.spec.mapping_efficiency)
+
+    def _dram_traffic_bytes(self, layer: LayerSpec) -> float:
+        """Off-chip traffic under the stationary-tensor tiling model."""
+        dims = layer.conv_dims()
+        w = float(layer.weight_bytes)
+        i = float(layer.in_bytes)
+        o = float(layer.out_bytes)
+        if dims is None:
+            # Memory-only op: stream input in, output out.
+            return i + o
+        share = self.buffer_bytes / 2.0
+        if self.dataflow is Dataflow.WS:
+            stationary, streaming = w, i + o
+        elif self.dataflow is Dataflow.OS:
+            stationary, streaming = o, i + w
+        else:  # RS keeps rows of everything; treat the largest as stationary.
+            stationary = max(w, i, o)
+            streaming = w + i + o - stationary
+        passes = max(1.0, stationary / share)
+        return stationary + streaming * passes
+
+    def layer_cost(self, layer: LayerSpec) -> LayerCost:
+        """Analyse one layer."""
+        em = self.energy_model
+        dims = layer.conv_dims()
+        dram_bytes = self._dram_traffic_bytes(layer)
+        offchip_cycles = dram_bytes / self.offchip_bw
+
+        if dims is None:
+            # No MACs: only data movement.
+            onchip_bytes = float(layer.in_bytes + layer.out_bytes)
+            onchip_cycles = onchip_bytes / self.onchip_bw
+            latency_cycles = max(onchip_cycles, offchip_cycles) + _RAMP_CYCLES
+            energy = (
+                em.buffer_mj(onchip_bytes)
+                + em.dram_mj(dram_bytes)
+                + em.leakage_mj(self.num_pes, latency_cycles / CLOCK_HZ)
+            )
+            return LayerCost(
+                layer_name=layer.name,
+                compute_cycles=0.0,
+                onchip_cycles=onchip_cycles,
+                offchip_cycles=offchip_cycles,
+                energy_mj=energy,
+                utilization=0.0,
+            )
+
+        macs = float(layer.macs)
+        compute_cycles = macs / self._effective_macs_per_cycle(layer)
+
+        # NoC streaming: tensors cross the on-chip network once per tile
+        # pass (multicast distributes them across PEs; per-MAC operand
+        # reads come from PE-local register files and are charged to the
+        # energy model, not to bandwidth).
+        reuse_i, reuse_w, reuse_o = self.spec.operand_reuse(layer, dims)
+        onchip_bytes = self._dram_traffic_bytes(layer)
+        onchip_cycles = onchip_bytes / self.onchip_bw
+
+        latency_cycles = (
+            max(compute_cycles, onchip_cycles, offchip_cycles) + _RAMP_CYCLES
+        )
+        latency_s = latency_cycles / CLOCK_HZ
+        buffer_accesses = (
+            macs / reuse_i + macs / reuse_w + macs / reuse_o
+        ) * self.spec.buf_reads_per_mac
+        energy = (
+            em.compute_mj(macs)
+            + em.buffer_mj(buffer_accesses)
+            + em.dram_mj(dram_bytes)
+            + em.leakage_mj(self.num_pes, latency_s)
+        )
+        return LayerCost(
+            layer_name=layer.name,
+            compute_cycles=compute_cycles,
+            onchip_cycles=onchip_cycles,
+            offchip_cycles=offchip_cycles,
+            energy_mj=energy,
+            utilization=min(1.0, macs / (latency_cycles * self.num_pes)),
+        )
+
+
+def reference(cm: CostModel) -> ReferenceCostModel:
+    return ReferenceCostModel(
+        cm.dataflow, cm.num_pes, cm.onchip_bw, cm.offchip_bw,
+        cm.buffer_bytes, cm.energy_model,
+    )
+
+
+def reference_model_cost(cm: CostModel, graph) -> ModelCost:
+    """``cm.model_cost(graph)`` reduced from the reference layer costs."""
+    ref = reference(cm)
+    costs = tuple(ref.layer_cost(layer) for layer in graph.layers)
+    total_cycles = ordered_sum(c.latency_cycles for c in costs)
+    total_macs = float(sum(layer.macs for layer in graph.layers))
+    return ModelCost(
+        model_name=graph.name,
+        dataflow=cm.dataflow,
+        num_pes=cm.num_pes,
+        latency_s=total_cycles / CLOCK_HZ,
+        energy_mj=ordered_sum(c.energy_mj for c in costs),
+        utilization=(
+            total_macs / (total_cycles * cm.num_pes)
+            if total_cycles > 0
+            else 0.0
+        ),
+        layer_costs=costs,
+    )
+
+
+#: PE counts of the equivalence grid: degenerate, odd and past-Table-5
+#: arrays beside the Table 5 engine sizes.
+GRID_PES = (1, 3, 7, 100, 333, 1024, 2048, 4096, 8192, 65_536)
+
+#: Engines with every non-default buffer, bandwidth and energy setting.
+GRID_VARIANTS = (
+    {"buffer_bytes": 4 * 1024, "onchip_bw": 16.0},
+    {"buffer_bytes": 4 * 1024 * 1024, "offchip_bw": 33.0},
+    {"offchip_bw": 2.5, "energy_model": EnergyModel(mac_pj=1.3)},
+    {"onchip_bw": 64.0, "energy_model": EnergyModel(leakage_w_per_pe=0)},
+)
+
+
+def test_model_cost_equals_the_reference_on_the_grid():
+    """Every field of every layer and every total, exactly."""
+    engines = [
+        CostModel(dataflow=df, num_pes=pes)
+        for df in Dataflow
+        for pes in GRID_PES
+    ] + [
+        CostModel(dataflow=df, num_pes=2048, **variant)
+        for df in Dataflow
+        for variant in GRID_VARIANTS
+    ]
+    graphs = []
+    for code in sorted(UNIT_MODELS):
+        graph = UNIT_MODELS[code].graph
+        graphs += [graph, *split_graph(graph, 2), *split_graph(graph, 3)]
+    assert (len(engines), len(graphs)) == (42, 66)
+    for cm in engines:
+        for graph in graphs:
+            assert cm.model_cost(graph) == reference_model_cost(cm, graph), (
+                cm, graph.name,
+            )
+
+
+@st.composite
+def random_graphs(draw):
+    """Small graphs over every op the builder offers the cost model."""
+    builder = GraphBuilder("random", (
+        draw(st.integers(1, 24)),
+        draw(st.integers(1, 16)),
+        draw(st.integers(1, 16)),
+    ))
+    for index in range(draw(st.integers(1, 8))):
+        cin, h, w = builder.shape
+        op = draw(st.sampled_from([
+            "conv", "dwconv", "deconv", "fc", "attention", "layernorm",
+            "pool", "global_pool", "upsample", "add",
+        ]))
+        grows = op in ("deconv", "upsample") and h * w > 256
+        if op == "pool" and min(h, w) < 2 or grows:
+            op = "global_pool"
+        if op == "add" and index == 0:
+            op = "layernorm"
+        if op == "conv":
+            groups = draw(st.sampled_from(
+                [g for g in range(1, cin + 1) if cin % g == 0]
+            ))
+            builder.conv(
+                groups * draw(st.integers(1, 8)),
+                kernel=draw(st.sampled_from([1, 2, 3, 5])),
+                stride=draw(st.sampled_from([1, 2])),
+                groups=groups,
+            )
+        elif op == "dwconv":
+            builder.dwconv(
+                kernel=draw(st.sampled_from([3, 5])),
+                stride=draw(st.sampled_from([1, 2])),
+            )
+        elif op == "deconv":
+            builder.deconv(
+                draw(st.integers(1, 32)),
+                stride=draw(st.sampled_from([1, 2])),
+            )
+        elif op == "fc":
+            builder.fc(draw(st.integers(1, 64)))
+        elif op == "attention":
+            builder.attention(draw(st.sampled_from([1, 2, 8])))
+        elif op == "layernorm":
+            builder.layernorm()
+        elif op == "pool":
+            builder.pool(2, kind=draw(st.sampled_from(["max", "avg"])))
+        elif op == "global_pool":
+            builder.global_pool()
+        elif op == "upsample":
+            builder.upsample(2)
+        else:
+            builder.add(builder.last_name)
+    return builder.build()
+
+
+random_cost_models = st.builds(
+    CostModel,
+    dataflow=st.sampled_from(list(Dataflow)),
+    num_pes=st.integers(1, 70_000),
+    onchip_bw=st.floats(0.5, 256.0),
+    offchip_bw=st.floats(0.5, 64.0),
+    buffer_bytes=st.integers(1, 8 * 1024 * 1024),
+    energy_model=st.builds(
+        EnergyModel,
+        mac_pj=st.floats(0.0, 20.0),
+        buf_pj_per_byte=st.floats(0.0, 50.0),
+        dram_pj_per_byte=st.floats(0.0, 500.0),
+        leakage_w_per_pe=st.floats(0.0, 1e-3),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=random_graphs(), cm=random_cost_models)
+def test_random_graphs_price_as_the_reference(graph, cm):
+    assert cm.model_cost(graph) == reference_model_cost(cm, graph)
+    ref = reference(cm)
+    for layer in graph.layers:
+        assert cm.layer_cost(layer) == ref.layer_cost(layer)
