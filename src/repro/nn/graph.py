@@ -32,7 +32,8 @@ class LayerRow(NamedTuple):
     out_bytes: float
 
     @classmethod
-    def of(cls, layer: LayerSpec) -> "LayerRow":
+    def of(cls, layer: LayerSpec) -> LayerRow:
+        """``layer``'s row, from one :meth:`LayerSpec.conv_dims` call."""
         dims = layer.conv_dims()
         return cls(
             layer.name,
@@ -116,8 +117,7 @@ class ModelGraph:
 
     def conv_dims(self) -> list[ConvDims]:
         """The (K,C,Y,X,R,S) dims of every compute layer, in order."""
-        dims = [layer.conv_dims() for layer in self.layers]
-        return [d for d in dims if d is not None]
+        return [row.dims for row in self.layer_table if row.dims is not None]
 
     def operator_mix(self) -> dict[str, int]:
         """Operator-type histogram (reproduces Table 7's operator column)."""
