@@ -2,11 +2,83 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.api import Experiment, RunSpec, Sweep, execute
 from repro.core import ScoreConfig, benchmark_score
 from repro.core.aggregate import InferenceScore, ModelScore, ScenarioScore
-from repro.workload import InferenceRequest
+from repro.hardware import ACCELERATOR_IDS, PE_BUDGETS
+from repro.workload import SCENARIO_ORDER, InferenceRequest
+
+#: sha256 over ``repr(_score_row(score))`` of every scenario score a run
+#: reports, fed in report order; the session group then adds
+#: ``repr(mean_overall)`` and the suite ``repr(xrbench_score)``.  The
+#: other score tests compare with ``pytest.approx``, so only these see a
+#: last-bit change to an aggregate, such as summing in another order.
+#: ``repr`` hashes nothing, so the hash seed cannot move them.
+GOLDEN_GRID_SCORES = (
+    "d2e241fca4d43939cbd0435e304f90ad95a4b6b2061501aac19433ab47736823"
+)
+GOLDEN_GROUP_SCORES = (
+    "5f82946df8a7729fbe2ddf66bf2d92d49ab4ad499a16da45176a342cbd04963d"
+)
+GOLDEN_SUITE_SCORES = (
+    "640afd816e0f4dc405d3d4ba2b363b78cb32da133a0867cd6c420c01644cf3cb"
+)
+
+#: Every scenario at both PE budgets on all 13 accelerators (Figure 5).
+FIGURE5_GRID = Sweep(
+    base=RunSpec(scenario=SCENARIO_ORDER[0], duration_s=0.25, seed=0),
+    grid={
+        "pes": tuple(PE_BUDGETS.values()),
+        "accelerator": tuple(ACCELERATOR_IDS),
+        "scenario": tuple(SCENARIO_ORDER),
+    },
+)
+
+#: One session group with every dynamic mechanism on: all 8 sessions
+#: degrade to level 3, and faults kill 3 requests.
+DYNAMIC_GROUP = RunSpec(
+    scenario=(
+        "ar_gaming", "vr_gaming", "social_interaction_a",
+        "outdoor_activity_a",
+    ) * 2,
+    accelerator="J", pes=8192, granularity="segment", scheduler="edf",
+    preemptive=True, dvfs_policy="slack", admission="degrade",
+    faults="flaky", churn=0.25, duration_s=2.0, seed=7,
+)
+
+
+def _score_row(s: ScenarioScore) -> tuple:
+    """Every aggregate of one scenario score, at full precision."""
+    return (
+        s.scenario_name, s.overall, s.rt, s.energy, s.accuracy, s.qoe,
+        s.total_missed_deadlines, s.total_dropped,
+        tuple(
+            (
+                m.model_code, m.per_model, m.qoe, m.contribution,
+                m.mean_unit("rt"), m.mean_unit("energy"),
+                m.mean_unit("accuracy"),
+            )
+            for m in s.model_scores
+        ),
+    )
+
+
+def _score_digest(scores, tail: float | None) -> str:
+    h = hashlib.sha256()
+    for s in scores:
+        h.update(repr(_score_row(s)).encode())
+    if tail is not None:
+        h.update(repr(tail).encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def figure5_grid_reports():
+    return Experiment(specs=tuple(FIGURE5_GRID.expand())).run()
 
 
 def make_request(code="HT", frame=0, latency=0.005, energy=100.0,
@@ -172,3 +244,28 @@ class TestScoreSimulation:
         a = tight.run_scenario("vr_gaming", fda_ws_4k).score.energy
         b = loose.run_scenario("vr_gaming", fda_ws_4k).score.energy
         assert a < b
+
+
+class TestScoreDigests:
+    """Every score aggregate of three runs pinned to its last bit."""
+
+    def test_figure5_grid(self, figure5_grid_reports):
+        assert len(figure5_grid_reports) == 182
+        scores = [r.score for r in figure5_grid_reports]
+        assert _score_digest(scores, None) == GOLDEN_GRID_SCORES
+
+    def test_dynamic_session_group(self):
+        report = execute(DYNAMIC_GROUP)
+        scores = [r.score for r in report.session_reports]
+        assert len(scores) == 8
+        assert _score_digest(scores, report.mean_overall) == (
+            GOLDEN_GROUP_SCORES
+        )
+
+    def test_suite(self):
+        report = execute(RunSpec.for_suite("J", duration_s=0.5))
+        scores = [r.score for r in report.scenario_reports]
+        assert len(scores) == len(SCENARIO_ORDER)
+        assert _score_digest(scores, report.xrbench_score) == (
+            GOLDEN_SUITE_SCORES
+        )

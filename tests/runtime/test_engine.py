@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.costmodel import CachedCostTable, CostTable, DvfsPoint
 from repro.hardware import build_accelerator
-from repro.runtime import EngineFleet, ExecutionEngine, WorkItem
+from repro.runtime import (
+    EngineFleet,
+    ExecutionEngine,
+    ExecutionRecord,
+    WorkItem,
+)
 from repro.workload import InferenceRequest
 
 
@@ -119,6 +127,26 @@ class TestExecutionEngine:
         engine = ExecutionEngine(sub=system.subs[0],
                                  dvfs=DvfsPoint("eco", 0.5))
         assert "eco" in engine.describe()
+
+
+class TestExecutionRecord:
+    RECORD = ExecutionRecord(1, 2, "PD", 3, 0, 2, 0.001, 0.0025, 12.5,
+                             "eco", True)
+
+    def test_repr_is_stable(self):
+        # perfbench digests repr() of the record log.
+        assert repr(self.RECORD) == (
+            "ExecutionRecord(sub_index=1, session_id=2, model_code='PD', "
+            "model_frame=3, segment_index=0, num_segments=2, "
+            "start_s=0.001, end_s=0.0025, energy_mj=12.5, dvfs='eco', "
+            "aborted=True)"
+        )
+
+    def test_survives_pickle_and_deepcopy(self):
+        # Pooled experiments send record logs between processes.
+        clone = pickle.loads(pickle.dumps(self.RECORD))
+        assert clone == self.RECORD
+        assert copy.deepcopy(self.RECORD) == self.RECORD
 
 
 class TestEngineFleet:
