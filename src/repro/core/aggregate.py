@@ -21,12 +21,28 @@ session's **active** duration, not the full streamed duration — a tenant
 online for half the run is not scored as if it dropped half its frames.
 Duration-relative rates (utilization) normalise through
 :attr:`~repro.runtime.SimulationResult.window_s` the same way.
+
+Each O(n) aggregate is computed on its first read and then kept
+(``functools.cached_property``): a model's per-model score and unit
+means, and a scenario's scored models, overall score and breakdowns.
+Export, the run database and the progress events each read a scenario's
+``overall``, and every read used to score each inference again.  The
+caches are sound because every input is frozen: the score classes are
+frozen dataclasses over tuples (a list argument is copied to one) of
+frozen :class:`InferenceScore` objects, and ``dataclasses.replace``
+builds a new object with empty caches.  So :class:`InferenceScore` must
+stay frozen; its ``request`` is mutable, but no aggregate reads it.
+Every float reduction adds left to right through
+:func:`~repro.costmodel.analysis.ordered_sum`, so every interpreter
+gives the same scores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
+from repro.costmodel.analysis import ordered_sum
 from repro.runtime import MultiSessionResult, SimulationResult
 from repro.workload import InferenceRequest
 
@@ -46,6 +62,9 @@ __all__ = [
     "score_simulation",
     "score_sessions",
 ]
+
+#: The unit scores :meth:`ModelScore.mean_unit` averages.
+_UNITS = ("rt", "energy", "accuracy")
 
 
 @dataclass(frozen=True)
@@ -76,31 +95,52 @@ class ModelScore:
     #: excluded from user-facing aggregation.
     aux: bool = False
 
+    def __post_init__(self) -> None:
+        if isinstance(self.inference_scores, list):
+            object.__setattr__(
+                self, "inference_scores", tuple(self.inference_scores)
+            )
+
     @property
     def qoe(self) -> float:
         return qoe_score(self.frames_executed, self.frames_streamed)
 
-    @property
+    @cached_property
     def per_model(self) -> float:
         """Mean per-inference score; zero when every frame was dropped."""
-        if not self.inference_scores:
+        scores = self.inference_scores
+        if not scores:
             return 0.0
-        return sum(s.overall for s in self.inference_scores) / len(
-            self.inference_scores
-        )
+        return ordered_sum(s.overall for s in scores) / len(scores)
 
     @property
     def contribution(self) -> float:
         """This model's term in the scenario score: per-model x QoE."""
         return self.per_model * self.qoe
 
+    @cached_property
+    def _unit_means(self) -> tuple[float, float, float]:
+        """Mean RT, energy and accuracy score, in ``_UNITS`` order."""
+        scores = self.inference_scores
+        if not scores:
+            return (0.0, 0.0, 0.0)
+        n = len(scores)
+        return (
+            ordered_sum(s.rt for s in scores) / n,
+            ordered_sum(s.energy for s in scores) / n,
+            ordered_sum(s.accuracy for s in scores) / n,
+        )
+
     def mean_unit(self, name: str) -> float:
         """Mean of one unit score ('rt' / 'energy' / 'accuracy')."""
-        if not self.inference_scores:
-            return 0.0
-        return sum(getattr(s, name) for s in self.inference_scores) / len(
-            self.inference_scores
-        )
+        try:
+            index = _UNITS.index(name)
+        except ValueError:
+            raise ValueError(
+                f"unknown unit score {name!r}; expected one of "
+                f"{', '.join(map(repr, _UNITS))}"
+            ) from None
+        return self._unit_means[index]
 
 
 @dataclass(frozen=True)
@@ -111,12 +151,14 @@ class ScenarioScore:
     model_scores: tuple[ModelScore, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.model_scores, list):
+            object.__setattr__(self, "model_scores", tuple(self.model_scores))
         if not self.model_scores:
             raise ValueError(
                 f"scenario {self.scenario_name!r} scored with no models"
             )
 
-    @property
+    @cached_property
     def scored_models(self) -> tuple[ModelScore, ...]:
         """Models that were actually offered work during the run.
 
@@ -134,28 +176,28 @@ class ScenarioScore:
         )
         return offered or self.model_scores
 
-    @property
+    @cached_property
     def overall(self) -> float:
         models = self.scored_models
-        return sum(m.contribution for m in models) / len(models)
+        return ordered_sum(m.contribution for m in models) / len(models)
 
     def _mean_over_models(self, fn) -> float:
         models = self.scored_models
-        return sum(fn(m) for m in models) / len(models)
+        return ordered_sum(fn(m) for m in models) / len(models)
 
-    @property
+    @cached_property
     def rt(self) -> float:
         return self._mean_over_models(lambda m: m.mean_unit("rt"))
 
-    @property
+    @cached_property
     def energy(self) -> float:
         return self._mean_over_models(lambda m: m.mean_unit("energy"))
 
-    @property
+    @cached_property
     def accuracy(self) -> float:
         return self._mean_over_models(lambda m: m.mean_unit("accuracy"))
 
-    @property
+    @cached_property
     def qoe(self) -> float:
         return self._mean_over_models(lambda m: m.qoe)
 
@@ -180,7 +222,9 @@ def benchmark_score(scenario_scores: list[ScenarioScore]) -> float:
     """Definition 16: mean of scenario scores across the suite."""
     if not scenario_scores:
         raise ValueError("benchmark score over an empty suite")
-    return sum(s.overall for s in scenario_scores) / len(scenario_scores)
+    return ordered_sum(s.overall for s in scenario_scores) / len(
+        scenario_scores
+    )
 
 
 def score_simulation(

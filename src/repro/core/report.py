@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from repro.costmodel.analysis import ordered_sum
 from repro.runtime import MultiSessionResult, SimulationResult, render_timeline
 
 from .aggregate import ScenarioScore, benchmark_score
@@ -157,7 +158,7 @@ class MultiSessionReport:
     @property
     def mean_overall(self) -> float:
         reports = self.session_reports
-        return sum(r.overall for r in reports) / len(reports)
+        return ordered_sum(r.overall for r in reports) / len(reports)
 
     @cached_property
     def _reports_by_id(self) -> dict[int, ScenarioReport]:

