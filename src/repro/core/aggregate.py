@@ -26,8 +26,8 @@ Each O(n) aggregate is computed on its first read and then kept
 (``functools.cached_property``): a model's per-model score and unit
 means, and a scenario's scored models, overall score and breakdowns.
 Export, the run database and the progress events each read a scenario's
-``overall``, and every read used to score each inference again.  The
-caches are sound because every input is frozen: the score classes are
+``overall``, and without the cache each read would score every
+inference again.  The caches are sound because every input is frozen: the score classes are
 frozen dataclasses over tuples (a list argument is copied to one) of
 frozen :class:`InferenceScore` objects, and ``dataclasses.replace``
 builds a new object with empty caches.  So :class:`InferenceScore` must

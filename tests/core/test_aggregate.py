@@ -544,34 +544,36 @@ class TestLeftToRight:
     1.0 compensated.
     """
 
-    TENTH = dict(rt=0.1, en=1.0, acc=1.0)
-
-    def test_the_fixture_tells_the_orders_apart(self):
-        assert _left_to_right([0.1] * 10) != math.fsum([0.1] * 10)
+    TENTHS = _left_to_right([0.1] * 10) / 10
 
     def test_model(self):
-        m = make_model(scores=[make_inf(**self.TENTH)] * 10)
-        assert m.per_model == _left_to_right([0.1] * 10) / 10
-        assert m.mean_unit("rt") == _left_to_right([0.1] * 10) / 10
-        assert m.mean_unit("rt") != math.fsum([0.1] * 10) / 10
+        assert self.TENTHS != math.fsum([0.1] * 10) / 10
+        m = make_model(scores=[make_inf(rt=0.1, en=0.1, acc=0.1)] * 10)
+        assert m.per_model == _left_to_right([0.1 * 0.1 * 0.1] * 10) / 10
+        for unit in ("rt", "energy", "accuracy"):
+            assert m.mean_unit(unit) == self.TENTHS
 
-    def test_scenario_and_suite(self):
+    def test_scenario_suite_and_sessions(self):
+        # Ten models, each with one of ten frames executed: QoE 0.1.
         s = ScenarioScore("x", tuple(
-            make_model(f"M{i}", [make_inf(**self.TENTH)], streamed=1)
+            make_model(f"M{i}", [make_inf(rt=0.1, en=0.1, acc=0.1)],
+                       streamed=10, dropped=9)
             for i in range(10)
         ))
-        tenths = _left_to_right([0.1] * 10) / 10
-        assert s.overall == tenths
-        assert s.rt == tenths
+        contributions = [m.per_model * m.qoe for m in s.model_scores]
+        assert s.overall == _left_to_right(contributions) / 10
+        for unit in ("rt", "energy", "accuracy", "qoe"):
+            assert getattr(s, unit) == self.TENTHS
         scenarios = [ScenarioScore(
             f"s{i}",
-            (make_model("HT", [make_inf(**self.TENTH)], streamed=1),),
+            (make_model("HT", [make_inf(rt=0.1, en=1.0, acc=1.0)],
+                        streamed=1),),
         ) for i in range(10)]
-        assert benchmark_score(scenarios) == tenths
+        assert benchmark_score(scenarios) == self.TENTHS
         report = MultiSessionReport(
             result=None,
             session_reports=tuple(
                 ScenarioReport(simulation=None, score=s) for s in scenarios
             ),
         )
-        assert report.mean_overall == tenths
+        assert report.mean_overall == self.TENTHS
