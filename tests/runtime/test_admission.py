@@ -19,6 +19,7 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import pytest
@@ -33,6 +34,7 @@ from repro.hardware import build_accelerator
 from repro.runtime import (
     ADMISSION_POLICIES,
     DEGRADATION_LADDER,
+    ControlAction,
     DegradeController,
     EventKind,
     MultiScenarioSimulator,
@@ -356,6 +358,55 @@ def test_degrade_stamps_levels_actions_and_quality():
         assert all(a.kind == "degrade" for a in record.actions)
         assert record.actions[-1].level == record.degradation_level
         assert quality_retention(VR, record.degradation_level) < 1.0
+
+
+@dataclass
+class _DegradeAt:
+    """Degrades session 0 one rung at the first control tick at or after
+    ``at_s`` (test instrumentation)."""
+
+    at_s: float
+    period_s: float = 0.02
+    fired: bool = False
+
+    def reset(self) -> None:
+        self.fired = False
+
+    def admit(self, now_s, session_id):
+        return None
+
+    def observe(self, session_id, missed):
+        pass
+
+    def decide(self, now_s, sessions, latency_of, num_engines):
+        if self.fired or now_s < self.at_s - 1e-9:
+            return []
+        self.fired = True
+        return [ControlAction(now_s, "degrade", 0, "test", 0.0, level=1)]
+
+
+@pytest.mark.parametrize("at_s,spawned", [
+    # The phase's last root row (HT, at 0.233 s) has popped by 0.24 s:
+    # only the dependents and the degraded stream move the counts.  An
+    # uncount that took the consumed last row for a pending one would
+    # read HT 12.
+    (0.24, {"ES": 16, "GE": 16, "HT": 13}),
+    # Mid-phase: the rows still to come are uncounted.
+    (0.10, {"ES": 13, "GE": 13, "HT": 11}),
+])
+def test_degrade_uncounts_only_the_rows_still_to_come(at_s, spawned):
+    """A degrade replaces the cancelled phase's not-yet-arrived frames
+    with the degraded stream, so exactly those leave the QoE
+    denominators."""
+    result = MultiScenarioSimulator.replicate(
+        VR, build_accelerator("J", 8192), make_scheduler("latency_greedy"),
+        1, duration_s=0.25, admission=_DegradeAt(at_s),
+    ).run()
+    (session,) = result.sessions
+    assert [a.time_s for a in session.admission.actions] == [
+        pytest.approx(at_s)
+    ]
+    assert session.spawned_frames == spawned
 
 
 def test_controlled_runs_are_deterministic():

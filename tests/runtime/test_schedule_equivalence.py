@@ -16,7 +16,9 @@ denominators.  ``GOLDEN_FAULT_LOGS`` pins the fault-recovery decisions
 ``GOLDEN_WIDE`` pins every policy on a four-engine fleet, where engine
 choice is not decided between two engines.  ``GOLDEN_GOVERNED`` and
 ``GOLDEN_DYNAMIC_DVFS`` pin the DVFS governors' choices: the point every
-dispatch ran at and the energy it was charged.
+dispatch ran at and the energy it was charged.  ``GOLDEN_HORIZON`` pins
+a session group whose degrade actions cancel phases while their arrival
+streams still run.
 
 If a deliberate scheduling-semantics change ever invalidates these,
 regenerate with ``checksum_of(run_case(...))`` (or
@@ -330,6 +332,33 @@ GOLDEN_DYNAMIC_DVFS: dict[tuple[str, str, int, float, bool, str], str] = {
         "34ec75297dc248bec403768272f06e462e5832e718f30150b69a07aeff119b57",
 }
 
+#: ``RunSpec`` fields of the dynamic session group
+#: ``tests/core/test_aggregate.py`` scores: all 8 sessions degrade to
+#: level 3, under preemptive EDF, the slack governor, flaky faults and
+#: churn.  A degrade action cancels the session's current phase, and that
+#: phase's arrival cursor keeps streaming its rows to the end of the
+#: phase's original window.  Their frames are uncounted, but the rows stay
+#: on the event heap: they are dispatch instants, and they bound the slack
+#: governor's event horizon (``DispatchContext.next_event_s``).  No other
+#: governed golden runs degrade admission, so a horizon that skipped the
+#: tail rows would pass every other golden here and fail the request and
+#: DVFS digests of this one.
+HORIZON_SPEC: dict = dict(
+    scenario=("ar_gaming", "vr_gaming", "social_interaction_a",
+              "outdoor_activity_a") * 2,
+    accelerator="J", pes=8192, granularity="segment", scheduler="edf",
+    preemptive=True, dvfs_policy="slack", admission="degrade",
+    faults="flaky", churn=0.25, duration_s=2.0, seed=7,
+)
+
+#: ((record count, :func:`checksum_of` digest), :func:`request_checksum_of`
+#: digest, :func:`dvfs_checksum_of` digest) of ``HORIZON_SPEC``.
+GOLDEN_HORIZON: tuple[tuple[int, str], str, str] = (
+    (754, "dd477da9739593aa7919273e7e2dc2dc1b64c3dd13bf7ca07749fef3146118de"),
+    "4121ed1713ebfbd43469ba98465d68a473bc1873622c76d8d28e72305cfcce5c",
+    "f38973f20dd613ea95d9862dd50835d38ee2b4b9b64d035be54ff0ddd6cecc6e",
+)
+
 
 def run_case(
     scheduler: str,
@@ -514,6 +543,21 @@ def test_every_governed_dynamic_cell_pins_its_dvfs_log():
 def test_governed_cells_match_golden(cell):
     result = run_case(**GOVERNED_CELLS[cell])
     schedule, requests, dvfs = GOLDEN_GOVERNED[cell]
+    assert checksum_of(result) == schedule
+    assert request_checksum_of(result) == requests
+    assert dvfs_checksum_of(result) == dvfs
+
+
+def run_horizon_spec():
+    """``HORIZON_SPEC`` through the public API."""
+    from repro.api import RunSpec, execute
+
+    return execute(RunSpec(**HORIZON_SPEC)).result
+
+
+def test_cancelled_phase_tails_keep_the_governor_horizon():
+    result = run_horizon_spec()
+    schedule, requests, dvfs = GOLDEN_HORIZON
     assert checksum_of(result) == schedule
     assert request_checksum_of(result) == requests
     assert dvfs_checksum_of(result) == dvfs
