@@ -263,7 +263,7 @@ class PriceTable:
 
     __slots__ = (
         "system", "ladder", "position_by_id", "ids", "costs", "nominal",
-        "stats",
+        "stats", "_permitted",
     )
 
     def __init__(
@@ -293,6 +293,16 @@ class PriceTable:
         #: Every engine at the nominal position, for :meth:`fastest`.
         self.nominal = (0,) * len(subs)
         self.stats = table.stats
+        #: ``(id(points), cap)`` -> ``(points, resolved)`` for
+        #: :meth:`permitted_positions`; the entry keeps ``points`` alive,
+        #: so its id cannot be reused while the entry exists.
+        self._permitted: dict[
+            tuple[int, float | None],
+            tuple[
+                tuple[DvfsPoint, ...],
+                tuple[tuple[DvfsPoint, int | None], ...],
+            ],
+        ] = {}
         self.ids: dict[str, int] = {}
         self.costs: list[tuple[tuple[ModelCost, ...], ...]] = []
         lookup = table._lookup
@@ -311,6 +321,28 @@ class PriceTable:
     def position(self, point: DvfsPoint | None) -> int | None:
         """The ladder position of ``point`` (by identity), if it has one."""
         return self.position_by_id.get(id(point))
+
+    def permitted_positions(
+        self, points: tuple[DvfsPoint, ...], cap: float | None
+    ) -> tuple[tuple[DvfsPoint, int | None], ...]:
+        """Each of ``points`` a frequency ``cap`` permits, with its position.
+
+        A point is permitted when its ``frequency_scale`` is at most
+        ``cap``; every point is when ``cap`` is ``None``.  Points keep
+        their order, and a point off the ladder gets position ``None``.
+        The answer is memoised per ``points`` object and cap, so a DVFS
+        governor consulted at every dispatch resolves its ladder once
+        per run and thermal cap instead of once per call.
+        """
+        key = (id(points), cap)
+        entry = self._permitted.get(key)
+        if entry is None:
+            entry = self._permitted[key] = (points, tuple(
+                (point, self.position(point))
+                for point in points
+                if cap is None or point.frequency_scale <= cap
+            ))
+        return entry[1]
 
     def cost(self, code_id: int, engine_index: int,
              position: int) -> ModelCost:

@@ -48,10 +48,15 @@ same floats, so the choice does not depend on the path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
-from repro.costmodel import DEFAULT_DVFS_POINTS, CostTable, DvfsPoint, ModelCost
+from repro.costmodel import (
+    DEFAULT_DVFS_POINTS,
+    CostTable,
+    DvfsPoint,
+    ModelCost,
+    PriceTable,
+)
 from repro.hardware import AcceleratorSystem
 
 from .engine import ExecutionEngine, WorkItem
@@ -146,10 +151,6 @@ def _fastest(points: tuple[DvfsPoint, ...]) -> DvfsPoint:
     return max(points, key=lambda p: p.frequency_scale)
 
 
-#: The ladder positions when no price table is in reach: none.
-_NO_POSITIONS: Mapping[int, int] = MappingProxyType({})
-
-
 @dataclass(frozen=True)
 class RaceToIdleGovernor:
     """Always the fastest ladder point: finish early, then idle."""
@@ -228,71 +229,48 @@ class SlackGovernor:
         # candidate ladder.
         base = engine.effective_dvfs
         cap = engine.max_frequency_scale
-        points = (
-            self.points
-            if cap is None
-            else tuple(p for p in self.points if p.frequency_scale <= cap)
-        )
         code = item.code
         engine_index = engine.index
 
         # Candidates are read by ladder position from the run's price
         # table when the cost table keeps one: the row holds this
-        # piece's cost at every position, and positions resolve by
-        # identity.  A table without prices, or a point off the run's
-        # ladder, is priced through the keyed lookup.  Both give the
+        # piece's cost at every position, and the table resolves the
+        # permitted points to positions once per thermal cap.  A table
+        # without prices, or a point off the run's ladder (no
+        # position), is priced through the keyed lookup.  Both give the
         # same floats, so the choice is bit-identical either way.
         prices_of = getattr(costs, "prices", None)
         prices = prices_of(system) if prices_of is not None else None
         code_id = prices.ids.get(code) if prices is not None else None
         if prices is None or code_id is None:
-            position_by_id: Mapping[int, int] = _NO_POSITIONS
-            row: tuple[ModelCost, ...] = ()
-        else:
-            position_by_id = prices.position_by_id
-            row = prices.ladder_row(code_id, engine_index)
-
-        def lat_en(point: DvfsPoint | None) -> tuple[float, float]:
-            at = position_by_id.get(id(point))
-            cost = (
-                system.engine_cost(costs, code, engine_index, point)
-                if at is None else row[at]
+            ladder: tuple[tuple[DvfsPoint, int | None], ...] = tuple(
+                (point, None) for point in self.points
+                if cap is None or point.frequency_scale <= cap
             )
-            return cost.latency_s, cost.energy_mj
+            row: tuple[ModelCost, ...] = ()
+            base_at = None
+        else:
+            ladder = prices.permitted_positions(self.points, cap)
+            row = prices.ladder_row(code_id, engine_index)
+            base_at = prices.position(base)
 
-        # A ChainSuffix (the event loop's compile-time segment-chain
-        # view) answers the whole reservation from its per-(engine,
-        # position) latency memo; a plain code sequence, or a point
-        # without a position, is priced per call.  Both paths subtract
-        # the same floats in the same order, so the budgets — and
-        # therefore the chosen points — are bit-identical.
+        # The deadline budget of this piece is the slack left with the
+        # rest of the chain reserved at the candidate point (see
+        # _reserved_budget); nothing is reserved for a final segment.
         slack_s = item.request.deadline_s - now_s
         reserving = bool(remaining_codes)
         remaining = getattr(remaining_codes, "remaining_latencies", None)
 
-        def budget_at(point: DvfsPoint | None) -> float:
-            """Deadline budget for this piece with the rest of the
-            chain reserved at ``point`` (successors re-decide at their
-            own boundaries, so uniform pricing is self-consistent)."""
-            budget_s = slack_s
-            if not reserving:
-                return budget_s
-            at = position_by_id.get(id(point))
-            if at is not None and remaining is not None:
-                for latency_s in remaining(prices, engine_index, at):
-                    budget_s -= latency_s
-                return budget_s
-            for rcode in remaining_codes:
-                budget_s -= system.engine_cost(
-                    costs, rcode or item.request.model_code,
-                    engine_index, point,
-                ).latency_s
-            return budget_s
-
         base_frequency = base.frequency_scale if base is not None else 1.0
-        base_lat, base_en = lat_en(base)
-        base_budget_s = budget_at(base)
-        if base_budget_s < base_lat:
+        base_cost = (
+            system.engine_cost(costs, code, engine_index, base)
+            if base_at is None else row[base_at]
+        )
+        base_budget_s = _reserved_budget(
+            slack_s, base, base_at, remaining_codes, remaining, prices,
+            item, engine_index, system, costs,
+        ) if reserving else slack_s
+        if base_budget_s < base_cost.latency_s:
             # Behind schedule at base speed: the cheapest faster point
             # that actually rescues the deadline (the whole remaining
             # chain priced at that point), the true
@@ -300,26 +278,75 @@ class SlackGovernor:
             # extra energy without changing the (near-binary) deadline
             # outcome, so hopeless dispatches stay at base speed.
             rescue, rescue_energy = None, float("inf")
-            for point in points:
+            for point, at in ladder:
                 if point.frequency_scale <= base_frequency:
                     continue
-                lat, en = lat_en(point)
-                if lat <= budget_at(point) and en < rescue_energy:
-                    rescue, rescue_energy = point, en
+                cost = (
+                    system.engine_cost(costs, code, engine_index, point)
+                    if at is None else row[at]
+                )
+                budget_s = _reserved_budget(
+                    slack_s, point, at, remaining_codes, remaining, prices,
+                    item, engine_index, system, costs,
+                ) if reserving else slack_s
+                if (
+                    cost.latency_s <= budget_s
+                    and cost.energy_mj < rescue_energy
+                ):
+                    rescue, rescue_energy = point, cost.energy_mj
             return rescue if rescue is not None else base
         if context.contended or context.has_dependents:
             return base
         stretch_s = base_budget_s
         if context.next_event_s is not None:
             stretch_s = min(stretch_s, context.next_event_s - now_s)
-        choice, choice_energy = base, base_en
-        for point in points:
+        choice, choice_energy = base, base_cost.energy_mj
+        for point, at in ladder:
             if point.frequency_scale > base_frequency:
                 continue
-            lat, en = lat_en(point)
-            if lat <= stretch_s and en < choice_energy:
-                choice, choice_energy = point, en
+            cost = (
+                system.engine_cost(costs, code, engine_index, point)
+                if at is None else row[at]
+            )
+            if cost.latency_s <= stretch_s and cost.energy_mj < choice_energy:
+                choice, choice_energy = point, cost.energy_mj
         return choice
+
+
+def _reserved_budget(
+    slack_s: float,
+    point: DvfsPoint | None,
+    at: int | None,
+    remaining_codes: Sequence[str | None],
+    remaining: Callable[..., tuple[float, ...]] | None,
+    prices: PriceTable | None,
+    item: WorkItem,
+    engine_index: int,
+    system: AcceleratorSystem,
+    costs: CostTable,
+) -> float:
+    """The slack left for one piece with the rest of its chain reserved
+    at ``point`` (ladder position ``at``): successors re-decide at their
+    own boundaries, so uniform pricing is self-consistent.
+
+    Each remaining segment's latency is subtracted from the slack in
+    turn.  A :class:`~repro.runtime.segmentation.ChainSuffix` (the event
+    loop's compile-time segment-chain view) answers the latencies from
+    its per-(engine, position) memo (``remaining``); a plain code
+    sequence, or a point without a position, is priced per segment.
+    Both subtract the same floats in the same order, so the budgets —
+    and therefore the chosen points — are bit-identical.
+    """
+    budget_s = slack_s
+    if at is not None and remaining is not None:
+        for latency_s in remaining(prices, engine_index, at):
+            budget_s -= latency_s
+        return budget_s
+    for rcode in remaining_codes:
+        budget_s -= system.engine_cost(
+            costs, rcode or item.request.model_code, engine_index, point,
+        ).latency_s
+    return budget_s
 
 
 def make_governor(

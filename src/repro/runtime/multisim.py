@@ -276,7 +276,8 @@ class _SessionState:
     belongs to phase ``p`` exactly when ``phase_ids[p] <= request_id <
     phase_ids[p + 1]`` — to the current phase when ``request_id >=
     phase_ids[phase]`` — and completions of stale-phase work spawn no
-    cascades.
+    cascades.  ``cursor`` streams the current phase's roots (``None``
+    when it has none).
     """
 
     spec: SessionSpec
@@ -290,6 +291,7 @@ class _SessionState:
     offset_s: float = 0.0
     active: bool = False
     phase_ids: list[int] = field(default_factory=list)
+    cursor: _ArrivalCursor | None = None
 
     @property
     def active_duration_s(self) -> float:
@@ -306,7 +308,14 @@ class _ArrivalCursor:
     event ``first_seq + k`` and becomes request ``first_id + k``; both
     blocks are reserved when the phase is entered, so every arrival
     keeps the event key and request id it would have had if the whole
-    schedule were pushed then.  ``index`` is the row on the event heap.
+    schedule were pushed then.  ``index`` is the next row to pop (the
+    one on the event heap), ``len(rows)`` once every row has popped, so
+    ``rows[index:]`` are the rows still to come.
+
+    A degrade action that cancels the phase uncounts those rows at once
+    and marks the cursor ``retired``.  Its rows keep popping at their
+    keys, because they are dispatch instants and bound the slack
+    governor's event horizon, but they build no request.
     """
 
     rows: tuple[tuple[float, str, int, float], ...]
@@ -315,6 +324,7 @@ class _ArrivalCursor:
     first_id: int
     phase: int
     index: int = 0
+    retired: bool = False
 
 
 @dataclass
@@ -788,10 +798,9 @@ class MultiScenarioSimulator:
                 )
 
         # The QoE control plane: per-session decision logs, the phases
-        # cancelled by degrade actions (their cursors keep streaming the
-        # arrival tails, which are uncounted, not charged as drops), and
-        # each session's planned-activity baseline further degradation
-        # scales from.
+        # cancelled by degrade actions (their dependents still to arrive
+        # are uncounted, not charged as drops), and each session's
+        # planned-activity baseline further degradation scales from.
         # All empty — and control ticks unscheduled — when no controller
         # is installed, leaving the historical event stream untouched.
         controller = self._controller
@@ -902,8 +911,9 @@ class MultiScenarioSimulator:
             first_id = next(request_ids)
             request_ids = itertools.count(first_id + len(rows))
             state.phase_ids.append(first_id)
+            state.cursor = None
             if rows:
-                cursor = _ArrivalCursor(
+                cursor = state.cursor = _ArrivalCursor(
                     rows, start, events.reserve(len(rows)), first_id, phase
                 )
                 events.push_reserved(
@@ -951,10 +961,13 @@ class MultiScenarioSimulator:
             action time, a window streaming the rate-scaled variant of
             the *planned* activity is spliced in after it, and the
             session enters it like any phase change.  The truncated
-            phase is marked cancelled so its not-yet-arrived tail
-            (which its arrival cursor keeps streaming) is uncounted rather
-            than charged as drops — the degraded stream replaces it
-            from this instant, keeping QoE denominators honest.
+            phase's not-yet-arrived tail is uncounted rather than
+            charged as drops — the degraded stream replaces it from this
+            instant, keeping QoE denominators honest.  Its root rows
+            still to come are uncounted here, in one pass, and its
+            retired cursor streams them on as bare time markers; the
+            phase is marked cancelled so its dependents still to arrive
+            are uncounted as they do.
             """
             sid = action.session_id
             state = states[sid]
@@ -972,6 +985,12 @@ class MultiScenarioSimulator:
             state.windows[state.phase] = (start, now_s, current)
             state.windows.insert(state.phase + 1, (now_s, stop, degraded))
             cancelled[sid].add(state.phase)
+            cursor = state.cursor
+            if cursor is not None:
+                spawned = state.spawned
+                for _, code, _, _ in cursor.rows[cursor.index:]:
+                    spawned[code] -= 1
+                cursor.retired = True
             retire_waiting(sid, include_resumable=True)
             enter_phase(state, state.phase + 1)
 
@@ -1223,53 +1242,69 @@ class MultiScenarioSimulator:
         while heap:
             now_s, _, kind, request, sub_index, session_id = pop_fields()
             while True:
-                state = states[session_id]
                 if kind is ARRIVAL:
                     if request.__class__ is _ArrivalCursor:
-                        # A streamed root: build this row's request, then
-                        # put the cursor's next row on the heap under its
-                        # reserved sequence number.
+                        # A streamed root: put the cursor's next row on
+                        # the heap under its reserved sequence number,
+                        # then build this row's request.  A retired
+                        # cursor's rows were uncounted when a degrade
+                        # cancelled their phase (see apply_degrade): they
+                        # pop only as time markers and build nothing.
                         cursor = request
                         k = cursor.index
                         rows = cursor.rows
-                        _, code, frame, deadline_s = rows[k]
-                        request = InferenceRequest(
-                            code, frame, now_s, deadline_s + cursor.start_s,
-                            cursor.first_id + k,
-                        )
-                        phase = cursor.phase
-                        k += 1
-                        if k < len(rows):
-                            cursor.index = k
+                        cursor.index = after = k + 1
+                        if after < len(rows):
                             push_reserved(
-                                rows[k][0] + cursor.start_s,
-                                cursor.first_seq + k, ARRIVAL, cursor,
+                                rows[after][0] + cursor.start_s,
+                                cursor.first_seq + after, ARRIVAL, cursor,
                                 None, session_id,
                             )
+                        if not cursor.retired:
+                            state = states[session_id]
+                            _, code, frame, deadline_s = rows[k]
+                            request = InferenceRequest(
+                                code, frame, now_s,
+                                deadline_s + cursor.start_s,
+                                cursor.first_id + k,
+                            )
+                            state.requests.append(request)
+                            if (
+                                not state.active
+                                or cursor.phase != state.phase
+                            ):
+                                # Streamed, but the session departed (or
+                                # switched activity) before the frame
+                                # could even queue: it counts against QoE
+                                # like any other drop.
+                                request.dropped = True
+                            else:
+                                waiting.offer(fresh_item(request, session_id))
                     else:
                         # A dependent: numbered at spawn, inside its
                         # phase's id range.
+                        state = states[session_id]
                         phase = bisect_right(
                             state.phase_ids, request.request_id
                         ) - 1
-                    if (
-                        controller is not None
-                        and phase in cancelled[session_id]
-                    ):
-                        # The frame belongs to an activity a degrade
-                        # action truncated: its tail was *replaced* by
-                        # the degraded stream, so it was never offered
-                        # — uncount it instead of charging a drop.
-                        state.spawned[request.model_code] -= 1
-                    elif not state.active or phase != state.phase:
-                        # Streamed, but the session departed (or switched
-                        # activity) before the frame could even queue: it
-                        # counts against QoE like any other drop.
-                        state.requests.append(request)
-                        request.dropped = True
-                    else:
-                        state.requests.append(request)
-                        waiting.offer(fresh_item(request, session_id))
+                        if (
+                            controller is not None
+                            and phase in cancelled[session_id]
+                        ):
+                            # The frame belongs to an activity a degrade
+                            # action truncated: its tail was *replaced*
+                            # by the degraded stream, so it was never
+                            # offered — uncount it instead of charging a
+                            # drop.
+                            state.spawned[request.model_code] -= 1
+                        elif not state.active or phase != state.phase:
+                            # Dropped, like a root of a departed session
+                            # or a switched activity.
+                            state.requests.append(request)
+                            request.dropped = True
+                        else:
+                            state.requests.append(request)
+                            waiting.offer(fresh_item(request, session_id))
                 elif kind is COMPLETION and fplan is not None and (
                     engines[sub_index].current is None
                     or engines[sub_index].current.request is not request
@@ -1284,6 +1319,7 @@ class MultiScenarioSimulator:
                     # time IS the float begin() returned.
                     pass
                 elif kind is COMPLETION:
+                    state = states[session_id]
                     item = finish(sub_index, now_s)
                     if item.request is not request:
                         raise AssertionError(
@@ -1348,6 +1384,7 @@ class MultiScenarioSimulator:
                         # completes.
                         request.dropped = True
                 elif kind is SESSION_JOIN:
+                    state = states[session_id]
                     if controller is None:
                         state.active = True
                     else:
@@ -1364,6 +1401,7 @@ class MultiScenarioSimulator:
                             log.actions += (action,)
                     enter_phase(state, 0)
                 elif kind is SESSION_PHASE:
+                    state = states[session_id]
                     if state.active:
                         retire_waiting(session_id, include_resumable=True)
                         enter_phase(state, state.phase + 1)
@@ -1430,6 +1468,7 @@ class MultiScenarioSimulator:
                 elif kind is WORK_RETRY:
                     item = retry_items.pop(request.request_id, None)
                     if item is not None:
+                        state = states[session_id]
                         log = faults_log[session_id]
                         rid = request.request_id
                         if (
@@ -1468,7 +1507,7 @@ class MultiScenarioSimulator:
                                 attempt=retry_counts.get(rid, 0),
                             ))
                 else:  # SESSION_LEAVE
-                    state.active = False
+                    states[session_id].active = False
                     retire_waiting(session_id, include_resumable=True)
                 if not heap or heap[0][0] != now_s:
                     break

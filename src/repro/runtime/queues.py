@@ -16,11 +16,14 @@ rebuilding and re-sorting a list on every scheduler call.  Arrivals come
 in time order, so the queue keeps that order by appending: a fresh frame
 superseding a waiting one costs two dict operations, and only an
 out-of-order offer (a fault retry) costs a re-sort, once, at the next
-read.
+read.  EDF reads a second, deadline-ordered view of the same items
+(:meth:`WaitingQueue.earliest_deadline`) instead of scanning them.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -45,6 +48,11 @@ def _dispatch_order(item: WorkItem) -> tuple[float, int, str]:
 
 #: Compares below every dispatch key: the ``_max_key`` of an empty queue.
 _NO_KEY: tuple[float, int, str] = (float("-inf"), -1, "")
+
+#: The deadline view is rebuilt from the live items when it holds more
+#: than this many entries per waiting item: superseded and taken items
+#: leave their entries behind, and this bounds what they can add up to.
+DEADLINE_VIEW_BOUND = 4
 
 
 @dataclass(slots=True)
@@ -71,11 +79,28 @@ class WaitingQueue:
     read sees the same list whatever order the items were offered in.
     The key fields are stable for a waiting item — request times are
     only ever shifted *before* the item is offered.
+
+    :meth:`earliest_deadline` reads the same items in deadline order,
+    from a heap of ``(deadline_s, request_time_s, session_id,
+    model_code, seq, item)`` entries (``_deadlines``).  The heap is built
+    on the first read, so a queue no policy reads by deadline pays one
+    ``is None`` test per offer.  Deletion is lazy: an entry is live
+    while its item is the one waiting under its (session, model), which
+    also holds for a fault retry re-offering the same item object.  The
+    heap is dropped when the queue empties, and rebuilt from the live
+    items when it holds more than :data:`DEADLINE_VIEW_BOUND` entries per
+    waiting item.
     """
 
     _by_key: dict[tuple[int, str], WorkItem] = field(default_factory=dict)
     _max_key: tuple[float, int, str] = _NO_KEY
     _unordered: bool = False
+    _deadlines: list[
+        tuple[float, float, int, str, int, WorkItem]
+    ] | None = field(default=None, repr=False, compare=False)
+    _pushes: Iterator[int] = field(
+        default_factory=itertools.count, repr=False, compare=False
+    )
 
     def offer(self, item: WorkItem) -> WorkItem | None:
         """Add a fresh work item; returns the displaced stale item, if any.
@@ -97,6 +122,14 @@ class WaitingQueue:
             self._max_key = order
         else:
             self._unordered = True
+        deadlines = self._deadlines
+        if deadlines is not None:
+            heapq.heappush(deadlines, (
+                request.deadline_s, request.request_time_s, session_id,
+                code, next(self._pushes), item,
+            ))
+            if len(deadlines) > DEADLINE_VIEW_BOUND * len(by_key):
+                self._build_deadlines()
         return stale
 
     def take(self, item: WorkItem) -> None:
@@ -113,6 +146,7 @@ class WaitingQueue:
         if not by_key:
             self._max_key = _NO_KEY
             self._unordered = False
+            self._deadlines = None
 
     def peek(self, session_id: int, model_code: str) -> WorkItem | None:
         """The waiting item for ``(session, model)``, if any.
@@ -144,6 +178,7 @@ class WaitingQueue:
         if not by_key:
             self._max_key = _NO_KEY
             self._unordered = False
+            self._deadlines = None
         return retired
 
     def _restore_order(self) -> None:
@@ -153,6 +188,43 @@ class WaitingQueue:
             key=lambda entry: _dispatch_order(entry[1]),
         ))
         self._unordered = False
+
+    def earliest_deadline(self) -> WorkItem | None:
+        """The waiting item with the earliest deadline, ``None`` if empty.
+
+        Ties go to the oldest data, then to dispatch order: the item
+        ``min(queue, key=lambda w: (w.request.deadline_s,
+        w.request.request_time_s))`` picks, since ``min`` keeps the first
+        of equal keys and the queue iterates in dispatch order.  Waiting
+        (session, model) pairs are unique, so the heap key after the
+        deadline and request time, ``(session_id, model_code)``, orders
+        every waiting item apart.
+        """
+        deadlines = self._deadlines
+        if deadlines is None:
+            deadlines = self._build_deadlines()
+        by_key = self._by_key
+        while deadlines:
+            entry = deadlines[0]
+            if by_key.get((entry[2], entry[3])) is entry[5]:
+                return entry[5]
+            heapq.heappop(deadlines)
+        return None
+
+    def _build_deadlines(
+        self,
+    ) -> list[tuple[float, float, int, str, int, WorkItem]]:
+        """(Re)build the deadline view from the waiting items alone."""
+        pushes = self._pushes
+        deadlines = self._deadlines = [
+            (
+                item.request.deadline_s, item.request.request_time_s,
+                session_id, code, next(pushes), item,
+            )
+            for (session_id, code), item in self._by_key.items()
+        ]
+        heapq.heapify(deadlines)
+        return deadlines
 
     # -- read-only sequence view (what schedulers see) -----------------------
 

@@ -180,6 +180,11 @@ class EarliestDeadlineScheduler:
     segment-boundary preemption query: a resuming segment chain is
     displaced whenever some waiting request's deadline is strictly
     earlier than the resuming request's.
+
+    Both read the waiting view's ``earliest_deadline()`` when it has one
+    (a :class:`~repro.runtime.queues.WaitingQueue` keeps a
+    deadline-ordered heap beside its dispatch order); any other sequence
+    is scanned.  Both give the same item.
     """
 
     #: Opt into deadline-aware segment preemption (off by default: the
@@ -196,10 +201,14 @@ class EarliestDeadlineScheduler:
     ) -> tuple[WorkItem, ExecutionEngine] | None:
         if not waiting or not idle_engines:
             return None
-        item = min(
-            waiting,
-            key=lambda w: (w.request.deadline_s, w.request.request_time_s),
-        )
+        earliest = getattr(waiting, "earliest_deadline", None)
+        if earliest is not None:
+            item = earliest()
+        else:
+            item = min(
+                waiting,
+                key=lambda w: (w.request.deadline_s, w.request.request_time_s),
+            )
         return item, _best_engine(
             item.request.model_code, idle_engines, system, costs
         )
@@ -214,10 +223,12 @@ class EarliestDeadlineScheduler:
     ) -> bool:
         if not self.preemptive or not waiting:
             return False
-        return (
-            min(w.request.deadline_s for w in waiting)
-            < resuming.request.deadline_s
-        )
+        earliest = getattr(waiting, "earliest_deadline", None)
+        if earliest is not None:
+            deadline_s = earliest().request.deadline_s
+        else:
+            deadline_s = min(w.request.deadline_s for w in waiting)
+        return deadline_s < resuming.request.deadline_s
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Runtime DVFS governor tests.
 
-Three contracts:
+Four contracts:
 
 * ``dvfs_policy="static"`` is the historical runtime, bit-identically:
   every pinned golden schedule checksum must reproduce with the policy
@@ -12,19 +12,35 @@ Three contracts:
 * Governor mechanics: point selection per policy, frequency-transition
   logs, operating-point stamps on execution records, and honest energy
   totals.
+* The slack governor picks the very point object its per-call
+  formulation picked (``reference_select``), on every governed dispatch
+  of the pinned slack cells.
 """
 
 from __future__ import annotations
 
-import pytest
-from test_schedule_equivalence import GOLDEN, checksum_of
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
+import pytest
+from test_schedule_equivalence import (
+    GOLDEN,
+    GOLDEN_DYNAMIC,
+    GOVERNED_CELLS,
+    checksum_of,
+    run_case,
+    run_horizon_spec,
+)
+
+import repro.runtime.multisim as multisim
 from repro.costmodel import (
     DEFAULT_DVFS_POINTS,
     CachedCostTable,
+    CostTable,
     DvfsPoint,
+    ModelCost,
 )
-from repro.hardware import build_accelerator
+from repro.hardware import AcceleratorSystem, build_accelerator
 from repro.runtime import (
     DispatchContext,
     EngineFleet,
@@ -265,6 +281,209 @@ class TestGovernorSelection:
         )
         assert unreserved is not None and unreserved.name == "eco"
         assert reserved is not unreserved
+
+
+# -- the slack governor against its per-call formulation ---------------------
+#
+# ``reference_select`` is ``SlackGovernor.select`` as it stood before it
+# priced its ladder without closures, kept verbatim: it filters the ladder
+# under a thermal cap and builds its two pricing closures on every call.
+
+#: The ladder positions when no price table is in reach: none.
+_NO_POSITIONS: Mapping[int, int] = MappingProxyType({})
+
+
+def reference_select(
+    self: SlackGovernor,
+    now_s: float,
+    item: WorkItem,
+    engine: ExecutionEngine,
+    remaining_codes: Sequence[str | None],
+    system: AcceleratorSystem,
+    costs: CostTable,
+    context: DispatchContext,
+) -> DvfsPoint | None:
+    # A thermal ceiling clamps both the baseline (the engine's
+    # effective point — the identical object as its base point while
+    # unthrottled, keeping fault-free runs bit-identical) and the
+    # candidate ladder.
+    base = engine.effective_dvfs
+    cap = engine.max_frequency_scale
+    points = (
+        self.points
+        if cap is None
+        else tuple(p for p in self.points if p.frequency_scale <= cap)
+    )
+    code = item.code
+    engine_index = engine.index
+
+    # Candidates are read by ladder position from the run's price
+    # table when the cost table keeps one: the row holds this
+    # piece's cost at every position, and positions resolve by
+    # identity.  A table without prices, or a point off the run's
+    # ladder, is priced through the keyed lookup.  Both give the
+    # same floats, so the choice is bit-identical either way.
+    prices_of = getattr(costs, "prices", None)
+    prices = prices_of(system) if prices_of is not None else None
+    code_id = prices.ids.get(code) if prices is not None else None
+    if prices is None or code_id is None:
+        position_by_id: Mapping[int, int] = _NO_POSITIONS
+        row: tuple[ModelCost, ...] = ()
+    else:
+        position_by_id = prices.position_by_id
+        row = prices.ladder_row(code_id, engine_index)
+
+    def lat_en(point: DvfsPoint | None) -> tuple[float, float]:
+        at = position_by_id.get(id(point))
+        cost = (
+            system.engine_cost(costs, code, engine_index, point)
+            if at is None else row[at]
+        )
+        return cost.latency_s, cost.energy_mj
+
+    # A ChainSuffix (the event loop's compile-time segment-chain
+    # view) answers the whole reservation from its per-(engine,
+    # position) latency memo; a plain code sequence, or a point
+    # without a position, is priced per call.  Both paths subtract
+    # the same floats in the same order, so the budgets — and
+    # therefore the chosen points — are bit-identical.
+    slack_s = item.request.deadline_s - now_s
+    reserving = bool(remaining_codes)
+    remaining = getattr(remaining_codes, "remaining_latencies", None)
+
+    def budget_at(point: DvfsPoint | None) -> float:
+        """Deadline budget for this piece with the rest of the
+        chain reserved at ``point`` (successors re-decide at their
+        own boundaries, so uniform pricing is self-consistent)."""
+        budget_s = slack_s
+        if not reserving:
+            return budget_s
+        at = position_by_id.get(id(point))
+        if at is not None and remaining is not None:
+            for latency_s in remaining(prices, engine_index, at):
+                budget_s -= latency_s
+            return budget_s
+        for rcode in remaining_codes:
+            budget_s -= system.engine_cost(
+                costs, rcode or item.request.model_code,
+                engine_index, point,
+            ).latency_s
+        return budget_s
+
+    base_frequency = base.frequency_scale if base is not None else 1.0
+    base_lat, base_en = lat_en(base)
+    base_budget_s = budget_at(base)
+    if base_budget_s < base_lat:
+        # Behind schedule at base speed: the cheapest faster point
+        # that actually rescues the deadline (the whole remaining
+        # chain priced at that point), the true
+        # best-point-for-slack fallback.  Racing a lost cause burns
+        # extra energy without changing the (near-binary) deadline
+        # outcome, so hopeless dispatches stay at base speed.
+        rescue, rescue_energy = None, float("inf")
+        for point in points:
+            if point.frequency_scale <= base_frequency:
+                continue
+            lat, en = lat_en(point)
+            if lat <= budget_at(point) and en < rescue_energy:
+                rescue, rescue_energy = point, en
+        return rescue if rescue is not None else base
+    if context.contended or context.has_dependents:
+        return base
+    stretch_s = base_budget_s
+    if context.next_event_s is not None:
+        stretch_s = min(stretch_s, context.next_event_s - now_s)
+    choice, choice_energy = base, base_en
+    for point in points:
+        if point.frequency_scale > base_frequency:
+            continue
+        lat, en = lat_en(point)
+        if lat <= stretch_s and en < choice_energy:
+            choice, choice_energy = point, en
+    return choice
+
+
+
+class _CheckedSlackGovernor(SlackGovernor):
+    """The slack governor, checked against :func:`reference_select` on
+    every call (test instrumentation)."""
+
+    calls = 0
+    throttled = 0
+    keyed = 0
+
+    def select(self, now_s, item, engine, remaining_codes, system, costs,
+               context):
+        chosen = super().select(
+            now_s, item, engine, remaining_codes, system, costs, context
+        )
+        expected = reference_select(
+            self, now_s, item, engine, remaining_codes, system, costs,
+            context,
+        )
+        assert chosen is expected, (now_s, item, chosen, expected)
+        _CheckedSlackGovernor.calls += 1
+        if engine.max_frequency_scale is not None:
+            _CheckedSlackGovernor.throttled += 1
+        prices_of = getattr(costs, "prices", None)
+        if prices_of is None or prices_of(system) is None:
+            _CheckedSlackGovernor.keyed += 1
+        return chosen
+
+
+@pytest.fixture
+def checked_slack(monkeypatch):
+    """Every run builds its slack governor as a checked one."""
+
+    def make(policy, points=DEFAULT_DVFS_POINTS):
+        if policy == "slack":
+            return _CheckedSlackGovernor(points=tuple(points))
+        return make_governor(policy, points)
+
+    _CheckedSlackGovernor.calls = 0
+    _CheckedSlackGovernor.throttled = 0
+    _CheckedSlackGovernor.keyed = 0
+    monkeypatch.setattr(multisim, "make_governor", make)
+    return _CheckedSlackGovernor
+
+
+#: The slack cells of ``GOLDEN_DYNAMIC``, as ``run_case`` arguments.
+_SLACK_DYNAMIC = [
+    dict(scheduler=scheduler, granularity=granularity, sessions=sessions,
+         churn=churn, preemptive=preemptive, dvfs=dvfs)
+    for (scheduler, granularity, sessions, churn, preemptive, dvfs)
+    in sorted(GOLDEN_DYNAMIC)
+    if dvfs == "slack"
+]
+
+
+class TestSlackAgainstReference:
+    """On every governed dispatch of the pinned slack cells, the governor
+    picks the very point object the per-call formulation it replaced
+    picks (:func:`reference_select`)."""
+
+    @pytest.mark.parametrize(
+        "cell",
+        [GOVERNED_CELLS[name] for name in sorted(GOVERNED_CELLS)
+         if GOVERNED_CELLS[name]["dvfs"] == "slack"] + _SLACK_DYNAMIC,
+        ids=str,
+    )
+    def test_golden_cells(self, checked_slack, cell):
+        run_case(**cell)
+        assert checked_slack.calls > 0
+        if cell.get("faults") == "thermal":
+            assert checked_slack.throttled > 0
+
+    def test_cancelled_phase_tails_spec(self, checked_slack):
+        run_horizon_spec()
+        assert checked_slack.calls > 0
+
+    def test_keyed_pricing(self, checked_slack):
+        # A plain CostTable keeps no prices: every candidate goes
+        # through the keyed lookup.
+        run_case("latency_greedy", "model", 16, dvfs="slack",
+                 costs=CostTable())
+        assert checked_slack.calls == checked_slack.keyed > 0
 
 
 class TestTransitionsAndRecords:

@@ -8,6 +8,7 @@ from test_schedule_equivalence import REQUEST_CELLS, run_case
 
 import repro.runtime.multisim as multisim
 from repro.hardware import build_accelerator
+from repro.runtime.queues import DEADLINE_VIEW_BOUND
 from repro.runtime import (
     DependencyTracker,
     MultiScenarioSimulator,
@@ -18,12 +19,12 @@ from repro.runtime import (
 from repro.workload import InferenceRequest, get_scenario
 
 
-def req(code="HT", frame=0, t=0.0):
-    return InferenceRequest(code, frame, t, t + 0.033)
+def req(code="HT", frame=0, t=0.0, slack=0.033):
+    return InferenceRequest(code, frame, t, t + slack)
 
 
-def item(code="HT", frame=0, t=0.0, session=0):
-    return WorkItem(request=req(code, frame, t), session_id=session)
+def item(code="HT", frame=0, t=0.0, session=0, slack=0.033):
+    return WorkItem(request=req(code, frame, t, slack), session_id=session)
 
 
 class TestWaitingQueue:
@@ -111,10 +112,46 @@ class TestWaitingQueue:
         q.take(b)
         assert list(q) == [a, c]
 
+    def test_earliest_deadline(self):
+        q = WaitingQueue()
+        assert q.earliest_deadline() is None
+        relaxed = item("HT", t=0.0, session=0, slack=0.5)
+        urgent = item("ES", t=0.1, session=0, slack=0.1)
+        # Same deadline as ``urgent``, but older data: it goes first.
+        older = item("GE", t=0.0, session=1, slack=0.2)
+        for work in (relaxed, urgent, older):
+            q.offer(work)
+        assert q.earliest_deadline() is older
+        q.take(older)
+        assert q.earliest_deadline() is urgent
+        # A fresher frame supersedes ``urgent``; the view follows.
+        fresh = item("ES", t=0.2, session=0, slack=0.1)
+        q.offer(fresh)
+        assert q.earliest_deadline() is fresh
+        q.take(fresh)
+        q.take(relaxed)
+        assert q.earliest_deadline() is None
+
+    def test_earliest_deadline_sees_a_requeued_item(self):
+        # A fault retry offers the very item that was taken.
+        q = WaitingQueue()
+        a = item("HT", t=0.0, session=0, slack=0.1)
+        b = item("ES", t=0.0, session=0, slack=0.2)
+        q.offer(a)
+        q.offer(b)
+        assert q.earliest_deadline() is a
+        q.take(a)
+        assert q.earliest_deadline() is b
+        q.offer(a)
+        assert q.earliest_deadline() is a
+        q.take(a)
+        assert q.earliest_deadline() is b
+
 
 class _ReferenceQueue:
     """The waiting-queue contract at its plainest: one dict keyed by
-    (session, model), sorted by dispatch key on every read."""
+    (session, model), sorted by dispatch key on every read, and scanned
+    for the earliest deadline the way EDF scans a plain sequence."""
 
     def __init__(self) -> None:
         self.by_key: dict[tuple[int, str], WorkItem] = {}
@@ -126,19 +163,34 @@ class _ReferenceQueue:
                            w.request.model_code),
         )
 
+    def earliest_deadline(self) -> WorkItem | None:
+        order = self.order()
+        if not order:
+            return None
+        return min(
+            order,
+            key=lambda w: (w.request.deadline_s, w.request.request_time_s),
+        )
+
 
 _SESSION = st.integers(0, 2)
 _MODEL = st.sampled_from(["ES", "GE", "HT"])
+#: Deadline slack of an offer.  The clock moves in quarter seconds, so
+#: these make deadlines tie across request times and sessions, and put
+#: deadline order apart from dispatch order.
+_SLACK = st.sampled_from([0.0, 0.25, 0.5, 1.0])
 #: One queue operation.  ``arrive`` steps the clock forward (a zero step
 #: is a same-instant offer, from any session in any order); ``retry``
-#: re-offers at an older time, as a fault retry does; ``take`` takes the
+#: re-offers at an older time; ``requeue`` re-offers an item taken
+#: earlier, the same object, as a fault retry does; ``take`` takes the
 #: item at a position of the dispatch order (0 is the head);
 #: ``take_gone`` takes an item that no longer waits, which must raise.
 _OPERATION = st.one_of(
     st.tuples(st.just("arrive"), st.sampled_from([0.0, 0.0, 0.25, 1.0]),
-              _SESSION, _MODEL),
+              _SESSION, _MODEL, _SLACK),
     st.tuples(st.just("retry"), st.sampled_from([0.25, 0.5, 2.0]),
-              _SESSION, _MODEL),
+              _SESSION, _MODEL, _SLACK),
+    st.tuples(st.just("requeue"), st.integers(0, 50)),
     st.tuples(st.just("take"), st.integers(0, 12)),
     st.tuples(st.just("take_gone"), st.integers(0, 50)),
     st.tuples(st.just("peek"), _SESSION, _MODEL),
@@ -151,15 +203,19 @@ class TestWaitingQueueAgainstReference:
     like a dict sorted on every read.
 
     Reading the order restores it, so each operation draws how the test
-    reads it afterwards — not at all, by iteration, or by indexing the
-    head or the tail: unread, an out-of-order offer stays pending into
-    the operations that follow, and each read path gets to restore it."""
+    reads it afterwards — not at all, by iteration, by indexing the head
+    or the tail, or by earliest deadline: unread, an out-of-order offer
+    stays pending into the operations that follow, and each read path
+    gets to restore it.  The deadline view is built on its first read
+    and dropped whenever the queue empties, so its lazy deletion and
+    rebuilds run between reads too; it may never hold more than
+    ``DEADLINE_VIEW_BOUND`` entries per waiting item."""
 
     @settings(max_examples=150, deadline=None)
     @given(operations=st.lists(
         st.tuples(_OPERATION,
                   st.sampled_from([None, None, None, "iter", "head",
-                                   "tail"])),
+                                   "tail", "edf", "edf"])),
         min_size=20, max_size=80,
     ))
     def test_matches_sorted_dict(self, operations):
@@ -167,18 +223,37 @@ class TestWaitingQueueAgainstReference:
         created: list[WorkItem] = []
         dropped: set[int] = set()
         gone: list[WorkItem] = []
+        taken: list[WorkItem] = []
         clock = 0.0
+        high_water = 0
         for index, (op, read) in enumerate(operations):
             kind = op[0]
-            if kind in ("arrive", "retry"):
-                _, step, session, model = op
-                if kind == "arrive":
-                    clock += step
-                    t = clock
+            if kind in ("arrive", "retry", "requeue"):
+                if kind == "requeue":
+                    # Only an item that no longer waits and was never
+                    # dropped can come back, as a killed dispatch does.
+                    candidates = [
+                        w for w in taken
+                        if id(w) not in dropped
+                        and ref.by_key.get(
+                            (w.session_id, w.request.model_code)
+                        ) is not w
+                    ]
+                    if not candidates:
+                        continue
+                    work = candidates[op[1] % len(candidates)]
+                    session = work.session_id
+                    model = work.request.model_code
                 else:
-                    t = max(0.0, clock - step)
-                work = item(model, frame=len(created), t=t, session=session)
-                created.append(work)
+                    _, step, session, model, slack = op
+                    if kind == "arrive":
+                        clock += step
+                        t = clock
+                    else:
+                        t = max(0.0, clock - step)
+                    work = item(model, frame=len(created), t=t,
+                                session=session, slack=slack)
+                    created.append(work)
                 stale = queue.offer(work)
                 expected = ref.by_key.pop((session, model), None)
                 ref.by_key[(session, model)] = work
@@ -186,6 +261,12 @@ class TestWaitingQueueAgainstReference:
                 if expected is not None:
                     dropped.add(id(expected))
                     gone.append(expected)
+                high_water = max(high_water, len(ref.by_key))
+                deadlines = queue._deadlines
+                if deadlines is not None:
+                    assert len(deadlines) <= (
+                        DEADLINE_VIEW_BOUND * len(ref.by_key)
+                    )
             elif kind == "take":
                 order = ref.order()
                 if not order:
@@ -194,11 +275,18 @@ class TestWaitingQueueAgainstReference:
                 queue.take(work)
                 del ref.by_key[(work.session_id, work.request.model_code)]
                 gone.append(work)
+                taken.append(work)
             elif kind == "take_gone":
-                if not gone:
+                absent = [
+                    w for w in gone
+                    if ref.by_key.get(
+                        (w.session_id, w.request.model_code)
+                    ) is not w
+                ]
+                if not absent:
                     continue
                 with pytest.raises(ValueError, match="not waiting"):
-                    queue.take(gone[op[1] % len(gone)])
+                    queue.take(absent[op[1] % len(absent)])
             elif kind == "peek":
                 _, session, model = op
                 assert queue.peek(session, model) is ref.by_key.get(
@@ -221,6 +309,9 @@ class TestWaitingQueueAgainstReference:
             assert [w.request.dropped for w in created] == [
                 id(w) in dropped for w in created
             ]
+            deadlines = queue._deadlines
+            if deadlines is not None:
+                assert len(deadlines) <= DEADLINE_VIEW_BOUND * high_water
             if index == len(operations) - 1:
                 read = "iter"
             if read == "iter":
@@ -229,6 +320,8 @@ class TestWaitingQueueAgainstReference:
                 assert queue[0] is order[0]
             elif read == "tail" and order:
                 assert queue[-1] is order[-1]
+            elif read == "edf":
+                assert queue.earliest_deadline() is ref.earliest_deadline()
 
 
 class _CountingQueue(WaitingQueue):
@@ -255,7 +348,8 @@ def counting_queue(monkeypatch):
 
 class TestReSortsInRealRuns:
     """Arrivals come in time order, so a run re-sorts only where an offer
-    lands out of order: a requeued fault retry (or a same-instant tie)."""
+    lands out of order — a requeued fault retry (or a same-instant tie)
+    — and then only if a policy reads the dispatch order afterwards."""
 
     def test_static_fleet_never_resorts(self, counting_queue):
         result = MultiScenarioSimulator.replicate(
@@ -271,16 +365,34 @@ class TestReSortsInRealRuns:
         )
         assert queue.resorts == 0
 
-    def test_resorts_only_for_requeued_retries(self, counting_queue):
-        result = run_case(**REQUEST_CELLS["flaky_4"])
-        (queue,) = counting_queue.instances
-        requeued = sum(
+    @staticmethod
+    def requeued(result) -> int:
+        return sum(
             action.kind == "requeued"
             for session in result.sessions
             for action in session.faults.actions
         )
+
+    def test_resorts_only_for_requeued_retries(self, counting_queue):
+        # latency_greedy reads the head on every dispatch, so each
+        # requeued retry costs exactly one re-sort.
+        result = run_case(
+            **dict(REQUEST_CELLS["flaky_4"], scheduler="latency_greedy")
+        )
+        (queue,) = counting_queue.instances
+        requeued = self.requeued(result)
         assert requeued > 0, "the flaky cell should requeue killed work"
         assert queue.resorts == requeued
+
+    def test_edf_never_reads_the_dispatch_order(self, counting_queue):
+        # EDF reads the deadline view: its requeued retries leave the
+        # dispatch order stale, and nothing re-sorts it.
+        result = run_case(**REQUEST_CELLS["flaky_4"])
+        (queue,) = counting_queue.instances
+        assert self.requeued(result) > 0, (
+            "the flaky cell should requeue killed work"
+        )
+        assert queue.resorts == 0
 
 
 class TestDependencyTracker:
