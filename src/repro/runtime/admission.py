@@ -61,6 +61,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Protocol, Sequence
 
+from repro.costmodel.analysis import ordered_sum
 from repro.workload import UsageScenario
 
 __all__ = [
@@ -477,4 +478,4 @@ def quality_retention(
         for sm in scenario.models
         if not sm.aux
     ]
-    return sum(values) / len(values) if values else 1.0
+    return ordered_sum(values) / len(values) if values else 1.0

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.costmodel.analysis import ordered_sum
 from repro.workload.loadgen import _unit_roll
 
 __all__ = [
@@ -394,4 +395,6 @@ class FaultRecord:
     def mean_recovery_latency_s(self) -> float | None:
         if not self.recovery_latencies_s:
             return None
-        return sum(self.recovery_latencies_s) / len(self.recovery_latencies_s)
+        return ordered_sum(self.recovery_latencies_s) / len(
+            self.recovery_latencies_s
+        )

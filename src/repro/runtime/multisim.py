@@ -101,6 +101,7 @@ from repro.costmodel import (
     CostTable,
     DvfsPoint,
 )
+from repro.costmodel.analysis import ordered_sum
 from repro.hardware import AcceleratorSystem
 from repro.workload import (
     Dependency,
@@ -295,7 +296,7 @@ class _SessionState:
 
     @property
     def active_duration_s(self) -> float:
-        return sum(stop - start for start, stop, _ in self.windows)
+        return ordered_sum(stop - start for start, stop, _ in self.windows)
 
 
 @dataclass(slots=True)
@@ -390,7 +391,7 @@ class MultiSessionResult:
         burnt on segments whose request was later dropped (a departed
         session's drained chain) is counted — the hardware spent it.
         """
-        return sum(record.energy_mj for record in self.records)
+        return ordered_sum(record.energy_mj for record in self.records)
 
     def system_utilization(self, sub_index: int) -> float:
         """Busy fraction of one engine across all sessions.
@@ -403,7 +404,9 @@ class MultiSessionResult:
 
     def mean_system_utilization(self) -> float:
         subs = self.system.num_subs
-        return sum(self.system_utilization(i) for i in range(subs)) / subs
+        return ordered_sum(
+            self.system_utilization(i) for i in range(subs)
+        ) / subs
 
 
 @dataclass

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.costmodel import CostTable
+from repro.costmodel.analysis import ordered_sum
 from repro.hardware import AcceleratorSystem
 from repro.workload import InferenceRequest, UsageScenario
 
@@ -112,8 +113,8 @@ class SimulationResult:
         results without records fall back to per-request energy.
         """
         if self.records:
-            return sum(record.energy_mj for record in self.records)
-        return sum(r.energy_mj or 0.0 for r in self.requests)
+            return ordered_sum(record.energy_mj for record in self.records)
+        return ordered_sum(r.energy_mj or 0.0 for r in self.requests)
 
     def utilization(self, sub_index: int) -> float:
         """Busy fraction of one engine over the session's window.
@@ -137,7 +138,7 @@ class SimulationResult:
 
     def mean_utilization(self) -> float:
         subs = self.system.num_subs
-        return sum(self.utilization(i) for i in range(subs)) / subs
+        return ordered_sum(self.utilization(i) for i in range(subs)) / subs
 
 
 @dataclass

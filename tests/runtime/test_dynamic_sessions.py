@@ -160,6 +160,24 @@ class TestActiveDurationNormalisation:
         score = score_simulation(result.sessions[0])
         assert score.qoe > 0.9
 
+    def test_window_lengths_add_left_to_right(self, vr):
+        """Session 0's windows in the dynamic session group of
+        ``tests/core/test_aggregate.py`` at seed 2, after a degrade.  The
+        built-in ``sum()`` of CPython 3.12 compensates and gives
+        1.8255381039999998; adding left to right gives what 3.11 and
+        3.10 give, so every interpreter scores the same denominator."""
+        from repro.runtime.multisim import _SessionState
+
+        state = _SessionState(
+            spec=SessionSpec(0, vr),
+            windows=[(0.102556605, 0.18, vr), (0.18, 0.4, vr),
+                     (0.4, 1.928094709, vr)],
+            requests=[],
+            busy_time_s={},
+            spawned={},
+        )
+        assert state.active_duration_s == 1.825538104
+
     def test_utilization_normalises_by_active_window(self, vr, system):
         result = MultiScenarioSimulator(
             sessions=[SessionSpec(
