@@ -248,7 +248,7 @@ class SlackGovernor:
                 if cap is None or point.frequency_scale <= cap
             )
             row: tuple[ModelCost, ...] = ()
-            base_at = None
+            base_at: int | None = None
         else:
             ladder = prices.permitted_positions(self.points, cap)
             row = prices.ladder_row(code_id, engine_index)
