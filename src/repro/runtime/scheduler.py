@@ -172,6 +172,24 @@ class RoundRobinScheduler:
         self._next_engine = 0
 
 
+def _earliest_deadline(waiting: Sequence[WorkItem]) -> WorkItem:
+    """The non-empty ``waiting``'s earliest-deadline item, ties to the
+    oldest data, then to the first in ``waiting``'s order.
+
+    A :class:`~repro.runtime.queues.WaitingQueue` answers from the
+    deadline-ordered heap it keeps beside its dispatch order
+    (``earliest_deadline()``); any other sequence is scanned.  Both give
+    the same item.
+    """
+    earliest = getattr(waiting, "earliest_deadline", None)
+    if earliest is not None:
+        return earliest()
+    return min(
+        waiting,
+        key=lambda w: (w.request.deadline_s, w.request.request_time_s),
+    )
+
+
 @dataclass
 class EarliestDeadlineScheduler:
     """EDF: most urgent request first, fastest idle engine.
@@ -181,10 +199,10 @@ class EarliestDeadlineScheduler:
     displaced whenever some waiting request's deadline is strictly
     earlier than the resuming request's.
 
-    Both read the waiting view's ``earliest_deadline()`` when it has one
-    (a :class:`~repro.runtime.queues.WaitingQueue` keeps a
-    deadline-ordered heap beside its dispatch order); any other sequence
-    is scanned.  Both give the same item.
+    Both read the most urgent waiting item from the waiting queue's
+    deadline-ordered view
+    (:meth:`~repro.runtime.queues.WaitingQueue.earliest_deadline`), and
+    scan any other sequence.
     """
 
     #: Opt into deadline-aware segment preemption (off by default: the
@@ -201,14 +219,7 @@ class EarliestDeadlineScheduler:
     ) -> tuple[WorkItem, ExecutionEngine] | None:
         if not waiting or not idle_engines:
             return None
-        earliest = getattr(waiting, "earliest_deadline", None)
-        if earliest is not None:
-            item = earliest()
-        else:
-            item = min(
-                waiting,
-                key=lambda w: (w.request.deadline_s, w.request.request_time_s),
-            )
+        item = _earliest_deadline(waiting)
         return item, _best_engine(
             item.request.model_code, idle_engines, system, costs
         )
@@ -223,12 +234,10 @@ class EarliestDeadlineScheduler:
     ) -> bool:
         if not self.preemptive or not waiting:
             return False
-        earliest = getattr(waiting, "earliest_deadline", None)
-        if earliest is not None:
-            deadline_s = earliest().request.deadline_s
-        else:
-            deadline_s = min(w.request.deadline_s for w in waiting)
-        return deadline_s < resuming.request.deadline_s
+        return (
+            _earliest_deadline(waiting).request.deadline_s
+            < resuming.request.deadline_s
+        )
 
 
 @dataclass
