@@ -173,14 +173,10 @@ class RoundRobinScheduler:
 
 
 def _earliest_deadline(waiting: Sequence[WorkItem]) -> WorkItem:
-    """The non-empty ``waiting``'s earliest-deadline item, ties to the
-    oldest data, then to the first in ``waiting``'s order.
-
-    A :class:`~repro.runtime.queues.WaitingQueue` answers from the
-    deadline-ordered heap it keeps beside its dispatch order
-    (``earliest_deadline()``); any other sequence is scanned.  Both give
-    the same item.
-    """
+    """The earliest-deadline item of a non-empty ``waiting`` (ties to the
+    oldest data, then to ``waiting``'s order): read from a
+    :class:`~repro.runtime.queues.WaitingQueue`'s deadline view, or
+    scanned from any other sequence.  Both give the same item."""
     earliest = getattr(waiting, "earliest_deadline", None)
     if earliest is not None:
         return earliest()
@@ -199,10 +195,8 @@ class EarliestDeadlineScheduler:
     displaced whenever some waiting request's deadline is strictly
     earlier than the resuming request's.
 
-    Both read the most urgent waiting item from the waiting queue's
-    deadline-ordered view
-    (:meth:`~repro.runtime.queues.WaitingQueue.earliest_deadline`), and
-    scan any other sequence.
+    Both read the waiting queue's deadline-ordered view
+    (:meth:`~repro.runtime.queues.WaitingQueue.earliest_deadline`).
     """
 
     #: Opt into deadline-aware segment preemption (off by default: the
