@@ -447,14 +447,19 @@ def checked_slack(monkeypatch):
     return _CheckedSlackGovernor
 
 
-#: The slack cells of ``GOLDEN_DYNAMIC``, as ``run_case`` arguments.
-_SLACK_DYNAMIC = [
-    dict(scheduler=scheduler, granularity=granularity, sessions=sessions,
-         churn=churn, preemptive=preemptive, dvfs=dvfs)
-    for (scheduler, granularity, sessions, churn, preemptive, dvfs)
-    in sorted(GOLDEN_DYNAMIC)
-    if dvfs == "slack"
-]
+#: name -> ``run_case`` arguments of every pinned slack cell: the slack
+#: ``GOVERNED_CELLS`` and the slack cells of ``GOLDEN_DYNAMIC``.
+_SLACK_CELLS = {
+    name: cell for name, cell in GOVERNED_CELLS.items()
+    if cell["dvfs"] == "slack"
+} | {
+    "-".join(map(str, key)): dict(
+        scheduler=key[0], granularity=key[1], sessions=key[2],
+        churn=key[3], preemptive=key[4], dvfs=key[5],
+    )
+    for key in GOLDEN_DYNAMIC
+    if key[5] == "slack"
+}
 
 
 class TestSlackAgainstReference:
@@ -462,13 +467,9 @@ class TestSlackAgainstReference:
     picks the very point object the per-call formulation it replaced
     picks (:func:`reference_select`)."""
 
-    @pytest.mark.parametrize(
-        "cell",
-        [GOVERNED_CELLS[name] for name in sorted(GOVERNED_CELLS)
-         if GOVERNED_CELLS[name]["dvfs"] == "slack"] + _SLACK_DYNAMIC,
-        ids=str,
-    )
-    def test_golden_cells(self, checked_slack, cell):
+    @pytest.mark.parametrize("name", sorted(_SLACK_CELLS))
+    def test_golden_cells(self, checked_slack, name):
+        cell = _SLACK_CELLS[name]
         run_case(**cell)
         assert checked_slack.calls > 0
         if cell.get("faults") == "thermal":
