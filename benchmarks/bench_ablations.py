@@ -86,7 +86,8 @@ def test_ablation_model_splitting(benchmark):
     from repro.hardware import build_accelerator
     from repro.runtime import (
         LatencyGreedyScheduler,
-        Simulator,
+        MultiScenarioSimulator,
+        SessionSpec,
         segment_scenario,
     )
     from repro.workload import get_scenario
@@ -99,11 +100,12 @@ def test_ablation_model_splitting(benchmark):
                 scenario, table = base, CachedCostTable()
             else:
                 scenario, table = segment_scenario(base, "PD", k)
-            sim = Simulator(
-                scenario=scenario, system=build_accelerator("J", 4096),
+            sim = MultiScenarioSimulator(
+                sessions=[SessionSpec(0, scenario)],
+                system=build_accelerator("J", 4096),
                 scheduler=LatencyGreedyScheduler(), duration_s=1.0,
                 costs=table,
-            ).run()
+            ).run().sessions[0]
             score = score_simulation(sim)
             pd = score.model("PD" if k == 1 else f"PD.{k - 1}")
             out[k] = {"overall": score.overall, "pd_qoe": pd.qoe}

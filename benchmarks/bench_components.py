@@ -13,7 +13,11 @@ from repro.core import score_simulation
 from repro.costmodel import CostModel, Dataflow
 from repro.hardware import build_accelerator
 from repro.nn import GraphExecutor
-from repro.runtime import LatencyGreedyScheduler, Simulator
+from repro.runtime import (
+    LatencyGreedyScheduler,
+    MultiScenarioSimulator,
+    SessionSpec,
+)
 from repro.workload import LoadGenerator, get_scenario
 from repro.zoo import build_model
 
@@ -49,11 +53,11 @@ def test_simulator_ar_gaming(benchmark, cost_table):
     system = build_accelerator("J", 4096)
 
     def simulate():
-        return Simulator(
-            scenario=scenario, system=system,
+        return MultiScenarioSimulator(
+            sessions=[SessionSpec(0, scenario)], system=system,
             scheduler=LatencyGreedyScheduler(),
             duration_s=1.0, costs=cost_table,
-        ).run()
+        ).run().sessions[0]
 
     result = benchmark(simulate)
     assert result.requests
@@ -61,11 +65,12 @@ def test_simulator_ar_gaming(benchmark, cost_table):
 
 def test_scoring_pipeline(benchmark, cost_table):
     scenario = get_scenario("ar_assistant")
-    result = Simulator(
-        scenario=scenario, system=build_accelerator("M", 8192),
+    result = MultiScenarioSimulator(
+        sessions=[SessionSpec(0, scenario)],
+        system=build_accelerator("M", 8192),
         scheduler=LatencyGreedyScheduler(), duration_s=1.0,
         costs=cost_table,
-    ).run()
+    ).run().sessions[0]
     score = benchmark(score_simulation, result)
     assert 0.0 <= score.overall <= 1.0
 

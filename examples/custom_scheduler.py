@@ -25,7 +25,13 @@ from repro import Harness, build_accelerator
 from repro.core import score_simulation
 from repro.costmodel import CostTable
 from repro.hardware import AcceleratorSystem
-from repro.runtime import ExecutionEngine, Simulator, WorkItem, make_scheduler
+from repro.runtime import (
+    ExecutionEngine,
+    MultiScenarioSimulator,
+    SessionSpec,
+    WorkItem,
+    make_scheduler,
+)
 from repro.workload import get_scenario
 
 
@@ -77,14 +83,15 @@ class AffinityScheduler:
 
 
 def run_with(scheduler, label: str, costs: CostTable) -> None:
-    sim = Simulator(
-        scenario=get_scenario("ar_gaming"),
+    # A single-scenario run is a one-session group.
+    sim = MultiScenarioSimulator(
+        sessions=[SessionSpec(0, get_scenario("ar_gaming"))],
         system=build_accelerator("J", 8192),
         scheduler=scheduler,
         duration_s=1.0,
         costs=costs,
     )
-    result = sim.run()
+    result = sim.run().sessions[0]
     score = score_simulation(result)
     print(
         f"{label:<16s} overall={score.overall:.3f} rt={score.rt:.3f} "

@@ -20,7 +20,8 @@ from repro.costmodel import CachedCostTable
 from repro.hardware import build_accelerator
 from repro.runtime import (
     LatencyGreedyScheduler,
-    Simulator,
+    MultiScenarioSimulator,
+    SessionSpec,
     segment_scenario,
 )
 from repro.workload import get_scenario
@@ -32,13 +33,13 @@ def run(segments: int, total_pes: int = 4096):
         scenario, table = base, CachedCostTable()
     else:
         scenario, table = segment_scenario(base, "PD", segments)
-    sim = Simulator(
-        scenario=scenario,
+    sim = MultiScenarioSimulator(
+        sessions=[SessionSpec(0, scenario)],
         system=build_accelerator("J", total_pes),
         scheduler=LatencyGreedyScheduler(),
         duration_s=1.0,
         costs=table,
-    ).run()
+    ).run().sessions[0]
     return sim, score_simulation(sim)
 
 

@@ -6,7 +6,8 @@ package rebuilds the whole published stack:
 
 * :mod:`repro.api` — the declarative entry point: serializable
   :class:`RunSpec`/:class:`Sweep`/:class:`Experiment` descriptions run
-  through one :func:`execute` funnel.
+  through one :func:`execute` funnel, and every run shape through one
+  runner, :func:`repro.api.run_group`.
 * :mod:`repro.registry` — unified name registries for scenarios,
   schedulers, accelerators and score presets (third-party registrable).
 * :mod:`repro.workload` — sensors, the 11 unit models, the 7 usage
@@ -19,7 +20,7 @@ package rebuilds the whole published stack:
 * :mod:`repro.runtime` — the discrete-event benchmark runtime with
   pluggable schedulers and multi-tenant session multiplexing.
 * :mod:`repro.core` — the XRBench scoring metrics, reports and the
-  :class:`Harness` compatibility facade.
+  :class:`Harness`, the front end for live scenario objects.
 * :mod:`repro.eval` — drivers regenerating every evaluation table/figure.
 
 Quickstart::
@@ -40,7 +41,8 @@ Quickstart::
     reports = Experiment.from_sweep(sweep).run(workers=2)
 
 The pre-spec surface (``Harness().run_scenario(...)``) remains available
-as a thin facade over the same funnel.
+for scenario objects a spec cannot carry, and runs through the same
+runner.
 """
 
 from .api import Experiment, Report, RunSpec, Sweep, execute

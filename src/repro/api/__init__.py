@@ -6,8 +6,12 @@ JSON-round-trippable value so every front end — the Python API, the
 ``xrbench`` CLI, the eval figure drivers, the benchmarks, and future
 distributed workers — compiles through one funnel:
 
-    RunSpec  ── execute() ──>  ScenarioReport
+    RunSpec ── compile_plan() ──> DispatchPlan ── execute_plan() ──> Report
     Sweep ─ expand ─> [RunSpec] ── Experiment.run() ──> [Report]
+
+``execute(spec)`` is compile-then-execute, and every run shape —
+single scenario, session group, suite — goes through one runner,
+:func:`run_group`.
 
 Quickstart::
 
@@ -31,8 +35,8 @@ Quickstart::
 Every name a spec mentions (scenario, scheduler, accelerator, score
 preset) resolves through :mod:`repro.registry`, so third-party
 registrations are addressable from JSON without code changes.
-:class:`repro.core.Harness` remains as a thin compatibility facade over
-the same helpers.
+:class:`repro.core.Harness` stays as the front end for live scenario
+objects, in front of the same runner.
 """
 
 from .events import (
@@ -46,9 +50,7 @@ from .execute import (
     Report,
     execute,
     execute_plan,
-    run_full_suite,
-    run_session_group,
-    run_single_scenario,
+    run_group,
 )
 from .plan import (
     DispatchPlan,
@@ -85,7 +87,5 @@ __all__ = [
     "estimate_plan",
     "execute",
     "execute_plan",
-    "run_full_suite",
-    "run_session_group",
-    "run_single_scenario",
+    "run_group",
 ]

@@ -1,19 +1,19 @@
 """The single execution funnel: ``execute(spec) -> Report``.
 
-Every front end — :class:`repro.core.Harness` (now a facade), the CLI,
-the eval figure drivers, the benchmarks — runs specs through this module.
-The three run shapes share one implementation each:
+Every front end — :class:`repro.core.Harness`, the CLI, the eval figure
+drivers, the benchmarks — runs through this module, and every run shape
+goes through one runner, :func:`run_group`: it multiplexes a group of
+sessions onto one system (:class:`~repro.runtime.MultiScenarioSimulator`)
+and scores each session.  A single-scenario run is a one-session group
+(:class:`~repro.core.ScenarioReport`), a session group is one group
+(:class:`~repro.core.MultiSessionReport`), and the seven-scenario suite
+is one one-session group per scenario
+(:class:`~repro.core.BenchmarkReport`).
 
-* :func:`run_single_scenario` — one scenario, one system
-  (:class:`~repro.core.ScenarioReport`).
-* :func:`run_session_group` — N concurrent tenant sessions multiplexed
-  onto one system (:class:`~repro.core.MultiSessionReport`).
-* :func:`run_full_suite` — the seven-scenario suite
-  (:class:`~repro.core.BenchmarkReport`).
-
-:func:`execute` resolves a :class:`~repro.api.RunSpec`'s names through
-:mod:`repro.registry`, routes on :attr:`RunSpec.mode` and streams
-:class:`~repro.api.events.ProgressEvent` records to pluggable sinks.
+:func:`execute` compiles a :class:`~repro.api.RunSpec` into a
+:class:`~repro.api.DispatchPlan` and :func:`execute_plan` runs it,
+streaming :class:`~repro.api.events.ProgressEvent` records to pluggable
+sinks; :attr:`RunSpec.mode` picks the report shape.
 
 :class:`Experiment` executes spec lists — serially through one shared
 :class:`~repro.costmodel.CachedCostTable` (so a 13-accelerator x
@@ -30,7 +30,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.core.aggregate import score_sessions, score_simulation
+from repro.core.aggregate import score_sessions
 from repro.core.config import ScoreConfig, get_score_preset
 from repro.core.report import (
     BenchmarkReport,
@@ -40,17 +40,12 @@ from repro.core.report import (
 from repro.costmodel import CachedCostTable, CostTable
 from repro.hardware import AcceleratorSystem, build_accelerator
 from repro.runtime import (
+    FaultPlan,
     MultiScenarioSimulator,
     SessionSpec,
-    Simulator,
     make_scheduler,
 )
-from repro.workload import (
-    UsageScenario,
-    benchmark_suite,
-    churn_windows,
-    get_scenario,
-)
+from repro.workload import get_scenario
 
 from .events import EventSink, ProgressEvent, emit
 from .plan import (
@@ -66,110 +61,52 @@ __all__ = [
     "execute",
     "execute_plan",
     "Experiment",
-    "run_single_scenario",
-    "run_session_group",
-    "run_full_suite",
+    "run_group",
 ]
 
 #: What :func:`execute` returns, depending on :attr:`RunSpec.mode`.
 Report = ScenarioReport | MultiSessionReport | BenchmarkReport
 
 
-def _resolve(scenario: UsageScenario | str) -> UsageScenario:
-    return get_scenario(scenario) if isinstance(scenario, str) else scenario
-
-
-def run_single_scenario(
-    scenario: UsageScenario | str,
+def run_group(
+    sessions: Sequence[SessionSpec],
     system: AcceleratorSystem,
     *,
     scheduler: str = "latency_greedy",
+    preemptive: bool = False,
     duration_s: float = 1.0,
-    seed: int = 0,
     score: ScoreConfig | None = None,
-    frame_loss: float = 0.0,
-    costs: CostTable | None = None,
-    measured_quality: dict[str, float] | None = None,
-) -> ScenarioReport:
-    """Simulate and score one scenario on one system."""
-    simulator = Simulator(
-        scenario=_resolve(scenario),
-        system=system,
-        scheduler=make_scheduler(scheduler),
-        duration_s=duration_s,
-        seed=seed,
-        costs=costs if costs is not None else CostTable(),
-        frame_loss_probability=frame_loss,
-    )
-    result = simulator.run()
-    scored = score_simulation(
-        result, score if score is not None else ScoreConfig(),
-        measured_quality,
-    )
-    return ScenarioReport(simulation=result, score=scored)
-
-
-def run_session_group(
-    scenarios: Sequence[UsageScenario | str],
-    system: AcceleratorSystem,
-    *,
-    scheduler: str = "latency_greedy",
-    duration_s: float = 1.0,
-    base_seed: int = 0,
-    score: ScoreConfig | None = None,
-    frame_loss: float = 0.0,
     costs: CostTable | None = None,
     dispatch_costs: CostTable | None = None,
+    measured_quality: dict[str, float] | None = None,
     granularity: str = "model",
     segments_per_model: int = 2,
-    churn: float = 0.0,
-    preemptive: bool = False,
     dvfs_policy: str = "static",
     admission: str = "none",
-    faults: str = "none",
-    measured_quality: dict[str, float] | None = None,
+    faults: FaultPlan | None = None,
+    segment_plan: Mapping[str, Sequence[str]] | None = None,
 ) -> MultiSessionReport:
-    """Multiplex concurrent scenario sessions onto one system.
+    """Multiplex a group of sessions onto one system and score each.
 
-    Sessions get consecutive seeds from ``base_seed``.  ``churn > 0``
-    gives each session a deterministic lifetime window from
-    :func:`repro.workload.churn_windows` (seeded by ``base_seed``), so
-    tenants arrive late and depart early; ``preemptive=True`` asks a
-    capable scheduler (edf, rate_monotonic) to displace resuming segment
-    chains with more urgent waiting work at segment boundaries.
-    ``dvfs_policy`` selects the runtime DVFS governor consulted at every
-    dispatch boundary (``"static"``, ``"slack"``, ``"race_to_idle"``);
-    ``admission`` the QoE admission controller consulted at session
-    joins and periodic control ticks (``"none"``, ``"shed"``,
-    ``"degrade"``); ``faults`` the seeded fault-injection profile whose
-    engine-failure/thermal events the event loop rides out (``"none"``,
-    ``"single"``, ``"flaky"``, ``"thermal"`` — seeded by ``base_seed``).
-    Dispatch-path pricing flows through a :class:`CachedCostTable`
-    layered over ``costs`` unless ``dispatch_costs`` supplies the table
-    directly (the throughput benchmark uses that to compare cache
-    flavours).
+    The one runner behind every run shape.  Dispatch-path pricing flows
+    through a per-run :class:`CachedCostTable` layered over ``costs``
+    unless ``dispatch_costs`` supplies the table directly (the
+    throughput benchmark uses that to compare cache flavours).
+    ``preemptive=True`` asks a capable scheduler (edf, rate_monotonic)
+    to displace resuming segment chains with more urgent waiting work
+    at segment boundaries.  ``dvfs_policy`` selects the runtime DVFS
+    governor (``"static"``, ``"slack"``, ``"race_to_idle"``),
+    ``admission`` the QoE admission controller (``"none"``, ``"shed"``,
+    ``"degrade"``) and ``faults`` a compiled fault plan (``None`` runs
+    fault-free).  ``segment_plan`` is a plan's segment-chain table; the
+    run raises if it differs from the split the run derives.
     """
-    if not scenarios:
-        raise ValueError("at least one session is required")
-    resolved = [_resolve(s) for s in scenarios]
-    windows = churn_windows(len(resolved), duration_s, churn, base_seed)
-    specs = [
-        SessionSpec(
-            session_id=i,
-            scenario=sc,
-            seed=base_seed + i,
-            frame_loss_probability=frame_loss,
-            arrival_s=window.arrival_s,
-            departure_s=window.departure_s,
-        )
-        for i, (sc, window) in enumerate(zip(resolved, windows))
-    ]
     if dispatch_costs is None:
         dispatch_costs = CachedCostTable(
             base=costs if costs is not None else CostTable()
         )
-    simulator = MultiScenarioSimulator(
-        sessions=specs,
+    result = MultiScenarioSimulator(
+        sessions=list(sessions),
         system=system,
         scheduler=make_scheduler(
             scheduler, **({"preemptive": True} if preemptive else {})
@@ -181,77 +118,14 @@ def run_session_group(
         dvfs_policy=dvfs_policy,
         admission=admission,
         faults=faults,
-        fault_seed=base_seed,
-    )
-    result = simulator.run()
-    score_cfg = score if score is not None else ScoreConfig()
-    scores = score_sessions(result, score_cfg, measured_quality)
+        segment_plan=segment_plan,
+    ).run()
+    scores = score_sessions(result, score, measured_quality)
     reports = tuple(
         ScenarioReport(simulation=session, score=scored)
         for session, scored in zip(result.sessions, scores)
     )
     return MultiSessionReport(result=result, session_reports=reports)
-
-
-def run_full_suite(
-    system: AcceleratorSystem,
-    *,
-    scheduler: str = "latency_greedy",
-    duration_s: float = 1.0,
-    seed: int = 0,
-    score: ScoreConfig | None = None,
-    frame_loss: float = 0.0,
-    costs: CostTable | None = None,
-    sinks: Sequence[EventSink] = (),
-    label: str = "",
-    churn: float = 0.0,
-    dvfs_policy: str = "static",
-    admission: str = "none",
-    faults: str = "none",
-) -> BenchmarkReport:
-    """Run the full seven-scenario suite (Definition 5's Omega).
-
-    ``churn > 0`` runs each scenario as one dynamically-arriving tenant
-    session (same deterministic lifetime plan as multi-session runs), so
-    suite-level exports carry per-session active-duration accounting.
-    A non-static ``dvfs_policy`` — or a non-``"none"`` ``admission``
-    policy or ``faults`` profile — likewise routes each scenario through
-    the multi-tenant engine, where the DVFS governor, admission
-    controller and fault machinery live.
-    """
-    costs = costs if costs is not None else CostTable()
-    suite = benchmark_suite()
-    reports = []
-    for i, scenario in enumerate(suite):
-        if (
-            churn > 0
-            or dvfs_policy != "static"
-            or admission != "none"
-            or faults != "none"
-        ):
-            group = run_session_group(
-                [scenario], system,
-                scheduler=scheduler, duration_s=duration_s,
-                base_seed=seed, score=score, frame_loss=frame_loss,
-                costs=costs, churn=churn, dvfs_policy=dvfs_policy,
-                admission=admission, faults=faults,
-            )
-            report = group.session_reports[0]
-        else:
-            report = run_single_scenario(
-                scenario, system,
-                scheduler=scheduler, duration_s=duration_s, seed=seed,
-                score=score, frame_loss=frame_loss, costs=costs,
-            )
-        emit(sinks, ProgressEvent(
-            kind="scenario_finished",
-            label=label or scenario.name,
-            index=i,
-            total=len(suite),
-            payload={"scenario": scenario.name, "overall": report.overall},
-        ))
-        reports.append(report)
-    return BenchmarkReport(system=system, scenario_reports=reports)
 
 
 def execute(
@@ -303,107 +177,6 @@ def _planned_sessions(
     ]
 
 
-def _planned_group(
-    plan: DispatchPlan,
-    rows: Sequence[PlanSession],
-    system: AcceleratorSystem,
-    *,
-    score: ScoreConfig,
-    costs: CostTable | None,
-    dispatch_costs: CostTable | None,
-    measured_quality: dict[str, float] | None,
-    granularity: str,
-    segments_per_model: int,
-    preemptive: bool,
-) -> MultiSessionReport:
-    """One multi-tenant group, built from plan rows instead of a spec.
-
-    The plan is consumed, not re-derived: session lifetime windows come
-    from its session table, the fault schedule from its compiled
-    :class:`~repro.runtime.faults.FaultPlan`, and the segment-chain
-    codes from its chain table (the simulator verifies them against the
-    deterministic re-split).
-    """
-    if dispatch_costs is None:
-        dispatch_costs = CachedCostTable(
-            base=costs if costs is not None else CostTable()
-        )
-    fault_plan = plan.fault_plan()
-    simulator = MultiScenarioSimulator(
-        sessions=_planned_sessions(rows),
-        system=system,
-        scheduler=make_scheduler(
-            plan.scheduler, **({"preemptive": True} if preemptive else {})
-        ),
-        duration_s=plan.duration_s,
-        costs=dispatch_costs,
-        granularity=granularity,
-        segments_per_model=segments_per_model,
-        dvfs_policy=plan.dvfs_policy,
-        admission=plan.admission,
-        faults=fault_plan if fault_plan is not None else "none",
-        fault_seed=plan.seed,
-        segment_plan=(
-            plan.chain_codes() if granularity == "segment" else None
-        ),
-    )
-    result = simulator.run()
-    scores = score_sessions(result, score, measured_quality)
-    reports = tuple(
-        ScenarioReport(simulation=session, score=scored)
-        for session, scored in zip(result.sessions, scores)
-    )
-    return MultiSessionReport(result=result, session_reports=reports)
-
-
-def _planned_suite(
-    plan: DispatchPlan,
-    system: AcceleratorSystem,
-    *,
-    score: ScoreConfig,
-    costs: CostTable | None,
-    sinks: Sequence[EventSink],
-) -> BenchmarkReport:
-    """The full suite from a plan's per-scenario session rows.
-
-    Mirrors :func:`run_full_suite` exactly: dynamic machinery (churn,
-    governors, admission, faults) routes each scenario through the
-    multi-tenant engine at whole-model granularity; the static case
-    keeps the single-tenant simulator.
-    """
-    costs = costs if costs is not None else CostTable()
-    reports = []
-    total = len(plan.sessions)
-    for i, row in enumerate(plan.sessions):
-        if plan.dynamic:
-            group = _planned_group(
-                plan, [row], system,
-                score=score, costs=costs, dispatch_costs=None,
-                measured_quality=None,
-                # run_full_suite never forwarded granularity: suite
-                # scenarios dispatch whole models.
-                granularity="model", segments_per_model=2,
-                preemptive=False,
-            )
-            report = group.session_reports[0]
-        else:
-            report = run_single_scenario(
-                row.scenario, system,
-                scheduler=plan.scheduler, duration_s=plan.duration_s,
-                seed=row.seed, score=score, frame_loss=row.frame_loss,
-                costs=costs,
-            )
-        emit(sinks, ProgressEvent(
-            kind="scenario_finished",
-            label=row.scenario,
-            index=i,
-            total=total,
-            payload={"scenario": row.scenario, "overall": report.overall},
-        ))
-        reports.append(report)
-    return BenchmarkReport(system=system, scenario_reports=reports)
-
-
 def execute_plan(
     plan: DispatchPlan,
     *,
@@ -420,7 +193,9 @@ def execute_plan(
 
     The executor half of the planner/executor split: consumes the
     plan's resolved session table, fault schedule, segment-chain table
-    and policy bindings without re-deriving them from the spec.  A plan
+    and policy bindings without re-deriving them from the spec.  A
+    suite runs each scenario's row as its own one-session group at
+    whole-model granularity; any other plan is one group.  A plan
     round-tripped through :meth:`DispatchPlan.to_json` /
     :meth:`DispatchPlan.from_json` replays to identical results.
     """
@@ -432,27 +207,53 @@ def execute_plan(
     emit(sinks, ProgressEvent(
         kind="spec_started", label=label, index=index, total=total,
     ))
+    sessions = _planned_sessions(plan.sessions)
+    # FaultPlan is frozen, so one resolved plan serves every group.
+    shared: dict[str, Any] = {
+        "scheduler": plan.scheduler,
+        "duration_s": plan.duration_s,
+        "score": score,
+        "costs": costs,
+        "dispatch_costs": dispatch_costs,
+        "measured_quality": measured_quality,
+        "dvfs_policy": plan.dvfs_policy,
+        "admission": plan.admission,
+        "faults": plan.fault_plan(),
+    }
+    report: Report
     if plan.mode == "suite":
-        report: Report = _planned_suite(
-            plan, system, score=score, costs=costs, sinks=sinks,
-        )
-    elif plan.mode == "sessions":
-        report = _planned_group(
-            plan, plan.sessions, system,
-            score=score, costs=costs, dispatch_costs=dispatch_costs,
-            measured_quality=measured_quality,
+        reports = []
+        for i, (row, session) in enumerate(zip(plan.sessions, sessions)):
+            scenario_report = run_group(
+                [session], system, **shared
+            ).session_reports[0]
+            emit(sinks, ProgressEvent(
+                kind="scenario_finished",
+                label=row.scenario,
+                index=i,
+                total=len(sessions),
+                payload={
+                    "scenario": row.scenario,
+                    "overall": scenario_report.overall,
+                },
+            ))
+            reports.append(scenario_report)
+        report = BenchmarkReport(system=system, scenario_reports=reports)
+    else:
+        multi = run_group(
+            sessions, system,
+            preemptive=plan.preemptive,
             granularity=plan.granularity,
             segments_per_model=plan.segments_per_model,
-            preemptive=plan.preemptive,
+            segment_plan=(
+                plan.chain_codes() if plan.granularity == "segment" else None
+            ),
+            **shared,
         )
-    else:
-        (row,) = plan.sessions
-        report = run_single_scenario(
-            row.scenario, system,
-            scheduler=plan.scheduler, duration_s=plan.duration_s,
-            seed=row.seed, score=score, frame_loss=row.frame_loss,
-            costs=costs, measured_quality=measured_quality,
-        )
+        if plan.mode == "single":
+            report = multi.session_reports[0]
+        else:
+            report = multi
     emit(sinks, ProgressEvent(
         kind="spec_finished", label=label, index=index, total=total,
         payload={"overall": _overall(report)},

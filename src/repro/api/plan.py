@@ -20,8 +20,9 @@ the *fully resolved* run:
 
 Planning is pure: compiling never touches a cost table or an engine.
 The executor (:func:`repro.api.execute_plan`) consumes the plan —
-session windows, fault events and segment-chain codes are *read*, not
-re-derived — and the legacy :func:`repro.api.execute` path is exactly
+session windows and fault events are *read*, not re-derived, and the
+segment-chain codes must equal the split the executor derives from the
+same helper — and :func:`repro.api.execute` is exactly
 compile-then-execute, pinned bit-identical by the golden schedule
 checksums.
 
@@ -206,16 +207,6 @@ class DispatchPlan:
 
         return FaultPlan.from_dict(self.faults)
 
-    @property
-    def dynamic(self) -> bool:
-        """Whether execution needs the multi-tenant machinery per group."""
-        return (
-            self.churn > 0
-            or self.dvfs_policy != "static"
-            or self.admission != "none"
-            or self.faults is not None
-        )
-
     def describe(self) -> str:
         return self.spec.describe()
 
@@ -325,12 +316,9 @@ class DispatchPlan:
 def _session_rows(
     spec: RunSpec, names: tuple[str, ...]
 ) -> tuple[PlanSession, ...]:
-    """The resolved session table for a sessions-mode spec.
-
-    Mirrors the historical :func:`repro.api.run_session_group` wiring
-    exactly: consecutive seeds from ``spec.seed`` and the deterministic
-    churn windows seeded by it.
-    """
+    """The resolved session table for a sessions-mode spec:
+    consecutive seeds from ``spec.seed`` and the deterministic churn
+    windows seeded by it."""
     windows = churn_windows(
         len(names), spec.duration_s, spec.churn, spec.seed
     )
@@ -354,11 +342,10 @@ def _session_rows(
 def _suite_rows(spec: RunSpec) -> tuple[PlanSession, ...]:
     """One row per suite scenario, in suite order.
 
-    Each scenario runs as its own (single-session) group, so the
-    ``session_id`` is the within-group id 0 — exactly what the
-    historical :func:`repro.api.run_full_suite` wiring produced.  Under
-    churn every scenario gets the same one-session window plan (it is
-    seeded by the spec seed, not the scenario).
+    Each scenario runs as its own one-session group, so the
+    ``session_id`` is the within-group id 0.  Under churn every
+    scenario gets the same one-session window plan (it is seeded by the
+    spec seed, not the scenario).
     """
     rows = []
     for scenario in benchmark_suite():
@@ -389,31 +376,24 @@ def _plan_chains(
 ) -> tuple[tuple[str, tuple[str, ...]], ...]:
     """The per-model segment-chain code table, in planning order.
 
-    Mirrors ``MultiScenarioSimulator._plan_segments`` — same model
-    iteration order, same :func:`split_graph` decisions — but records
-    only the *decision* (which models split, into which codes); the
-    executor materialises the piece graphs deterministically.
+    Records the decision of :func:`repro.runtime.segmentation.split_models`
+    (which models split, into which codes); the executor derives the
+    same table with the piece graphs and checks it against this one.
     """
-    if spec.granularity != "segment" or spec.segments_per_model < 2:
+    if spec.granularity != "segment":
         return ()
-    from repro.runtime.segmentation import dispatch_segment_code, split_graph
+    from repro.runtime.segmentation import dispatch_segment_code, split_models
 
-    chains: list[tuple[str, tuple[str, ...]]] = []
-    seen: set[str] = set()
-    for name in names:
-        for sm in get_scenario(name).models:
-            if sm.code in seen:
-                continue
-            seen.add(sm.code)
-            try:
-                pieces = split_graph(sm.model.graph, spec.segments_per_model)
-            except ValueError:
-                continue
-            chains.append((sm.code, tuple(
-                dispatch_segment_code(sm.code, idx, len(pieces))
-                for idx in range(len(pieces))
-            )))
-    return tuple(chains)
+    split = split_models(
+        (get_scenario(name) for name in names), spec.segments_per_model
+    )
+    return tuple(
+        (code, tuple(
+            dispatch_segment_code(code, idx, len(pieces))
+            for idx in range(len(pieces))
+        ))
+        for code, pieces in split.items()
+    )
 
 
 def compile_plan(

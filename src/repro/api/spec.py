@@ -255,11 +255,14 @@ class RunSpec:
 
     @property
     def mode(self) -> str:
-        """How :func:`repro.api.execute` will route this spec.
+        """The shape of the report :func:`repro.api.execute` returns.
 
         ``"suite"`` -> :class:`~repro.core.BenchmarkReport`;
         ``"sessions"`` -> :class:`~repro.core.MultiSessionReport`;
-        ``"single"`` -> :class:`~repro.core.ScenarioReport`.
+        ``"single"`` -> :class:`~repro.core.ScenarioReport`.  Every
+        mode runs through the same runner, so the mode changes only
+        what is reported: a spec that sets anything a plain
+        one-scenario run does not is reported as a session group.
         """
         if self.suite:
             return "suite"
@@ -268,9 +271,9 @@ class RunSpec:
             or self.sessions > 1
             or self.granularity != "model"  # includes every preemptive spec
             or self.churn > 0
-            or self.dvfs_policy != "static"  # governors live in multisim
-            or self.admission != "none"  # controllers live in multisim
-            or self.faults != "none"  # fault machinery lives in multisim
+            or self.dvfs_policy != "static"
+            or self.admission != "none"
+            or self.faults != "none"
         ):
             return "sessions"
         return "single"

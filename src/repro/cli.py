@@ -385,7 +385,7 @@ def _explicit_flags(args: argparse.Namespace) -> dict:
 
 
 def _harness(args: argparse.Namespace) -> Harness:
-    """Config carrier for the figure drivers (facade over the funnel)."""
+    """Config carrier for the figure drivers (a front end to run_group)."""
     return Harness(
         config=HarnessConfig(
             duration_s=_flag(args, "duration"),

@@ -28,10 +28,10 @@ __all__ = [
 def _admission_to_dict(report: ScenarioReport) -> dict[str, Any]:
     """The session's admission-control stamp as plain data.
 
-    Sessions run without a controller (``policy == "none"``, or any run
-    through the single-tenant simulator) export the neutral block —
-    never shed, never degraded, full quality — so downstream consumers
-    can rely on the keys existing unconditionally.
+    Sessions run without a controller (``policy == "none"``, or no
+    controller installed at all) export the neutral block — never shed,
+    never degraded, full quality — so downstream consumers can rely on
+    the keys existing unconditionally.
     """
     record = report.simulation.admission
     if record is None:
@@ -69,10 +69,10 @@ def _admission_to_dict(report: ScenarioReport) -> dict[str, Any]:
 def _faults_to_dict(report: ScenarioReport) -> dict[str, Any]:
     """The session's fault-injection stamp as plain data.
 
-    Sessions run without a fault plan (``profile == "none"``, or any run
-    through the single-tenant simulator) export the neutral block — no
-    kills, no retries, nothing lost — so downstream consumers can rely
-    on the keys existing unconditionally.
+    Sessions run without a fault plan (``profile == "none"``, or no plan
+    installed at all) export the neutral block — no kills, no retries,
+    nothing lost — so downstream consumers can rely on the keys existing
+    unconditionally.
     """
     record = report.simulation.faults
     if record is None:

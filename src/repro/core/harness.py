@@ -1,10 +1,9 @@
-"""The benchmark harness: a compatibility facade over ``repro.api``.
+"""The benchmark harness: the front end for live scenario objects.
 
-Historically the top-level entry point, :class:`Harness` is now a thin
-shim over the single execution funnel in :mod:`repro.api.execute` —
-``run_scenario``/``run_sessions``/``run_suite`` delegate to the same
-helpers that :func:`repro.api.execute` routes specs through, so both
-surfaces produce byte-identical results by construction.
+:class:`Harness` builds :class:`~repro.runtime.SessionSpec` values and
+hands them to :func:`repro.api.run_group`, the one runner behind
+:func:`repro.api.execute` too, so both surfaces produce byte-identical
+results by construction.
 
 Prefer the declarative API for new code::
 
@@ -12,10 +11,10 @@ Prefer the declarative API for new code::
 
     report = execute(RunSpec(scenario="ar_gaming", accelerator="J"))
 
-The facade stays for callers that hold live objects a serializable spec
+The harness stays for callers that hold live objects a serializable spec
 cannot carry (a pre-built :class:`~repro.hardware.AcceleratorSystem`, a
 mutated :class:`~repro.workload.UsageScenario`, measured quality maps).
-Deprecation policy: the facade is maintained indefinitely as an API
+Deprecation policy: the harness is maintained indefinitely as an API
 layer, but new execution features (sweeps, workers, progress events)
 land only on the ``RunSpec`` path.
 """
@@ -27,7 +26,8 @@ from typing import Sequence
 
 from repro.costmodel import CostTable
 from repro.hardware import AcceleratorSystem
-from repro.workload import UsageScenario
+from repro.runtime import SessionSpec
+from repro.workload import UsageScenario, benchmark_suite, get_scenario
 
 from .config import HarnessConfig
 from .report import BenchmarkReport, MultiSessionReport, ScenarioReport
@@ -55,19 +55,9 @@ class Harness:
         measured_quality: dict[str, float] | None = None,
     ) -> ScenarioReport:
         """Simulate and score one scenario on one system."""
-        from repro.api.execute import run_single_scenario
-
-        return run_single_scenario(
-            scenario,
-            system,
-            scheduler=self.config.scheduler,
-            duration_s=self.config.duration_s,
-            seed=self.config.seed if seed is None else seed,
-            score=self.config.score,
-            frame_loss=self.config.frame_loss_probability,
-            costs=self.costs,
-            measured_quality=measured_quality,
-        )
+        return self.run_sessions(
+            [scenario], system, seed=seed, measured_quality=measured_quality,
+        ).session_reports[0]
 
     def run_sessions(
         self,
@@ -85,7 +75,8 @@ class Harness:
         ``num_sessions`` tenants with consecutive seeds, or a sequence of
         per-session scenarios (whose length then sets the session count).
         """
-        from repro.api.execute import run_session_group
+        # Imported here: repro.api imports repro.core.
+        from repro.api.execute import run_group
 
         if isinstance(scenario, (str, UsageScenario)):
             scenarios: Sequence[UsageScenario | str] = (
@@ -93,14 +84,22 @@ class Harness:
             )
         else:
             scenarios = list(scenario)
-        return run_session_group(
-            scenarios,
+        base_seed = self.config.seed if seed is None else seed
+        sessions = [
+            SessionSpec(
+                session_id=i,
+                scenario=get_scenario(sc) if isinstance(sc, str) else sc,
+                seed=base_seed + i,
+                frame_loss_probability=self.config.frame_loss_probability,
+            )
+            for i, sc in enumerate(scenarios)
+        ]
+        return run_group(
+            sessions,
             system,
             scheduler=self.config.scheduler,
             duration_s=self.config.duration_s,
-            base_seed=self.config.seed if seed is None else seed,
             score=self.config.score,
-            frame_loss=self.config.frame_loss_probability,
             costs=self.costs,
             granularity=granularity,
             segments_per_model=segments_per_model,
@@ -113,14 +112,10 @@ class Harness:
         seed: int | None = None,
     ) -> BenchmarkReport:
         """Run the full seven-scenario suite (Definition 5's Omega)."""
-        from repro.api.execute import run_full_suite
-
-        return run_full_suite(
-            system,
-            scheduler=self.config.scheduler,
-            duration_s=self.config.duration_s,
-            seed=self.config.seed if seed is None else seed,
-            score=self.config.score,
-            frame_loss=self.config.frame_loss_probability,
-            costs=self.costs,
+        return BenchmarkReport(
+            system=system,
+            scenario_reports=[
+                self.run_scenario(scenario, system, seed=seed)
+                for scenario in benchmark_suite()
+            ],
         )

@@ -1,21 +1,20 @@
 """Multi-tenant execution engine: N scenario sessions on one system.
 
-This is the production-shaped core of the runtime.  Where the seed
-:class:`~repro.runtime.simulator.Simulator` drove exactly one scenario
-against one accelerator, :class:`MultiScenarioSimulator` multiplexes any
-number of independent *sessions* — each a scenario instance bound to its
-own seed (a distinct user), with its own load generator, dependency
-tracker and QoE accounting — onto one shared
+This is the runtime's one event loop.  :class:`MultiScenarioSimulator`
+multiplexes any number of independent *sessions* — each a scenario
+instance bound to its own seed (a distinct user), with its own load
+generator, dependency tracker and QoE accounting — onto one shared
 :class:`~repro.hardware.AcceleratorSystem` through a single event queue
-and one shared waiting queue.
+and one shared waiting queue.  A single-scenario run is a one-session
+group.
 
 Key properties:
 
 * **Segment-level dispatch** (``granularity="segment"``): every model
   whose graph admits residual-safe cuts is split into MAC-balanced
-  segments (:func:`repro.runtime.segmentation.split_graph`) at
-  simulator-build time.  A dispatched request occupies an engine for one
-  segment at a time, yielding it between segments; the next segment may
+  segments (:func:`repro.runtime.segmentation.split_models`) when a run
+  starts.  A dispatched request occupies an engine for one segment at
+  a time, yielding it between segments; the next segment may
   resume on a *different* engine (finer engine packing).  In-flight
   requests resume with priority over fresh work, so on a single-engine
   system the schedule — and therefore every completion count — is
@@ -125,7 +124,7 @@ from .faults import FaultAction, FaultPlan, FaultRecord, make_fault_plan
 from .governor import DispatchContext, DvfsGovernor, make_governor
 from .queues import DependencyTracker, WaitingQueue
 from .scheduler import Scheduler
-from .segmentation import SegmentChain, dispatch_segment_code, split_graph
+from .segmentation import SegmentChain, dispatch_segment_code, split_models
 from .simulator import SimulationResult
 
 __all__ = [
@@ -333,7 +332,7 @@ class MultiSessionResult:
     """Outcome of one multi-tenant run.
 
     ``sessions`` holds one :class:`SimulationResult` per session (indexed
-    by session id), each scoring-compatible with the single-tenant path.
+    by session id), each scored on its own.
     ``busy_time_s`` is the *system-level* per-engine busy time, clipped
     to the streamed duration at accounting time — occupancy is bounded
     by the window, so utilization never reads past 100%; the drain tail
@@ -469,11 +468,10 @@ class MultiScenarioSimulator:
         segment_plan: optional precompiled segment-chain table — model
             code to the exact piece codes it splits into (a
             :class:`~repro.api.DispatchPlan`'s ``segment_chains``).
-            When supplied it is the authority: models absent from it
-            run whole (no split is attempted), and a code mismatch
-            against the deterministic re-split raises — plan/table
-            drift must fail loudly, not reschedule quietly.  ``None``
-            (the default) derives the chains as always.
+            When supplied, it must equal the table the run derives
+            (:func:`~repro.runtime.segmentation.split_models`) as a
+            whole; any difference raises, because plan/table drift must
+            fail loudly, not reschedule quietly.
     """
 
     sessions: list[SessionSpec]
@@ -568,44 +566,6 @@ class MultiScenarioSimulator:
                     f"system has {self.system.num_subs}"
                 )
 
-    @classmethod
-    def replicate(
-        cls,
-        scenario: UsageScenario,
-        system: AcceleratorSystem,
-        scheduler: Scheduler,
-        num_sessions: int,
-        base_seed: int = 0,
-        frame_loss_probability: float = 0.0,
-        windows=None,
-        **kwargs,
-    ) -> MultiScenarioSimulator:
-        """N sessions of the same scenario with consecutive seeds.
-
-        ``windows`` optionally supplies one
-        :class:`~repro.workload.SessionWindow` (or any object with
-        ``arrival_s``/``departure_s``) per session — the churn plan.
-        """
-        if num_sessions < 1:
-            raise ValueError(
-                f"num_sessions must be >= 1, got {num_sessions}"
-            )
-        if windows is not None and len(windows) != num_sessions:
-            raise ValueError(
-                f"got {len(windows)} lifetime windows for "
-                f"{num_sessions} sessions"
-            )
-        specs = []
-        for i in range(num_sessions):
-            window = windows[i] if windows is not None else None
-            specs.append(SessionSpec(
-                i, scenario, base_seed + i, frame_loss_probability,
-                arrival_s=window.arrival_s if window else 0.0,
-                departure_s=window.departure_s if window else None,
-            ))
-        return cls(sessions=specs, system=system, scheduler=scheduler,
-                   **kwargs)
-
     # -- session lifetime planning -------------------------------------------
 
     def _phase_windows(
@@ -636,67 +596,55 @@ class MultiScenarioSimulator:
         """Per-model compile-time segment chains, registering segment graphs.
 
         Every model a session can stream gets a chain — phase scenarios'
-        models too, as a session may only stream them mid-run.  Each is
-        a :class:`~repro.runtime.segmentation.SegmentChain`: the piece
-        codes plus prebuilt suffix views and a per-(engine, ladder
-        position) latency memo, resolved once here instead of per
-        request.  Models that are not split (model granularity, too few
-        layers, no residual-safe cuts) get a whole-model chain.
+        models too, as a session may only stream them mid-run — keyed in
+        first-seen order, which the run's price table numbers codes by.
+        Each is a :class:`~repro.runtime.segmentation.SegmentChain`: the
+        piece codes plus prebuilt suffix views with per-(engine, ladder
+        position) latency memos, resolved once here instead of per
+        request.  Under segment granularity the models
+        :func:`~repro.runtime.segmentation.split_models` splits get
+        their pieces' chains; every other model is dispatched whole.
         """
-        split = self.granularity == "segment" and self.segments_per_model >= 2
-        planned = self.segment_plan
-        plans: dict[str, SegmentChain] = {}
         scenarios = []
         for spec in self.sessions:
             scenarios.append(spec.scenario)
             scenarios.extend(p.scenario for p in spec.phases)
-        for scenario in scenarios:
-            for sm in scenario.models:
-                if sm.code in plans:
-                    continue
-                plans[sm.code] = SegmentChain(sm.code, (None,))
-                if not split:
-                    continue
-                if planned is not None:
-                    # A compiled plan is the authority on what splits:
-                    # absent models run whole without re-attempting the
-                    # (deterministically failing) split.
-                    expected = planned.get(sm.code)
-                    if expected is None:
-                        continue
-                    pieces = split_graph(
-                        sm.model.graph, self.segments_per_model
-                    )
-                    if len(pieces) != len(expected):
-                        raise ValueError(
-                            f"segment plan drift: {sm.code!r} splits "
-                            f"into {len(pieces)} piece(s) but the plan "
-                            f"recorded {len(expected)}"
-                        )
-                else:
-                    try:
-                        pieces = split_graph(
-                            sm.model.graph, self.segments_per_model
-                        )
-                    except ValueError:
-                        continue
-                codes: list[str | None] = []
-                for idx, piece in enumerate(pieces):
-                    # The code embeds the split count: a table reused
-                    # across runs with different segments_per_model must
-                    # never resolve against a stale graph (split_graph is
-                    # deterministic, so same-count reuse is safe).
-                    vcode = dispatch_segment_code(sm.code, idx, len(pieces))
-                    if planned is not None and vcode != expected[idx]:
-                        raise ValueError(
-                            f"segment plan drift: piece {idx} of "
-                            f"{sm.code!r} is {vcode!r} but the plan "
-                            f"recorded {expected[idx]!r}"
-                        )
-                    if not costs.knows(vcode):
-                        costs.register_graph(vcode, piece)
-                    codes.append(vcode)
-                plans[sm.code] = SegmentChain(sm.code, codes)
+        plans = {
+            code: SegmentChain(code, (None,))
+            for code in dict.fromkeys(
+                sm.code for scenario in scenarios for sm in scenario.models
+            )
+        }
+        split = (
+            split_models(scenarios, self.segments_per_model)
+            if self.granularity == "segment" else {}
+        )
+        # The code embeds the split count: a table reused across runs
+        # with different segments_per_model must never resolve against a
+        # stale graph (split_graph is deterministic, so same-count reuse
+        # is safe).
+        codes = {
+            code: tuple(
+                dispatch_segment_code(code, idx, len(pieces))
+                for idx in range(len(pieces))
+            )
+            for code, pieces in split.items()
+        }
+        if self.segment_plan is not None:
+            planned = {
+                code: tuple(pieces)
+                for code, pieces in self.segment_plan.items()
+            }
+            if planned != codes:
+                raise ValueError(
+                    f"segment plan drift: the plan records {planned} but "
+                    f"the run splits {codes}"
+                )
+        for code, pieces in split.items():
+            for vcode, piece in zip(codes[code], pieces):
+                if not costs.knows(vcode):
+                    costs.register_graph(vcode, piece)
+            plans[code] = SegmentChain(code, codes[code])
         return plans
 
     # -- the event loop ------------------------------------------------------

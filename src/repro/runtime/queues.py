@@ -257,18 +257,24 @@ class DependencyTracker:
     """Maps completed upstream inferences to downstream spawns."""
 
     scenario: UsageScenario
+    #: Each upstream code's dependencies, in scenario order, built once
+    #: so a completion reads its dependents with one dict probe.
+    _downstream: dict[str, tuple[Dependency, ...]] = field(
+        init=False, repr=False
+    )
     #: Codes whose completion triggers downstream models: a set probe
-    #: answers "does this model have dependents" without building
-    #: :meth:`downstream_of`'s list.
+    #: answers "does this model have dependents".
     upstream: frozenset[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.upstream = frozenset(
-            d.upstream for d in self.scenario.dependencies
-        )
+        by_code: dict[str, list[Dependency]] = {}
+        for dep in self.scenario.dependencies:
+            by_code.setdefault(dep.upstream, []).append(dep)
+        self._downstream = {
+            code: tuple(deps) for code, deps in by_code.items()
+        }
+        self.upstream = frozenset(self._downstream)
 
-    def downstream_of(self, model_code: str) -> list[Dependency]:
+    def downstream_of(self, model_code: str) -> tuple[Dependency, ...]:
         """Dependencies that fire when ``model_code`` completes a frame."""
-        return [
-            d for d in self.scenario.dependencies if d.upstream == model_code
-        ]
+        return self._downstream.get(model_code, ())

@@ -15,13 +15,20 @@ Usage::
     from repro.runtime.segmentation import segment_scenario
 
     scenario, table = segment_scenario(get_scenario("ar_gaming"), "PD", 2)
-    sim = Simulator(scenario=scenario, system=system,
-                    scheduler=LatencyGreedyScheduler(), costs=table)
+    sim = MultiScenarioSimulator(
+        sessions=[SessionSpec(0, scenario)], system=system,
+        scheduler=LatencyGreedyScheduler(), costs=table,
+    )
+
+Segment-level dispatch (``granularity="segment"``) splits a run's models
+without changing its scenarios; :func:`split_models` decides which
+models split and into which pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Iterable
 
 from repro.costmodel import CachedCostTable, PriceTable
 from repro.nn import ModelGraph
@@ -32,7 +39,7 @@ from repro.workload import (
     UsageScenario,
 )
 
-__all__ = ["split_graph", "segment_scenario",
+__all__ = ["split_graph", "split_models", "segment_scenario",
            "segment_code", "dispatch_segment_code",
            "SegmentChain", "ChainSuffix"]
 
@@ -124,6 +131,34 @@ def split_graph(graph: ModelGraph, segments: int) -> list[ModelGraph]:
     return pieces
 
 
+def split_models(
+    scenarios: Iterable[UsageScenario], segments: int
+) -> dict[str, list[ModelGraph]]:
+    """The pieces of every model the scenarios stream that splits.
+
+    Maps each distinct model code, in first-seen order, whose graph
+    :func:`split_graph` can cut into ``segments`` pieces to those
+    pieces; a model without enough residual-safe cut points is absent
+    (it runs whole).  Empty when ``segments < 2``.  This is the only
+    decision of which models split: the plan compiler records its codes
+    and the event loop registers its pieces.
+    """
+    split: dict[str, list[ModelGraph]] = {}
+    if segments < 2:
+        return split
+    seen: set[str] = set()
+    for scenario in scenarios:
+        for sm in scenario.models:
+            if sm.code in seen:
+                continue
+            seen.add(sm.code)
+            try:
+                split[sm.code] = split_graph(sm.model.graph, segments)
+            except ValueError:
+                continue
+    return split
+
+
 class SegmentChain:
     """The compile-time dispatch table of one model's segment chain.
 
@@ -131,9 +166,9 @@ class SegmentChain:
     a chain records the model's piece codes — ``(None,)`` for a model
     dispatched whole — and, once the run has built its
     :class:`~repro.costmodel.PriceTable`, the pieces' code ids in it
-    (:attr:`ids`).  It memoises the per-``(engine, ladder position)``
-    latency suffixes the slack governor reserves deadline budget with.
-    The event loop hangs the chain on every
+    (:attr:`ids`).  Its suffixes memoise the per-``(engine, ladder
+    position)`` latencies the slack governor reserves deadline budget
+    with.  The event loop hangs the chain on every
     :class:`~repro.runtime.engine.WorkItem` it creates, so successor
     segments, prices and governor budget reservations never re-derive
     the plan per request: segment ``k``'s follow-up and its code id are
@@ -142,7 +177,7 @@ class SegmentChain:
     candidate point.
     """
 
-    __slots__ = ("model_code", "codes", "ids", "suffixes", "_latencies")
+    __slots__ = ("model_code", "codes", "ids", "suffixes")
 
     def __init__(self, model_code: str, codes) -> None:
         self.model_code = model_code
@@ -160,31 +195,10 @@ class SegmentChain:
         self.suffixes = tuple(
             ChainSuffix(self, start) for start in range(len(self.codes) + 1)
         )
-        self._latencies: dict[tuple[int, int, int], tuple[float, ...]] = {}
 
     @property
     def num_segments(self) -> int:
         return len(self.codes)
-
-    def remaining_latencies(
-        self, start: int, prices: PriceTable, engine_index: int,
-        position: int,
-    ) -> tuple[float, ...]:
-        """Latency of each segment from ``start`` on, on one engine.
-
-        Read from the run's price table — the floats the per-call keyed
-        formulation prices — and memoised per ``(start, engine, ladder
-        position)``, which is what turns the governor's remaining-work
-        reservation into one probe.
-        """
-        key = (start, engine_index, position)
-        cached = self._latencies.get(key)
-        if cached is None:
-            cached = self._latencies[key] = tuple(
-                prices.cost(code_id, engine_index, position).latency_s
-                for code_id in self.ids[start:]
-            )
-        return cached
 
 
 class ChainSuffix:
@@ -194,15 +208,16 @@ class ChainSuffix:
     as ``remaining_codes``: iterating yields the later segments' cost
     codes (``None`` = whole model), and governors that reserve deadline
     budget can call :meth:`remaining_latencies` to read the whole tail
-    from the chain's memo over the run's price table instead of pricing
-    each segment per call.
+    from the suffix's memo over the run's price table instead of
+    pricing each segment per call.
     """
 
-    __slots__ = ("chain", "start")
+    __slots__ = ("chain", "start", "_latencies")
 
     def __init__(self, chain: SegmentChain, start: int) -> None:
         self.chain = chain
         self.start = start
+        self._latencies: dict[tuple[int, int], tuple[float, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.chain.codes) - self.start
@@ -226,11 +241,21 @@ class ChainSuffix:
     def remaining_latencies(
         self, prices: PriceTable, engine_index: int, position: int
     ) -> tuple[float, ...]:
-        """Per-segment latencies of this tail on one engine at one ladder
-        position of the run's price table (memoised on the chain)."""
-        return self.chain.remaining_latencies(
-            self.start, prices, engine_index, position
-        )
+        """Latency of each segment of this tail on one engine.
+
+        Read from the run's price table — the floats the per-call keyed
+        formulation prices — and memoised per ``(engine, ladder
+        position)``, which is what turns the governor's remaining-work
+        reservation into one probe.
+        """
+        key = (engine_index, position)
+        cached = self._latencies.get(key)
+        if cached is None:
+            cached = self._latencies[key] = tuple(
+                prices.cost(code_id, engine_index, position).latency_s
+                for code_id in self.chain.ids[self.start:]
+            )
+        return cached
 
 
 def segment_scenario(

@@ -1,11 +1,12 @@
-"""The single-tenant façade over the multi-tenant runtime engine.
+"""One session's simulation outcome: :class:`SimulationResult`.
 
-Historically this module *was* the discrete-event simulator; the event
-loop now lives in :mod:`repro.runtime.multisim`, which multiplexes any
-number of scenario sessions onto one accelerator system through
-:class:`~repro.runtime.engine.ExecutionEngine` objects.  The
-:class:`Simulator` here runs the common one-scenario/one-system case as a
-single session, preserving the seed semantics exactly:
+The event loop lives in :mod:`repro.runtime.multisim`:
+:class:`~repro.runtime.multisim.MultiScenarioSimulator` multiplexes any
+number of scenario sessions onto one accelerator system, and a
+one-session group is the single-scenario run.  Each session of a run
+comes back as one :class:`SimulationResult`, which is what scoring
+(:func:`repro.core.aggregate.score_simulation`) reads.  A run proceeds
+as follows:
 
 1. The load generator schedules every sensor-driven inference request
    (with jittered arrival times) as ARRIVAL events.
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.costmodel import CostTable
 from repro.costmodel.analysis import ordered_sum
 from repro.hardware import AcceleratorSystem
 from repro.workload import InferenceRequest, UsageScenario
@@ -37,9 +37,8 @@ from repro.workload import InferenceRequest, UsageScenario
 from .admission import AdmissionRecord
 from .engine import ExecutionRecord
 from .faults import FaultRecord
-from .scheduler import Scheduler
 
-__all__ = ["SimulationResult", "Simulator"]
+__all__ = ["SimulationResult"]
 
 
 @dataclass
@@ -139,45 +138,3 @@ class SimulationResult:
     def mean_utilization(self) -> float:
         subs = self.system.num_subs
         return ordered_sum(self.utilization(i) for i in range(subs)) / subs
-
-
-@dataclass
-class Simulator:
-    """Runs one scenario on one accelerator system."""
-
-    scenario: UsageScenario
-    system: AcceleratorSystem
-    scheduler: Scheduler
-    duration_s: float = 1.0
-    seed: int = 0
-    costs: CostTable = field(default_factory=CostTable)
-    #: Failure injection: sensor-frame loss probability (see LoadGenerator).
-    frame_loss_probability: float = 0.0
-    #: Dispatch granularity: "model" (whole models, the paper's runtime)
-    #: or "segment" (split models yield engines between segments).
-    granularity: str = "model"
-    #: Target segments per split model under segment granularity.
-    segments_per_model: int = 2
-
-    def run(self) -> SimulationResult:
-        # Imported here: multisim builds SimulationResult objects, so the
-        # module dependency points that way.
-        from .multisim import MultiScenarioSimulator, SessionSpec
-
-        multi = MultiScenarioSimulator(
-            sessions=[
-                SessionSpec(
-                    session_id=0,
-                    scenario=self.scenario,
-                    seed=self.seed,
-                    frame_loss_probability=self.frame_loss_probability,
-                )
-            ],
-            system=self.system,
-            scheduler=self.scheduler,
-            duration_s=self.duration_s,
-            costs=self.costs,
-            granularity=self.granularity,
-            segments_per_model=self.segments_per_model,
-        )
-        return multi.run().sessions[0]

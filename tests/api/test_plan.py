@@ -87,7 +87,6 @@ class TestCompile:
         assert plan.faults["profile"] == "flaky"
         assert plan.faults["events"]
         assert plan.fault_plan().profile == "flaky"
-        assert plan.dynamic
 
     def test_admission_ticks_resolved(self):
         plan = compile_plan(RunSpec(
@@ -269,20 +268,29 @@ class TestExecutePlan:
         spec = RunSpec(scenario=("vr_gaming",), granularity="segment",
                        **SHORT)
         plan = compile_plan(spec)
-        # Forge a chain table claiming a different piece count.
+
+        def forge(chains):
+            return DispatchPlan(
+                **{**{f: getattr(plan, f) for f in (
+                    "spec", "mode", "accelerator", "pes", "num_engines",
+                    "scheduler", "preemptive", "granularity",
+                    "segments_per_model", "duration_s", "seed",
+                    "frame_loss", "score_preset", "churn", "sessions",
+                    "faults", "admission", "admission_period_s",
+                    "control_ticks_s", "dvfs_policy", "dvfs_ladder",
+                )}, "segment_chains": chains}
+            )
+
+        # A chain table claiming a different piece count.
         code, pieces = plan.segment_chains[0]
-        forged = DispatchPlan(
-            **{**{f: getattr(plan, f) for f in (
-                "spec", "mode", "accelerator", "pes", "num_engines",
-                "scheduler", "preemptive", "granularity",
-                "segments_per_model", "duration_s", "seed", "frame_loss",
-                "score_preset", "churn", "sessions", "faults",
-                "admission", "admission_period_s", "control_ticks_s",
-                "dvfs_policy", "dvfs_ladder",
-            )}, "segment_chains": ((code, pieces + ("bogus",)),)}
-        )
         with pytest.raises(ValueError, match="segment plan drift"):
-            execute_plan(forged, costs=cost_table)
+            execute_plan(
+                forge(((code, pieces + ("bogus",)),)), costs=cost_table
+            )
+        # A chain table leaving out a model that splits: it would run
+        # whole, so the run must not start.
+        with pytest.raises(ValueError, match="segment plan drift"):
+            execute_plan(forge(plan.segment_chains[1:]), costs=cost_table)
 
 
 class TestPlanCache:

@@ -204,6 +204,17 @@ class TestExecuteRouting:
             len(default.simulation.requests)
         )
 
+    def test_suite_scores_with_measured_quality(self, cost_table):
+        # Every suite scenario is scored against the measured quality
+        # map, as single and session-group runs are: ES measured at half
+        # its goal lowers the accuracy of the scenarios that run it.
+        spec = RunSpec.for_suite("J", pes=8192, duration_s=0.25)
+        nominal = execute(spec, costs=cost_table)
+        measured = execute(
+            spec, costs=cost_table, measured_quality={"ES": 45.0}
+        )
+        assert measured.xrbench_score < nominal.xrbench_score
+
     def test_events_are_emitted(self, cost_table):
         sink = CollectingSink()
         execute(RunSpec.for_suite("A", duration_s=0.4),

@@ -141,13 +141,12 @@ class TestAdmissionExport:
 
     @pytest.fixture(scope="class")
     def degrade_group(self, hda_j_4k):
-        from repro.api import run_session_group
+        from repro.api import RunSpec, execute
 
-        return run_session_group(
-            ["vr_gaming"] * 16,
-            hda_j_4k,
-            duration_s=0.25,
-            admission="degrade",
+        return execute(
+            RunSpec(scenario="vr_gaming", accelerator="J", pes=4096,
+                    sessions=16, duration_s=0.25, admission="degrade"),
+            system=hda_j_4k,
         )
 
     def test_single_tenant_run_exports_neutral_block(self, scenario_report):

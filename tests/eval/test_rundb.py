@@ -67,13 +67,11 @@ class TestSummarize:
         assert record.metrics["throughput_rps"] > 0
 
     def test_multi_session_report(self, hda_j_4k):
-        from repro.api import run_session_group
+        from repro.api import execute
 
         spec = RunSpec(scenario="vr_gaming", accelerator="J", pes=4096,
                        sessions=4, duration_s=0.25, admission="shed")
-        report = run_session_group(
-            ["vr_gaming"] * 4, hda_j_4k, duration_s=0.25, admission="shed"
-        )
+        report = execute(spec, system=hda_j_4k)
         record = summarize_report(spec, report)
         assert record.policy == "shed"
         assert len(record.sessions) == 4

@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import pytest
 
+from sim_helpers import replicate
 from test_schedule_equivalence import (
     GOLDEN,
     GOLDEN_DYNAMIC,
@@ -37,7 +38,6 @@ from repro.runtime import (
     ControlAction,
     DegradeController,
     EventKind,
-    MultiScenarioSimulator,
     SessionView,
     ShedController,
     make_admission,
@@ -260,7 +260,7 @@ def run_case_with_none_policy(scheduler, granularity, sessions,
         if churn
         else None
     )
-    return MultiScenarioSimulator.replicate(
+    return replicate(
         get_scenario(SCENARIO),
         build_accelerator(ACCELERATOR, PES),
         make_scheduler(scheduler, **kwargs),
@@ -309,7 +309,7 @@ def test_none_policy_stamps_no_admission_record():
 @lru_cache(maxsize=None)
 def controlled_run(scheduler: str, granularity: str, sessions: int,
                    policy: str):
-    return MultiScenarioSimulator.replicate(
+    return replicate(
         get_scenario("vr_gaming"),
         build_accelerator("J", 8192),
         make_scheduler(scheduler),
@@ -398,7 +398,7 @@ def test_degrade_uncounts_only_the_rows_still_to_come(at_s, spawned):
     """A degrade replaces the cancelled phase's not-yet-arrived frames
     with the degraded stream, so exactly those leave the QoE
     denominators."""
-    result = MultiScenarioSimulator.replicate(
+    result = replicate(
         VR, build_accelerator("J", 8192), make_scheduler("latency_greedy"),
         1, duration_s=0.25, admission=_DegradeAt(at_s),
     ).run()
@@ -410,12 +410,12 @@ def test_degrade_uncounts_only_the_rows_still_to_come(at_s, spawned):
 
 
 def test_controlled_runs_are_deterministic():
-    a = MultiScenarioSimulator.replicate(
+    a = replicate(
         get_scenario("vr_gaming"), build_accelerator("J", 8192),
         make_scheduler("latency_greedy"), 16, base_seed=0,
         duration_s=0.25, admission="degrade",
     ).run()
-    b = MultiScenarioSimulator.replicate(
+    b = replicate(
         get_scenario("vr_gaming"), build_accelerator("J", 8192),
         make_scheduler("latency_greedy"), 16, base_seed=0,
         duration_s=0.25, admission="degrade",

@@ -15,6 +15,7 @@ separately by the golden checksums in ``test_schedule_equivalence.py``.
 from __future__ import annotations
 
 import pytest
+from sim_helpers import replicate
 
 from repro.api import RunSpec, execute
 from repro.hardware import build_accelerator
@@ -42,7 +43,7 @@ def system():
 def churned_result(scheduler="latency_greedy", granularity="model",
                    sessions=4, churn=0.4, seed=0):
     windows = churn_windows(sessions, DURATION_S, churn, seed)
-    return MultiScenarioSimulator.replicate(
+    return replicate(
         get_scenario("vr_gaming"),
         build_accelerator("J", 8192),
         make_scheduler(scheduler),
@@ -421,7 +422,7 @@ class TestValidation:
 
     def test_mismatched_windows_rejected(self, vr, system):
         with pytest.raises(ValueError, match="lifetime windows"):
-            MultiScenarioSimulator.replicate(
+            replicate(
                 vr, system, make_scheduler("latency_greedy"), 4,
                 windows=churn_windows(2, DURATION_S, 0.2),
                 duration_s=DURATION_S,
@@ -486,7 +487,7 @@ class TestBusyTimeClipping:
     def test_system_busy_never_exceeds_streamed_duration(self, vr):
         # Overloaded static run: in-flight work drains past duration_s,
         # but engine busy time clips to the horizon.
-        result = MultiScenarioSimulator.replicate(
+        result = replicate(
             vr, build_accelerator("J", 4096),
             make_scheduler("latency_greedy"), 4,
             duration_s=DURATION_S,
@@ -496,7 +497,7 @@ class TestBusyTimeClipping:
         assert result.mean_system_utilization() <= 1.0 + 1e-9
 
     def test_session_busy_sums_match_system_busy_under_churn(self, vr):
-        result = MultiScenarioSimulator.replicate(
+        result = replicate(
             vr, build_accelerator("J", 8192),
             make_scheduler("latency_greedy"), 4,
             duration_s=DURATION_S,

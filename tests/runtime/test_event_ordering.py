@@ -12,6 +12,7 @@ preemptive, segment-granularity run.
 from __future__ import annotations
 
 import pytest
+from sim_helpers import replicate
 
 import repro.runtime.multisim as multisim
 from repro.hardware import build_accelerator
@@ -265,7 +266,7 @@ def test_event_heap_holds_o_sessions_entries(traced_queue):
     size seen at each pop is the high-water mark.)"""
     sessions = 64
     system = build_accelerator("J", 8192)
-    MultiScenarioSimulator.replicate(
+    replicate(
         get_scenario("vr_gaming"),
         system,
         make_scheduler("latency_greedy"),
@@ -281,7 +282,7 @@ def test_event_heap_holds_o_sessions_entries(traced_queue):
 def test_windows_churn_cell_matches_replicate_contract():
     """The golden-table churn cells' window plumbing stays stable."""
     windows = [SessionWindow(0.0, None), SessionWindow(0.01, 0.2)]
-    result = MultiScenarioSimulator.replicate(
+    result = replicate(
         get_scenario("vr_gaming"),
         build_accelerator("J", 8192),
         make_scheduler("latency_greedy"),

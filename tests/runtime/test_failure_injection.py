@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from sim_helpers import run_single
 
 from repro.core import Harness, HarnessConfig
 from repro.costmodel import CostTable
@@ -11,7 +12,6 @@ from repro.runtime import (
     EngineFleet,
     ExecutionEngine,
     RateMonotonicScheduler,
-    Simulator,
     WorkItem,
     make_scheduler,
 )
@@ -55,14 +55,14 @@ class TestLoadGenFrameLoss:
 
 class TestSimulatorUnderFrameLoss:
     def run(self, loss: float, cost_table):
-        return Simulator(
-            scenario=get_scenario("vr_gaming"),
-            system=build_accelerator("A", 8192),
-            scheduler=make_scheduler("latency_greedy"),
+        return run_single(
+            get_scenario("vr_gaming"),
+            build_accelerator("A", 8192),
+            make_scheduler("latency_greedy"),
             duration_s=1.0,
             costs=cost_table,
             frame_loss_probability=loss,
-        ).run()
+        )
 
     def test_qoe_denominator_counts_lost_frames(self, cost_table):
         result = self.run(0.3, cost_table)

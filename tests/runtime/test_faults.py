@@ -19,13 +19,13 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from sim_helpers import replicate
 
 from repro.costmodel import DEFAULT_DVFS_POINTS
 from repro.hardware import build_accelerator
 from repro.runtime import (
     FaultEvent,
     FaultPlan,
-    MultiScenarioSimulator,
     make_fault_plan,
     make_scheduler,
 )
@@ -40,7 +40,7 @@ SEEDED_PROFILES = ("single", "flaky", "thermal")
 def run_sim(faults="single", sessions=4, accelerator="J",
             scheduler="latency_greedy", granularity="model",
             dvfs_policy="static", seed=0, duration_s=DURATION_S):
-    return MultiScenarioSimulator.replicate(
+    return replicate(
         get_scenario("vr_gaming"),
         build_accelerator(accelerator, 8192),
         make_scheduler(scheduler),
@@ -429,7 +429,7 @@ class TestResilienceInvariants:
             ]
 
         gated = run_sim("none", granularity=granularity)
-        plain = MultiScenarioSimulator.replicate(
+        plain = replicate(
             get_scenario("vr_gaming"),
             build_accelerator("J", 8192),
             make_scheduler("latency_greedy"),

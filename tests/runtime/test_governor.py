@@ -23,6 +23,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import pytest
+from sim_helpers import replicate
 from test_schedule_equivalence import (
     GOLDEN,
     GOLDEN_DYNAMIC,
@@ -45,7 +46,6 @@ from repro.runtime import (
     DispatchContext,
     EngineFleet,
     ExecutionEngine,
-    MultiScenarioSimulator,
     RaceToIdleGovernor,
     SlackGovernor,
     StaticGovernor,
@@ -64,7 +64,7 @@ DURATION_S = 0.25
 def run_governed(scheduler: str, granularity: str, sessions: int,
                  dvfs_policy: str, base_seed: int = 0,
                  duration_s: float = DURATION_S):
-    return MultiScenarioSimulator.replicate(
+    return replicate(
         get_scenario(SCENARIO),
         build_accelerator(ACCELERATOR, PES),
         make_scheduler(scheduler),
@@ -552,7 +552,7 @@ class TestEnergyAccounting:
 
     def test_governed_runs_validate_policy_eagerly(self):
         with pytest.raises(ValueError, match="unknown dvfs policy"):
-            MultiScenarioSimulator.replicate(
+            replicate(
                 get_scenario(SCENARIO),
                 build_accelerator(ACCELERATOR, PES),
                 make_scheduler("latency_greedy"),
@@ -594,7 +594,7 @@ class TestStaticGovernorInstance:
 
     @pytest.mark.parametrize("granularity", ["model", "segment"])
     def test_instance_matches_ungoverned_run(self, granularity):
-        ungoverned = MultiScenarioSimulator.replicate(
+        ungoverned = replicate(
             get_scenario(SCENARIO),
             build_accelerator(ACCELERATOR, PES),
             make_scheduler("latency_greedy"),
@@ -602,7 +602,7 @@ class TestStaticGovernorInstance:
             duration_s=DURATION_S,
             granularity=granularity,
         ).run()
-        governed = MultiScenarioSimulator.replicate(
+        governed = replicate(
             get_scenario(SCENARIO),
             build_accelerator(ACCELERATOR, PES),
             make_scheduler("latency_greedy"),

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from sim_helpers import replicate, run_single
 
 from repro.core import score_sessions
 from repro.costmodel import CachedCostTable, CostTable
@@ -13,14 +14,13 @@ from repro.runtime import (
     LatencyGreedyScheduler,
     MultiScenarioSimulator,
     SessionSpec,
-    Simulator,
 )
 from repro.workload import get_scenario
 
 
 def multi(scenario="vr_gaming", acc="J", pes=8192, sessions=4, seed=0,
           duration=1.0, **kwargs):
-    return MultiScenarioSimulator.replicate(
+    return replicate(
         get_scenario(scenario),
         build_accelerator(acc, pes),
         LatencyGreedyScheduler(),
@@ -184,14 +184,14 @@ class TestDeterminism:
         assert signature(multi(seed=0)) != signature(multi(seed=100))
 
     def test_single_session_matches_legacy_simulator(self):
-        table = CostTable()
-        legacy = Simulator(
-            scenario=get_scenario("vr_gaming"),
+        # One session priced per call through a plain keyed CostTable
+        # matches the same session priced through the run's price table.
+        legacy = MultiScenarioSimulator(
+            sessions=[SessionSpec(0, get_scenario("vr_gaming"), seed=5)],
             system=build_accelerator("J", 8192),
             scheduler=LatencyGreedyScheduler(),
-            costs=table,
-            seed=5,
-        ).run()
+            costs=CostTable(),
+        ).run().sessions[0]
         result = multi(sessions=1, seed=5)
         [session] = result.sessions
         legacy_sig = [
@@ -251,14 +251,14 @@ class TestSegmentGranularity:
             )
 
     def test_simulator_facade_plumbs_split_count(self):
-        result = Simulator(
-            scenario=get_scenario("ar_gaming"),
-            system=build_accelerator("J", 8192),
-            scheduler=LatencyGreedyScheduler(),
+        result = run_single(
+            get_scenario("ar_gaming"),
+            build_accelerator("J", 8192),
+            LatencyGreedyScheduler(),
             costs=CachedCostTable(),
             granularity="segment",
             segments_per_model=3,
-        ).run()
+        )
         assert max(r.num_segments for r in result.records) == 3
 
     def test_table_reuse_across_split_counts_stays_correct(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sim_helpers import replicate
 from test_schedule_equivalence import REQUEST_CELLS, run_case
 
 import repro.runtime.multisim as multisim
@@ -11,7 +12,6 @@ from repro.hardware import build_accelerator
 from repro.runtime.queues import DEADLINE_VIEW_BOUND
 from repro.runtime import (
     DependencyTracker,
-    MultiScenarioSimulator,
     WaitingQueue,
     WorkItem,
     make_scheduler,
@@ -352,7 +352,7 @@ class TestReSortsInRealRuns:
     — and then only if a policy reads the dispatch order afterwards."""
 
     def test_static_fleet_never_resorts(self, counting_queue):
-        result = MultiScenarioSimulator.replicate(
+        result = replicate(
             get_scenario("vr_gaming"),
             build_accelerator("J", 8192),
             make_scheduler("latency_greedy"),
@@ -403,4 +403,4 @@ class TestDependencyTracker:
 
     def test_no_downstream(self):
         tracker = DependencyTracker(get_scenario("vr_gaming"))
-        assert tracker.downstream_of("HT") == []
+        assert tracker.downstream_of("HT") == ()

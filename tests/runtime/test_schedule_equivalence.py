@@ -32,6 +32,7 @@ import hashlib
 import json
 
 import pytest
+from sim_helpers import replicate
 
 from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
@@ -407,7 +408,7 @@ def run_case(
             scheduler=policy,
             **options,
         ).run()
-    return MultiScenarioSimulator.replicate(
+    return replicate(
         get_scenario(SCENARIO),
         system,
         policy,

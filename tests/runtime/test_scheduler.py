@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from sim_helpers import replicate
 
 from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
@@ -215,7 +216,7 @@ class PickOnlyPolicy:
 
 
 def run_policy(policy, granularity="model"):
-    return MultiScenarioSimulator.replicate(
+    return replicate(
         get_scenario("vr_gaming"), build_accelerator("J", 8192), policy, 4,
         duration_s=0.25, granularity=granularity,
     ).run()

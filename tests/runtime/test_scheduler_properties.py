@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from sim_helpers import replicate
 
 from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
@@ -19,7 +20,6 @@ from repro.runtime import (
     EarliestDeadlineScheduler,
     EngineFleet,
     ExecutionEngine,
-    MultiScenarioSimulator,
     RateMonotonicScheduler,
     RoundRobinScheduler,
     WorkItem,
@@ -137,7 +137,7 @@ class TestEndToEndInvariants:
     ):
         # ExecutionEngine.begin raises on double-occupancy, so finishing
         # the run proves the policy never dispatched to a busy engine.
-        result = MultiScenarioSimulator.replicate(
+        result = replicate(
             get_scenario("vr_gaming"),
             build_accelerator("J", 8192),
             make_scheduler(name),
@@ -155,7 +155,7 @@ class TestEndToEndInvariants:
     @pytest.mark.parametrize("name", POLICIES)
     def test_multi_session_runs_deterministic_per_seed(self, name):
         def run(seed):
-            result = MultiScenarioSimulator.replicate(
+            result = replicate(
                 get_scenario("ar_assistant"),
                 build_accelerator("J", 8192),
                 make_scheduler(name),

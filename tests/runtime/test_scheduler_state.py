@@ -12,6 +12,7 @@ the policy at the start of every run.
 from __future__ import annotations
 
 import pytest
+from sim_helpers import replicate, run_single
 
 from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
@@ -22,7 +23,6 @@ from repro.runtime import (
     RateMonotonicScheduler,
     RoundRobinScheduler,
     SessionSpec,
-    Simulator,
     WorkItem,
     make_scheduler,
 )
@@ -46,7 +46,7 @@ def engines(system):
 
 
 def run_once(scheduler, system, sessions=4):
-    return MultiScenarioSimulator.replicate(
+    return replicate(
         get_scenario("vr_gaming"), system, scheduler, sessions,
         duration_s=DURATION_S,
     ).run()
@@ -88,19 +88,16 @@ class TestResetProtocol:
         assert schedule_of(run_once(scheduler, system)) == pristine
 
     def test_single_tenant_facade_resets_too(self, system):
+        # A one-session run, the single-scenario case, resets as well.
         scheduler = RoundRobinScheduler(_next_engine=1)
-        result = Simulator(
-            scenario=get_scenario("vr_gaming"),
-            system=system,
-            scheduler=scheduler,
+        result = run_single(
+            get_scenario("vr_gaming"), system, scheduler,
             duration_s=DURATION_S,
-        ).run()
-        fresh = Simulator(
-            scenario=get_scenario("vr_gaming"),
-            system=system,
-            scheduler=RoundRobinScheduler(),
+        )
+        fresh = run_single(
+            get_scenario("vr_gaming"), system, RoundRobinScheduler(),
             duration_s=DURATION_S,
-        ).run()
+        )
         assert schedule_of(result) == schedule_of(fresh)
 
     def test_memoizing_rate_monotonic_is_run_order_independent(

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from sim_helpers import replicate, run_single
 
 from repro.core import score_simulation
 from repro.costmodel import CachedCostTable, Dataflow
 from repro.hardware import build_accelerator
 from repro.runtime import (
     LatencyGreedyScheduler,
-    Simulator,
     segment_scenario,
     split_graph,
 )
@@ -139,11 +139,10 @@ class TestSegmentedExecution:
             scenario, table = segment_scenario(
                 get_scenario("ar_gaming"), "PD", segments
             )
-        sim = Simulator(
-            scenario=scenario, system=build_accelerator("J", 4096),
-            scheduler=LatencyGreedyScheduler(), duration_s=1.0,
-            costs=table,
-        ).run()
+        sim = run_single(
+            scenario, build_accelerator("J", 4096),
+            LatencyGreedyScheduler(), duration_s=1.0, costs=table,
+        )
         return sim, score_simulation(sim)
 
     def test_runs_end_to_end(self):
@@ -207,12 +206,12 @@ class TestSharedTableReuse:
             segment_scenario(get_scenario("ar_gaming"), "PD", 3, table)
 
     def test_back_to_back_segmented_runs_share_dispatch_table(self):
-        from repro.runtime import MultiScenarioSimulator, make_scheduler
+        from repro.runtime import make_scheduler
 
         table = CachedCostTable()
         results = []
         for _ in range(2):
-            results.append(MultiScenarioSimulator.replicate(
+            results.append(replicate(
                 get_scenario("vr_gaming"),
                 build_accelerator("J", 8192),
                 make_scheduler("latency_greedy"),

@@ -3,23 +3,24 @@
 from __future__ import annotations
 
 import pytest
+from sim_helpers import run_single
 
 from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
-from repro.runtime import LatencyGreedyScheduler, Simulator
+from repro.runtime import LatencyGreedyScheduler
 from repro.workload import get_scenario
 
 
 def simulate(scenario="vr_gaming", acc="A", pes=8192, duration=1.0, seed=0,
              costs=None):
-    return Simulator(
-        scenario=get_scenario(scenario),
-        system=build_accelerator(acc, pes),
-        scheduler=LatencyGreedyScheduler(),
-        duration_s=duration,
+    return run_single(
+        get_scenario(scenario),
+        build_accelerator(acc, pes),
+        LatencyGreedyScheduler(),
         seed=seed,
+        duration_s=duration,
         costs=costs or CostTable(),
-    ).run()
+    )
 
 
 @pytest.fixture(scope="module")

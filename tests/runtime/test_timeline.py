@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from sim_helpers import run_single
 
 from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
 from repro.runtime import (
     LatencyGreedyScheduler,
-    Simulator,
     extract_timeline,
     render_timeline,
 )
@@ -17,13 +17,13 @@ from repro.workload import get_scenario
 
 @pytest.fixture(scope="module")
 def result():
-    return Simulator(
-        scenario=get_scenario("ar_gaming"),
-        system=build_accelerator("J", 8192),
-        scheduler=LatencyGreedyScheduler(),
+    return run_single(
+        get_scenario("ar_gaming"),
+        build_accelerator("J", 8192),
+        LatencyGreedyScheduler(),
         duration_s=1.0,
         costs=CostTable(),
-    ).run()
+    )
 
 
 class TestExtract:

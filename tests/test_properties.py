@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from sim_helpers import run_single
 
 from repro.core import energy_score, qoe_score, realtime_score
 from repro.core.aggregate import InferenceScore, ModelScore, ScenarioScore
@@ -147,21 +148,21 @@ class TestRandomScenarioSimulation:
         from repro.core import score_simulation
         from repro.costmodel import CostTable
         from repro.hardware import build_accelerator
-        from repro.runtime import LatencyGreedyScheduler, Simulator
+        from repro.runtime import LatencyGreedyScheduler
         from repro.workload import get_scenario, scale_rates
 
         if not hasattr(TestRandomScenarioSimulation, "_table"):
             TestRandomScenarioSimulation._table = CostTable()
         scenario = scale_rates(get_scenario(base), rate_factor)
-        result = Simulator(
-            scenario=scenario,
-            system=build_accelerator(acc, pes),
-            scheduler=LatencyGreedyScheduler(),
-            duration_s=0.5,
+        result = run_single(
+            scenario,
+            build_accelerator(acc, pes),
+            LatencyGreedyScheduler(),
             seed=seed,
+            duration_s=0.5,
             costs=TestRandomScenarioSimulation._table,
             frame_loss_probability=loss,
-        ).run()
+        )
 
         # Outcome exclusivity.
         for r in result.requests:
