@@ -16,11 +16,11 @@ streaming :class:`~repro.api.events.ProgressEvent` records to pluggable
 sinks; :attr:`RunSpec.mode` picks the report shape.
 
 :class:`Experiment` executes spec lists — serially through one shared
-:class:`~repro.costmodel.CachedCostTable` (so a 13-accelerator x
-7-scenario sweep analyses each (model, engine) pair once), or on a
-process pool (``workers > 1``) for wall-clock parallelism.  Both paths
-produce identical reports: cost caching is a speed layer, never a
-results layer, and every spec carries its own seeds.
+:class:`~repro.costmodel.CostTable` (so a 13-accelerator x 7-scenario
+sweep looks each (model, engine) pair up once), or on a process pool
+(``workers > 1``) for wall-clock parallelism.  Both paths produce
+identical reports: cost caching is a speed layer, never a results
+layer, and every spec carries its own seeds.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ def run_group(
     duration_s: float = 1.0,
     score: ScoreConfig | None = None,
     costs: CostTable | None = None,
-    dispatch_costs: CostTable | None = None,
     measured_quality: dict[str, float] | None = None,
     granularity: str = "model",
     segments_per_model: int = 2,
@@ -89,22 +88,18 @@ def run_group(
     """Multiplex a group of sessions onto one system and score each.
 
     The one runner behind every run shape.  Dispatch-path pricing flows
-    through a per-run :class:`CachedCostTable` layered over ``costs``
-    unless ``dispatch_costs`` supplies the table directly (the
-    throughput benchmark uses that to compare cache flavours).
-    ``preemptive=True`` asks a capable scheduler (edf, rate_monotonic)
-    to displace resuming segment chains with more urgent waiting work
-    at segment boundaries.  ``dvfs_policy`` selects the runtime DVFS
+    through a per-run :class:`CachedCostTable` layered over ``costs`` (a
+    fresh :class:`CostTable` when none is given), so every run's
+    ``cost_stats`` count that run's lookups alone.  ``preemptive=True``
+    asks a capable scheduler (edf, rate_monotonic) to displace resuming
+    segment chains with more urgent waiting work at segment
+    boundaries.  ``dvfs_policy`` selects the runtime DVFS
     governor (``"static"``, ``"slack"``, ``"race_to_idle"``),
     ``admission`` the QoE admission controller (``"none"``, ``"shed"``,
     ``"degrade"``) and ``faults`` a compiled fault plan (``None`` runs
     fault-free).  ``segment_plan`` is a plan's segment-chain table; the
     run raises if it differs from the split the run derives.
     """
-    if dispatch_costs is None:
-        dispatch_costs = CachedCostTable(
-            base=costs if costs is not None else CostTable()
-        )
     result = MultiScenarioSimulator(
         sessions=list(sessions),
         system=system,
@@ -112,7 +107,7 @@ def run_group(
             scheduler, **({"preemptive": True} if preemptive else {})
         ),
         duration_s=duration_s,
-        costs=dispatch_costs,
+        costs=CachedCostTable(base=costs),
         granularity=granularity,
         segments_per_model=segments_per_model,
         dvfs_policy=dvfs_policy,
@@ -133,7 +128,6 @@ def execute(
     *,
     system: AcceleratorSystem | None = None,
     costs: CostTable | None = None,
-    dispatch_costs: CostTable | None = None,
     score: ScoreConfig | None = None,
     measured_quality: dict[str, float] | None = None,
     sinks: Sequence[EventSink] = (),
@@ -154,8 +148,8 @@ def execute(
     """
     return execute_plan(
         compile_plan(spec, system=system),
-        system=system, costs=costs, dispatch_costs=dispatch_costs,
-        score=score, measured_quality=measured_quality,
+        system=system, costs=costs, score=score,
+        measured_quality=measured_quality,
         sinks=sinks, index=index, total=total,
     )
 
@@ -182,7 +176,6 @@ def execute_plan(
     *,
     system: AcceleratorSystem | None = None,
     costs: CostTable | None = None,
-    dispatch_costs: CostTable | None = None,
     score: ScoreConfig | None = None,
     measured_quality: dict[str, float] | None = None,
     sinks: Sequence[EventSink] = (),
@@ -214,7 +207,6 @@ def execute_plan(
         "duration_s": plan.duration_s,
         "score": score,
         "costs": costs,
-        "dispatch_costs": dispatch_costs,
         "measured_quality": measured_quality,
         "dvfs_policy": plan.dvfs_policy,
         "admission": plan.admission,
@@ -337,9 +329,11 @@ def _pooled_result(
 class Experiment:
     """A named, ordered collection of specs executed as one unit.
 
-    Serial runs (``workers=1``) share one :class:`CachedCostTable`, so
-    repeated (model, engine, DVFS) pricing across specs is analysed
-    once.  ``workers > 1`` fans specs out to a process pool; results
+    Serial runs (``workers=1``) share one :class:`CostTable` (``costs``,
+    or a fresh one), under the per-run :class:`CachedCostTable` each
+    spec's run layers over it: its (code, dataflow, PEs) memo answers a
+    later spec's nominal lookups without hashing the model graph again.
+    ``workers > 1`` fans specs out to a process pool; results
     are returned in spec order and are identical to serial execution
     (each spec is self-contained and carries its own seeds, and any
     caller-supplied ``costs`` table is shipped to the workers).  One
@@ -383,9 +377,7 @@ class Experiment:
         retried_cells: list[str] = []
         plan_cache_hits: int | None = None
         if workers == 1 or total <= 1:
-            shared = CachedCostTable(
-                base=costs if costs is not None else CostTable()
-            )
+            shared = costs if costs is not None else CostTable()
             # Plan cache keyed on the workload fingerprint (the spec
             # minus its seed): sweep cells sharing a workload reuse the
             # seed-independent compilation — notably the segment-chain

@@ -1,17 +1,11 @@
 """Analytical accelerator cost model (the MAESTRO substitute)."""
 
 from .analysis import CostModel, LayerCost, ModelCost
-from .cached import (
-    CachedCostTable,
-    CostCacheStats,
-    GraphRegistry,
-    PriceTable,
-    UncachedCostTable,
-)
+from .cached import CachedCostTable, CostCacheStats, PriceTable
 from .dataflow import DATAFLOW_SPECS, Dataflow, DataflowSpec
 from .dvfs import DEFAULT_DVFS_POINTS, DvfsPoint, best_point_for_slack, scale_cost
 from .energy import DEFAULT_ENERGY_MODEL, EnergyModel
-from .model_cost import SHARED_COST_TABLE, CostTable
+from .model_cost import CostTable
 
 __all__ = [
     "DEFAULT_DVFS_POINTS",
@@ -22,15 +16,12 @@ __all__ = [
     "CostCacheStats",
     "CostModel",
     "CostTable",
-    "UncachedCostTable",
     "DATAFLOW_SPECS",
     "DEFAULT_ENERGY_MODEL",
     "Dataflow",
     "DataflowSpec",
     "EnergyModel",
-    "GraphRegistry",
     "LayerCost",
     "ModelCost",
     "PriceTable",
-    "SHARED_COST_TABLE",
 ]

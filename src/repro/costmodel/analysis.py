@@ -264,12 +264,13 @@ _MODEL_COST_MEMO: dict[tuple[CostModel, ModelGraph], ModelCost] = {}
 def memoized_model_cost(engine: CostModel, graph: ModelGraph) -> ModelCost:
     """``engine.model_cost(graph)`` answered from the process-wide memo.
 
-    Cost *tables* cache per instance; that still re-pays the per-engine
-    pass for every fresh table (each benchmark repeat, each session
-    group) on the same handful of graphs.  This memo hoists the pure
-    computation to process scope.  Deliberately NOT used by
-    :class:`~repro.costmodel.UncachedCostTable`, whose whole point is
-    re-running the per-engine pass per query.
+    Cost *tables* cache per instance, and every run prices through a
+    fresh :class:`~repro.costmodel.CachedCostTable`; without this memo
+    each run would re-pay the per-engine pass on the same handful of
+    graphs.  This memo hoists the pure computation to process scope:
+    a plain :class:`~repro.costmodel.CostTable`'s zoo models and a
+    cached table's registered segment graphs share one answer per
+    (engine shape, graph).
     """
     key = (engine, graph)
     cost = _MODEL_COST_MEMO.get(key)

@@ -11,18 +11,14 @@ and misses so harnesses can report the cache's effectiveness.  Its
 scaled costs come from process-wide memos
 (:func:`~repro.costmodel.analysis.memoized_model_cost` and, beside it,
 :func:`~repro.costmodel.dvfs.memoized_scale_cost`), so a fresh table per
-run re-derives nothing the process has already analysed.
+run re-derives nothing the process has already analysed.  Every run
+prices through one: the event loop wraps any other table it is handed
+in a fresh :class:`CachedCostTable` over it.
 
 :class:`PriceTable` is one run's prices on one fleet, indexed by
 integers: code id, engine index and ladder position.  The event loop
 builds it from its :class:`CachedCostTable` when the run starts, and the
 dispatch path reads it by index instead of hashing a key per question.
-
-:class:`UncachedCostTable` is the deliberate anti-optimisation: it
-re-runs the analytical model's per-engine pass over the graph's layer
-table on *every* query.  It exists so
-``benchmarks/bench_runtime_throughput.py`` can measure what the cache
-layer buys on identical workloads.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from dataclasses import dataclass
 from typing import Protocol, TypeVar
 
 from repro.nn import ModelGraph
-from repro.workload import UNIT_MODELS
 
 from .analysis import CostModel, ModelCost, memoized_model_cost
 from .dataflow import Dataflow
@@ -41,10 +36,8 @@ from .model_cost import CostTable
 
 __all__ = [
     "CostCacheStats",
-    "GraphRegistry",
     "CachedCostTable",
     "PriceTable",
-    "UncachedCostTable",
 ]
 
 
@@ -68,40 +61,6 @@ class FleetLike(Protocol):
 
     @property
     def subs(self) -> tuple[EngineLike, ...]: ...
-
-
-class GraphRegistry:
-    """Mixin: a registry of virtual task-code graphs (segment pieces).
-
-    Classes mixing this in must initialise ``self._graphs = {}``.  The
-    runtime duck-types against ``register_graph``/``knows`` to decide
-    whether a cost table can price dispatch-time segment codes.
-    """
-
-    _graphs: dict[str, ModelGraph]
-
-    def register_graph(self, code: str, graph: ModelGraph) -> None:
-        """Make a virtual task code priceable from its layer graph.
-
-        Re-registering the *same* graph is a no-op — segment plans are
-        deterministic, so a shared table seen by two segmented runs is
-        offered identical pieces and must not fail the second run.
-        Registering a *different* graph under an existing code still
-        raises: that is a stale-split hazard, not benign reuse.
-        """
-        existing = self._graphs.get(code)
-        if existing is not None:
-            if existing == graph:
-                return
-            raise ValueError(
-                f"task code {code!r} already registered with a different "
-                f"graph (was this table reused across runs with "
-                f"different segment splits?)"
-            )
-        self._graphs[code] = graph
-
-    def knows(self, code: str) -> bool:
-        return code in self._graphs
 
 
 @dataclass
@@ -130,7 +89,7 @@ class _Indexed(Protocol):
 _E = TypeVar("_E", bound=_Indexed)
 
 
-class CachedCostTable(GraphRegistry, CostTable):
+class CachedCostTable(CostTable):
     """Memoised dispatch-path costs keyed on (task, engine, DVFS state).
 
     Wraps any base :class:`CostTable`; unknown task codes fall through
@@ -146,11 +105,36 @@ class CachedCostTable(GraphRegistry, CostTable):
         super().__init__()
         self.base = base if base is not None else CostTable()
         self.stats = CostCacheStats()
-        self._graphs = {}
+        self._graphs: dict[str, ModelGraph] = {}
         self._entries: dict[
             tuple[str, Dataflow, int, DvfsPoint | None], ModelCost
         ] = {}
         self._prices: PriceTable | None = None
+
+    # -- segment graphs ------------------------------------------------------
+
+    def register_graph(self, code: str, graph: ModelGraph) -> None:
+        """Make a virtual task code priceable from its layer graph.
+
+        Re-registering the *same* graph is a no-op — segment plans are
+        deterministic, so a shared table seen by two segmented runs is
+        offered identical pieces and must not fail the second run.
+        Registering a *different* graph under an existing code still
+        raises: that is a stale-split hazard, not benign reuse.
+        """
+        existing = self._graphs.get(code)
+        if existing is not None:
+            if existing == graph:
+                return
+            raise ValueError(
+                f"task code {code!r} already registered with a different "
+                f"graph (was this table reused across runs with "
+                f"different segment splits?)"
+            )
+        self._graphs[code] = graph
+
+    def knows(self, code: str) -> bool:
+        return code in self._graphs
 
     # -- lookups -------------------------------------------------------------
 
@@ -379,36 +363,3 @@ class PriceTable:
             raise ValueError("no engine to choose from")
         return best
 
-
-class UncachedCostTable(GraphRegistry, CostTable):
-    """Re-runs the analytical cost model on every query (no memoisation).
-
-    Only useful as a benchmark baseline: it makes the dispatch path pay
-    the per-engine pass over the graph's layer table each time, which
-    is what a naive runtime querying the cost model directly would do
-    (the table itself is built once per graph).  Carries a
-    graph registry so segment-granularity runs stay genuinely uncached
-    instead of being wrapped in a cache.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: Total analytical evaluations performed.
-        self.queries = 0
-        self._graphs = {}
-
-    def cost(
-        self, task_code: str, dataflow: Dataflow, num_pes: int
-    ) -> ModelCost:
-        self.queries += 1
-        engine = CostModel(dataflow=dataflow, num_pes=num_pes)
-        graph = self._graphs.get(task_code)
-        if graph is not None:
-            return engine.model_cost(graph)
-        model = UNIT_MODELS.get(task_code)
-        if model is None:
-            raise KeyError(
-                f"unknown task code {task_code!r}; "
-                f"available: {sorted(UNIT_MODELS)}"
-            )
-        return engine.model_cost(model.graph)

@@ -50,7 +50,3 @@ class CostTable:
         self, task_code: str, dataflow: Dataflow, num_pes: int
     ) -> float:
         return self.cost(task_code, dataflow, num_pes).energy_mj
-
-
-#: A process-wide shared table; simulations may also carry their own.
-SHARED_COST_TABLE = CostTable()

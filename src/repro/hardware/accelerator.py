@@ -105,10 +105,11 @@ class AcceleratorSystem:
         A :class:`~repro.costmodel.CachedCostTable` answers from its
         (task, engine, DVFS) memo; any other table falls back to the
         plain per-engine lookup plus on-the-fly DVFS scaling.  During a
-        run the dispatch path does not come here for a cached table: it
-        reads the run's :class:`~repro.costmodel.PriceTable` by index.
-        This keyed path prices tables without prices, points off the
-        run's ladder, and callers outside a run.
+        run the event loop and the built-in policies read the run's
+        :class:`~repro.costmodel.PriceTable` by index instead (every run
+        prices through a cached table); the event loop comes here only
+        for a governor's point off the run's ladder.  Custom policies
+        and callers outside a run use this keyed path.
         """
         sub = self.subs[sub_index]
         lookup = getattr(table, "engine_cost", None)

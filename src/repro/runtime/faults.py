@@ -378,7 +378,12 @@ class FaultAction:
 class FaultRecord:
     """Per-session resilience stamp: what the fault plan did to it.
 
-    ``recovery_latency_s`` entries measure kill-to-completion per
+    ``killed``, ``recovered`` and ``lost`` count requests: ``killed``
+    the requests killed at least once, each of which ends ``recovered``
+    (completed on a surviving engine) or ``lost``, so ``killed ==
+    recovered + lost``.  ``retries`` counts retry events (one request
+    may retry more than once), and ``actions`` keeps every kill.
+    ``recovery_latencies_s`` entries measure first-kill-to-completion per
     request that was killed by a failure and still completed — the
     user-visible cost of riding out an outage.
     """

@@ -233,12 +233,13 @@ class SlackGovernor:
         engine_index = engine.index
 
         # Candidates are read by ladder position from the run's price
-        # table when the cost table keeps one: the row holds this
-        # piece's cost at every position, and the table resolves the
-        # permitted points to positions once per thermal cap.  A table
-        # without prices, or a point off the run's ladder (no
-        # position), is priced through the keyed lookup.  Both give the
-        # same floats, so the choice is bit-identical either way.
+        # table: the row holds this piece's cost at every position, and
+        # the table resolves the permitted points to positions once per
+        # thermal cap.  A point off the run's ladder (no position) is
+        # priced through the keyed lookup, as is every candidate for a
+        # caller outside a run, whose table holds no prices for this
+        # fleet.  Both give the same floats, so the choice is
+        # bit-identical either way.
         prices_of = getattr(costs, "prices", None)
         prices = prices_of(system) if prices_of is not None else None
         code_id = prices.ids.get(code) if prices is not None else None
@@ -332,10 +333,11 @@ def _reserved_budget(
     Each remaining segment's latency is subtracted from the slack in
     turn.  A :class:`~repro.runtime.segmentation.ChainSuffix` (the event
     loop's compile-time segment-chain view) answers the latencies from
-    its per-(engine, position) memo (``remaining``); a plain code
-    sequence, or a point without a position, is priced per segment.
-    Both subtract the same floats in the same order, so the budgets —
-    and therefore the chosen points — are bit-identical.
+    its per-(engine, position) memo (``remaining``).  A point without a
+    position, or a plain code sequence from a caller outside a run, is
+    priced per segment.  Both subtract the same floats in the same
+    order, so the budgets — and therefore the chosen points — are
+    bit-identical.
     """
     budget_s = slack_s
     if at is not None and remaining is not None:

@@ -48,12 +48,14 @@ Key properties:
   rates normalise by *active* (not streamed) duration.  System-level busy
   time and the execution-record log live on the
   :class:`MultiSessionResult`.
-* **Cost caching**: with a :class:`~repro.costmodel.CachedCostTable`
-  (the default) each run builds one :class:`~repro.costmodel.PriceTable`
-  — every code it can dispatch, on every engine, at every DVFS point it
-  can run — and the dispatch path reads prices by (code id, engine
-  index, ladder position).  Other tables are priced per call through
-  :meth:`repro.hardware.AcceleratorSystem.engine_cost`.
+* **Cost caching**: each run prices through a
+  :class:`~repro.costmodel.CachedCostTable` (the default; any other
+  table is wrapped in a fresh one over it) and builds one
+  :class:`~repro.costmodel.PriceTable` from it — every code it can
+  dispatch, on every engine, at every DVFS point it can run — so the
+  dispatch path reads prices by (code id, engine index, ladder
+  position).  Only a custom governor's point off that ladder is priced
+  through the keyed lookup.
 * **Slack-aware DVFS** (``dvfs_policy``): a
   :class:`~repro.runtime.governor.DvfsGovernor` consulted at every
   dispatch boundary may move the engine's operating point per piece of
@@ -427,12 +429,12 @@ class MultiScenarioSimulator:
             invoked at the start of every run so a shared instance gives
             order-independent results.
         duration_s: streamed seconds per session (must be positive).
-        costs: the cost table; for segment granularity a table without a
-            graph registry is wrapped in a :class:`CachedCostTable` so
-            virtual segment codes are priceable.  A table keeping prices
-            (``CachedCostTable``) gets a per-run
-            :class:`~repro.costmodel.PriceTable` the dispatch path reads
-            by index; any other table is priced per call.
+        costs: the cost table.  A table that is not a
+            :class:`CachedCostTable` is wrapped in a fresh one over it
+            for each run, which registers the run's segment graphs and
+            counts its hits and misses.  The run builds a
+            :class:`~repro.costmodel.PriceTable` from it, which the
+            dispatch path reads by index.
         granularity: ``"model"`` (whole-model dispatch, the seed
             behaviour) or ``"segment"`` (split models yield engines at
             segment boundaries).
@@ -659,9 +661,7 @@ class MultiScenarioSimulator:
             reset()
         preemptive = bool(getattr(scheduler, "preemptive", False))
         costs = self.costs
-        if self.granularity == "segment" and not hasattr(
-            costs, "register_graph"
-        ):
+        if not isinstance(costs, CachedCostTable):
             costs = CachedCostTable(base=costs)
         chains = self._plan_segments(costs)
 
@@ -680,40 +680,35 @@ class MultiScenarioSimulator:
         idle = fleet.idle  # live, index-ordered; maintained by the fleet
         engines = fleet.engines
         fplan = self._fault_plan
-        thermal = fplan is not None and fplan.has_thermal
         # The throttle clamp points come off the governor's ladder when
         # one is installed, so governed and clamped choices price the
         # same points.
         thermal_ladder = tuple(
             getattr(governor, "points", DEFAULT_DVFS_POINTS)
         )
-        # A table keeping prices (CachedCostTable) gets one price table
-        # for the run: every code the run can dispatch, on every engine,
-        # at every point the run can price — nominal, the governor's
-        # ladder, the engines' base points and the thermal clamp points.
-        # The dispatch path reads it by (code id, engine index, ladder
-        # position): a work item's code id is its chain's ``ids`` entry,
-        # and ``positions[i]`` is engine i's effective point, resolved
-        # here and again whenever a throttle fires or lifts.
-        price_table = getattr(costs, "price_table", None)
-        prices = None
-        if price_table is not None:
-            points = [*getattr(governor, "points", ())]
-            points.extend(engine.dvfs for engine in engines)
-            if thermal:
-                points.extend(thermal_ladder)
-            codes = []
-            for chain in chains.values():
-                codes.append(chain.model_code)
-                codes.extend(code for code in chain.codes if code)
-            prices = price_table(self.system, points, codes)
-            for chain in chains.values():
-                chain.ids = tuple(
-                    prices.ids[code or chain.model_code]
-                    for code in chain.codes
-                )
-            base_positions = [prices.position(e.dvfs) for e in engines]
-            positions = list(base_positions)
+        # One price table for the run: every code the run can dispatch,
+        # on every engine, at every point the run can price — nominal,
+        # the governor's ladder, the engines' base points and the
+        # thermal clamp points.  The dispatch path reads it by (code id,
+        # engine index, ladder position): a work item's code id is its
+        # chain's ``ids`` entry, and ``positions[i]`` is engine i's
+        # effective point, resolved here and again whenever a throttle
+        # fires or lifts.
+        points = [*getattr(governor, "points", ())]
+        points.extend(engine.dvfs for engine in engines)
+        if fplan is not None and fplan.has_thermal:
+            points.extend(thermal_ladder)
+        codes = []
+        for chain in chains.values():
+            codes.append(chain.model_code)
+            codes.extend(code for code in chain.codes if code)
+        prices = costs.price_table(self.system, points, codes)
+        for chain in chains.values():
+            chain.ids = tuple(
+                prices.ids[code or chain.model_code] for code in chain.codes
+            )
+        base_positions = [prices.position(e.dvfs) for e in engines]
+        positions = list(base_positions)
         #: The governor's view of each dispatch instant: one object per
         #: run, updated in place (see DispatchContext).
         context = DispatchContext()
@@ -891,14 +886,7 @@ class MultiScenarioSimulator:
 
         def cheapest_latency(code: str) -> float:
             """A task's best-engine latency at the engines' base points."""
-            code_id = prices.ids.get(code) if prices is not None else None
-            if code_id is None:
-                return min(
-                    self.system.engine_cost(
-                        costs, code, engine.index, engine.dvfs
-                    ).latency_s
-                    for engine in engines
-                )
+            code_id = prices.ids[code]
             return min(
                 prices.cost(code_id, index, base_positions[index]).latency_s
                 for index in range(len(engines))
@@ -967,19 +955,10 @@ class MultiScenarioSimulator:
             request = item.request
             index = engine.index
             if governor is None:
-                if prices is not None:
-                    cost = prices.cost(
-                        item.chain.ids[item.segment_index], index,
-                        positions[index],
-                    )
-                else:
-                    # effective_dvfs is the identical object as the base
-                    # point unless a thermal ceiling is active, so the
-                    # clamp probe stays off the fault-free hot path.
-                    point = engine.effective_dvfs if thermal else engine.dvfs
-                    cost = self.system.engine_cost(
-                        costs, item.code, index, point
-                    )
+                cost = prices.cost(
+                    item.chain.ids[item.segment_index], index,
+                    positions[index],
+                )
                 end_s = fleet.begin(engine, item, now_s, cost)
             else:
                 # The dispatch boundary is the governor's decision
@@ -1000,7 +979,7 @@ class MultiScenarioSimulator:
                     item.chain.suffixes[item.segment_index + 1],
                     self.system, costs, context,
                 )
-                at = prices.position(point) if prices is not None else None
+                at = prices.position(point)
                 if at is None:
                     cost = self.system.engine_cost(
                         costs, item.code, index, point
@@ -1043,18 +1022,8 @@ class MultiScenarioSimulator:
             # latency wins and ties go to the lowest index.
             if len(idle) == 1:
                 return idle[0]
-            if prices is not None:
-                return prices.fastest(
-                    item.chain.ids[item.segment_index], idle, positions
-                )
-            return min(
-                idle,
-                key=lambda e: (
-                    self.system.engine_cost(
-                        costs, item.code, e.index, e.effective_dvfs
-                    ).latency_s,
-                    e.index,
-                ),
+            return prices.fastest(
+                item.chain.ids[item.segment_index], idle, positions
             )
 
         def kill(item: WorkItem, engine_index: int, now_s: float,
@@ -1089,9 +1058,12 @@ class MultiScenarioSimulator:
                 # happened.
                 request.end_time_s = None
             request.faulted = True
-            kill_times.setdefault(rid, now_s)
             log = faults_log[sid]
-            log.killed += 1
+            if rid not in kill_times:
+                # ``killed`` counts requests, like ``recovered`` and
+                # ``lost``: a retry killed again is not a second one.
+                kill_times[rid] = now_s
+                log.killed += 1
             attempt = retry_counts.get(rid, 0)
             log.actions.append(FaultAction(
                 now_s, "kill", engine_index, rid, request.model_code,
@@ -1408,14 +1380,12 @@ class MultiScenarioSimulator:
                         thermal_caps[(now_s, sub_index)],
                         thermal_ladder,
                     )
-                    if prices is not None:
-                        positions[sub_index] = prices.position(
-                            engine.effective_dvfs
-                        )
+                    positions[sub_index] = prices.position(
+                        engine.effective_dvfs
+                    )
                 elif kind is THERMAL_RELEASE:
                     engines[sub_index].release_thermal(now_s)
-                    if prices is not None:
-                        positions[sub_index] = base_positions[sub_index]
+                    positions[sub_index] = base_positions[sub_index]
                 elif kind is WORK_RETRY:
                     item = retry_items.pop(request.request_id, None)
                     if item is not None:
@@ -1530,5 +1500,5 @@ class MultiScenarioSimulator:
             sessions=session_results,
             records=records,
             busy_time_s={e.index: e.busy_time_s for e in fleet},
-            cost_stats=getattr(costs, "stats", None),
+            cost_stats=costs.stats,
         )

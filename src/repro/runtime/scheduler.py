@@ -91,13 +91,15 @@ def _best_engine(
 
     Engines are priced for the whole model at the nominal operating
     point, also when the item is one segment of it: a segment's relative
-    engine affinity matches its parent model's.  During a run, a table
-    keeping prices (:class:`~repro.costmodel.CachedCostTable`) answers
-    from the run's :class:`~repro.costmodel.PriceTable` by index; other
-    tables are priced per engine.  Both paths pick the same engine: the
-    price table holds the keyed lookup's nominal floats and breaks
-    latency ties toward the lowest index, exactly like the ``min`` key
-    (``idle_engines`` is index-ordered).
+    engine affinity matches its parent model's.  During a run the table
+    is always a :class:`~repro.costmodel.CachedCostTable`, which answers
+    from the run's :class:`~repro.costmodel.PriceTable` by index.  The
+    per-engine keyed lookup serves callers outside a run: a table
+    without prices, or a fleet the table holds no prices for.  Both
+    paths pick the same engine: the price table holds the keyed
+    lookup's nominal floats and breaks latency ties toward the lowest
+    index, exactly like the ``min`` key (``idle_engines`` is
+    index-ordered).
     """
     if len(idle_engines) == 1:
         return idle_engines[0]

@@ -186,7 +186,7 @@ class SegmentChain:
             raise ValueError(f"segment chain of {model_code!r} is empty")
         #: ``ids[k]`` is piece ``k``'s code id in the run's price table
         #: (the model's own id for a whole-model piece); empty until
-        #: the run assigns them, and unused on tables without prices.
+        #: the run assigns them.
         self.ids: tuple[int, ...] = ()
         #: ``suffixes[k]`` is the read-only view of the codes from
         #: segment ``k`` on (``suffixes[len(codes)]`` is the empty tail a

@@ -9,7 +9,6 @@ from repro.api import (
     Experiment,
     RunSpec,
     Sweep,
-    execute,
 )
 
 BASE = RunSpec(scenario="ar_gaming", accelerator="A", duration_s=0.4)
@@ -256,25 +255,35 @@ class TestWorkerDeathRetry:
 
 
 class TestSharedCostTable:
-    def test_experiment_reuses_analysis_across_specs(self, cost_table):
-        """The serial path's shared cache sees hits from the second spec on."""
-        sink = CollectingSink()
+    def test_experiment_reuses_analysis_across_specs(self, monkeypatch):
+        """The serial path's shared table answers the second spec's
+        lookups: its run analyses no (engine, graph) pair again."""
+        from repro.costmodel import CostTable, cached, model_cost
+
+        calls: list[int] = []
+
+        class SpecCounter:
+            def emit(self, event):
+                if event.kind == "spec_started":
+                    calls.append(0)
+
+        def counting(original):
+            def wrapper(engine, graph):
+                calls[-1] += 1
+                return original(engine, graph)
+            return wrapper
+
+        for module in (model_cost, cached):
+            monkeypatch.setattr(
+                module, "memoized_model_cost",
+                counting(module.memoized_model_cost),
+            )
         sweep = Sweep(base=BASE, grid={"seed": (0, 1)})
         reports = Experiment.from_sweep(sweep).run(
-            sinks=[sink], costs=cost_table
+            sinks=[SpecCounter()], costs=CostTable()
         )
-        # Same workload twice: results identical seeds aside, and the
-        # funnel produced both through one execute() code path.
         assert reports[0].simulation.scenario.name == (
             reports[1].simulation.scenario.name
         )
-
-    def test_execute_accepts_dispatch_costs_override(self, cost_table):
-        from repro.costmodel import UncachedCostTable
-
-        spec = RunSpec(scenario="vr_gaming", accelerator="J",
-                       duration_s=0.4, sessions=2)
-        table = UncachedCostTable()
-        report = execute(spec, dispatch_costs=table)
-        assert report.result.cost_stats is None
-        assert table.queries > 0
+        assert calls[0] > 0
+        assert calls[1] == 0

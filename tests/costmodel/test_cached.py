@@ -9,7 +9,6 @@ from repro.costmodel import (
     CostTable,
     Dataflow,
     DvfsPoint,
-    UncachedCostTable,
 )
 from repro.nn import ModelGraph
 from repro.runtime import split_graph
@@ -104,28 +103,6 @@ class TestCachedCostTable:
         warm = base.cost("HT", Dataflow.WS, 2048)
         cached = CachedCostTable(base=base)
         assert cached.cost("HT", Dataflow.WS, 2048) is warm
-
-
-class TestUncachedCostTable:
-    def test_recomputes_every_query(self):
-        table = UncachedCostTable()
-        a = table.cost("HT", Dataflow.WS, 2048)
-        b = table.cost("HT", Dataflow.WS, 2048)
-        assert table.queries == 2
-        assert a is not b  # fresh analysis each time
-        assert a.latency_s == b.latency_s
-
-    def test_values_match_memoised_table(self):
-        base = CostTable()
-        uncached = UncachedCostTable()
-        got = uncached.cost("DE", Dataflow.OS, 4096)
-        expected = base.cost("DE", Dataflow.OS, 4096)
-        assert got.latency_s == expected.latency_s
-        assert got.energy_mj == expected.energy_mj
-
-    def test_unknown_code_raises(self):
-        with pytest.raises(KeyError, match="unknown task code"):
-            UncachedCostTable().cost("NOPE", Dataflow.WS, 2048)
 
 
 def test_segment_graph_type_sanity():

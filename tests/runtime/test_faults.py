@@ -390,6 +390,24 @@ class TestResilienceInvariants:
         lost = sum(s.faults.lost for s in result.sessions)
         assert killed == recovered + lost
 
+    def test_request_killed_twice_counts_once(self):
+        """``killed`` counts requests, like ``recovered`` and ``lost``:
+        a retry killed again adds a kill action and a retry, not a
+        second killed request."""
+        from repro.api import RunSpec, execute
+
+        report = execute(RunSpec(
+            scenario=("ar_gaming",), accelerator="J", pes=8192,
+            scheduler="edf", duration_s=0.1, faults="flaky",
+        ))
+        [session] = report.result.sessions
+        log = session.faults
+        assert (log.killed, log.retries, log.recovered, log.lost) == (
+            1, 2, 0, 1,
+        )
+        kills = [a for a in log.actions if a.kind == "kill"]
+        assert [a.request_id for a in kills] == [5, 5]
+
     @pytest.mark.parametrize("profile", ["single", "flaky"])
     @pytest.mark.parametrize("seed", range(3))
     def test_downtime_executes_nothing(self, profile, seed):

@@ -184,8 +184,9 @@ class TestDeterminism:
         assert signature(multi(seed=0)) != signature(multi(seed=100))
 
     def test_single_session_matches_legacy_simulator(self):
-        # One session priced per call through a plain keyed CostTable
-        # matches the same session priced through the run's price table.
+        # One session handed a plain CostTable, which the run wraps in a
+        # CachedCostTable over it, matches the same session run on the
+        # simulator's default CachedCostTable.
         legacy = MultiScenarioSimulator(
             sessions=[SessionSpec(0, get_scenario("vr_gaming"), seed=5)],
             system=build_accelerator("J", 8192),
@@ -282,10 +283,15 @@ class TestSegmentGranularity:
         assert signature_of(reused) == signature_of(fresh)
 
     def test_plain_cost_table_gets_wrapped(self):
-        # Segment granularity needs a graph registry; a bare CostTable is
-        # wrapped transparently rather than rejected.
-        result = multi(granularity="segment", sessions=1,
-                       **{"costs": CostTable()})
+        # Every run prices through a CachedCostTable: a bare CostTable is
+        # wrapped transparently rather than rejected, at either
+        # granularity, and the wrapper's counts are reported.  Segment
+        # granularity also needs the wrapper's graph registry.
+        for granularity in ("model", "segment"):
+            result = multi(granularity=granularity, sessions=1,
+                           **{"costs": CostTable()})
+            assert result.cost_stats is not None
+            assert result.cost_stats.lookups > 0
         assert any(r.num_segments > 1 for r in result.records)
 
 

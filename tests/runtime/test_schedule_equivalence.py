@@ -605,9 +605,9 @@ def test_wide_fleet_schedule_matches_golden(scheduler, granularity):
     "scheduler", sorted({s for s, g in GOLDEN_WIDE if g == "model"}),
 )
 def test_wide_fleet_keyed_pricing_matches_dense(scheduler):
-    """A plain :class:`CostTable` has no dense view, so every engine
-    choice is priced per engine (the path single-scenario runs take);
-    it must pick the engines the cached table's dense row picks."""
+    """A plain :class:`CostTable` keeps no prices: the run wraps it in a
+    :class:`~repro.costmodel.CachedCostTable` over it, and the wrapped
+    table must pick the golden engines on the four-engine fleet."""
     result = run_case(scheduler, "model", WIDE_SESSIONS,
                       accelerator=WIDE_ACCELERATOR, costs=CostTable())
     key = (scheduler, "model")
