@@ -9,6 +9,7 @@ from repro.api import (
     Experiment,
     RunSpec,
     Sweep,
+    execute,
 )
 
 BASE = RunSpec(scenario="ar_gaming", accelerator="A", duration_s=0.4)
@@ -287,3 +288,29 @@ class TestSharedCostTable:
         )
         assert calls[0] > 0
         assert calls[1] == 0
+
+    def test_execute_prices_through_given_table(self):
+        """``execute``'s ``costs`` table is the base its run prices
+        through: the run consults it, reports its own wrapper's counts
+        and scores exactly as the spec-only call does."""
+        from repro.costmodel import CostTable
+
+        class CountingTable(CostTable):
+            queries = 0
+
+            def cost(self, task_code, dataflow, num_pes):
+                self.queries += 1
+                return super().cost(task_code, dataflow, num_pes)
+
+        spec = RunSpec(scenario="vr_gaming", accelerator="J",
+                       duration_s=0.4, sessions=2)
+        table = CountingTable()
+        report = execute(spec, costs=table)
+        assert table.queries > 0
+        assert report.result.cost_stats is not None
+        assert report.result.cost_stats.lookups > 0
+        plain = execute(spec)
+        assert [r.score.overall for r in report.session_reports] == (
+            [r.score.overall for r in plain.session_reports]
+        )
+        assert report.result.busy_time_s == plain.result.busy_time_s

@@ -6,9 +6,11 @@ import pytest
 
 from repro.costmodel import (
     CachedCostTable,
+    DEFAULT_DVFS_POINTS,
     CostTable,
     Dataflow,
     DvfsPoint,
+    scale_cost,
 )
 from repro.nn import ModelGraph
 from repro.runtime import split_graph
@@ -43,6 +45,17 @@ class TestCachedCostTable:
         assert slow.latency_s == pytest.approx(2 * nominal.latency_s)
         assert table.engine_cost("HT", sub, eco) is slow
         assert table.stats.hits == 1
+
+    def test_scaled_entries_are_scale_cost_of_base(self):
+        # A run wraps a plain table; every DVFS-scaled entry must be the
+        # very cost scale_cost derives from the base table's entry.
+        base = CostTable()
+        table = CachedCostTable(base=base)
+        for dataflow in Dataflow:
+            sub = type("Sub", (), {"dataflow": dataflow, "num_pes": 4096})()
+            for point in DEFAULT_DVFS_POINTS:
+                expected = scale_cost(base.cost("DE", dataflow, 4096), point)
+                assert table.engine_cost("DE", sub, point) == expected
 
     def test_same_name_different_scale_not_conflated(self):
         # The memo keys on the DvfsPoint value, not its name.
