@@ -29,6 +29,7 @@ from repro.core.report import (
     MultiSessionReport,
     ScenarioReport,
 )
+from repro.costmodel.analysis import ordered_sum
 from repro.runtime.admission import quality_retention
 
 from .pareto import QoePoint, pareto_frontier
@@ -163,17 +164,22 @@ def _session_row(report: ScenarioReport) -> dict:
 
 
 def _aggregate(reports: list[ScenarioReport]) -> dict:
-    """System-level metrics over a group of per-scenario/session reports."""
+    """System-level metrics over a group of per-scenario/session reports.
+
+    The float sums add left to right (``ordered_sum``), so a row is the
+    same on every interpreter; the integer counts use ``sum()``.
+    """
     executed = sum(len(r.simulation.completed()) for r in reports)
     missed = sum(r.score.total_missed_deadlines for r in reports)
     duration = max(r.simulation.duration_s for r in reports)
-    qoes = [r.score.qoe for r in reports]
     return {
-        "qoe": sum(qoes) / len(qoes),
+        "qoe": _mean([r.score.qoe for r in reports]),
         "throughput_rps": executed / duration,
-        "energy_mj": sum(r.simulation.total_energy_mj() for r in reports),
+        "energy_mj": ordered_sum(
+            r.simulation.total_energy_mj() for r in reports
+        ),
         "miss_rate": missed / executed if executed else 0.0,
-        "mean_overall": sum(r.score.overall for r in reports) / len(reports),
+        "mean_overall": _mean([r.score.overall for r in reports]),
         "frames_executed": executed,
         "missed_deadlines": missed,
     }
@@ -202,7 +208,7 @@ def summarize_report(spec, report) -> RunRecord:
     qualities = [
         0.0 if row["shed"] else row["quality_proxy"] for row in sessions
     ]
-    metrics["quality_proxy"] = sum(qualities) / len(qualities)
+    metrics["quality_proxy"] = _mean(qualities)
     # Stamp which compiled plan this run executed.  Compilation is pure
     # and deterministic, so recompiling here yields exactly the plan the
     # executor consumed; records of the same plan under different seeds
@@ -506,7 +512,8 @@ class ReportGenerator:
 
 
 def _mean(values: list[float]) -> float:
-    return sum(values) / len(values)
+    """The mean, summed left to right as ``sum()`` did before 3.12."""
+    return ordered_sum(values) / len(values)
 
 
 def _markdown_table(headers: list[str], rows: list[list[str]]) -> list[str]:

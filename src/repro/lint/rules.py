@@ -81,8 +81,9 @@ _WALL_CLOCK_CALLS: frozenset[str] = frozenset(
 #: numpy RNG constructors that are fine *when seeded* (D002): the keyed
 #: draws derive a seed from a sha256 digest of their key and build a
 #: one-shot generator from it -- ``loadgen._unit_roll`` as
-#: ``default_rng(seed)``, ``sensors._jitter_units`` as
-#: ``Generator(PCG64(...))`` fed precomputed ``SeedSequence`` words.
+#: ``default_rng(seed)``, and the draws ``sensors._jitter_units``
+#: leaves off its array kernel's fast path as ``Generator(PCG64(...))``
+#: fed precomputed ``SeedSequence`` words.
 _SEEDED_RNG_CONSTRUCTORS: frozenset[str] = frozenset(
     {"default_rng", "Generator", "SeedSequence", "PCG64", "Philox"}
 )

@@ -49,8 +49,9 @@ Key properties:
   time and the execution-record log live on the
   :class:`MultiSessionResult`.
 * **Cost caching**: each run prices through a
-  :class:`~repro.costmodel.CachedCostTable` (the default; any other
-  table is wrapped in a fresh one over it) and builds one
+  :class:`~repro.costmodel.CachedCostTable` (a caller's one as given;
+  any other table, the default plain one included, is wrapped in a
+  fresh one per run) and builds one
   :class:`~repro.costmodel.PriceTable` from it — every code it can
   dispatch, on every engine, at every DVFS point it can run — so the
   dispatch path reads prices by (code id, engine index, ladder
@@ -429,10 +430,14 @@ class MultiScenarioSimulator:
             invoked at the start of every run so a shared instance gives
             order-independent results.
         duration_s: streamed seconds per session (must be positive).
-        costs: the cost table.  A table that is not a
+        costs: the cost table, by default a plain
+            :class:`~repro.costmodel.CostTable`.  A table that is not a
             :class:`CachedCostTable` is wrapped in a fresh one over it
             for each run, which registers the run's segment graphs and
-            counts its hits and misses.  The run builds a
+            counts its hits and misses, so each run's ``cost_stats``
+            count that run alone.  A :class:`CachedCostTable` passed in
+            is used as given, and its counts carry over from run to
+            run.  The run builds a
             :class:`~repro.costmodel.PriceTable` from it, which the
             dispatch path reads by index.
         granularity: ``"model"`` (whole-model dispatch, the seed
@@ -480,7 +485,7 @@ class MultiScenarioSimulator:
     system: AcceleratorSystem
     scheduler: Scheduler
     duration_s: float = 1.0
-    costs: CostTable = field(default_factory=CachedCostTable)
+    costs: CostTable = field(default_factory=CostTable)
     granularity: str = "model"
     segments_per_model: int = 2
     engine_dvfs: dict[int, DvfsPoint] = field(default_factory=dict)

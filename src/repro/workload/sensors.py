@@ -26,10 +26,13 @@ from typing import Any, Callable
 import numpy as np
 import numpy.typing as npt
 
+from ._ziggurat import KI, WI
+
 __all__ = ["InputSource", "CAMERA", "LIDAR", "MICROPHONE", "SENSORS", "get_sensor"]
 
 IntArray = npt.NDArray[np.int64]
 FloatArray = npt.NDArray[np.float64]
+WordArray = npt.NDArray[np.uint64]
 
 # numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -94,12 +97,91 @@ def _seed_words(entropy: npt.NDArray[np.uint32]) -> npt.NDArray[np.uint64]:
     return words.astype(np.uint64, copy=False)
 
 
+def _column(*values: int) -> WordArray:
+    """A read-only uint64 column of shape ``(len(values), 1)``."""
+    column = np.array(values, np.uint64)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+# PCG64's seeding steps its 128-bit LCG (multiplier ``_M``, pcg64.h) once
+# from ``inc + seed``, and each output steps it again, so the state behind
+# the first output is ``seed * M**2 + inc * (M**2 + M + 1)`` mod 2**128.
+# Row 0 of each column below holds the seed's factor, row 1 the
+# increment's; ``_INC_SHIFT`` makes ``inc = seq << 1 | 1`` of row 1.
+_M = 0x2360ED051FC65DA44385DF649FCCF645
+_SEED_FACTOR = _M * _M % 2**128
+_INC_FACTOR = (_M * _M + _M + 1) % 2**128
+_FACTOR_HI = _column(_SEED_FACTOR >> 64, _INC_FACTOR >> 64)
+_FACTOR_LO = _column(_SEED_FACTOR % 2**64, _INC_FACTOR % 2**64)
+_FACTOR_LO_HI = _column(_SEED_FACTOR % 2**64 >> 32, _INC_FACTOR % 2**64 >> 32)
+_FACTOR_LO_LO = _column(_SEED_FACTOR % 2**32, _INC_FACTOR % 2**32)
+_INC_SHIFT = _column(0, 1)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U1, _U8, _U9, _U32, _U58, _U63, _U64 = (
+    np.uint64(n) for n in (1, 8, 9, 32, 58, 63, 64)
+)
+_INDEX_MASK = np.uint64(0xFF)
+_RABS_MASK = np.uint64(2**52 - 1)
+
+
+def _pcg64_first_outputs(words: WordArray) -> WordArray:
+    """The first ``random_raw()`` of PCG64 seeded with each row of words.
+
+    PCG64 (O'Neill, HMC-CS-2014-0905) reads a row ``[s0, s1, i0, i1]``
+    as a 128-bit seed ``(s0:s1)`` and sequence ``(i0:i1)``; the state
+    behind its first output is the affine map above, and the output is
+    the XSL-RR of that state: its halves xored, rotated right by its top
+    six bits.  The seed and increment ride as the two rows of ``(2, n)``
+    arrays through one 128-bit multiply, whose products wrap except the
+    carry out of the low halves, rebuilt from their 32-bit halves.
+    """
+    pairs = words.reshape(-1, 2, 2).transpose(1, 2, 0)
+    hi, lo = pairs[:, 0], pairs[:, 1]
+    hi = hi << _INC_SHIFT | lo >> _U63 & _INC_SHIFT
+    lo = lo << _INC_SHIFT | _INC_SHIFT
+    lo_lo, lo_hi = lo & _LOW32, lo >> _U32
+    p_ll, p_lh = lo_lo * _FACTOR_LO_LO, lo_lo * _FACTOR_LO_HI
+    p_hl = lo_hi * _FACTOR_LO_LO
+    mid = (p_ll >> _U32) + (p_lh & _LOW32) + (p_hl & _LOW32)
+    hi = (
+        lo_hi * _FACTOR_LO_HI + (p_lh >> _U32) + (p_hl >> _U32)
+        + (mid >> _U32) + lo * _FACTOR_HI + hi * _FACTOR_LO
+    )
+    lo = lo * _FACTOR_LO
+    state_lo = lo[0] + lo[1]
+    state_hi = hi[0] + hi[1] + (state_lo < lo[1])
+    out = state_hi ^ state_lo
+    rotate = state_hi >> _U58
+    return out >> rotate | out << ((_U64 - rotate) & _U63)
+
+
+def _ziggurat_fast_path(
+    outputs: WordArray,
+) -> tuple[FloatArray, npt.NDArray[np.bool_]]:
+    """numpy's ``normal(0.5, 1/6)`` from each word, where one word decides.
+
+    numpy's standard normal is the Marsaglia–Tsang ziggurat (JSS 5(8),
+    2000): a word ``r`` splits into a table index ``r & 0xff``, a sign
+    bit and a 52-bit ``rabs``, and ``x = ±rabs * WI[index]`` is the draw
+    whenever ``rabs < KI[index]``; ``normal`` returns ``0.5 + (1/6) *
+    x``.  Returns that value for every word and a mask of the words that
+    took the fast path.  The others (about 1.5%: index 0's tail, index
+    1, whose ``KI`` is 0, and the wedge tests) hold no draw.
+    """
+    index = (outputs & _INDEX_MASK).astype(np.intp)
+    rabs = outputs >> _U9 & _RABS_MASK
+    x = rabs * WI[index]
+    np.negative(x, out=x, where=(outputs >> _U8 & _U1).astype(bool))
+    return 0.5 + (1.0 / 6.0) * x, rabs < KI[index]
+
+
 @functools.cache
 def _seeded_normal() -> Callable[[npt.NDArray[np.uint64]], float]:
     """``Generator(PCG64(words)).normal(0.5, 1/6)`` for one row of words.
 
-    Built on first use, so importing the package does not import
-    ``numpy.random``.
+    The draws off the ziggurat's fast path take this route.  Built on
+    first use, so importing the package does not import ``numpy.random``.
     """
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
@@ -136,10 +218,15 @@ def _jitter_units(name: str, frame_ids: IntArray, seed: int) -> FloatArray:
     ``clip(default_rng(int.from_bytes(sha256(key)[:8], "little"))
     .normal(0.5, 1/6), 0, 1)`` for ``key = f"{name}:{frame}:{seed}"``:
     a pure function of its key, so frames are order-independent.  The
-    seed-sequence hashing of the whole batch is array arithmetic
-    (:func:`_seed_words`); each draw then seeds PCG64 with its words and
-    runs numpy's own normal sampler: about 1.5 µs a draw against 7–8 µs
-    for a fresh ``default_rng`` (numpy 2.4 on an AMD EPYC host).
+    whole batch is uint array arithmetic: the seed-sequence hashing
+    (:func:`_seed_words`), PCG64's seeding and first output
+    (:func:`_pcg64_first_outputs`) and the ziggurat's fast path
+    (:func:`_ziggurat_fast_path`), whose tables ``tools/ziggurat_tables.py``
+    read off numpy into ``_ziggurat.py``.  The 1.5% of draws off the fast
+    path seed a generator with their words and run numpy's own sampler.
+    A 120-frame batch takes about 0.23 ms, against 0.45 ms with a
+    generator per draw; the arrays' fixed cost makes a one-frame batch
+    76 µs against 48 µs (numpy 2.4.6, CPython 3.11.7, Intel Xeon).
     """
     sha256 = hashlib.sha256
     digests = b"".join(
@@ -147,10 +234,13 @@ def _jitter_units(name: str, frame_ids: IntArray, seed: int) -> FloatArray:
         for frame in frame_ids.tolist()
     )
     words = _seed_words(np.frombuffer(digests, "<u4").reshape(-1, 2))
-    draw = _seeded_normal()
-    return np.array(
-        [min(max(draw(row), 0.0), 1.0) for row in words], np.float64
-    )
+    units, fast = _ziggurat_fast_path(_pcg64_first_outputs(words))
+    slow = np.flatnonzero(~fast).tolist()
+    if slow:
+        draw = _seeded_normal()
+        for row in slow:
+            units[row] = draw(words[row])
+    return np.minimum(np.maximum(units, 0.0, out=units), 1.0, out=units)
 
 
 @dataclass(frozen=True)

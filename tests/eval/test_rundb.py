@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import operator
+from types import SimpleNamespace
 
 import pytest
 
 from repro.api import RunSpec
+from repro.core import MultiSessionReport, ScenarioReport
 from repro.eval import (
     ReportGenerator,
     RunDatabase,
     RunRecord,
+    rundb,
     summarize_report,
 )
 
@@ -267,3 +273,61 @@ class TestReportGenerator:
         assert gen.frontier() == []
         assert "No runs recorded." in gen.markdown()
         assert "No runs recorded." in gen.html()
+
+
+def tenth_session(session_id: int) -> ScenarioReport:
+    """A degraded session whose every float metric reads 0.1."""
+    simulation = SimpleNamespace(
+        session_id=session_id,
+        scenario=SimpleNamespace(name="vr_gaming"),
+        requests=[None],
+        duration_s=1.0,
+        completed=lambda: [None],
+        dropped=lambda: [],
+        total_energy_mj=lambda: 0.1,
+        admission=SimpleNamespace(
+            shed=False, shed_reason=None, degradation_level=1
+        ),
+        faults=None,
+    )
+    score = SimpleNamespace(qoe=0.1, overall=0.1, total_missed_deadlines=0)
+    return ScenarioReport(simulation=simulation, score=score)
+
+
+class TestLeftToRight:
+    """Every run-row reduction adds left to right, as sum() did to 3.11.
+
+    CPython 3.12's ``sum()`` of floats is compensated and can round the
+    last bit differently, so each float reduction goes through
+    ``ordered_sum``.  Ten tenths tell the two apart: 0.9999999999999999
+    left to right, 1.0 compensated.
+    """
+
+    #: 0.1 added ten times left to right.
+    TEN_TENTHS = 0.9999999999999999
+
+    def test_summarized_metrics(self, monkeypatch):
+        assert self.TEN_TENTHS == functools.reduce(operator.add, [0.1] * 10)
+        assert math.fsum([0.1] * 10) == 1.0
+        monkeypatch.setattr(
+            rundb, "quality_retention", lambda scenario, level: 0.1
+        )
+        report = MultiSessionReport(
+            result=None,
+            session_reports=tuple(tenth_session(i) for i in range(10)),
+        )
+        spec = RunSpec(scenario="vr_gaming", sessions=10, duration_s=0.25)
+        metrics = summarize_report(spec, report).metrics
+        assert metrics["energy_mj"] == self.TEN_TENTHS
+        for name in ("qoe", "mean_overall", "quality_proxy"):
+            assert metrics[name] == self.TEN_TENTHS / 10, name
+        assert metrics["frames_executed"] == 10
+
+    def test_policy_points(self):
+        gen = ReportGenerator(records=[
+            make_record("none", qoe=0.1, throughput=0.1, energy=0.1)
+            for _ in range(10)
+        ])
+        (point,) = gen.policy_points()
+        for value in (point.qoe, point.throughput_rps, point.energy_mj):
+            assert value == self.TEN_TENTHS / 10

@@ -302,6 +302,18 @@ class TestCostCache:
         assert stats.lookups > 0
         assert stats.hit_rate > 0.9  # hot path is dominated by hits
 
+    def test_default_table_counts_each_run_alone(self):
+        # The default table is a plain CostTable, which every run wraps
+        # in a fresh CachedCostTable: a second run of one simulator
+        # reports its own lookups, not the first run's as well.
+        sim = replicate(
+            get_scenario("vr_gaming"), build_accelerator("J", 8192),
+            LatencyGreedyScheduler(), 1, duration_s=0.1,
+        )
+        for _ in range(2):
+            stats = sim.run().cost_stats
+            assert (stats.hits, stats.misses) == (24, 6)
+
     def test_shared_base_table_reused(self):
         base = CostTable()
         multi(sessions=2, **{"costs": CachedCostTable(base=base)})

@@ -4,12 +4,16 @@ Definition 7's ``rand`` is a clipped Gaussian seeded per (sensor, frame,
 seed).  The schedule path draws a whole sensor's frames at once
 (:func:`repro.workload.sensors._jitter_units`); these tests pin it, and
 the schedules built from it, to the one-generator-per-draw formulation
-kept here as the reference, so every float must match exactly.
+kept here as the reference, so every float must match exactly.  CI runs
+this file by name on each of its interpreters, so a numpy whose sampler
+differs (other ziggurat tables, or a fused multiply-add in
+``loc + scale * z``) fails there by name.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -21,10 +25,18 @@ import pytest
 import repro
 from repro.runtime.admission import DEGRADATION_LADDER
 from repro.workload import SCENARIO_ORDER, SENSORS, get_scenario, scale_rates
+from repro.workload import _ziggurat
+from repro.workload._ziggurat import KI, WI
 from repro.workload.loadgen import _root_schedule
-from repro.workload.sensors import _jitter_units, _seed_words
+from repro.workload.sensors import (
+    _jitter_units,
+    _pcg64_first_outputs,
+    _seed_words,
+    _ziggurat_fast_path,
+)
 
 SEEDS = (0, 1, 7, 2**31 - 1)
+TOOLS = Path(repro.__file__).resolve().parents[2] / "tools"
 
 
 # -- the reference: one default_rng per draw -----------------------------------
@@ -149,6 +161,132 @@ class TestJitterUnits:
             [sys.executable, "-c", code], check=True,
             env=dict(os.environ, PYTHONPATH=src),
         )
+
+
+def key_words(name: str, frame_ids, seed: int) -> np.ndarray:
+    """The seed words of each key, as ``_jitter_units`` derives them."""
+    digests = b"".join(
+        hashlib.sha256(f"{name}:{frame}:{seed}".encode()).digest()[:8]
+        for frame in frame_ids
+    )
+    return _seed_words(np.frombuffer(digests, "<u4").reshape(-1, 2))
+
+
+class RowSeed(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 one given row of words."""
+
+    def __init__(self, row) -> None:
+        self.row = np.array(row, np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, np.dtype(dtype)) == (4, np.dtype(np.uint64))
+        return self.row
+
+
+class TestPcg64FirstOutputs:
+    def test_matches_random_raw(self):
+        seeds = [int(s) for s in np.random.default_rng(11).integers(
+            0, 2**64 - 1, 5000, dtype=np.uint64, endpoint=True)]
+        entropy = np.array(
+            [(s & 0xFFFFFFFF, s >> 32) for s in seeds], np.uint32
+        )
+        got = _pcg64_first_outputs(_seed_words(entropy)).tolist()
+        assert got == [
+            int(np.random.PCG64(seed).random_raw()) for seed in seeds
+        ]
+
+    def test_extreme_words(self):
+        # Every row of 0, 1, 2**63 and 2**64 - 1 words: each carry of the
+        # 128-bit add and multiply, and the top-bit shift into inc.
+        values = (0, 1, 2**63, 2**64 - 1)
+        rows = np.array(
+            [(a, b, c, d) for a in values for b in values
+             for c in values for d in values], np.uint64,
+        )
+        got = _pcg64_first_outputs(rows).tolist()
+        assert got == [
+            int(np.random.PCG64(RowSeed(row)).random_raw()) for row in rows
+        ]
+
+
+class TestZigguratScan:
+    """108,000 keys, 3 sensors x 12 seeds x 3,000 frames, against numpy.
+
+    Besides the fast path, the scan reaches every route the kernel hands
+    to the scalar generator: index 0's tail (``rabs >= KI[0]``), index
+    1 (``KI[1]`` is 0, so it never takes the fast path) and the wedge
+    tests of the other indices.
+    """
+
+    FRAMES = 3000
+    SCAN_SEEDS = (0, 1, 2, 3, 5, 8, 13, 99, 4242, 2**31 - 1, 2**32, 2**63)
+
+    @pytest.fixture(scope="class")
+    def scan(self):
+        rows = []  # (name, seed, frame, got, reference, route)
+        frames = range(self.FRAMES)
+        for name in sorted(SENSORS):
+            for seed in self.SCAN_SEEDS:
+                got = _jitter_units(name, np.arange(self.FRAMES), seed)
+                outputs = _pcg64_first_outputs(key_words(name, frames, seed))
+                _, fast = _ziggurat_fast_path(outputs)
+                for frame, value, word, on_fast in zip(
+                    frames, got.tolist(), outputs.tolist(), fast.tolist()
+                ):
+                    route = (
+                        "fast" if on_fast else
+                        "index 0 tail" if word & 0xFF == 0 else
+                        "index 1" if word & 0xFF == 1 else "wedge"
+                    )
+                    rows.append((
+                        name, seed, frame, value,
+                        reference_unit(name, frame, seed), route,
+                    ))
+        return rows
+
+    def test_every_draw_matches_reference(self, scan):
+        assert len(scan) >= 100_000
+        wrong = [row for row in scan if row[3] != row[4]]
+        assert wrong == []
+
+    def test_every_fallback_route_is_reached(self, scan):
+        routes = [row[5] for row in scan]
+        assert set(routes) == {"fast", "index 0 tail", "index 1", "wedge"}
+        assert 0.01 < 1 - routes.count("fast") / len(routes) < 0.02
+
+    @pytest.mark.parametrize(
+        "route", ["fast", "index 0 tail", "index 1", "wedge"]
+    )
+    def test_one_frame_batch(self, scan, route):
+        name, seed, frame = next(row for row in scan if row[5] == route)[:3]
+        got = _jitter_units(name, np.array([frame]), seed)
+        assert got.tolist() == [reference_unit(name, frame, seed)]
+
+    def test_empty_batch(self):
+        got = _jitter_units("lidar", np.arange(0), 3)
+        assert got.shape == (0,) and got.dtype == np.float64
+        units, fast = _ziggurat_fast_path(
+            _pcg64_first_outputs(np.zeros((0, 4), np.uint64))
+        )
+        assert units.shape == fast.shape == (0,)
+
+
+class TestZigguratTables:
+    def test_checked_in_module_is_the_tools_output(self):
+        # The tables are read off the installed numpy; a numpy with other
+        # tables fails here.
+        spec = importlib.util.spec_from_file_location(
+            "ziggurat_tables", TOOLS / "ziggurat_tables.py"
+        )
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert Path(_ziggurat.__file__).read_bytes() == tool.render().encode()
+
+    def test_tables_are_read_only(self):
+        for table in (KI, WI):
+            assert table.shape == (256,)
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
 
 # -- the schedules built from it -------------------------------------------------
