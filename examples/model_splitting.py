@@ -16,7 +16,6 @@ Run:  python examples/model_splitting.py
 from __future__ import annotations
 
 from repro.core import score_simulation
-from repro.costmodel import CachedCostTable
 from repro.hardware import build_accelerator
 from repro.runtime import (
     LatencyGreedyScheduler,
@@ -28,17 +27,14 @@ from repro.workload import get_scenario
 
 
 def run(segments: int, total_pes: int = 4096):
-    base = get_scenario("ar_gaming")
-    if segments == 1:
-        scenario, table = base, CachedCostTable()
-    else:
-        scenario, table = segment_scenario(base, "PD", segments)
+    scenario = get_scenario("ar_gaming")
+    if segments > 1:
+        scenario = segment_scenario(scenario, "PD", segments)
     sim = MultiScenarioSimulator(
         sessions=[SessionSpec(0, scenario)],
         system=build_accelerator("J", total_pes),
         scheduler=LatencyGreedyScheduler(),
         duration_s=1.0,
-        costs=table,
     ).run().sessions[0]
     return sim, score_simulation(sim)
 

@@ -15,12 +15,12 @@ is one one-session group per scenario
 streaming :class:`~repro.api.events.ProgressEvent` records to pluggable
 sinks; :attr:`RunSpec.mode` picks the report shape.
 
-:class:`Experiment` executes spec lists — serially through one shared
-:class:`~repro.costmodel.CostTable` (so a 13-accelerator x 7-scenario
-sweep looks each (model, engine) pair up once), or on a process pool
-(``workers > 1``) for wall-clock parallelism.  Both paths produce
-identical reports: cost caching is a speed layer, never a results
-layer, and every spec carries its own seeds.
+:class:`Experiment` executes spec lists — serially, or on a process
+pool (``workers > 1``) for wall-clock parallelism.  Both paths produce
+identical reports: every run prices through its own
+:class:`~repro.costmodel.PriceTable` over the process-wide cost store
+(so a 13-accelerator x 7-scenario sweep analyses each (model, engine
+shape) pair once per process), and every spec carries its own seeds.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.core.report import (
     MultiSessionReport,
     ScenarioReport,
 )
-from repro.costmodel import CachedCostTable, CostTable
 from repro.hardware import AcceleratorSystem, build_accelerator
 from repro.runtime import (
     FaultPlan,
@@ -76,7 +75,6 @@ def run_group(
     preemptive: bool = False,
     duration_s: float = 1.0,
     score: ScoreConfig | None = None,
-    costs: CostTable | None = None,
     measured_quality: dict[str, float] | None = None,
     granularity: str = "model",
     segments_per_model: int = 2,
@@ -87,13 +85,12 @@ def run_group(
 ) -> MultiSessionReport:
     """Multiplex a group of sessions onto one system and score each.
 
-    The one runner behind every run shape.  Dispatch-path pricing flows
-    through a per-run :class:`CachedCostTable` layered over ``costs`` (a
-    fresh :class:`CostTable` when none is given), so every run's
-    ``cost_stats`` count that run's lookups alone.  ``preemptive=True``
-    asks a capable scheduler (edf, rate_monotonic) to displace resuming
-    segment chains with more urgent waiting work at segment
-    boundaries.  ``dvfs_policy`` selects the runtime DVFS
+    The one runner behind every run shape.  The run prices through its
+    own :class:`~repro.costmodel.PriceTable`, so its ``cost_stats``
+    count its lookups alone.  ``preemptive=True`` asks a capable
+    scheduler (edf, rate_monotonic) to displace resuming segment chains
+    with more urgent waiting work at segment boundaries.
+    ``dvfs_policy`` selects the runtime DVFS
     governor (``"static"``, ``"slack"``, ``"race_to_idle"``),
     ``admission`` the QoE admission controller (``"none"``, ``"shed"``,
     ``"degrade"``) and ``faults`` a compiled fault plan (``None`` runs
@@ -107,7 +104,6 @@ def run_group(
             scheduler, **({"preemptive": True} if preemptive else {})
         ),
         duration_s=duration_s,
-        costs=CachedCostTable(base=costs),
         granularity=granularity,
         segments_per_model=segments_per_model,
         dvfs_policy=dvfs_policy,
@@ -127,7 +123,6 @@ def execute(
     spec: RunSpec,
     *,
     system: AcceleratorSystem | None = None,
-    costs: CostTable | None = None,
     score: ScoreConfig | None = None,
     measured_quality: dict[str, float] | None = None,
     sinks: Sequence[EventSink] = (),
@@ -142,13 +137,13 @@ def execute(
     overrides exist for callers that already hold richer objects than a
     spec can serialize — a pre-built ``system`` (ignoring
     ``spec.accelerator``/``spec.pes``; the plan is compiled against it,
-    so fault schedules see its engine count), a shared cost table, or
-    an inline :class:`ScoreConfig` replacing the named preset.  The
-    spec-only call is the fully-declarative path.
+    so fault schedules see its engine count) or an inline
+    :class:`ScoreConfig` replacing the named preset.  The spec-only call
+    is the fully-declarative path.
     """
     return execute_plan(
         compile_plan(spec, system=system),
-        system=system, costs=costs, score=score,
+        system=system, score=score,
         measured_quality=measured_quality,
         sinks=sinks, index=index, total=total,
     )
@@ -175,7 +170,6 @@ def execute_plan(
     plan: DispatchPlan,
     *,
     system: AcceleratorSystem | None = None,
-    costs: CostTable | None = None,
     score: ScoreConfig | None = None,
     measured_quality: dict[str, float] | None = None,
     sinks: Sequence[EventSink] = (),
@@ -206,7 +200,6 @@ def execute_plan(
         "scheduler": plan.scheduler,
         "duration_s": plan.duration_s,
         "score": score,
-        "costs": costs,
         "measured_quality": measured_quality,
         "dvfs_policy": plan.dvfs_policy,
         "admission": plan.admission,
@@ -262,9 +255,7 @@ def _overall(report: Report) -> float:
     return report.overall
 
 
-def _execute_worker(
-    spec_dict: Mapping[str, Any], costs: CostTable | None = None
-) -> Report:
+def _execute_worker(spec_dict: Mapping[str, Any]) -> Report:
     """Process-pool entry point: specs travel as plain dicts.
 
     The worker re-imports ``repro``, so registries re-bootstrap with the
@@ -280,7 +271,7 @@ def _execute_worker(
             f"runtime must come from a module imported in the worker, "
             f"or run with workers=1)"
         ) from None
-    return execute(spec, costs=costs)
+    return execute(spec)
 
 
 #: How many serial in-process attempts a sweep cell whose pool worker
@@ -291,7 +282,6 @@ WORKER_RETRY_LIMIT = 2
 def _pooled_result(
     spec: RunSpec,
     future: Any,
-    costs: CostTable | None,
     sinks: Sequence[EventSink],
     index: int,
     total: int,
@@ -316,7 +306,7 @@ def _pooled_result(
             payload={"attempt": attempt, "error": type(error).__name__},
         ))
         try:
-            return execute(spec, costs=costs), attempt
+            return execute(spec), attempt
         except BrokenProcessPool as exc:  # pragma: no cover - defensive
             error = exc
     raise RuntimeError(
@@ -329,19 +319,16 @@ def _pooled_result(
 class Experiment:
     """A named, ordered collection of specs executed as one unit.
 
-    Serial runs (``workers=1``) share one :class:`CostTable` (``costs``,
-    or a fresh one), under the per-run :class:`CachedCostTable` each
-    spec's run layers over it: its (code, dataflow, PEs) memo answers a
-    later spec's nominal lookups without hashing the model graph again.
-    ``workers > 1`` fans specs out to a process pool; results
-    are returned in spec order and are identical to serial execution
-    (each spec is self-contained and carries its own seeds, and any
-    caller-supplied ``costs`` table is shipped to the workers).  One
-    caveat: scenario/scheduler/accelerator names registered dynamically
-    at runtime resolve in pooled workers only under the ``fork``
-    process start method — under ``spawn``/``forkserver`` the worker
-    re-imports built-ins only, so put custom registrations in an
-    imported module or run serially.
+    Serial runs (``workers=1``) share the process-wide cost store, so a
+    later spec's run analyses no (model, engine shape) pair again.
+    ``workers > 1`` fans specs out to a process pool; results are
+    returned in spec order and are identical to serial execution (each
+    spec is self-contained and carries its own seeds).  One caveat:
+    scenario/scheduler/accelerator names registered dynamically at
+    runtime resolve in pooled workers only under the ``fork`` process
+    start method — under ``spawn``/``forkserver`` the worker re-imports
+    built-ins only, so put custom registrations in an imported module or
+    run serially.
     """
 
     name: str = "experiment"
@@ -363,7 +350,6 @@ class Experiment:
         *,
         workers: int = 1,
         sinks: Sequence[EventSink] = (),
-        costs: CostTable | None = None,
     ) -> list[Report]:
         """Execute every spec; reports come back in spec order."""
         if workers < 1:
@@ -377,7 +363,6 @@ class Experiment:
         retried_cells: list[str] = []
         plan_cache_hits: int | None = None
         if workers == 1 or total <= 1:
-            shared = costs if costs is not None else CostTable()
             # Plan cache keyed on the workload fingerprint (the spec
             # minus its seed): sweep cells sharing a workload reuse the
             # seed-independent compilation — notably the segment-chain
@@ -392,7 +377,7 @@ class Experiment:
                 plan = compile_plan(spec, reuse=cached)
                 plans[plan.workload_fingerprint] = plan
                 reports.append(execute_plan(
-                    plan, costs=shared, sinks=sinks, index=i, total=total,
+                    plan, sinks=sinks, index=i, total=total,
                 ))
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -406,13 +391,13 @@ class Experiment:
                         index=i, total=total,
                     ))
                     futures.append(
-                        pool.submit(_execute_worker, spec.to_dict(), costs)
+                        pool.submit(_execute_worker, spec.to_dict())
                     )
                 reports = []
                 retried: list[str] = []
                 for i, (spec, future) in enumerate(zip(specs, futures)):
                     report, retries = _pooled_result(
-                        spec, future, costs, sinks, i, total
+                        spec, future, sinks, i, total
                     )
                     if retries:
                         retried.append(spec.describe())

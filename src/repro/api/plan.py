@@ -560,26 +560,22 @@ def diff_plans(a: DispatchPlan, b: DispatchPlan) -> list[dict[str, Any]]:
 def estimate_plan(
     plan: DispatchPlan,
     *,
-    costs: CostTable | None = None,
     system: AcceleratorSystem | None = None,
 ) -> dict[str, Any]:
     """Cost/duration estimates for a compiled plan, before any CPU burns.
 
-    Prices every planned session window through the cost table: each
+    Prices every planned session window through the cost store: each
     model's expected frame count (window x target FPS) times its
     cheapest-engine latency/energy at the nominal operating point.
     ``est_busy_engine_s`` is total engine-busy demand;
     ``est_makespan_s`` divides it across the fleet — a lower bound on
     simulated wall-clock, useful for ranking sweep cells, not a
-    schedule.  Passing one shared :class:`~repro.costmodel.CachedCostTable`
-    across many plans amortises the per-(model, engine) analysis.
+    schedule.  The store is process-wide, so estimating many plans
+    analyses each (model, engine shape) pair once.
     """
     if system is None:
         system = build_accelerator(plan.accelerator, plan.pes)
-    if costs is None:
-        from repro.costmodel import CachedCostTable
-
-        costs = CachedCostTable()
+    costs = CostTable()
     expected_requests = 0
     busy_s = 0.0
     energy_mj = 0.0
@@ -594,7 +590,7 @@ def estimate_plan(
                     continue
                 best = min(
                     (
-                        system.engine_cost(costs, sm.code, sub.index)
+                        costs.cost(sm.code, sub.dataflow, sub.num_pes)
                         for sub in system.subs
                     ),
                     key=lambda c: c.latency_s,

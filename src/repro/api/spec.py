@@ -175,6 +175,15 @@ class RunSpec:
                 f"segments_per_model must be >= 1, "
                 f"got {self.segments_per_model}"
             )
+        if self.segments_per_model != 2 and self.granularity != "segment":
+            # Only segment dispatch splits models; accepting another
+            # count elsewhere would change the plan's fingerprint but
+            # not the run.
+            raise ValueError(
+                f"segments_per_model={self.segments_per_model} only acts "
+                f"at segment granularity; set granularity='segment' or "
+                f"drop it"
+            )
         if self.duration_s <= 0:
             raise ValueError(
                 f"duration_s must be > 0, got {self.duration_s}"

@@ -580,13 +580,11 @@ def main(argv: list[str] | None = None) -> int:
             return _fail(exc)
         if args.dry_run:
             # Per-cell plan fingerprints and cost/duration estimates:
-            # one shared cached cost table prices every cell, and cells
-            # sharing a workload fingerprint reuse a prior compilation.
+            # cells sharing a workload fingerprint reuse a prior
+            # compilation.
             from repro.api import compile_plan, estimate_plan
             from repro.api import workload_fingerprint as workload_fp
-            from repro.costmodel import CachedCostTable
 
-            shared = CachedCostTable(CostTable())
             plans: dict[str, object] = {}
             cells = []
             try:
@@ -598,7 +596,7 @@ def main(argv: list[str] | None = None) -> int:
                     cells.append({
                         "fingerprint": plan.fingerprint,
                         "workload_fingerprint": plan.workload_fingerprint,
-                        "estimate": estimate_plan(plan, costs=shared),
+                        "estimate": estimate_plan(plan),
                     })
             except (KeyError, ValueError) as exc:
                 return _fail(exc)
@@ -699,30 +697,29 @@ def main(argv: list[str] | None = None) -> int:
             scheduler_ablation,
         )
 
-        costs = CostTable()
         which = args.which
         if which in ("scheduler", "all"):
             print("scheduler ablation (ar_gaming, J@8K):")
-            for r in scheduler_ablation(costs):
+            for r in scheduler_ablation():
                 print(f"  {r.setting:<16s} overall={r.overall:.3f} "
                       f"rt={r.rt:.3f} qoe={r.qoe:.3f}")
         if which in ("jitter", "all"):
-            mean, spread = jitter_ablation(costs)
+            mean, spread = jitter_ablation()
             print("jitter ablation (social_interaction_a, A@4K):")
             print(f"  mean overall={mean.overall:.3f}; "
                   f"seed spread={spread.overall:.4f}")
         if which in ("k", "all"):
             print("RT-score k sensitivity (ar_gaming, J@8K):")
-            for r in rt_k_sensitivity(costs):
+            for r in rt_k_sensitivity():
                 print(f"  {r.setting:<8s} overall={r.overall:.3f} "
                       f"rt={r.rt:.3f}")
         if which in ("enmax", "all"):
             print("Enmax sensitivity (ar_assistant, C@4K):")
-            for r in enmax_sensitivity(costs):
+            for r in enmax_sensitivity():
                 print(f"  {r.setting:<16s} overall={r.overall:.3f}")
         if which in ("dvfs", "all"):
             print("slack-aware DVFS (WS@4K):")
-            for code, row in dvfs_ablation(costs).items():
+            for code, row in dvfs_ablation().items():
                 print(f"  {code}: f={row['chosen_frequency']:.1f} "
                       f"saving={row['energy_saving']:+.1%}")
         if which in ("quantization", "all"):

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.costmodel import CostTable
 from repro.hardware import AcceleratorSystem
 from repro.runtime import SessionSpec
 from repro.workload import UsageScenario, benchmark_suite, get_scenario
@@ -37,15 +36,9 @@ __all__ = ["Harness"]
 
 @dataclass
 class Harness:
-    """Runs scenarios against accelerator systems and scores them.
-
-    A harness instance shares one cost table across runs, so sweeping 13
-    accelerators x 7 scenarios re-analyses each (model, engine) pair only
-    once.
-    """
+    """Runs scenarios against accelerator systems and scores them."""
 
     config: HarnessConfig = field(default_factory=HarnessConfig)
-    costs: CostTable = field(default_factory=CostTable)
 
     def run_scenario(
         self,
@@ -100,7 +93,6 @@ class Harness:
             scheduler=self.config.scheduler,
             duration_s=self.config.duration_s,
             score=self.config.score,
-            costs=self.costs,
             granularity=granularity,
             segments_per_model=segments_per_model,
             measured_quality=measured_quality,

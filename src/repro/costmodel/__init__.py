@@ -1,7 +1,7 @@
 """Analytical accelerator cost model (the MAESTRO substitute)."""
 
 from .analysis import CostModel, LayerCost, ModelCost
-from .cached import CachedCostTable, CostCacheStats, PriceTable
+from .cached import CostCacheStats, PriceTable, stored_cost
 from .dataflow import DATAFLOW_SPECS, Dataflow, DataflowSpec
 from .dvfs import DEFAULT_DVFS_POINTS, DvfsPoint, best_point_for_slack, scale_cost
 from .energy import DEFAULT_ENERGY_MODEL, EnergyModel
@@ -12,7 +12,6 @@ __all__ = [
     "DvfsPoint",
     "best_point_for_slack",
     "scale_cost",
-    "CachedCostTable",
     "CostCacheStats",
     "CostModel",
     "CostTable",
@@ -24,4 +23,5 @@ __all__ = [
     "LayerCost",
     "ModelCost",
     "PriceTable",
+    "stored_cost",
 ]

@@ -47,10 +47,7 @@ from repro.nn.graph import LayerRow
 from .dataflow import DATAFLOW_SPECS, Dataflow, DataflowSpec
 from .energy import DEFAULT_ENERGY_MODEL, EnergyModel
 
-__all__ = [
-    "LayerCost", "ModelCost", "CostModel", "memoized_model_cost",
-    "ordered_sum",
-]
+__all__ = ["LayerCost", "ModelCost", "CostModel", "ordered_sum"]
 
 #: Cycles to fill/drain the PE array pipeline per layer.
 _RAMP_CYCLES = 512.0
@@ -249,31 +246,3 @@ class CostModel:
             ),
             layer_costs=costs,
         )
-
-
-#: Process-wide memo over the *pure* analytical model cost.  CostModel
-#: and ModelGraph are both frozen and hashable, and the analysis is a
-#: deterministic function of the pair, so the answer — an immutable
-#: ModelCost — can be shared across every cost table in the process.
-#: Its DVFS-scaled counterparts live beside it in the same way:
-#: :func:`repro.costmodel.dvfs.memoized_scale_cost` keys on the identity
-#: of the nominal ModelCost this memo hands out.
-_MODEL_COST_MEMO: dict[tuple[CostModel, ModelGraph], ModelCost] = {}
-
-
-def memoized_model_cost(engine: CostModel, graph: ModelGraph) -> ModelCost:
-    """``engine.model_cost(graph)`` answered from the process-wide memo.
-
-    Cost *tables* cache per instance, and every run prices through a
-    fresh :class:`~repro.costmodel.CachedCostTable`; without this memo
-    each run would re-pay the per-engine pass on the same handful of
-    graphs.  This memo hoists the pure computation to process scope:
-    a plain :class:`~repro.costmodel.CostTable`'s zoo models and a
-    cached table's registered segment graphs share one answer per
-    (engine shape, graph).
-    """
-    key = (engine, graph)
-    cost = _MODEL_COST_MEMO.get(key)
-    if cost is None:
-        cost = _MODEL_COST_MEMO[key] = engine.model_cost(graph)
-    return cost

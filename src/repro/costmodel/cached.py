@@ -1,43 +1,42 @@
-"""Dispatch-path cost caching.
+"""The process-wide cost store and the per-run price table.
 
 The runtime's hot loop prices work constantly: every scheduler pass asks
 "what would this model (or segment) cost on that engine at its current
 DVFS state", once per idle engine per decision.  Two layers answer it.
 
-:class:`CachedCostTable` memoises the fully-derived answer keyed on
-``(task code, engine dataflow, engine PE count, DVFS point)``, carries
-the graph registry that makes segment codes priceable, and counts hits
-and misses so harnesses can report the cache's effectiveness.  Its
-scaled costs come from process-wide memos
-(:func:`~repro.costmodel.analysis.memoized_model_cost` and, beside it,
-:func:`~repro.costmodel.dvfs.memoized_scale_cost`), so a fresh table per
-run re-derives nothing the process has already analysed.  Every run
-prices through one: the event loop wraps any other table it is handed
-in a fresh :class:`CachedCostTable` over it.
+:func:`stored_cost` is the process-wide store.  It maps (engine shape,
+graph, DVFS point) to a :class:`~repro.costmodel.analysis.ModelCost`:
+each graph is analysed once per engine shape, and each nominal cost is
+scaled once per point.  Graphs are keyed by identity, so no lookup
+hashes a layer graph by value.  That is sound because graphs are built
+once and shared: :func:`~repro.zoo.build_model` caches each zoo graph,
+and :func:`~repro.runtime.segmentation.split_graph` memoises its pieces.
+Each entry holds its graph, so an id cannot be reused while the entry
+lives.
 
 :class:`PriceTable` is one run's prices on one fleet, indexed by
-integers: code id, engine index and ladder position.  The event loop
-builds it from its :class:`CachedCostTable` when the run starts, and the
-dispatch path reads it by index instead of hashing a key per question.
+integers: code id, engine index and ladder position.  Each run builds
+one from the graphs its sessions stream, fills it from the store when it
+starts, and hands it to its scheduler and DVFS governor.  The dispatch
+path reads it by index instead of hashing a key per question.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Protocol, TypeVar
 
 from repro.nn import ModelGraph
 
-from .analysis import CostModel, ModelCost, memoized_model_cost
+from .analysis import CostModel, ModelCost
 from .dataflow import Dataflow
-from .dvfs import DvfsPoint, memoized_scale_cost
-from .model_cost import CostTable
+from .dvfs import DvfsPoint, scale_cost
 
 __all__ = [
     "CostCacheStats",
-    "CachedCostTable",
     "PriceTable",
+    "stored_cost",
 ]
 
 
@@ -63,9 +62,43 @@ class FleetLike(Protocol):
     def subs(self) -> tuple[EngineLike, ...]: ...
 
 
+#: ``(dataflow, num_pes, id(graph), point) -> (graph, cost)``: the
+#: process-wide store behind :func:`stored_cost`.  The entry holds the
+#: graph, so its id cannot be reused while the entry lives.
+_STORE: dict[
+    tuple[Dataflow, int, int, DvfsPoint | None], tuple[ModelGraph, ModelCost]
+] = {}
+
+
+def stored_cost(
+    dataflow: Dataflow,
+    num_pes: int,
+    graph: ModelGraph,
+    point: DvfsPoint | None = None,
+) -> ModelCost:
+    """``graph``'s cost on one engine shape at ``point``, from the store.
+
+    The nominal cost (``point=None``) is
+    ``CostModel(dataflow, num_pes).model_cost(graph)`` and any other
+    point's is :func:`~repro.costmodel.dvfs.scale_cost` of it.  Each is
+    computed once per process; the point is keyed by value, so two
+    points sharing a name but not a frequency never share an entry.
+    """
+    key = (dataflow, num_pes, id(graph), point)
+    entry = _STORE.get(key)
+    if entry is None:
+        if point is None:
+            engine = CostModel(dataflow=dataflow, num_pes=num_pes)
+            cost = engine.model_cost(graph)
+        else:
+            cost = scale_cost(stored_cost(dataflow, num_pes, graph), point)
+        entry = _STORE[key] = (graph, cost)
+    return entry[1]
+
+
 @dataclass
 class CostCacheStats:
-    """Hit/miss counters of one :class:`CachedCostTable`."""
+    """Hit/miss counters of one :class:`PriceTable`."""
 
     hits: int = 0
     misses: int = 0
@@ -89,173 +122,41 @@ class _Indexed(Protocol):
 _E = TypeVar("_E", bound=_Indexed)
 
 
-class CachedCostTable(CostTable):
-    """Memoised dispatch-path costs keyed on (task, engine, DVFS state).
-
-    Wraps any base :class:`CostTable`; unknown task codes fall through
-    to the base table.  Segment graphs — dispatch-time pieces and
-    :func:`~repro.runtime.segmentation.segment_scenario` variants — are
-    registered with :meth:`register_graph`, so virtual segment codes
-    are priceable without touching the global model zoo.  A run reads
-    these costs by index through the :class:`PriceTable` it builds with
-    :meth:`price_table`.
-    """
-
-    def __init__(self, base: CostTable | None = None) -> None:
-        super().__init__()
-        self.base = base if base is not None else CostTable()
-        self.stats = CostCacheStats()
-        self._graphs: dict[str, ModelGraph] = {}
-        self._entries: dict[
-            tuple[str, Dataflow, int, DvfsPoint | None], ModelCost
-        ] = {}
-        self._prices: PriceTable | None = None
-
-    # -- segment graphs ------------------------------------------------------
-
-    def register_graph(self, code: str, graph: ModelGraph) -> None:
-        """Make a virtual task code priceable from its layer graph.
-
-        Re-registering the *same* graph is a no-op — segment plans are
-        deterministic, so a shared table seen by two segmented runs is
-        offered identical pieces and must not fail the second run.
-        Registering a *different* graph under an existing code still
-        raises: that is a stale-split hazard, not benign reuse.
-        """
-        existing = self._graphs.get(code)
-        if existing is not None:
-            if existing == graph:
-                return
-            raise ValueError(
-                f"task code {code!r} already registered with a different "
-                f"graph (was this table reused across runs with "
-                f"different segment splits?)"
-            )
-        self._graphs[code] = graph
-
-    def knows(self, code: str) -> bool:
-        return code in self._graphs
-
-    # -- lookups -------------------------------------------------------------
-
-    def _compute(
-        self, task_code: str, dataflow: Dataflow, num_pes: int
-    ) -> ModelCost:
-        graph = self._graphs.get(task_code)
-        if graph is not None:
-            engine = CostModel(dataflow=dataflow, num_pes=num_pes)
-            return memoized_model_cost(engine, graph)
-        return self.base.cost(task_code, dataflow, num_pes)
-
-    def _lookup(
-        self,
-        task_code: str,
-        dataflow: Dataflow,
-        num_pes: int,
-        dvfs: DvfsPoint | None,
-    ) -> ModelCost:
-        # Key on the (frozen, hashable) point itself: two points sharing
-        # a name but not a frequency must not share a cache entry.
-        key = (task_code, dataflow, num_pes, dvfs)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.stats.hits += 1
-            return entry
-        self.stats.misses += 1
-        if dvfs is None:
-            cost = self._compute(task_code, dataflow, num_pes)
-        else:
-            # Scale the nominal entry when this table already holds it:
-            # deriving it again would re-hash a registered graph.
-            nominal = self._entries.get((task_code, dataflow, num_pes, None))
-            if nominal is None:
-                nominal = self._compute(task_code, dataflow, num_pes)
-            cost = memoized_scale_cost(nominal, dvfs)
-        self._entries[key] = cost
-        return cost
-
-    def cost(
-        self, task_code: str, dataflow: Dataflow, num_pes: int
-    ) -> ModelCost:
-        """CostTable-compatible lookup (nominal DVFS)."""
-        return self._lookup(task_code, dataflow, num_pes, None)
-
-    def engine_cost(
-        self, task_code: str, sub: EngineLike, dvfs: DvfsPoint | None = None
-    ) -> ModelCost:
-        """Cost of ``task_code`` on one engine at a DVFS operating point.
-
-        ``sub`` is any engine description exposing ``dataflow`` and
-        ``num_pes`` (e.g. :class:`repro.hardware.SubAccelerator`; typed
-        loosely because the hardware layer imports this package).
-        """
-        return self._lookup(task_code, sub.dataflow, sub.num_pes, dvfs)
-
-    # -- per-run price tables ------------------------------------------------
-
-    def price_table(
-        self,
-        system: FleetLike,
-        points: Iterable[DvfsPoint | None],
-        codes: Iterable[str],
-    ) -> PriceTable:
-        """A new price table for one run on ``system``.
-
-        ``points`` are the DVFS points the run can price besides nominal
-        and ``codes`` every task code it can dispatch (see
-        :class:`PriceTable`).  Until the next call, :meth:`prices`
-        returns the new table for ``system``: that is how the
-        schedulers and governors, which are handed this cost table and
-        the system, reach the run's prices.
-        """
-        prices = self._prices = PriceTable(self, system, points, codes)
-        return prices
-
-    def prices(self, system: FleetLike) -> PriceTable | None:
-        """The latest run's price table on ``system``, if there is one."""
-        prices = self._prices
-        if prices is not None and prices.system is system:
-            return prices
-        return None
-
-
 class PriceTable:
     """One run's prices on one fleet, indexed by integers.
 
     ``costs[code_id][engine_index][position]`` is the :class:`ModelCost`
     of one task code on one engine at one point of the run's DVFS
     ladder.  The run fixes both axes when it starts: :attr:`ids`
-    numbers every code it can dispatch, and :attr:`ladder` holds
+    numbers the codes of ``graphs`` in order, and :attr:`ladder` holds
     nominal (``None``) at position 0, then the run's points in the
     order given, each once.  A point's position is resolved by identity
     (:meth:`position`), once per run or per throttle rather than per
     dispatch, so reading a price hashes nothing.  A point off the
-    ladder has no position; callers price it through the keyed lookup.
+    ladder has no position; :meth:`engine_cost` prices it by key.
 
-    Every entry is filled through the owning :class:`CachedCostTable`'s
-    keyed lookup, so the floats are the cached values — a read here
-    answers exactly what the keyed path answers — and a first pricing
-    of a (code, engine, point) counts as that table's miss.  Each read
-    afterwards (:meth:`cost`, :meth:`ladder_row`, :meth:`fastest`)
-    counts as a hit.
+    Every entry comes from :func:`stored_cost`.  :attr:`stats` counts
+    the table's lookups: the first (code, dataflow, PEs, point) of the
+    fill is a miss, and a repeat of one (two engines of one shape, or
+    two equal points) is a hit.  Each read afterwards (:meth:`cost`,
+    :meth:`ladder_row`, :meth:`fastest`, :meth:`engine_cost`) counts as
+    a hit, except a keyed read of a key the table has not priced yet,
+    which is a miss.
 
-    The table is per run: only the scaled costs behind it are
-    process-wide (the memos), which keeps its fill cheap.  Sharing the
-    counting tables across runs would make the hit and miss counts the
-    multi-session report prints depend on what ran earlier.
+    The table is per run, so its counts count that run alone; only the
+    costs behind it are process-wide, which keeps its fill cheap.
     """
 
     __slots__ = (
-        "system", "ladder", "position_by_id", "ids", "costs", "nominal",
-        "stats", "_permitted",
+        "system", "ladder", "position_by_id", "ids", "graphs", "costs",
+        "nominal", "stats", "_entries", "_permitted",
     )
 
     def __init__(
         self,
-        table: CachedCostTable,
         system: FleetLike,
         points: Iterable[DvfsPoint | None],
-        codes: Iterable[str],
+        graphs: Mapping[str, ModelGraph],
     ) -> None:
         subs = tuple(system.subs)
         if [s.index for s in subs] != list(range(len(subs))):
@@ -276,7 +177,11 @@ class PriceTable:
         }
         #: Every engine at the nominal position, for :meth:`fastest`.
         self.nominal = (0,) * len(subs)
-        self.stats = table.stats
+        self.stats = CostCacheStats()
+        #: ``(code, dataflow, PEs, point)`` -> cost: every key priced.
+        self._entries: dict[
+            tuple[str, Dataflow, int, DvfsPoint | None], ModelCost
+        ] = {}
         #: ``(id(points), cap)`` -> ``(points, resolved)`` for
         #: :meth:`permitted_positions`; the entry keeps ``points`` alive,
         #: so its id cannot be reused while the entry exists.
@@ -284,23 +189,51 @@ class PriceTable:
             tuple[int, float | None],
             tuple[
                 tuple[DvfsPoint, ...],
-                tuple[tuple[DvfsPoint, int | None], ...],
+                tuple[tuple[DvfsPoint, int], ...],
             ],
         ] = {}
         self.ids: dict[str, int] = {}
+        self.graphs: list[ModelGraph] = []
         self.costs: list[tuple[tuple[ModelCost, ...], ...]] = []
-        lookup = table._lookup
-        for code in codes:
-            if code in self.ids:
-                continue
+        for code, graph in graphs.items():
             self.ids[code] = len(self.costs)
+            self.graphs.append(graph)
             self.costs.append(tuple(
-                tuple(
-                    lookup(code, sub.dataflow, sub.num_pes, point)
-                    for point in self.ladder
-                )
+                tuple(self._keyed(code, graph, sub, point)
+                      for point in self.ladder)
                 for sub in subs
             ))
+
+    def _keyed(self, code: str, graph: ModelGraph, sub: EngineLike,
+               point: DvfsPoint | None) -> ModelCost:
+        """The cost of ``code`` on ``sub`` at ``point``, counted."""
+        key = (code, sub.dataflow, sub.num_pes, point)
+        cost = self._entries.get(key)
+        if cost is None:
+            self.stats.misses += 1
+            cost = self._entries[key] = stored_cost(
+                sub.dataflow, sub.num_pes, graph, point
+            )
+        else:
+            self.stats.hits += 1
+        return cost
+
+    def engine_cost(self, code: str, engine_index: int,
+                    point: DvfsPoint | None = None) -> ModelCost:
+        """One code's cost on one engine at any DVFS point, by key.
+
+        The same float as the indexed reads at a ladder point; a point
+        off the ladder (or equal to a ladder point but not the same
+        object) is priced through the store once and kept.  This serves
+        the event loop's one keyed call, a governor's point off the
+        ladder, and custom policies.
+        """
+        code_id = self.ids.get(code)
+        if code_id is None:
+            raise KeyError(f"task code {code!r} is not priced in this run")
+        return self._keyed(
+            code, self.graphs[code_id], self.system.subs[engine_index], point
+        )
 
     def position(self, point: DvfsPoint | None) -> int | None:
         """The ladder position of ``point`` (by identity), if it has one."""
@@ -308,24 +241,30 @@ class PriceTable:
 
     def permitted_positions(
         self, points: tuple[DvfsPoint, ...], cap: float | None
-    ) -> tuple[tuple[DvfsPoint, int | None], ...]:
+    ) -> tuple[tuple[DvfsPoint, int], ...]:
         """Each of ``points`` a frequency ``cap`` permits, with its position.
 
         A point is permitted when its ``frequency_scale`` is at most
         ``cap``; every point is when ``cap`` is ``None``.  Points keep
-        their order, and a point off the ladder gets position ``None``.
-        The answer is memoised per ``points`` object and cap, so a DVFS
-        governor consulted at every dispatch resolves its ladder once
-        per run and thermal cap instead of once per call.
+        their order.  The answer is memoised per ``points`` object and
+        cap, so a DVFS governor consulted at every dispatch resolves its
+        ladder once per run and thermal cap instead of once per call.
+        Raises ``ValueError`` for a permitted point off the ladder.
         """
         key = (id(points), cap)
         entry = self._permitted.get(key)
         if entry is None:
-            entry = self._permitted[key] = (points, tuple(
-                (point, self.position(point))
-                for point in points
-                if cap is None or point.frequency_scale <= cap
-            ))
+            resolved: list[tuple[DvfsPoint, int]] = []
+            for point in points:
+                if cap is not None and point.frequency_scale > cap:
+                    continue
+                position = self.position(point)
+                if position is None:
+                    raise ValueError(
+                        f"{point!r} is not on this price table's ladder"
+                    )
+                resolved.append((point, position))
+            entry = self._permitted[key] = (points, tuple(resolved))
         return entry[1]
 
     def cost(self, code_id: int, engine_index: int,
@@ -362,4 +301,3 @@ class PriceTable:
         if best is None:
             raise ValueError("no engine to choose from")
         return best
-

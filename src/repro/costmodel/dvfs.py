@@ -14,15 +14,12 @@ than open-ended.  This module makes that trade concrete:
   point, *consistently*: the per-layer breakdown and utilization are
   rescaled along with the totals, so layer sums always equal the model
   totals at every ladder point.
-* :func:`memoized_scale_cost` — :func:`scale_cost` answered from a
-  process-wide memo, so each (engine shape, graph, point) is scaled once
-  per process however many cost tables price it.
 * :func:`best_point_for_slack` — picks the slowest (most energy-efficient)
   point that still fits a latency budget, i.e. the paper's
   slack-into-energy optimisation.
 
 The live runtime counterpart is :mod:`repro.runtime.governor`, which
-applies these trades per dispatch through the cached cost tables.
+applies these trades per dispatch through the run's price table.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from dataclasses import dataclass, replace
 from .analysis import _RAMP_CYCLES, LayerCost, ModelCost, ordered_sum
 
 __all__ = ["DvfsPoint", "DEFAULT_DVFS_POINTS", "scale_cost",
-           "memoized_scale_cost", "best_point_for_slack"]
+           "best_point_for_slack"]
 
 
 @dataclass(frozen=True)
@@ -170,31 +167,6 @@ def scale_cost(cost: ModelCost, point: DvfsPoint,
         utilization=utilization,
         layer_costs=layers,
     )
-
-
-#: Process-wide memo of :func:`scale_cost` at the default leakage
-#: fraction: ``(id(nominal), point) -> (nominal, scaled)``.  Keyed on the
-#: identity of the nominal cost (the value holds a reference, so the id
-#: cannot be reused while the entry lives): two tables with different
-#: base tables or registered graphs price different nominal objects and
-#: never share an entry, while every table over the shared
-#: :func:`~repro.costmodel.analysis.memoized_model_cost` answers does.
-_SCALED_COST_MEMO: dict[
-    tuple[int, DvfsPoint], tuple[ModelCost, ModelCost]
-] = {}
-
-
-def memoized_scale_cost(cost: ModelCost, point: DvfsPoint) -> ModelCost:
-    """``scale_cost(cost, point)`` answered from the process-wide memo.
-
-    Each :class:`~repro.costmodel.CachedCostTable` is per run, so without
-    this memo every run re-derived the same scaled costs layer by layer.
-    """
-    key = (id(cost), point)
-    entry = _SCALED_COST_MEMO.get(key)
-    if entry is None:
-        entry = _SCALED_COST_MEMO[key] = (cost, scale_cost(cost, point))
-    return entry[1]
 
 
 def best_point_for_slack(

@@ -55,18 +55,14 @@ class AblationRow:
 
 
 def scheduler_ablation(
-    cost_table: CostTable | None = None,
     scenario: str = "ar_gaming",
     acc_id: str = "J",
     total_pes: int = 8192,
 ) -> list[AblationRow]:
     """Score the same workload under each shipped scheduler."""
-    costs = cost_table or CostTable()
     rows = []
     for name in ("latency_greedy", "round_robin", "edf"):
-        harness = Harness(
-            config=HarnessConfig(scheduler=name), costs=costs
-        )
+        harness = Harness(config=HarnessConfig(scheduler=name))
         score = harness.run_scenario(
             scenario, build_accelerator(acc_id, total_pes)
         ).score
@@ -80,7 +76,6 @@ def scheduler_ablation(
 
 
 def jitter_ablation(
-    cost_table: CostTable | None = None,
     scenario: str = "social_interaction_a",
     acc_id: str = "A",
     total_pes: int = 4096,
@@ -95,8 +90,7 @@ def jitter_ablation(
     disregarded".  Returns two rows: the seed-averaged scores
     ("jitter_mean") and the max-min spread ("jitter_spread").
     """
-    costs = cost_table or CostTable()
-    harness = Harness(costs=costs)
+    harness = Harness()
     system = build_accelerator(acc_id, total_pes)
     scores = [
         harness.run_scenario(scenario, system, seed=s).score
@@ -121,19 +115,15 @@ def jitter_ablation(
 
 
 def rt_k_sensitivity(
-    cost_table: CostTable | None = None,
     scenario: str = "ar_gaming",
     acc_id: str = "J",
     total_pes: int = 8192,
     ks: tuple[float, ...] = (1.0, 15.0, 50.0),
 ) -> list[AblationRow]:
     """Scenario scores under different deadline-sensitivity constants."""
-    costs = cost_table or CostTable()
     rows = []
     for k in ks:
-        harness = Harness(
-            config=HarnessConfig(score=ScoreConfig(rt_k=k)), costs=costs
-        )
+        harness = Harness(config=HarnessConfig(score=ScoreConfig(rt_k=k)))
         score = harness.run_scenario(
             scenario, build_accelerator(acc_id, total_pes)
         ).score
@@ -148,19 +138,16 @@ def rt_k_sensitivity(
 
 
 def enmax_sensitivity(
-    cost_table: CostTable | None = None,
     scenario: str = "ar_assistant",
     acc_id: str = "C",
     total_pes: int = 4096,
     enmaxes: tuple[float, ...] = (500.0, 1500.0, 4500.0),
 ) -> list[AblationRow]:
     """Scenario scores under different per-inference energy budgets."""
-    costs = cost_table or CostTable()
     rows = []
     for enmax in enmaxes:
         harness = Harness(
             config=HarnessConfig(score=ScoreConfig(energy_max_mj=enmax)),
-            costs=costs,
         )
         score = harness.run_scenario(
             scenario, build_accelerator(acc_id, total_pes)
@@ -176,7 +163,6 @@ def enmax_sensitivity(
 
 
 def dvfs_ablation(
-    cost_table: CostTable | None = None,
     total_pes: int = 4096,
     dataflow: Dataflow = Dataflow.WS,
 ) -> dict[str, dict[str, float]]:
@@ -186,7 +172,7 @@ def dvfs_ablation(
     slowest operating point that still fits the deadline slack and
     reports nominal vs scaled energy.
     """
-    costs = cost_table or CostTable()
+    costs = CostTable()
     # Most demanding rate each model is shipped at (Table 2).
     rates = {"HT": 45, "ES": 60, "GE": 60, "KD": 3, "SR": 3, "SS": 10,
              "OD": 10, "AS": 30, "DE": 30, "DR": 30, "PD": 30}

@@ -40,8 +40,7 @@ def run_figure5(
 
     The whole sweep is expressed as :class:`RunSpec` grid points run
     through the :func:`repro.api.execute` funnel; the ``harness``
-    argument survives as a carrier for a shared cost table and run
-    configuration.
+    argument survives as a carrier for the run configuration.
     """
     harness = harness or Harness()
     config = harness.config
@@ -60,9 +59,7 @@ def run_figure5(
                     seed=config.seed,
                     frame_loss=config.frame_loss_probability,
                 )
-                report = execute(
-                    spec, costs=harness.costs, score=config.score
-                )
+                report = execute(spec, score=config.score)
                 s = report.score
                 row = Figure5Row(
                     scenario=scenario,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from repro.api import RunSpec, execute
 from repro.core import Harness
-from repro.costmodel import CostTable
 from repro.hardware import AcceleratorSystem
 
 __all__ = ["ScoreStatistics", "SeedSweep", "run_seed_sweep", "seed_sweep"]
@@ -103,15 +102,14 @@ def seed_sweep(
     seeds: int = 20,
     *,
     system: AcceleratorSystem | None = None,
-    costs: CostTable | None = None,
     score=None,
 ) -> SeedSweep:
     """Run ``spec`` across ``seeds`` consecutive seeds and summarise.
 
     The declarative funnel path: the spec's own ``seed`` field is
     replaced by 0..seeds-1, everything else re-executes unchanged.  A
-    pre-built ``system``/shared ``costs`` table may be supplied when the
-    caller sweeps many systems.
+    pre-built ``system`` may be supplied when the caller sweeps many
+    systems.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
@@ -120,15 +118,13 @@ def seed_sweep(
             f"seed sweeps need a single-scenario spec, got mode "
             f"{spec.mode!r}"
         )
-    costs = costs if costs is not None else CostTable()
     samples: dict[str, list[float]] = {
         "overall": [], "rt": [], "energy": [], "qoe": [], "drop_rate": [],
     }
     described = None
     for seed in range(seeds):
         report = execute(
-            spec.replace(seed=seed), system=system, costs=costs,
-            score=score,
+            spec.replace(seed=seed), system=system, score=score,
         )
         described = report.simulation.system.describe()
         samples["overall"].append(report.score.overall)
@@ -170,6 +166,5 @@ def run_seed_sweep(
         frame_loss=config.frame_loss_probability,
     )
     return seed_sweep(
-        spec, seeds, system=system, costs=harness.costs,
-        score=config.score,
+        spec, seeds, system=system, score=config.score,
     )

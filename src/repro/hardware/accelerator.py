@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.costmodel import (
-    CostModel,
-    CostTable,
-    Dataflow,
-    DvfsPoint,
-    ModelCost,
-    scale_cost,
-)
+from repro.costmodel import CostModel, Dataflow
 
 __all__ = ["SubAccelerator", "AcceleratorSystem", "AcceleratorStyle"]
 
@@ -87,38 +80,6 @@ class AcceleratorSystem:
     @property
     def num_subs(self) -> int:
         return len(self.subs)
-
-    def model_cost(self, table: CostTable, task_code: str, sub_index: int) -> ModelCost:
-        """Cost of running ``task_code`` on engine ``sub_index``."""
-        sub = self.subs[sub_index]
-        return table.cost(task_code, sub.dataflow, sub.num_pes)
-
-    def engine_cost(
-        self,
-        table: CostTable,
-        task_code: str,
-        sub_index: int,
-        dvfs: DvfsPoint | None = None,
-    ) -> ModelCost:
-        """DVFS-aware keyed cost lookup.
-
-        A :class:`~repro.costmodel.CachedCostTable` answers from its
-        (task, engine, DVFS) memo; any other table falls back to the
-        plain per-engine lookup plus on-the-fly DVFS scaling.  During a
-        run the event loop and the built-in policies read the run's
-        :class:`~repro.costmodel.PriceTable` by index instead (every run
-        prices through a cached table); the event loop comes here only
-        for a governor's point off the run's ladder.  Custom policies
-        and callers outside a run use this keyed path.
-        """
-        sub = self.subs[sub_index]
-        lookup = getattr(table, "engine_cost", None)
-        if lookup is not None:
-            return lookup(task_code, sub, dvfs)
-        cost = table.cost(task_code, sub.dataflow, sub.num_pes)
-        if dvfs is not None:
-            cost = scale_cost(cost, dvfs)
-        return cost
 
     def describe(self) -> str:
         engines = " + ".join(s.describe() for s in self.subs)

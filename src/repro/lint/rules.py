@@ -13,10 +13,10 @@ Rules come in two shapes:
   diff source against ``schema/*.json`` or against sibling modules —
   schema/dataclass drift and registry completeness.
 
-Path scoping is deliberate, not incidental: D001 exempts
-``benchmarks/`` and ``tests/`` (wall time *is* the measurement there),
-and D003 only fires under ``runtime/`` paths, where iteration order
-feeds dispatch tie-breaks and therefore the golden schedule checksums.
+Path scoping is deliberate, not incidental: D001 exempts ``tests/``
+(tests may pin timing behaviour), and D003 only fires under
+``runtime/`` paths, where iteration order feeds dispatch tie-breaks and
+therefore the golden schedule checksums.
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ __all__ = [
     "TIMING_SHIM_ALLOWLIST",
 ]
 
-#: Paths (relative, posix) where wall-clock reads are legitimate: the
-#: benchmark harnesses measure wall time by design, and tests may pin
-#: timing behaviour.  Add explicit shim modules here with a review.
-TIMING_SHIM_ALLOWLIST: tuple[str, ...] = ("benchmarks/", "tests/")
+#: Paths (relative, posix) where wall-clock reads are legitimate: tests
+#: may pin timing behaviour.  Add explicit shim modules here with a
+#: review.
+TIMING_SHIM_ALLOWLIST: tuple[str, ...] = ("tests/",)
 
-#: Paths where the seeded-RNG rule does not apply (load generators for
-#: plots and ad-hoc example scripts are allowed stateful RNG).
-RNG_EXEMPT_PATHS: tuple[str, ...] = ("benchmarks/", "tests/", "examples/")
+#: Paths where the seeded-RNG rule does not apply (ad-hoc example
+#: scripts are allowed stateful RNG).
+RNG_EXEMPT_PATHS: tuple[str, ...] = ("tests/", "examples/")
 
 #: Hot-record registry (rule C001): classes on the dispatch hot path
 #: that PR 6 slotted for attribute-access speed and footprint.  Any
@@ -216,8 +216,8 @@ class NoWallClock(Rule):
     name = "no-wall-clock"
     description = (
         "wall-clock reads (time.time, datetime.now, perf_counter, ...) "
-        "are banned outside benchmarks/ and allowlisted timing shims: "
-        "simulated time is the only clock the runtime may observe"
+        "are banned outside allowlisted timing shims: simulated time is "
+        "the only clock the runtime may observe"
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[tuple[int, str]]:
@@ -232,8 +232,8 @@ class NoWallClock(Rule):
                 yield (
                     node.lineno,
                     f"wall-clock read {dotted}() — the runtime is "
-                    "simulated-time only; measure wall time in "
-                    "benchmarks/ or an allowlisted timing shim",
+                    "simulated-time only; measure wall time outside "
+                    "the runtime or in an allowlisted timing shim",
                 )
 
 

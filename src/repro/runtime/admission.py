@@ -28,7 +28,7 @@ Policies (:data:`ADMISSION_POLICIES`):
   prices the quality cost); the mechanism is the SESSION_PHASE swap
   machinery — the event loop truncates the session's current activity
   window and enters a degraded phase from the control instant.  The
-  *step* taken is priced through the cached cost table: the controller
+  *step* taken is priced through the run's price table: the controller
   picks the smallest ladder level whose projected offered load (sum of
   model rates times cheapest-engine latency) sheds at least the observed
   miss fraction.
@@ -165,7 +165,7 @@ class AdmissionController(Protocol):
     :meth:`observe` as each request's final segment completes (the
     deadline outcome feed), and :meth:`decide` at every CONTROL_TICK.
     ``latency_of`` prices a task code's cheapest-engine latency through
-    the run's cached cost table.  All methods must be deterministic:
+    the run's price table.  All methods must be deterministic:
     the observation sequence is fixed by the event order, so two equal
     runs make identical decisions.
     """
@@ -291,7 +291,7 @@ class DegradeController:
     Maintains a per-session deadline-miss EWMA.  When a session's EWMA
     exceeds ``threshold`` (after ``min_observations`` of its completions
     at the current level), the session steps down the quality ladder.
-    The step is *priced through the cached cost table*: the controller
+    The step is *priced through the run's price table*: the controller
     projects each candidate level's offered load — the sum over the
     session's planned models of (scaled rate x cheapest-engine latency)
     — and takes the smallest level that sheds at least the observed miss

@@ -36,30 +36,23 @@ Policies:
 Selected points flow through :meth:`repro.runtime.engine.EngineFleet.begin`,
 which records frequency transitions on the engine and stamps the active
 point name on every :class:`~repro.runtime.engine.ExecutionRecord`, so
-timelines and exports show the point each segment ran at.  Candidate
-pricing reads the run's :class:`~repro.costmodel.PriceTable` by ladder
-position when the cost table keeps one (a
-:class:`~repro.costmodel.CachedCostTable` during a run); a table without
-prices, or a point off the run's ladder, is priced through
-:meth:`repro.hardware.AcceleratorSystem.engine_cost`.  Both give the
-same floats, so the choice does not depend on the path.
+timelines and exports show the point each segment ran at.  A governor
+receives the run's :class:`~repro.costmodel.PriceTable`, and the slack
+governor reads its candidates from it by ladder position: the run puts
+the governor's ladder, the engines' base points and the thermal clamp
+points on the table's ladder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol
 
-from repro.costmodel import (
-    DEFAULT_DVFS_POINTS,
-    CostTable,
-    DvfsPoint,
-    ModelCost,
-    PriceTable,
-)
+from repro.costmodel import DEFAULT_DVFS_POINTS, DvfsPoint, PriceTable
 from repro.hardware import AcceleratorSystem
 
 from .engine import ExecutionEngine, WorkItem
+from .segmentation import ChainSuffix
 
 __all__ = [
     "DVFS_POLICIES",
@@ -103,10 +96,12 @@ class DispatchContext:
 class DvfsGovernor(Protocol):
     """Operating-point decision interface, consulted per dispatch.
 
-    ``remaining_codes`` are the cost-table codes of the item's *later*
-    segments (empty for whole-model dispatch or a final segment) — a
-    governor reserving deadline budget for them can price each on the
-    same engine.  ``context`` carries the event loop's view of the
+    ``remaining_codes`` are the price-table codes of the item's *later*
+    segments (empty for whole-model dispatch or a final segment), as a
+    :class:`~repro.runtime.segmentation.ChainSuffix`: a governor
+    reserving deadline budget for them reads their latencies on one
+    engine with :meth:`~ChainSuffix.remaining_latencies`.  ``prices`` is
+    the run's price table and ``context`` the event loop's view of the
     dispatch instant.
     """
 
@@ -115,9 +110,9 @@ class DvfsGovernor(Protocol):
         now_s: float,
         item: WorkItem,
         engine: ExecutionEngine,
-        remaining_codes: Sequence[str | None],
+        remaining_codes: ChainSuffix,
         system: AcceleratorSystem,
-        costs: CostTable,
+        prices: PriceTable,
         context: DispatchContext,
     ) -> DvfsPoint | None:
         """The point to run ``item`` at; ``None`` means nominal."""
@@ -139,9 +134,9 @@ class StaticGovernor:
         now_s: float,
         item: WorkItem,
         engine: ExecutionEngine,
-        remaining_codes: Sequence[str | None],
+        remaining_codes: ChainSuffix,
         system: AcceleratorSystem,
-        costs: CostTable,
+        prices: PriceTable,
         context: DispatchContext,
     ) -> DvfsPoint | None:
         return engine.dvfs
@@ -166,9 +161,9 @@ class RaceToIdleGovernor:
         now_s: float,
         item: WorkItem,
         engine: ExecutionEngine,
-        remaining_codes: Sequence[str | None],
+        remaining_codes: ChainSuffix,
         system: AcceleratorSystem,
-        costs: CostTable,
+        prices: PriceTable,
         context: DispatchContext,
     ) -> DvfsPoint | None:
         # A thermally-throttled engine clamps the ladder: only points
@@ -218,9 +213,9 @@ class SlackGovernor:
         now_s: float,
         item: WorkItem,
         engine: ExecutionEngine,
-        remaining_codes: Sequence[str | None],
+        remaining_codes: ChainSuffix,
         system: AcceleratorSystem,
-        costs: CostTable,
+        prices: PriceTable,
         context: DispatchContext,
     ) -> DvfsPoint | None:
         # A thermal ceiling clamps both the baseline (the engine's
@@ -229,47 +224,31 @@ class SlackGovernor:
         # candidate ladder.
         base = engine.effective_dvfs
         cap = engine.max_frequency_scale
-        code = item.code
         engine_index = engine.index
 
         # Candidates are read by ladder position from the run's price
         # table: the row holds this piece's cost at every position, and
         # the table resolves the permitted points to positions once per
-        # thermal cap.  A point off the run's ladder (no position) is
-        # priced through the keyed lookup, as is every candidate for a
-        # caller outside a run, whose table holds no prices for this
-        # fleet.  Both give the same floats, so the choice is
-        # bit-identical either way.
-        prices_of = getattr(costs, "prices", None)
-        prices = prices_of(system) if prices_of is not None else None
-        code_id = prices.ids.get(code) if prices is not None else None
-        if prices is None or code_id is None:
-            ladder: tuple[tuple[DvfsPoint, int | None], ...] = tuple(
-                (point, None) for point in self.points
-                if cap is None or point.frequency_scale <= cap
+        # thermal cap.
+        ladder = prices.permitted_positions(self.points, cap)
+        row = prices.ladder_row(prices.ids[item.code], engine_index)
+        base_at = prices.position(base)
+        if base_at is None:
+            raise ValueError(
+                f"engine {engine_index}'s point {base!r} is not on the "
+                f"price table's ladder"
             )
-            row: tuple[ModelCost, ...] = ()
-            base_at: int | None = None
-        else:
-            ladder = prices.permitted_positions(self.points, cap)
-            row = prices.ladder_row(code_id, engine_index)
-            base_at = prices.position(base)
 
         # The deadline budget of this piece is the slack left with the
         # rest of the chain reserved at the candidate point (see
         # _reserved_budget); nothing is reserved for a final segment.
         slack_s = item.request.deadline_s - now_s
         reserving = bool(remaining_codes)
-        remaining = getattr(remaining_codes, "remaining_latencies", None)
 
         base_frequency = base.frequency_scale if base is not None else 1.0
-        base_cost = (
-            system.engine_cost(costs, code, engine_index, base)
-            if base_at is None else row[base_at]
-        )
+        base_cost = row[base_at]
         base_budget_s = _reserved_budget(
-            slack_s, base, base_at, remaining_codes, remaining, prices,
-            item, engine_index, system, costs,
+            slack_s, remaining_codes, prices, engine_index, base_at,
         ) if reserving else slack_s
         if base_budget_s < base_cost.latency_s:
             # Behind schedule at base speed: the cheapest faster point
@@ -282,13 +261,9 @@ class SlackGovernor:
             for point, at in ladder:
                 if point.frequency_scale <= base_frequency:
                     continue
-                cost = (
-                    system.engine_cost(costs, code, engine_index, point)
-                    if at is None else row[at]
-                )
+                cost = row[at]
                 budget_s = _reserved_budget(
-                    slack_s, point, at, remaining_codes, remaining, prices,
-                    item, engine_index, system, costs,
+                    slack_s, remaining_codes, prices, engine_index, at,
                 ) if reserving else slack_s
                 if (
                     cost.latency_s <= budget_s
@@ -305,10 +280,7 @@ class SlackGovernor:
         for point, at in ladder:
             if point.frequency_scale > base_frequency:
                 continue
-            cost = (
-                system.engine_cost(costs, code, engine_index, point)
-                if at is None else row[at]
-            )
+            cost = row[at]
             if cost.latency_s <= stretch_s and cost.energy_mj < choice_energy:
                 choice, choice_energy = point, cost.energy_mj
         return choice
@@ -316,38 +288,23 @@ class SlackGovernor:
 
 def _reserved_budget(
     slack_s: float,
-    point: DvfsPoint | None,
-    at: int | None,
-    remaining_codes: Sequence[str | None],
-    remaining: Callable[..., tuple[float, ...]] | None,
-    prices: PriceTable | None,
-    item: WorkItem,
+    remaining_codes: ChainSuffix,
+    prices: PriceTable,
     engine_index: int,
-    system: AcceleratorSystem,
-    costs: CostTable,
+    at: int,
 ) -> float:
     """The slack left for one piece with the rest of its chain reserved
-    at ``point`` (ladder position ``at``): successors re-decide at their
-    own boundaries, so uniform pricing is self-consistent.
+    at ladder position ``at``: successors re-decide at their own
+    boundaries, so uniform pricing is self-consistent.
 
     Each remaining segment's latency is subtracted from the slack in
-    turn.  A :class:`~repro.runtime.segmentation.ChainSuffix` (the event
-    loop's compile-time segment-chain view) answers the latencies from
-    its per-(engine, position) memo (``remaining``).  A point without a
-    position, or a plain code sequence from a caller outside a run, is
-    priced per segment.  Both subtract the same floats in the same
-    order, so the budgets — and therefore the chosen points — are
-    bit-identical.
+    turn, read from the suffix's per-(engine, position) memo.
     """
     budget_s = slack_s
-    if at is not None and remaining is not None:
-        for latency_s in remaining(prices, engine_index, at):
-            budget_s -= latency_s
-        return budget_s
-    for rcode in remaining_codes:
-        budget_s -= system.engine_cost(
-            costs, rcode or item.request.model_code, engine_index, point,
-        ).latency_s
+    for latency_s in remaining_codes.remaining_latencies(
+        prices, engine_index, at
+    ):
+        budget_s -= latency_s
     return budget_s
 
 

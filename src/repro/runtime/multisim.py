@@ -48,15 +48,16 @@ Key properties:
   rates normalise by *active* (not streamed) duration.  System-level busy
   time and the execution-record log live on the
   :class:`MultiSessionResult`.
-* **Cost caching**: each run prices through a
-  :class:`~repro.costmodel.CachedCostTable` (a caller's one as given;
-  any other table, the default plain one included, is wrapped in a
-  fresh one per run) and builds one
-  :class:`~repro.costmodel.PriceTable` from it — every code it can
-  dispatch, on every engine, at every DVFS point it can run — so the
-  dispatch path reads prices by (code id, engine index, ladder
-  position).  Only a custom governor's point off that ladder is priced
-  through the keyed lookup.
+* **One price table per run**: each run collects the graph of every
+  model its sessions stream (phases included) and of every piece
+  :func:`~repro.runtime.segmentation.split_models` cuts, and builds one
+  :class:`~repro.costmodel.PriceTable` from the process-wide cost store
+  — every code it can dispatch, on every engine, at every DVFS point it
+  can run.  The dispatch path reads prices by (code id, engine index,
+  ladder position), and the scheduler and governor receive the table.
+  Only a custom governor's point off that ladder is priced by key.  A
+  run whose sessions bind one code to two different graphs is rejected
+  before any event runs.
 * **Slack-aware DVFS** (``dvfs_policy``): a
   :class:`~repro.runtime.governor.DvfsGovernor` consulted at every
   dispatch boundary may move the engine's operating point per piece of
@@ -98,13 +99,13 @@ from typing import Mapping, Sequence
 
 from repro.costmodel import (
     DEFAULT_DVFS_POINTS,
-    CachedCostTable,
     CostCacheStats,
-    CostTable,
     DvfsPoint,
+    PriceTable,
 )
 from repro.costmodel.analysis import ordered_sum
 from repro.hardware import AcceleratorSystem
+from repro.nn import ModelGraph
 from repro.workload import (
     Dependency,
     InferenceRequest,
@@ -423,23 +424,13 @@ class MultiScenarioSimulator:
         system: the shared accelerator system.
         scheduler: the dispatch policy, any object implementing the
             :class:`~repro.runtime.scheduler.Scheduler` protocol's
-            ``select(now_s, waiting, idle_engines, system, costs)``
+            ``select(now_s, waiting, idle_engines, system, prices)``
             (checked at construction).  It is called directly with the
             live waiting view and idle list.  If the policy keeps
             cross-run state it should expose ``reset()``, which is
             invoked at the start of every run so a shared instance gives
             order-independent results.
         duration_s: streamed seconds per session (must be positive).
-        costs: the cost table, by default a plain
-            :class:`~repro.costmodel.CostTable`.  A table that is not a
-            :class:`CachedCostTable` is wrapped in a fresh one over it
-            for each run, which registers the run's segment graphs and
-            counts its hits and misses, so each run's ``cost_stats``
-            count that run alone.  A :class:`CachedCostTable` passed in
-            is used as given, and its counts carry over from run to
-            run.  The run builds a
-            :class:`~repro.costmodel.PriceTable` from it, which the
-            dispatch path reads by index.
         granularity: ``"model"`` (whole-model dispatch, the seed
             behaviour) or ``"segment"`` (split models yield engines at
             segment boundaries).
@@ -485,7 +476,6 @@ class MultiScenarioSimulator:
     system: AcceleratorSystem
     scheduler: Scheduler
     duration_s: float = 1.0
-    costs: CostTable = field(default_factory=CostTable)
     granularity: str = "model"
     segments_per_model: int = 2
     engine_dvfs: dict[int, DvfsPoint] = field(default_factory=dict)
@@ -507,7 +497,7 @@ class MultiScenarioSimulator:
         if not callable(getattr(self.scheduler, "select", None)):
             raise TypeError(
                 f"scheduler {self.scheduler!r} does not implement "
-                f"select(now_s, waiting, idle_engines, system, costs)"
+                f"select(now_s, waiting, idle_engines, system, prices)"
             )
         ids = [spec.session_id for spec in self.sessions]
         if len(set(ids)) != len(ids):
@@ -599,37 +589,47 @@ class MultiScenarioSimulator:
 
     # -- segment planning ----------------------------------------------------
 
-    def _plan_segments(self, costs) -> dict[str, SegmentChain]:
-        """Per-model compile-time segment chains, registering segment graphs.
+    def _plan_segments(
+        self,
+    ) -> tuple[dict[str, SegmentChain], dict[str, ModelGraph]]:
+        """Per-model compile-time segment chains, and the graphs to price.
 
         Every model a session can stream gets a chain — phase scenarios'
         models too, as a session may only stream them mid-run — keyed in
-        first-seen order, which the run's price table numbers codes by.
-        Each is a :class:`~repro.runtime.segmentation.SegmentChain`: the
-        piece codes plus prebuilt suffix views with per-(engine, ladder
+        first-seen order.  Each is a
+        :class:`~repro.runtime.segmentation.SegmentChain`: the piece
+        codes plus prebuilt suffix views with per-(engine, ladder
         position) latency memos, resolved once here instead of per
         request.  Under segment granularity the models
         :func:`~repro.runtime.segmentation.split_models` splits get
         their pieces' chains; every other model is dispatched whole.
+
+        The graphs map every code the run can dispatch to its layer
+        graph: the models in first-seen order, then the pieces.  A code
+        bound to two different graphs raises ``ValueError`` naming it,
+        since the run could price only one of them.
         """
         scenarios = []
         for spec in self.sessions:
             scenarios.append(spec.scenario)
             scenarios.extend(p.scenario for p in spec.phases)
-        plans = {
-            code: SegmentChain(code, (None,))
-            for code in dict.fromkeys(
-                sm.code for scenario in scenarios for sm in scenario.models
-            )
-        }
+        graphs: dict[str, ModelGraph] = {}
+
+        def bind(code: str, graph: ModelGraph) -> None:
+            known = graphs.setdefault(code, graph)
+            if known is not graph and known != graph:
+                raise ValueError(
+                    f"task code {code!r} is bound to two different layer "
+                    f"graphs in one run; the run can price only one"
+                )
+
+        for scenario in scenarios:
+            for sm in scenario.models:
+                bind(sm.code, sm.model.graph)
         split = (
             split_models(scenarios, self.segments_per_model)
             if self.granularity == "segment" else {}
         )
-        # The code embeds the split count: a table reused across runs
-        # with different segments_per_model must never resolve against a
-        # stale graph (split_graph is deterministic, so same-count reuse
-        # is safe).
         codes = {
             code: tuple(
                 dispatch_segment_code(code, idx, len(pieces))
@@ -647,12 +647,16 @@ class MultiScenarioSimulator:
                     f"segment plan drift: the plan records {planned} but "
                     f"the run splits {codes}"
                 )
-        for code, pieces in split.items():
+        chains = {}
+        for code in list(graphs):
+            pieces = split.get(code)
+            if pieces is None:
+                chains[code] = SegmentChain(code, (None,))
+                continue
+            chains[code] = SegmentChain(code, codes[code])
             for vcode, piece in zip(codes[code], pieces):
-                if not costs.knows(vcode):
-                    costs.register_graph(vcode, piece)
-            plans[code] = SegmentChain(code, codes[code])
-        return plans
+                bind(vcode, piece)
+        return chains, graphs
 
     # -- the event loop ------------------------------------------------------
 
@@ -665,10 +669,7 @@ class MultiScenarioSimulator:
         if callable(reset):
             reset()
         preemptive = bool(getattr(scheduler, "preemptive", False))
-        costs = self.costs
-        if not isinstance(costs, CachedCostTable):
-            costs = CachedCostTable(base=costs)
-        chains = self._plan_segments(costs)
+        chains, graphs = self._plan_segments()
 
         governor = self._governor
         fleet = EngineFleet([
@@ -703,11 +704,7 @@ class MultiScenarioSimulator:
         points.extend(engine.dvfs for engine in engines)
         if fplan is not None and fplan.has_thermal:
             points.extend(thermal_ladder)
-        codes = []
-        for chain in chains.values():
-            codes.append(chain.model_code)
-            codes.extend(code for code in chain.codes if code)
-        prices = costs.price_table(self.system, points, codes)
+        prices = PriceTable(self.system, points, graphs)
         for chain in chains.values():
             chain.ids = tuple(
                 prices.ids[code or chain.model_code] for code in chain.codes
@@ -972,7 +969,7 @@ class MultiScenarioSimulator:
                 # prebuilt suffix view, whose latency memo the governor
                 # prices its reservations from.  The returned point is
                 # priced at its ladder position (resolved by identity);
-                # a point off the ladder goes through the keyed lookup.
+                # a point off the ladder is priced by key.
                 context.contended = bool(waiting) or bool(resumable)
                 context.next_event_s = events.next_time_s
                 context.has_dependents = (
@@ -982,13 +979,11 @@ class MultiScenarioSimulator:
                 point = governor.select(
                     now_s, item, engine,
                     item.chain.suffixes[item.segment_index + 1],
-                    self.system, costs, context,
+                    self.system, prices, context,
                 )
                 at = prices.position(point)
                 if at is None:
-                    cost = self.system.engine_cost(
-                        costs, item.code, index, point
-                    )
+                    cost = prices.engine_cost(item.code, index, point)
                 else:
                     cost = prices.cost(
                         item.chain.ids[item.segment_index], index, at
@@ -1105,10 +1100,10 @@ class MultiScenarioSimulator:
             # more urgent waiting work (never mid-segment).
             while resumable and idle:
                 if preemptive and waiting and scheduler.should_preempt(
-                    now_s, resumable[0][4], waiting, self.system, costs
+                    now_s, resumable[0][4], waiting, self.system, prices
                 ):
                     choice = scheduler.select(
-                        now_s, waiting, idle, self.system, costs
+                        now_s, waiting, idle, self.system, prices
                     )
                     if choice is not None:
                         item, engine = choice
@@ -1126,7 +1121,7 @@ class MultiScenarioSimulator:
             # Pass 2: let the scheduler fill remaining idle engines.
             while idle:
                 choice = scheduler.select(
-                    now_s, waiting, idle, self.system, costs
+                    now_s, waiting, idle, self.system, prices
                 )
                 if choice is None:
                     return
@@ -1505,5 +1500,5 @@ class MultiScenarioSimulator:
             sessions=session_results,
             records=records,
             busy_time_s={e.index: e.busy_time_s for e in fleet},
-            cost_stats=costs.stats,
+            cost_stats=prices.stats,
         )

@@ -12,7 +12,10 @@ user code can swap in anything (the yellow "user-customisable" boxes of
 Figure 2).  :class:`Scheduler` is that protocol: ``select`` picks a
 ``(work item, engine)`` pair, where work items carry session identity
 and segment position and engines are stateful
-:class:`~repro.runtime.engine.ExecutionEngine` objects.
+:class:`~repro.runtime.engine.ExecutionEngine` objects.  It prices
+candidates from the run's :class:`~repro.costmodel.PriceTable`, which
+the event loop passes it: by index (``prices.fastest``,
+``prices.cost``) or by key (``prices.engine_cost``).
 
 Two optional protocol extensions:
 
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from repro.costmodel import CostTable
+from repro.costmodel import PriceTable
 from repro.hardware import AcceleratorSystem
 from repro.registry import schedulers as SCHEDULER_REGISTRY
 from repro.workload import InferenceRequest
@@ -64,6 +67,9 @@ class Scheduler(Protocol):
     index-ordered idle list.  Both are live views owned by the event
     loop: read them, never mutate or retain them across calls.
 
+    ``prices`` is the run's price table: every code the run can
+    dispatch, on every engine of ``system``.
+
     The chosen item must be one of ``waiting`` (the object itself, not
     an equal copy) and the chosen engine one of ``idle_engines``; the
     event loop raises ``ValueError`` otherwise.
@@ -75,7 +81,7 @@ class Scheduler(Protocol):
         waiting: Sequence[WorkItem],
         idle_engines: Sequence[ExecutionEngine],
         system: AcceleratorSystem,
-        costs: CostTable,
+        prices: PriceTable,
     ) -> tuple[WorkItem, ExecutionEngine] | None:
         """Choose the next dispatch, or ``None`` to leave engines idle."""
         ...
@@ -84,37 +90,18 @@ class Scheduler(Protocol):
 def _best_engine(
     code: str,
     idle_engines: Sequence[ExecutionEngine],
-    system: AcceleratorSystem,
-    costs: CostTable,
+    prices: PriceTable,
 ) -> ExecutionEngine:
     """The idle engine with the lowest expected latency for model ``code``.
 
     Engines are priced for the whole model at the nominal operating
     point, also when the item is one segment of it: a segment's relative
-    engine affinity matches its parent model's.  During a run the table
-    is always a :class:`~repro.costmodel.CachedCostTable`, which answers
-    from the run's :class:`~repro.costmodel.PriceTable` by index.  The
-    per-engine keyed lookup serves callers outside a run: a table
-    without prices, or a fleet the table holds no prices for.  Both
-    paths pick the same engine: the price table holds the keyed
-    lookup's nominal floats and breaks latency ties toward the lowest
-    index, exactly like the ``min`` key (``idle_engines`` is
-    index-ordered).
+    engine affinity matches its parent model's.  Latency ties go to the
+    lowest index (``idle_engines`` is index-ordered).
     """
     if len(idle_engines) == 1:
         return idle_engines[0]
-    prices_of = getattr(costs, "prices", None)
-    prices = prices_of(system) if prices_of is not None else None
-    code_id = prices.ids.get(code) if prices is not None else None
-    if prices is None or code_id is None:
-        return min(
-            idle_engines,
-            key=lambda e: (
-                system.model_cost(costs, code, e.index).latency_s,
-                e.index,
-            ),
-        )
-    return prices.fastest(code_id, idle_engines, prices.nominal)
+    return prices.fastest(prices.ids[code], idle_engines, prices.nominal)
 
 
 @dataclass
@@ -131,13 +118,13 @@ class LatencyGreedyScheduler:
         waiting: Sequence[WorkItem],
         idle_engines: Sequence[ExecutionEngine],
         system: AcceleratorSystem,
-        costs: CostTable,
+        prices: PriceTable,
     ) -> tuple[WorkItem, ExecutionEngine] | None:
         if not waiting or not idle_engines:
             return None
         item = waiting[0]  # oldest data first
         return item, _best_engine(
-            item.request.model_code, idle_engines, system, costs
+            item.request.model_code, idle_engines, prices
         )
 
 
@@ -153,7 +140,7 @@ class RoundRobinScheduler:
         waiting: Sequence[WorkItem],
         idle_engines: Sequence[ExecutionEngine],
         system: AcceleratorSystem,
-        costs: CostTable,
+        prices: PriceTable,
     ) -> tuple[WorkItem, ExecutionEngine] | None:
         if not waiting or not idle_engines:
             return None
@@ -211,13 +198,13 @@ class EarliestDeadlineScheduler:
         waiting: Sequence[WorkItem],
         idle_engines: Sequence[ExecutionEngine],
         system: AcceleratorSystem,
-        costs: CostTable,
+        prices: PriceTable,
     ) -> tuple[WorkItem, ExecutionEngine] | None:
         if not waiting or not idle_engines:
             return None
         item = _earliest_deadline(waiting)
         return item, _best_engine(
-            item.request.model_code, idle_engines, system, costs
+            item.request.model_code, idle_engines, prices
         )
 
     def should_preempt(
@@ -226,7 +213,7 @@ class EarliestDeadlineScheduler:
         resuming: WorkItem,
         waiting: Sequence[WorkItem],
         system: AcceleratorSystem,
-        costs: CostTable,
+        prices: PriceTable,
     ) -> bool:
         if not self.preemptive or not waiting:
             return False
@@ -287,7 +274,7 @@ class RateMonotonicScheduler:
         waiting: Sequence[WorkItem],
         idle_engines: Sequence[ExecutionEngine],
         system: AcceleratorSystem,
-        costs: CostTable,
+        prices: PriceTable,
     ) -> tuple[WorkItem, ExecutionEngine] | None:
         if not waiting or not idle_engines:
             return None
@@ -296,7 +283,7 @@ class RateMonotonicScheduler:
             key=lambda w: (self._period(w.request), w.request.request_time_s),
         )
         return item, _best_engine(
-            item.request.model_code, idle_engines, system, costs
+            item.request.model_code, idle_engines, prices
         )
 
     def should_preempt(
@@ -305,7 +292,7 @@ class RateMonotonicScheduler:
         resuming: WorkItem,
         waiting: Sequence[WorkItem],
         system: AcceleratorSystem,
-        costs: CostTable,
+        prices: PriceTable,
     ) -> bool:
         if not self.preemptive or not waiting:
             return False

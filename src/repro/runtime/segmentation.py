@@ -14,15 +14,19 @@ Usage::
 
     from repro.runtime.segmentation import segment_scenario
 
-    scenario, table = segment_scenario(get_scenario("ar_gaming"), "PD", 2)
+    scenario = segment_scenario(get_scenario("ar_gaming"), "PD", 2)
     sim = MultiScenarioSimulator(
         sessions=[SessionSpec(0, scenario)], system=system,
-        scheduler=LatencyGreedyScheduler(), costs=table,
+        scheduler=LatencyGreedyScheduler(),
     )
 
-Segment-level dispatch (``granularity="segment"``) splits a run's models
-without changing its scenarios; :func:`split_models` decides which
-models split and into which pieces.
+The variant's segment models carry their pieces as their graphs, so the
+run prices them like any other model.  Segment-level dispatch
+(``granularity="segment"``) splits a run's models without changing its
+scenarios; :func:`split_models` decides which models split and into
+which pieces.  :func:`split_graph` memoises its pieces for the process,
+so every run and variant shares the same piece objects, which the cost
+store keys by identity.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable
 
-from repro.costmodel import CachedCostTable, PriceTable
+from repro.costmodel import PriceTable
 from repro.nn import ModelGraph
 from repro.workload import (
     Dependency,
@@ -50,29 +54,46 @@ def segment_code(code: str, index: int) -> str:
 
 
 def dispatch_segment_code(code: str, index: int, total: int) -> str:
-    """Cost-table code of one dispatch-time segment, e.g. ``PD.0of3``.
+    """Price-table code of one dispatch-time segment, e.g. ``PD.0of3``.
 
     Unlike :func:`segment_code` (which names scenario-level virtual
-    models), these codes are cost-table-only and embed the split count,
-    so a table shared across runs with different ``segments_per_model``
-    never resolves a segment against a stale graph from an earlier
-    split.
+    models), these codes name price-table entries only and embed the
+    split count, so they never collide with a scenario's own codes or
+    with another split count's pieces.
     """
     return f"{code}.{index}of{total}"
 
 
-def split_graph(graph: ModelGraph, segments: int) -> list[ModelGraph]:
+#: ``(id(graph), segments) -> (graph, pieces)``: every split made in the
+#: process.  The entry holds the graph, so its id cannot be reused while
+#: the entry lives.
+_PIECES: dict[tuple[int, int], tuple[ModelGraph, tuple[ModelGraph, ...]]] = {}
+
+
+def split_graph(graph: ModelGraph, segments: int) -> tuple[ModelGraph, ...]:
     """Split a graph into MAC-balanced contiguous layer segments.
 
     Split points only fall on layer boundaries where no later layer
     reaches back across the cut via a residual connection — cutting
     through a skip would require shipping two tensors between engines,
     which the virtual-model chain cannot express.
+
+    The pieces are memoised per (graph, segments) for the process, so
+    every caller splitting one graph object gets the same piece objects.
     """
+    key = (id(graph), segments)
+    entry = _PIECES.get(key)
+    if entry is None:
+        entry = _PIECES[key] = (graph, _split(graph, segments))
+    return entry[1]
+
+
+def _split(graph: ModelGraph, segments: int) -> tuple[ModelGraph, ...]:
+    """:func:`split_graph` without the memo."""
     if segments < 1:
         raise ValueError(f"segments must be >= 1, got {segments}")
     if segments == 1:
-        return [graph]
+        return (graph,)
     n = len(graph.layers)
     if segments > n:
         raise ValueError(
@@ -128,12 +149,12 @@ def split_graph(graph: ModelGraph, segments: int) -> list[ModelGraph]:
             )
         )
         start = end + 1
-    return pieces
+    return tuple(pieces)
 
 
 def split_models(
     scenarios: Iterable[UsageScenario], segments: int
-) -> dict[str, list[ModelGraph]]:
+) -> dict[str, tuple[ModelGraph, ...]]:
     """The pieces of every model the scenarios stream that splits.
 
     Maps each distinct model code, in first-seen order, whose graph
@@ -141,9 +162,9 @@ def split_models(
     pieces; a model without enough residual-safe cut points is absent
     (it runs whole).  Empty when ``segments < 2``.  This is the only
     decision of which models split: the plan compiler records its codes
-    and the event loop registers its pieces.
+    and the event loop prices its pieces.
     """
-    split: dict[str, list[ModelGraph]] = {}
+    split: dict[str, tuple[ModelGraph, ...]] = {}
     if segments < 2:
         return split
     seen: set[str] = set()
@@ -173,7 +194,7 @@ class SegmentChain:
     segments, prices and governor budget reservations never re-derive
     the plan per request: segment ``k``'s follow-up and its code id are
     tuple indexes, and reserving the remaining chain's time is one memo
-    probe instead of a cost-table query per remaining segment per
+    probe instead of a price-table read per remaining segment per
     candidate point.
     """
 
@@ -243,10 +264,9 @@ class ChainSuffix:
     ) -> tuple[float, ...]:
         """Latency of each segment of this tail on one engine.
 
-        Read from the run's price table — the floats the per-call keyed
-        formulation prices — and memoised per ``(engine, ladder
-        position)``, which is what turns the governor's remaining-work
-        reservation into one probe.
+        Read from the run's price table and memoised per ``(engine,
+        ladder position)``, which is what turns the governor's
+        remaining-work reservation into one probe.
         """
         key = (engine_index, position)
         cached = self._latencies.get(key)
@@ -262,16 +282,16 @@ def segment_scenario(
     scenario: UsageScenario,
     code: str,
     segments: int,
-    table: CachedCostTable | None = None,
-) -> tuple[UsageScenario, CachedCostTable]:
+) -> UsageScenario:
     """Replace one model with a chain of pipelined segments.
 
-    Returns the variant scenario and a cost table that can price the
-    virtual segment models.  The original model's sensors, rate and
-    quality goal are inherited by every segment; segments are chained with
-    always-firing data dependencies so the runtime executes them in
-    order (possibly on different engines, possibly overlapped across
-    frames).
+    Returns the variant scenario.  Each segment is a virtual model coded
+    :func:`segment_code` whose graph is its piece
+    (``graph_override``), so a run prices it like any other model.  The
+    original model's sensors, rate and quality goal are inherited by
+    every segment; segments are chained with always-firing data
+    dependencies so the runtime executes them in order (possibly on
+    different engines, possibly overlapped across frames).
     """
     base_sm = scenario.get(code)  # raises KeyError when inactive
     if segments < 2:
@@ -284,7 +304,6 @@ def segment_scenario(
                 f"cannot segment {code!r}: it participates in the "
                 f"dependency {dep.upstream}->{dep.downstream}"
             )
-    table = table if table is not None else CachedCostTable()
     pieces = split_graph(base_sm.model.graph, segments)
 
     seg_models: list[ScenarioModel] = []
@@ -292,12 +311,6 @@ def segment_scenario(
     prev_code: str | None = None
     for idx, piece in enumerate(pieces):
         vcode = segment_code(code, idx)
-        # A table shared across runs (the Experiment shared-table path)
-        # may already know this segment from an earlier call;
-        # register_graph treats the identical deterministic piece as a
-        # no-op and still rejects a conflicting one (a different split
-        # count reusing the same scenario-level code).
-        table.register_graph(vcode, piece)
         unit = replace(base_sm.model, code=vcode, graph_override=piece)
         seg_models.append(
             ScenarioModel(
@@ -313,10 +326,9 @@ def segment_scenario(
     models = tuple(
         sm for sm in scenario.models if sm.code != code
     ) + tuple(seg_models)
-    variant = replace(
+    return replace(
         scenario,
         name=f"{scenario.name}_{code.lower()}x{segments}",
         models=models,
         dependencies=tuple(deps),
     )
-    return variant, table

@@ -212,10 +212,10 @@ class TestDiff:
 
 
 class TestEstimate:
-    def test_estimates_are_positive_and_consistent(self, cost_table):
+    def test_estimates_are_positive_and_consistent(self):
         plan = compile_plan(RunSpec(scenario="vr_gaming", sessions=2,
                                     **SHORT))
-        est = estimate_plan(plan, costs=cost_table)
+        est = estimate_plan(plan)
         assert est["sessions"] == 2
         assert est["expected_requests"] > 0
         assert est["est_busy_engine_s"] > 0
@@ -224,14 +224,14 @@ class TestEstimate:
             est["est_busy_engine_s"] / plan.num_engines
         )
 
-    def test_churned_cell_costs_less_than_static(self, cost_table):
+    def test_churned_cell_costs_less_than_static(self):
         static = compile_plan(RunSpec(scenario="vr_gaming", sessions=4,
                                       **SHORT))
         churned = compile_plan(RunSpec(scenario="vr_gaming", sessions=4,
                                        churn=0.3, **SHORT))
-        assert estimate_plan(churned, costs=cost_table)[
+        assert estimate_plan(churned)[
             "expected_requests"
-        ] <= estimate_plan(static, costs=cost_table)["expected_requests"]
+        ] <= estimate_plan(static)["expected_requests"]
 
 
 class TestExecutePlan:
@@ -243,10 +243,10 @@ class TestExecutePlan:
                 scheduler="edf", **SHORT),
         RunSpec(scenario="vr_gaming", sessions=2, faults="single", **SHORT),
     ], ids=["segment", "churn", "faults"])
-    def test_round_tripped_plan_replays_identically(self, spec, cost_table):
-        direct = execute(spec, costs=cost_table)
+    def test_round_tripped_plan_replays_identically(self, spec):
+        direct = execute(spec)
         wire = DispatchPlan.from_json(compile_plan(spec).to_json())
-        replayed = execute_plan(wire, costs=cost_table)
+        replayed = execute_plan(wire)
         for a, b in zip(direct.result.sessions, replayed.result.sessions):
             assert a.session_id == b.session_id
             assert len(a.requests) == len(b.requests)
@@ -255,16 +255,15 @@ class TestExecutePlan:
             [r.score.overall for r in replayed.session_reports]
         )
 
-    def test_suite_plan_matches_suite_execute(self, cost_table):
+    def test_suite_plan_matches_suite_execute(self):
         spec = RunSpec.for_suite("A", **SHORT)
-        direct = execute(spec, costs=cost_table)
+        direct = execute(spec)
         replayed = execute_plan(
             DispatchPlan.from_json(compile_plan(spec).to_json()),
-            costs=cost_table,
         )
         assert replayed.xrbench_score == direct.xrbench_score
 
-    def test_segment_plan_drift_raises(self, cost_table):
+    def test_segment_plan_drift_raises(self):
         spec = RunSpec(scenario=("vr_gaming",), granularity="segment",
                        **SHORT)
         plan = compile_plan(spec)
@@ -285,16 +284,16 @@ class TestExecutePlan:
         code, pieces = plan.segment_chains[0]
         with pytest.raises(ValueError, match="segment plan drift"):
             execute_plan(
-                forge(((code, pieces + ("bogus",)),)), costs=cost_table
+                forge(((code, pieces + ("bogus",)),))
             )
         # A chain table leaving out a model that splits: it would run
         # whole, so the run must not start.
         with pytest.raises(ValueError, match="segment plan drift"):
-            execute_plan(forge(plan.segment_chains[1:]), costs=cost_table)
+            execute_plan(forge(plan.segment_chains[1:]))
 
 
 class TestPlanCache:
-    def test_seed_grid_hits_the_cache(self, cost_table):
+    def test_seed_grid_hits_the_cache(self):
         from repro.api import Sweep
 
         sweep = Sweep(
@@ -303,13 +302,13 @@ class TestPlanCache:
         )
         sink = CollectingSink()
         experiment = Experiment.from_sweep(sweep)
-        experiment.run(sinks=[sink], costs=cost_table)
+        experiment.run(sinks=[sink])
         (finished,) = [
             e for e in sink.events if e.kind == "experiment_finished"
         ]
         assert finished.payload["plan_cache_hits"] == 2
 
-    def test_distinct_workloads_never_hit(self, cost_table):
+    def test_distinct_workloads_never_hit(self):
         from repro.api import Sweep
 
         sweep = Sweep(
@@ -317,7 +316,7 @@ class TestPlanCache:
             grid={"scenario": ("vr_gaming", "ar_gaming")},
         )
         sink = CollectingSink()
-        Experiment.from_sweep(sweep).run(sinks=[sink], costs=cost_table)
+        Experiment.from_sweep(sweep).run(sinks=[sink])
         (finished,) = [
             e for e in sink.events if e.kind == "experiment_finished"
         ]

@@ -53,6 +53,20 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             RunSpec.from_dict(data)
 
+    def test_segment_count_requires_segment_granularity(self):
+        # Only segment dispatch splits models: another count at model
+        # granularity (a suite's included) would change the plan's
+        # fingerprint but not the run.
+        message = "segments_per_model=3 only acts at segment granularity"
+        with pytest.raises(ValueError, match=message):
+            RunSpec(scenario="ar_gaming", accelerator="J", pes=8192,
+                    duration_s=0.25, segments_per_model=3)
+        with pytest.raises(ValueError, match=message):
+            RunSpec(suite=True, segments_per_model=3)
+        spec = RunSpec(scenario="ar_gaming", granularity="segment",
+                       segments_per_model=3)
+        assert RunSpec.from_dict(spec.to_dict()) == spec
+
     def test_scenario_required_without_suite(self):
         with pytest.raises(ValueError, match="scenario"):
             RunSpec()
@@ -113,7 +127,7 @@ class TestExecuteEquivalence:
 
     @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
     def test_single_scenario_matches_harness(
-        self, scheduler, cost_table, hda_j_4k
+        self, scheduler, hda_j_4k
     ):
         spec = RunSpec.from_dict(RunSpec(
             scenario="ar_gaming", accelerator="J",
@@ -121,9 +135,8 @@ class TestExecuteEquivalence:
         ).to_dict())
         harness = Harness(
             config=HarnessConfig(duration_s=0.4, scheduler=scheduler),
-            costs=cost_table,
         )
-        via_spec = execute(spec, costs=cost_table)
+        via_spec = execute(spec)
         via_harness = harness.run_scenario("ar_gaming", hda_j_4k, seed=3)
         assert via_spec.score.overall == via_harness.score.overall
         assert via_spec.score.rt == via_harness.score.rt
@@ -135,7 +148,7 @@ class TestExecuteEquivalence:
     @pytest.mark.parametrize("granularity", ["model", "segment"])
     @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
     def test_sessions_match_harness(
-        self, scheduler, granularity, cost_table, hda_j_4k
+        self, scheduler, granularity, hda_j_4k
     ):
         spec = RunSpec.from_dict(RunSpec(
             scenario="vr_gaming", accelerator="J",
@@ -144,9 +157,8 @@ class TestExecuteEquivalence:
         ).to_dict())
         harness = Harness(
             config=HarnessConfig(duration_s=0.4, scheduler=scheduler),
-            costs=cost_table,
         )
-        via_spec = execute(spec, costs=cost_table)
+        via_spec = execute(spec)
         via_harness = harness.run_sessions(
             "vr_gaming", hda_j_4k, num_sessions=2, granularity=granularity
         )
@@ -155,47 +167,47 @@ class TestExecuteEquivalence:
         )
         assert via_spec.result.busy_time_s == via_harness.result.busy_time_s
 
-    def test_suite_matches_harness(self, cost_table, fda_ws_4k):
+    def test_suite_matches_harness(self, fda_ws_4k):
         spec = RunSpec.from_json(
             RunSpec.for_suite("A", duration_s=0.4).to_json()
         )
         harness = Harness(
-            config=HarnessConfig(duration_s=0.4), costs=cost_table
+            config=HarnessConfig(duration_s=0.4)
         )
-        via_spec = execute(spec, costs=cost_table)
+        via_spec = execute(spec)
         via_harness = harness.run_suite(fda_ws_4k)
         assert via_spec.xrbench_score == via_harness.xrbench_score
         assert [r.overall for r in via_spec.scenario_reports] == (
             [r.overall for r in via_harness.scenario_reports]
         )
 
-    def test_same_spec_is_deterministic(self, cost_table):
+    def test_same_spec_is_deterministic(self):
         spec = RunSpec(scenario="outdoor_activity_a", accelerator="A",
                        duration_s=0.4, seed=11)
-        a = execute(spec, costs=cost_table)
-        b = execute(spec, costs=cost_table)
+        a = execute(spec)
+        b = execute(spec)
         assert a.score.overall == b.score.overall
 
 
 class TestExecuteRouting:
-    def test_single_returns_scenario_report(self, cost_table):
+    def test_single_returns_scenario_report(self):
         spec = RunSpec(scenario="ar_gaming", accelerator="A",
                        duration_s=0.4)
-        report = execute(spec, costs=cost_table)
+        report = execute(spec)
         assert report.simulation.scenario.name == "ar_gaming"
 
-    def test_segment_granularity_routes_to_sessions(self, cost_table):
+    def test_segment_granularity_routes_to_sessions(self):
         spec = RunSpec(scenario="ar_gaming", accelerator="J",
                        duration_s=0.4, granularity="segment")
-        report = execute(spec, costs=cost_table)
+        report = execute(spec)
         assert report.result.num_sessions == 1
 
-    def test_score_preset_is_applied(self, cost_table):
+    def test_score_preset_is_applied(self):
         base = RunSpec(scenario="ar_gaming", accelerator="A",
                        duration_s=0.4)
-        default = execute(base, costs=cost_table)
+        default = execute(base)
         lenient = execute(
-            base.replace(score_preset="lenient_rt"), costs=cost_table
+            base.replace(score_preset="lenient_rt")
         )
         # A different sigmoid steepness must change the RT score, and
         # only the scoring — the simulation itself is untouched.
@@ -204,21 +216,20 @@ class TestExecuteRouting:
             len(default.simulation.requests)
         )
 
-    def test_suite_scores_with_measured_quality(self, cost_table):
+    def test_suite_scores_with_measured_quality(self):
         # Every suite scenario is scored against the measured quality
         # map, as single and session-group runs are: ES measured at half
         # its goal lowers the accuracy of the scenarios that run it.
         spec = RunSpec.for_suite("J", pes=8192, duration_s=0.25)
-        nominal = execute(spec, costs=cost_table)
+        nominal = execute(spec)
         measured = execute(
-            spec, costs=cost_table, measured_quality={"ES": 45.0}
+            spec, measured_quality={"ES": 45.0}
         )
         assert measured.xrbench_score < nominal.xrbench_score
 
-    def test_events_are_emitted(self, cost_table):
+    def test_events_are_emitted(self):
         sink = CollectingSink()
-        execute(RunSpec.for_suite("A", duration_s=0.4),
-                costs=cost_table, sinks=[sink])
+        execute(RunSpec.for_suite("A", duration_s=0.4), sinks=[sink])
         kinds = sink.kinds()
         assert kinds[0] == "spec_started"
         assert kinds[-1] == "spec_finished"
@@ -307,12 +318,12 @@ class TestAdmissionField:
         assert RunSpec.from_json(spec.to_json()) == spec
         assert spec.to_dict()["admission"] == "degrade"
 
-    def test_controlled_execution_stamps_records(self, cost_table):
+    def test_controlled_execution_stamps_records(self):
         from repro.api import execute
 
         spec = RunSpec(scenario="vr_gaming", accelerator="J", pes=4096,
                        sessions=8, duration_s=0.25, admission="shed")
-        report = execute(spec, costs=cost_table)
+        report = execute(spec)
         records = [s.admission for s in report.result.sessions]
         assert all(r is not None and r.policy == "shed" for r in records)
 

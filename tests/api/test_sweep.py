@@ -97,14 +97,14 @@ class TestExperiment:
         assert len(experiment) == 2
         assert [s.accelerator for s in experiment.specs] == ["A", "J"]
 
-    def test_serial_run_shares_cost_cache(self, cost_table):
+    def test_serial_run_shares_cost_cache(self):
         sweep = Sweep(base=BASE, grid={"seed": (0, 1)})
-        reports = Experiment.from_sweep(sweep).run(costs=cost_table)
+        reports = Experiment.from_sweep(sweep).run()
         assert len(reports) == 2
         for report in reports:
             assert 0.0 <= report.score.overall <= 1.0
 
-    def test_workers_match_serial(self, cost_table):
+    def test_workers_match_serial(self):
         """Acceptance: 2 scenarios x 2 accelerators, workers=2 == serial."""
         sweep = Sweep(
             base=BASE,
@@ -112,9 +112,8 @@ class TestExperiment:
                   "accelerator": ("A", "J")},
         )
         experiment = Experiment.from_sweep(sweep)
-        serial = experiment.run(costs=cost_table)
-        # The caller-supplied table must be forwarded to the workers.
-        pooled = experiment.run(workers=2, costs=cost_table)
+        serial = experiment.run()
+        pooled = experiment.run(workers=2)
         assert [r.score.overall for r in serial] == (
             [r.score.overall for r in pooled]
         )
@@ -127,12 +126,12 @@ class TestExperiment:
         with pytest.raises(ValueError, match="workers"):
             Experiment(specs=(BASE,)).run(workers=0)
 
-    def test_pool_event_stream_matches_serial_shape(self, cost_table):
+    def test_pool_event_stream_matches_serial_shape(self):
         sweep = Sweep(base=BASE, grid={"seed": (0, 1)})
         experiment = Experiment.from_sweep(sweep)
         serial_sink, pool_sink = CollectingSink(), CollectingSink()
-        experiment.run(sinks=[serial_sink], costs=cost_table)
-        experiment.run(workers=2, sinks=[pool_sink], costs=cost_table)
+        experiment.run(sinks=[serial_sink])
+        experiment.run(workers=2, sinks=[pool_sink])
         pool_kinds = pool_sink.kinds()
         assert pool_kinds.count("spec_started") == 2
         assert pool_kinds.count("spec_finished") == 2
@@ -146,11 +145,11 @@ class TestExperiment:
         ]
         assert serial_overall == pool_overall
 
-    def test_events_cover_every_spec(self, cost_table):
+    def test_events_cover_every_spec(self):
         sink = CollectingSink()
         sweep = Sweep(base=BASE, grid={"seed": (0, 1, 2)})
         Experiment.from_sweep(sweep, name="evt").run(
-            sinks=[sink], costs=cost_table
+            sinks=[sink]
         )
         kinds = sink.kinds()
         assert kinds[0] == "experiment_started"
@@ -177,13 +176,13 @@ class TestWorkerDeathRetry:
 
             raise BrokenProcessPool("worker died")
 
-    def test_dead_worker_cell_retried_serially(self, cost_table):
+    def test_dead_worker_cell_retried_serially(self):
         from repro.api.execute import _pooled_result
 
         spec = BASE
         sink = CollectingSink()
         report, retries = _pooled_result(
-            spec, self._DeadFuture(), cost_table, [sink], 0, 1
+            spec, self._DeadFuture(), [sink], 0, 1
         )
         assert retries == 1
         assert 0.0 <= report.score.overall <= 1.0
@@ -191,8 +190,7 @@ class TestWorkerDeathRetry:
         assert event.payload["attempt"] == 1
         assert event.payload["error"] == "BrokenProcessPool"
 
-    def test_retry_budget_exhaustion_fails_the_sweep(self, monkeypatch,
-                                                     cost_table):
+    def test_retry_budget_exhaustion_fails_the_sweep(self, monkeypatch):
         import importlib
         from concurrent.futures.process import BrokenProcessPool
 
@@ -205,12 +203,12 @@ class TestWorkerDeathRetry:
         sink = CollectingSink()
         with pytest.raises(RuntimeError, match="worker process died"):
             execute_module._pooled_result(
-                BASE, self._DeadFuture(), cost_table, [sink], 0, 1
+                BASE, self._DeadFuture(), [sink], 0, 1
             )
         retried = [e for e in sink.events if e.kind == "spec_retried"]
         assert [e.payload["attempt"] for e in retried] == [1, 2]
 
-    def test_pooled_run_notes_retried_cells(self, monkeypatch, cost_table):
+    def test_pooled_run_notes_retried_cells(self, monkeypatch):
         """End to end: one worker dies, the sweep still completes and the
         experiment_finished event names the retried cell."""
         import importlib
@@ -227,14 +225,14 @@ class TestWorkerDeathRetry:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, spec_dict, costs):
+            def submit(self, fn, spec_dict):
                 self.calls += 1
                 if self.calls == 1:
                     return TestWorkerDeathRetry._DeadFuture()
 
                 class _Lazy:
                     def result(_self):
-                        return fn(spec_dict, costs)
+                        return fn(spec_dict)
 
                 return _Lazy()
 
@@ -243,7 +241,7 @@ class TestWorkerDeathRetry:
         sink = CollectingSink()
         sweep = Sweep(base=BASE, grid={"seed": (0, 1)})
         reports = Experiment.from_sweep(sweep).run(
-            workers=2, sinks=[sink], costs=cost_table
+            workers=2, sinks=[sink]
         )
         assert len(reports) == 2
         (finished,) = [
@@ -255,11 +253,11 @@ class TestWorkerDeathRetry:
         assert sink.kinds().count("spec_retried") == 1
 
 
-class TestSharedCostTable:
+class TestSharedCostStore:
     def test_experiment_reuses_analysis_across_specs(self, monkeypatch):
-        """The serial path's shared table answers the second spec's
-        lookups: its run analyses no (engine, graph) pair again."""
-        from repro.costmodel import CostTable, cached, model_cost
+        """The cost store is process-wide: the second spec's run
+        analyses no (engine shape, graph) pair again."""
+        from repro.costmodel import CostModel, cached
 
         calls: list[int] = []
 
@@ -268,49 +266,18 @@ class TestSharedCostTable:
                 if event.kind == "spec_started":
                     calls.append(0)
 
-        def counting(original):
-            def wrapper(engine, graph):
-                calls[-1] += 1
-                return original(engine, graph)
-            return wrapper
+        original = CostModel.model_cost
 
-        for module in (model_cost, cached):
-            monkeypatch.setattr(
-                module, "memoized_model_cost",
-                counting(module.memoized_model_cost),
-            )
+        def counting(engine, graph):
+            calls[-1] += 1
+            return original(engine, graph)
+
+        monkeypatch.setattr(cached, "_STORE", {})
+        monkeypatch.setattr(CostModel, "model_cost", counting)
         sweep = Sweep(base=BASE, grid={"seed": (0, 1)})
-        reports = Experiment.from_sweep(sweep).run(
-            sinks=[SpecCounter()], costs=CostTable()
-        )
+        reports = Experiment.from_sweep(sweep).run(sinks=[SpecCounter()])
         assert reports[0].simulation.scenario.name == (
             reports[1].simulation.scenario.name
         )
         assert calls[0] > 0
         assert calls[1] == 0
-
-    def test_execute_prices_through_given_table(self):
-        """``execute``'s ``costs`` table is the base its run prices
-        through: the run consults it, reports its own wrapper's counts
-        and scores exactly as the spec-only call does."""
-        from repro.costmodel import CostTable
-
-        class CountingTable(CostTable):
-            queries = 0
-
-            def cost(self, task_code, dataflow, num_pes):
-                self.queries += 1
-                return super().cost(task_code, dataflow, num_pes)
-
-        spec = RunSpec(scenario="vr_gaming", accelerator="J",
-                       duration_s=0.4, sessions=2)
-        table = CountingTable()
-        report = execute(spec, costs=table)
-        assert table.queries > 0
-        assert report.result.cost_stats is not None
-        assert report.result.cost_stats.lookups > 0
-        plain = execute(spec)
-        assert [r.score.overall for r in report.session_reports] == (
-            [r.score.overall for r in plain.session_reports]
-        )
-        assert report.result.busy_time_s == plain.result.busy_time_s

@@ -5,28 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Harness, HarnessConfig
-from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
 
 
 @pytest.fixture(scope="session")
-def cost_table() -> CostTable:
-    """One shared cost table so model analysis runs once per session."""
-    return CostTable()
+def shared_harness() -> Harness:
+    """A default harness."""
+    return Harness()
 
 
 @pytest.fixture(scope="session")
-def shared_harness(cost_table: CostTable) -> Harness:
-    """A default harness sharing the session cost table."""
-    return Harness(costs=cost_table)
-
-
-@pytest.fixture(scope="session")
-def short_harness(cost_table: CostTable) -> Harness:
+def short_harness() -> Harness:
     """A harness with a short duration for fast runtime tests."""
-    return Harness(
-        config=HarnessConfig(duration_s=0.5), costs=cost_table
-    )
+    return Harness(config=HarnessConfig(duration_s=0.5))
 
 
 @pytest.fixture(scope="session")

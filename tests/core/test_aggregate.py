@@ -406,17 +406,16 @@ class TestScoreSimulation:
         report = short_harness.run_scenario("vr_gaming", fda_ws_4k)
         assert report.score.accuracy == pytest.approx(1.0)
 
-    def test_custom_config_enmax(self, fda_ws_4k, cost_table):
+    def test_custom_config_enmax(self, fda_ws_4k):
         from repro.core import Harness, HarnessConfig
 
         tight = Harness(
             config=HarnessConfig(
                 duration_s=0.5, score=ScoreConfig(energy_max_mj=100.0)
             ),
-            costs=cost_table,
         )
         loose = Harness(
-            config=HarnessConfig(duration_s=0.5), costs=cost_table
+            config=HarnessConfig(duration_s=0.5)
         )
         a = tight.run_scenario("vr_gaming", fda_ws_4k).score.energy
         b = loose.run_scenario("vr_gaming", fda_ws_4k).score.energy

@@ -43,13 +43,12 @@ class TestRunScenario:
         b = short_harness.run_scenario("vr_gaming", fda_ws_4k, seed=1)
         assert a.overall == pytest.approx(b.overall)
 
-    def test_scheduler_choice_affects_results(self, cost_table, hda_j_4k):
+    def test_scheduler_choice_affects_results(self, hda_j_4k):
         greedy = Harness(
             config=HarnessConfig(scheduler="latency_greedy"),
-            costs=cost_table,
         ).run_scenario("ar_gaming", hda_j_4k)
         rr = Harness(
-            config=HarnessConfig(scheduler="round_robin"), costs=cost_table
+            config=HarnessConfig(scheduler="round_robin")
         ).run_scenario("ar_gaming", hda_j_4k)
         # Round-robin ignores engine fit; on a heterogeneous (HDA) system
         # under load it cannot beat latency-greedy.
@@ -128,11 +127,13 @@ class TestRunSuite:
         with pytest.raises(KeyError):
             report.scenario("nope")
 
-    def test_shared_cost_table_reused(self, cost_table, fda_ws_4k):
-        harness = Harness(
-            config=HarnessConfig(duration_s=0.5), costs=cost_table
-        )
+    def test_runs_share_the_cost_store(self, fda_ws_4k):
+        # The cost store is process-wide: a second run of the same
+        # workload analyses nothing new.
+        from repro.costmodel import cached
+
+        harness = Harness(config=HarnessConfig(duration_s=0.5))
         harness.run_scenario("vr_gaming", fda_ws_4k)
-        size_before = len(cost_table._cache)
+        size_before = len(cached._STORE)
         harness.run_scenario("vr_gaming", fda_ws_4k)
-        assert len(cost_table._cache) == size_before
+        assert len(cached._STORE) == size_before

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.core.config import CLOCK_HZ
@@ -15,7 +13,6 @@ from repro.costmodel import (
     best_point_for_slack,
     scale_cost,
 )
-from repro.costmodel.dvfs import memoized_scale_cost
 from repro.hardware import ACCELERATOR_IDS, PE_BUDGETS, build_accelerator
 from repro.workload import UNIT_MODELS
 
@@ -255,35 +252,3 @@ def test_prices_sum_layers_left_to_right(dataflow, num_pes):
             assert scaled.energy_mj == _left_to_right(
                 lc.energy_mj for lc in scaled.layer_costs
             )
-
-
-class TestMemoizedScaleCost:
-    def test_answers_scale_cost_once(self, nominal_cost):
-        for point in DEFAULT_DVFS_POINTS:
-            memo = memoized_scale_cost(nominal_cost, point)
-            assert memo == scale_cost(nominal_cost, point)
-            assert memoized_scale_cost(nominal_cost, point) is memo
-
-    def test_keys_on_the_nominal_cost_identity(self, nominal_cost):
-        # Another table's nominal cost never shares an entry, even when
-        # it is equal: only the identical object does.
-        eco = DEFAULT_DVFS_POINTS[0]
-        twin = dataclasses.replace(nominal_cost)
-        assert memoized_scale_cost(twin, eco) == memoized_scale_cost(
-            nominal_cost, eco
-        )
-        assert memoized_scale_cost(twin, eco) is not memoized_scale_cost(
-            nominal_cost, eco
-        )
-        other = dataclasses.replace(
-            nominal_cost, latency_s=2 * nominal_cost.latency_s,
-            layer_costs=(),
-        )
-        assert memoized_scale_cost(other, eco).latency_s == (
-            2 * nominal_cost.latency_s * eco.latency_scale
-        )
-
-    def test_same_name_different_scale_not_conflated(self, nominal_cost):
-        fast = memoized_scale_cost(nominal_cost, DvfsPoint("boost", 1.3))
-        slow = memoized_scale_cost(nominal_cost, DvfsPoint("boost", 1.1))
-        assert slow.latency_s > fast.latency_s

@@ -1,18 +1,27 @@
-"""PriceTable prices exactly like the keyed cache it is filled from.
+"""The cost store and the per-run price table, against the direct analysis.
 
-A run's price table is a pure layout change: every
-``(task, engine, ladder position)`` it answers must be the *same float*
-the keyed :meth:`CachedCostTable.engine_cost` path returns for that
-position's DVFS point, and its engine sweep must pick what ``min`` keyed
-on (latency, index) picks.
+Every price a run reads must be the very float the analytical model
+gives: ``CostModel(dataflow, num_pes).model_cost(graph)`` at nominal and
+``scale_cost`` of it at a DVFS point.  The table's engine sweep must
+pick what ``min`` keyed on (latency, index) picks, and its counts must
+count exactly what the run's cost summary reports.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.costmodel import CachedCostTable, CostTable, Dataflow, DvfsPoint
-from repro.costmodel.dvfs import DEFAULT_DVFS_POINTS
+from repro.costmodel import (
+    DEFAULT_DVFS_POINTS,
+    CostModel,
+    Dataflow,
+    DvfsPoint,
+    PriceTable,
+    scale_cost,
+    stored_cost,
+)
 from repro.hardware import ACCELERATOR_IDS, PE_BUDGETS, build_accelerator
 from repro.hardware.accelerator import (
     AcceleratorStyle,
@@ -42,72 +51,155 @@ def wide_system(num_engines: int = 12) -> AcceleratorSystem:
     )
 
 
-def register_segments(table) -> list[str]:
-    """Register every zoo model's 2-way dispatch pieces, as a segment
-    run does; returns the piece codes."""
-    codes = []
+def zoo_and_pieces() -> dict:
+    """Every zoo model and each of its 2-way dispatch pieces, as a
+    segment run prices them."""
+    graphs = {}
     for code, model in sorted(UNIT_MODELS.items()):
+        graphs[code] = model.graph
         pieces = split_graph(model.graph, 2)
         for idx, piece in enumerate(pieces):
-            vcode = dispatch_segment_code(code, idx, len(pieces))
-            table.register_graph(vcode, piece)
-            codes.append(vcode)
-    return codes
+            graphs[dispatch_segment_code(code, idx, len(pieces))] = piece
+    return graphs
+
+
+#: ``(dataflow, num_pes, graph name) -> nominal cost``: the direct
+#: analysis, computed once per engine shape for the whole module.
+_DIRECT: dict = {}
+
+
+def direct_cost(sub, graph, point):
+    key = (sub.dataflow, sub.num_pes, graph.name)
+    nominal = _DIRECT.get(key)
+    if nominal is None:
+        engine = CostModel(dataflow=sub.dataflow, num_pes=sub.num_pes)
+        nominal = _DIRECT[key] = engine.model_cost(graph)
+    return nominal if point is None else scale_cost(nominal, point)
 
 
 @pytest.mark.parametrize("pes", sorted(PE_BUDGETS.values()))
 @pytest.mark.parametrize("acc_id", sorted(ACCELERATOR_IDS))
-def test_table_matches_keyed_lookup_everywhere(acc_id, pes):
-    """Every (zoo or segment code, engine, position): the table's cost
-    is the keyed path's cost at that position's point.
-
-    The reference table is a separate instance, so the comparison
-    catches any divergence in how the table fills an entry: both sides
-    must arrive at the identical floats independently.
-    """
+def test_entries_match_direct_analysis(acc_id, pes):
+    """Every (zoo or piece code, engine, position) of a Table 5 system
+    is bit-equal to the direct analysis at that position's point."""
     system = build_accelerator(acc_id, pes)
-    table = CachedCostTable(base=CostTable())
-    reference = CachedCostTable(base=CostTable())
-    segments = register_segments(table)
-    assert register_segments(reference) == segments
-    codes = sorted(UNIT_MODELS) + segments
-    prices = table.price_table(system, DEFAULT_DVFS_POINTS, codes)
+    graphs = zoo_and_pieces()
+    prices = PriceTable(system, DEFAULT_DVFS_POINTS, graphs)
     assert prices.ladder == (None,) + DEFAULT_DVFS_POINTS
-    assert sorted(prices.ids, key=prices.ids.get) == codes
-    for code in codes:
+    assert list(prices.ids) == list(graphs)
+    for code, graph in graphs.items():
         code_id = prices.ids[code]
         for sub in system.subs:
             row = prices.ladder_row(code_id, sub.index)
             for position, point in enumerate(prices.ladder):
                 assert prices.position(point) == position
-                expected = reference.engine_cost(code, sub, point)
                 got = prices.cost(code_id, sub.index, position)
                 assert row[position] is got
-                assert got.latency_s == expected.latency_s
-                assert got.energy_mj == expected.energy_mj
+                assert got == direct_cost(sub, graph, point)
 
 
-def test_fill_goes_through_the_cache():
-    """The fill prices through ``_lookup``: the first pricing of each
-    (code, engine shape, point) misses, reads count as hits, and the
-    keyed path and a later run's table then answer from the same
-    entries (no double computation, no stats skew)."""
-    system = build_accelerator("J", 8192)
-    table = CachedCostTable(base=CostTable())
-    prices = table.price_table(system, (), ["HT"])
-    assert table.stats.misses == system.num_subs
-    assert table.stats.hits == 0
+class TestCounts:
+    def test_fill_counts_first_keys_as_misses(self):
+        """Each first (code, dataflow, PEs, point) of the fill misses;
+        a repeat — an engine of a shape already priced, or a point
+        equal to one already on the ladder — hits."""
+        system = build_accelerator("J", 8192)
+        prices = PriceTable(system, (), {"HT": UNIT_MODELS["HT"].graph})
+        assert (prices.stats.hits, prices.stats.misses) == (
+            0, system.num_subs,
+        )
+        twins = tuple(
+            SubAccelerator(index=i, dataflow=Dataflow.WS, num_pes=1024)
+            for i in range(3)
+        )
+        sfda = AcceleratorSystem(
+            acc_id="U", style=AcceleratorStyle.SFDA, total_pes=3072,
+            subs=twins,
+        )
+        eco = DEFAULT_DVFS_POINTS[0]
+        equal = DvfsPoint(eco.name, eco.frequency_scale)
+        prices = PriceTable(
+            sfda, (eco, equal), {"HT": UNIT_MODELS["HT"].graph}
+        )
+        assert len(prices.ladder) == 3
+        # Nominal and eco once; the equal point and the twin engines hit.
+        assert prices.stats.misses == 2
+        assert prices.stats.hits == 3 * 3 - 2
 
-    prices.cost(prices.ids["HT"], 0, 0)
-    prices.fastest(prices.ids["HT"], system.subs, prices.nominal)
-    assert table.stats.misses == system.num_subs
-    assert table.stats.hits == 2
+    def test_reads_count_as_hits(self):
+        system = build_accelerator("J", 8192)
+        prices = PriceTable(system, (), {"HT": UNIT_MODELS["HT"].graph})
+        code_id = prices.ids["HT"]
+        prices.cost(code_id, 0, 0)
+        prices.ladder_row(code_id, 1)
+        prices.fastest(code_id, system.subs, prices.nominal)
+        prices.engine_cost("HT", 0)
+        assert (prices.stats.hits, prices.stats.misses) == (
+            4, system.num_subs,
+        )
 
-    before = table.stats.misses
-    for sub in system.subs:
-        table.engine_cost("HT", sub, None)
-    table.price_table(system, (), ["HT"])
-    assert table.stats.misses == before
+    def test_off_ladder_keyed_read_misses_once_then_hits(self):
+        system = build_accelerator("J", 8192)
+        graph = UNIT_MODELS["HT"].graph
+        prices = PriceTable(system, (), {"HT": graph})
+        before = prices.stats.misses
+        eco = DvfsPoint("eco", 0.5)
+        assert prices.position(eco) is None
+        first = prices.engine_cost("HT", 1, eco)
+        assert prices.stats.misses == before + 1
+        hits = prices.stats.hits
+        assert prices.engine_cost("HT", 1, eco) is first
+        assert prices.engine_cost("HT", 1, DvfsPoint("eco", 0.5)) is first
+        assert prices.stats.misses == before + 1
+        assert prices.stats.hits == hits + 2
+        assert first == direct_cost(system.subs[1], graph, eco)
+
+    def test_unknown_code_raises(self):
+        prices = PriceTable(
+            build_accelerator("J", 8192), (),
+            {"HT": UNIT_MODELS["HT"].graph},
+        )
+        with pytest.raises(KeyError, match="not priced in this run"):
+            prices.engine_cost("PD", 0)
+
+
+class TestStore:
+    def test_answers_once_per_process(self):
+        graph = UNIT_MODELS["SR"].graph
+        eco = DEFAULT_DVFS_POINTS[0]
+        nominal = stored_cost(Dataflow.OS, 4096, graph)
+        scaled = stored_cost(Dataflow.OS, 4096, graph, eco)
+        assert stored_cost(Dataflow.OS, 4096, graph) is nominal
+        assert stored_cost(Dataflow.OS, 4096, graph, eco) is scaled
+        assert scaled == scale_cost(nominal, eco)
+        # Two runs' tables hold the same stored objects.
+        system = build_accelerator("C", 4096)
+        tables = [
+            PriceTable(system, (eco,), {"SR": graph}) for _ in range(2)
+        ]
+        assert tables[0].costs == tables[1].costs
+        assert all(
+            a is b for a, b in zip(tables[0].costs[0][0],
+                                   tables[1].costs[0][0])
+        )
+
+    def test_keys_graphs_by_identity(self):
+        """An equal copy of a graph gets its own, equal entry."""
+        graph = UNIT_MODELS["KD"].graph
+        twin = dataclasses.replace(graph)
+        assert twin == graph and twin is not graph
+        ours = stored_cost(Dataflow.RS, 2048, graph)
+        theirs = stored_cost(Dataflow.RS, 2048, twin)
+        assert theirs == ours and theirs is not ours
+
+    def test_points_keyed_by_value(self):
+        graph = UNIT_MODELS["HT"].graph
+        fast = stored_cost(Dataflow.WS, 2048, graph, DvfsPoint("boost", 1.3))
+        slow = stored_cost(Dataflow.WS, 2048, graph, DvfsPoint("boost", 1.1))
+        assert slow.latency_s > fast.latency_s
+        assert stored_cost(
+            Dataflow.WS, 2048, graph, DvfsPoint("boost", 1.3)
+        ) is fast
 
 
 def test_positions_resolve_by_identity():
@@ -115,8 +207,8 @@ def test_positions_resolve_by_identity():
     equal to a ladder point but not the same object is off the ladder."""
     system = build_accelerator("J", 8192)
     eco, low = DEFAULT_DVFS_POINTS[:2]
-    prices = CachedCostTable().price_table(
-        system, (eco, None, low, eco), ["HT"]
+    prices = PriceTable(
+        system, (eco, None, low, eco), {"HT": UNIT_MODELS["HT"].graph}
     )
     assert prices.ladder == (None, eco, low)
     assert [prices.position(p) for p in (None, eco, low)] == [0, 1, 2]
@@ -124,17 +216,15 @@ def test_positions_resolve_by_identity():
     assert prices.position(DEFAULT_DVFS_POINTS[-1]) is None
 
 
-def test_prices_follow_the_latest_run_on_a_system():
-    table = CachedCostTable(base=CostTable())
-    a = build_accelerator("J", 8192)
-    b = build_accelerator("J", 8192)  # distinct object, same shape
-    assert table.prices(a) is None
-    first = table.price_table(a, (), ["HT"])
-    assert table.prices(a) is first
-    assert table.prices(b) is None
-    second = table.price_table(a, (), ["HT"])
-    assert second is not first
-    assert table.prices(a) is second
+def test_permitted_positions_reject_points_off_the_ladder():
+    system = build_accelerator("J", 8192)
+    eco, low, nominal, boost = DEFAULT_DVFS_POINTS
+    prices = PriceTable(system, (eco, low), {"HT": UNIT_MODELS["HT"].graph})
+    assert prices.permitted_positions((eco, low, boost), 0.8) == (
+        (eco, 1), (low, 2),
+    )
+    with pytest.raises(ValueError, match="not on this price table's ladder"):
+        prices.permitted_positions((eco, low, boost), None)
 
 
 @pytest.mark.parametrize("width", [2, 4, 12, 16])
@@ -145,8 +235,9 @@ def test_fastest_matches_min_by_latency_then_index(width):
         {2: "J", 4: "M"}[width], 8192
     )
     codes = ("HT", "OD", "SS")
-    prices = CachedCostTable(base=CostTable()).price_table(
-        system, DEFAULT_DVFS_POINTS, codes
+    prices = PriceTable(
+        system, DEFAULT_DVFS_POINTS,
+        {code: UNIT_MODELS[code].graph for code in codes},
     )
     subs = system.subs
     subsets = [list(subs)] + [
@@ -176,9 +267,7 @@ def test_fastest_ties_break_toward_lowest_index():
         acc_id="U", style=AcceleratorStyle.SFDA,
         total_pes=10240, subs=subs,
     )
-    prices = CachedCostTable(base=CostTable()).price_table(
-        system, (), ["HT"]
-    )
+    prices = PriceTable(system, (), {"HT": UNIT_MODELS["HT"].graph})
     code_id = prices.ids["HT"]
     assert prices.fastest(code_id, subs, prices.nominal) is subs[0]
     assert prices.fastest(code_id, subs[3:], prices.nominal) is subs[3]

@@ -18,52 +18,52 @@ from repro.eval import (
 
 
 class TestSchedulerAblation:
-    def test_three_rows(self, cost_table):
-        rows = scheduler_ablation(cost_table)
+    def test_three_rows(self):
+        rows = scheduler_ablation()
         assert [r.setting for r in rows] == [
             "latency_greedy", "round_robin", "edf",
         ]
 
-    def test_scores_bounded(self, cost_table):
-        for row in scheduler_ablation(cost_table):
+    def test_scores_bounded(self):
+        for row in scheduler_ablation():
             assert 0.0 <= row.overall <= 1.0
 
 
 class TestJitterAblation:
-    def test_rows(self, cost_table):
-        rows = jitter_ablation(cost_table, seeds=5)
+    def test_rows(self):
+        rows = jitter_ablation(seeds=5)
         assert [r.setting for r in rows] == ["jitter_mean", "jitter_spread"]
 
-    def test_spread_small_but_measurable(self, cost_table):
-        mean, spread = jitter_ablation(cost_table, seeds=8)
+    def test_spread_small_but_measurable(self):
+        mean, spread = jitter_ablation(seeds=8)
         # Sub-ms jitter perturbs scores only mildly on a stable scenario.
         assert 0.0 <= spread.overall < 0.3
         assert 0.3 < mean.overall <= 1.0
 
 
 class TestRtKSensitivity:
-    def test_rows_per_k(self, cost_table):
-        rows = rt_k_sensitivity(cost_table, ks=(1.0, 50.0))
+    def test_rows_per_k(self):
+        rows = rt_k_sensitivity(ks=(1.0, 50.0))
         assert [r.detail for r in rows] == [1.0, 50.0]
 
-    def test_softer_k_boosts_violating_workload(self, cost_table):
+    def test_softer_k_boosts_violating_workload(self):
         # AR gaming on J misses deadlines; a soft sigmoid forgives more.
-        rows = rt_k_sensitivity(cost_table, ks=(1.0, 50.0))
+        rows = rt_k_sensitivity(ks=(1.0, 50.0))
         soft, sharp = rows
         assert soft.rt >= sharp.rt
 
 
 class TestEnmaxSensitivity:
-    def test_larger_budget_higher_score(self, cost_table):
-        rows = enmax_sensitivity(cost_table, enmaxes=(500.0, 4500.0))
+    def test_larger_budget_higher_score(self):
+        rows = enmax_sensitivity(enmaxes=(500.0, 4500.0))
         tight, loose = rows
         assert loose.overall >= tight.overall
 
 
 class TestDvfsAblation:
     @pytest.fixture(scope="class")
-    def result(self, cost_table):
-        return dvfs_ablation(cost_table)
+    def result(self):
+        return dvfs_ablation()
 
     def test_covers_all_models(self, result):
         assert len(result) == 11
@@ -83,6 +83,11 @@ class TestDvfsAblation:
         # slower point.
         assert result["PD"]["chosen_frequency"] >= 1.0
 
+    def test_suite_saves_on_average(self, result):
+        # Most models have slack to burn.
+        savings = [row["energy_saving"] for row in result.values()]
+        assert sum(savings) / len(savings) > 0.1
+
     def test_scaled_latency_consistent(self, result):
         for row in result.values():
             expected = row["nominal_latency_ms"] / row["chosen_frequency"]
@@ -92,16 +97,21 @@ class TestDvfsAblation:
 class TestQuantizationAblation:
     @pytest.fixture(scope="class")
     def result(self):
-        return quantization_ablation(codes=("KD",), bit_widths=(8, 4))
+        return quantization_ablation(codes=("KD", "AS"), bit_widths=(8, 4))
 
     def test_structure(self, result):
-        assert set(result) == {"KD"}
+        assert set(result) == {"KD", "AS"}
         assert set(result["KD"]) == {8, 4}
 
     def test_int8_passes_int4_degrades(self, result):
         int8, int4 = result["KD"][8], result["KD"][4]
         assert int8["accuracy_score"] >= int4["accuracy_score"]
         assert int8["meets_goal"] == 1.0
+
+    def test_int8_scores_at_least_int4(self, result):
+        assert result["AS"][8]["accuracy_score"] >= (
+            result["AS"][4]["accuracy_score"]
+        )
 
 
 class TestPareto:

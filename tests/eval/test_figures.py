@@ -15,6 +15,82 @@ from repro.eval import (
     run_figure7,
     run_figure8,
 )
+from repro.eval.figure3 import run_figure3
+from repro.workload import FramePlan
+
+
+class TestFigure3:
+    """The Social Interaction A deep dive (Section 3.6)."""
+
+    @pytest.fixture(scope="class")
+    def figure3(self, shared_harness):
+        return run_figure3(shared_harness)
+
+    def test_all_models_appear(self, figure3):
+        rows, _ = figure3
+        assert {r.model_code for r in rows} == {"HT", "ES", "GE", "DR"}
+
+    def test_ge_follows_es(self, figure3):
+        """The data dependency: GE frame f starts after ES frame f ends."""
+        rows, _ = figure3
+        es_end = {
+            r.model_frame: r.end_ms for r in rows if r.model_code == "ES"
+        }
+        for ge in (r for r in rows if r.model_code == "GE"):
+            assert ge.model_frame in es_end
+            assert ge.start_ms >= es_end[ge.model_frame] - 1e-9
+
+    def test_half_rate_models_skip_frames(self, figure3):
+        """HT and DR at 30 FPS consume every other 60 FPS sensor frame."""
+        rows, report = figure3
+        plan = FramePlan(report.simulation.scenario.get("HT"))
+        assert plan.sensor_frame_for(1) == 2
+        ht = sorted(
+            (r for r in rows if r.model_code == "HT"),
+            key=lambda r: r.model_frame,
+        )
+        assert len(ht) >= 2
+        # Consecutive HT frames are ~1/30 s apart in input time.
+        assert ht[1].request_ms - ht[0].request_ms == pytest.approx(
+            1000 / 30, abs=2.0
+        )
+
+    def test_dr_waits_for_lidar(self, figure3):
+        """DR's request time is the max of its camera and lidar arrivals."""
+        rows, report = figure3
+        dr = [r for r in rows if r.model_code == "DR"]
+        assert dr
+        plan = FramePlan(report.simulation.scenario.get("DR"))
+        for row in dr:
+            expected = plan.request_time_s(row.model_frame, seed=0) * 1e3
+            assert row.request_ms == pytest.approx(expected, abs=1e-6)
+
+
+class TestFigure5Grid:
+    """The full Figure 5 sweep: 13 accelerators x 2 budgets."""
+
+    @pytest.fixture(scope="class")
+    def rows(self, shared_harness):
+        return run_figure5(shared_harness)
+
+    def test_row_count(self, rows):
+        # 13 accelerators x 2 budgets x (7 scenarios + 1 average).
+        assert len(rows) == 13 * 2 * 8
+
+    def test_ar_gaming_hardest_at_4k(self, rows):
+        """AR gaming (the PD-saturated scenario) has the lowest 4K scores."""
+        by_scenario: dict[str, list[float]] = {}
+        for row in rows:
+            if row.pe_budget == "4K" and row.scenario != "average":
+                by_scenario.setdefault(row.scenario, []).append(row.overall)
+        means = {s: sum(v) / len(v) for s, v in by_scenario.items()}
+        assert min(means, key=means.get) == "ar_gaming"
+
+    def test_average_panel(self, rows):
+        """Subplot (h): the averages exist for every accelerator."""
+        averages = [r for r in rows if r.scenario == "average"]
+        assert len(averages) == 26
+        assert all(0.0 < r.overall <= 1.0 for r in averages)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +161,24 @@ class TestFigure6:
         assert small.utilization >= big.utilization - 0.02
         assert small.report.overall < big.report.overall
 
+    def test_drop_rates(self, results):
+        """Paper: 47.1% drops at 4K vs 2.3% at 8K."""
+        assert results["4K"].drop_rate > 0.25
+        assert results["8K"].drop_rate < 0.10
+
+    def test_pd_fails_on_4k(self, results):
+        """The 4K system starves PD (the paper: 'completely fails to run')."""
+        pd_4k = results["4K"].report.score.model("PD")
+        assert pd_4k.mean_unit("rt") < 0.05
+        assert pd_4k.qoe < 0.75
+
+    def test_8k_rt_limited_by_pd_only(self, results):
+        """8K panel: PD misses deadlines, DE is fine (paper RT 0.68)."""
+        score = results["8K"].report.score
+        assert score.model("PD").mean_unit("rt") < 0.1
+        assert score.model("DE").mean_unit("rt") > 0.9
+        assert 0.3 < score.rt < 0.9
+
     def test_format(self, results):
         text = format_figure6(results)
         assert "4K PEs" in text and "8K PEs" in text
@@ -112,6 +206,16 @@ class TestFigure7:
         b = [r for r in rows if r.acc_id == "B"]
         j = [r for r in rows if r.acc_id == "J"]
         assert min(x.overall for x in j) > max(x.overall for x in b)
+
+    def test_overall_roughly_stable(self, rows):
+        """Both designs keep their overall score across the sweep."""
+        for acc in ("B", "J"):
+            scores = [r.overall for r in rows if r.acc_id == acc]
+            assert max(scores) - min(scores) < 0.15, acc
+
+    def test_j_qoe_flat(self, rows):
+        qoe = [r.qoe for r in rows if r.acc_id == "J"]
+        assert max(qoe) - min(qoe) < 0.05
 
     def test_qoe_declines_with_probability_on_b(self, shared_harness):
         rows = run_figure7(
@@ -147,6 +251,17 @@ class TestFigure8:
         # Just past the deadline (latency 1.1 x slack 1.0).
         idx = next(i for i, lat in enumerate(mild.latencies_s) if lat > 1.1)
         assert sharp.scores[idx] < mild.scores[idx]
+
+    def test_curves_cross_half_at_deadline(self):
+        """Every sigmoid passes through 0.5 where latency equals the window."""
+        for series in run_figure8(ks=(1.0, 15.0, 50.0)):
+            idx = series.latencies_s.index(1.0)
+            assert series.scores[idx] == pytest.approx(0.5)
+
+    def test_saturates(self):
+        (k15,) = run_figure8(ks=(15.0,))
+        assert k15.scores[0] > 0.999      # latency 0
+        assert k15.scores[-1] < 0.001     # latency 2 s vs 1 s window
 
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError, match="points"):

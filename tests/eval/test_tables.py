@@ -12,6 +12,12 @@ class TestTable1:
                      "DE", "DR", "PD"):
             assert f"({code})" in text
 
+    def test_reference_models_and_datasets(self):
+        text = table1()
+        for fragment in ("Hand Tracking", "PlaneRCNN", "LibriSpeech",
+                         "AUC PCK, GT 0.948"):
+            assert fragment in text
+
     def test_requirements_present(self):
         text = table1()
         assert "mIoU, GT 90.54" in text
@@ -44,6 +50,7 @@ class TestTable3:
     def test_sensors_and_rates(self):
         text = table3()
         assert "camera" in text and "60 FPS" in text
+        assert "lidar" in text
         assert "microphone" in text and "3 FPS" in text
         assert "0.10 ms" in text
 
@@ -53,6 +60,11 @@ class TestTable5:
         text = table5()
         for acc in "ABCDEFGHIJKLM":
             assert f"\n{acc}   " in text
+
+    def test_styles_shown(self):
+        text = table5()
+        for style in ("FDA", "SFDA", "HDA"):
+            assert style in text
 
     def test_partitioning_shown(self):
         text = table5(4096)

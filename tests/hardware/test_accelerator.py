@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from sim_helpers import price_table
 
-from repro.costmodel import CostTable, Dataflow
+from repro.costmodel import Dataflow
 from repro.hardware import AcceleratorStyle, AcceleratorSystem, SubAccelerator
 
 
@@ -78,13 +79,10 @@ class TestSystemQueries:
     def test_num_subs(self):
         assert self.system().num_subs == 2
 
-    def test_model_cost_per_engine(self):
-        system = self.system()
-        table = CostTable()
-        ws = system.model_cost(table, "KD", 0)
-        os_ = system.model_cost(table, "KD", 1)
-        assert ws.dataflow is Dataflow.WS
-        assert os_.dataflow is Dataflow.OS
+    def test_prices_per_engine(self):
+        prices = price_table(self.system(), ("KD",), points=())
+        assert prices.engine_cost("KD", 0).dataflow is Dataflow.WS
+        assert prices.engine_cost("KD", 1).dataflow is Dataflow.OS
 
     def test_describe(self):
         text = self.system().describe()

@@ -1,4 +1,4 @@
-"""D001 path-exemption fixture: benchmarks measure wall time by design."""
+"""D001 path-exemption fixture: tests may pin timing behaviour."""
 
 import time
 from time import perf_counter

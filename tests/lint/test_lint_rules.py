@@ -36,8 +36,8 @@ def test_d001_negative_clean(lint_fixture):
     assert not report.findings, report.render()
 
 
-def test_d001_benchmarks_path_is_exempt(lint_fixture):
-    report = lint_fixture("benchmarks/d001_exempt.py")
+def test_d001_tests_path_is_exempt(lint_fixture):
+    report = lint_fixture("tests/d001_exempt.py")
     assert not report.findings, report.render()
 
 

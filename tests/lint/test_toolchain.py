@@ -85,7 +85,7 @@ def test_ratchet_update_rewrites_pin(repo_root, tmp_path):
 @pytest.mark.skipif(shutil.which("ruff") is None, reason="ruff not installed")
 def test_ruff_clean(repo_root):
     proc = subprocess.run(
-        ["ruff", "check", "src", "tests", "benchmarks", "examples", "tools"],
+        ["ruff", "check", "src", "tests", "examples", "tools"],
         capture_output=True,
         text=True,
         cwd=repo_root,

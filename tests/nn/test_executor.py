@@ -126,3 +126,12 @@ class TestDeconvAndRoi:
         b.roialign(3, 7)
         out = GraphExecutor(b.build()).run()
         assert out.shape == (4, 7, 21)
+
+
+@pytest.mark.parametrize("code", ["KD", "GE"])
+def test_zoo_forward_pass_shape(code):
+    """A reference model runs end to end on the numpy engine."""
+    from repro.zoo import build_model
+
+    graph = build_model(code)
+    assert GraphExecutor(graph, seed=0).run().shape == graph.out_shape

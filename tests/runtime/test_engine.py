@@ -6,8 +6,9 @@ import copy
 import pickle
 
 import pytest
+from sim_helpers import price_table
 
-from repro.costmodel import CachedCostTable, CostTable, DvfsPoint
+from repro.costmodel import CostTable, DvfsPoint
 from repro.hardware import build_accelerator
 from repro.runtime import (
     EngineFleet,
@@ -113,14 +114,14 @@ class TestExecutionEngine:
 
     def test_dvfs_point_slows_and_is_cached_separately(self):
         system = build_accelerator("J", 4096)
-        table = CachedCostTable()
+        prices = price_table(system, ("HT",), points=())
         eco = DvfsPoint("eco", 0.5)
-        nominal = system.engine_cost(table, "HT", 0)
-        scaled = system.engine_cost(table, "HT", 0, eco)
+        nominal = prices.engine_cost("HT", 0)
+        scaled = prices.engine_cost("HT", 0, eco)
         assert scaled.latency_s == pytest.approx(2 * nominal.latency_s)
         # Both operating points are cached independently.
-        assert system.engine_cost(table, "HT", 0, eco) is scaled
-        assert system.engine_cost(table, "HT", 0) is nominal
+        assert prices.engine_cost("HT", 0, eco) is scaled
+        assert prices.engine_cost("HT", 0) is nominal
 
     def test_describe_mentions_dvfs(self):
         system = build_accelerator("J", 4096)

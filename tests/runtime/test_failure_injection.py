@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from sim_helpers import run_single
+from sim_helpers import price_table, run_single
 
 from repro.core import Harness, HarnessConfig
-from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
 from repro.runtime import (
     EngineFleet,
@@ -54,18 +53,17 @@ class TestLoadGenFrameLoss:
 
 
 class TestSimulatorUnderFrameLoss:
-    def run(self, loss: float, cost_table):
+    def run(self, loss: float):
         return run_single(
             get_scenario("vr_gaming"),
             build_accelerator("A", 8192),
             make_scheduler("latency_greedy"),
             duration_s=1.0,
-            costs=cost_table,
             frame_loss_probability=loss,
         )
 
-    def test_qoe_denominator_counts_lost_frames(self, cost_table):
-        result = self.run(0.3, cost_table)
+    def test_qoe_denominator_counts_lost_frames(self):
+        result = self.run(0.3)
         # Streamed counts stay nominal (45 HT + 60 ES at 1 s) even though
         # fewer requests arrived.
         assert result.num_frames("HT") == 45
@@ -73,18 +71,17 @@ class TestSimulatorUnderFrameLoss:
         arrived = [r for r in result.requests if r.model_code == "ES"]
         assert len(arrived) < 60
 
-    def test_loss_degrades_qoe_score(self, cost_table):
+    def test_loss_degrades_qoe_score(self):
         from repro.core import score_simulation
 
-        clean = score_simulation(self.run(0.0, cost_table))
-        lossy = score_simulation(self.run(0.4, cost_table))
+        clean = score_simulation(self.run(0.0))
+        lossy = score_simulation(self.run(0.4))
         assert lossy.qoe < clean.qoe
         assert lossy.overall < clean.overall
 
-    def test_harness_config_plumbing(self, cost_table):
+    def test_harness_config_plumbing(self):
         harness = Harness(
             config=HarnessConfig(frame_loss_probability=0.4),
-            costs=cost_table,
         )
         report = harness.run_scenario(
             "vr_gaming", build_accelerator("A", 8192)
@@ -105,7 +102,9 @@ class TestRateMonotonicScheduler:
         engines = EngineFleet(
             [ExecutionEngine(sub) for sub in system.subs]
         ).engines
-        return scheduler.select(0.0, waiting, engines, system, CostTable())
+        return scheduler.select(
+            0.0, waiting, engines, system, price_table(system)
+        )
 
     def test_prefers_shortest_period(self):
         s = RateMonotonicScheduler()
@@ -119,22 +118,20 @@ class TestRateMonotonicScheduler:
         es = self.item("ES", 1 / 60)
         assert self.select(s, [pd, es])[0] is pd
 
-    def test_end_to_end_run(self, cost_table):
+    def test_end_to_end_run(self):
         harness = Harness(
             config=HarnessConfig(scheduler="rate_monotonic"),
-            costs=cost_table,
         )
         report = harness.run_scenario(
             "ar_gaming", build_accelerator("J", 8192)
         )
         assert 0.0 <= report.overall <= 1.0
 
-    def test_rm_protects_high_rate_models_under_load(self, cost_table):
+    def test_rm_protects_high_rate_models_under_load(self):
         # On the saturated 4K system, RM must keep the 45 FPS HT model at
         # least as healthy as the 30 FPS PD model.
         harness = Harness(
             config=HarnessConfig(scheduler="rate_monotonic"),
-            costs=cost_table,
         )
         score = harness.run_scenario(
             "ar_gaming", build_accelerator("J", 4096)

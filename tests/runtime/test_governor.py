@@ -13,17 +13,18 @@ Four contracts:
   logs, operating-point stamps on execution records, and honest energy
   totals.
 * The slack governor picks the very point object its per-call
-  formulation picked (``reference_select``), on every governed dispatch
-  of the pinned slack cells.
+  formulation picks (``reference_select``, which prices every candidate
+  by key through ``CostTable`` and ``scale_cost``), on every governed
+  dispatch of the pinned slack cells.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Mapping, Sequence
+import functools
+from typing import Sequence
 
 import pytest
-from sim_helpers import replicate
+from sim_helpers import price_table, replicate
 from test_schedule_equivalence import (
     GOLDEN,
     GOLDEN_DYNAMIC,
@@ -36,10 +37,13 @@ from test_schedule_equivalence import (
 import repro.runtime.multisim as multisim
 from repro.costmodel import (
     DEFAULT_DVFS_POINTS,
-    CachedCostTable,
+    CostModel,
     CostTable,
+    Dataflow,
     DvfsPoint,
     ModelCost,
+    PriceTable,
+    scale_cost,
 )
 from repro.hardware import AcceleratorSystem, build_accelerator
 from repro.runtime import (
@@ -52,8 +56,11 @@ from repro.runtime import (
     WorkItem,
     make_governor,
     make_scheduler,
+    split_graph,
 )
+from repro.runtime.segmentation import SegmentChain
 from repro.workload import InferenceRequest, get_scenario
+from repro.zoo import build_model
 
 SCENARIO = "vr_gaming"
 ACCELERATOR = "J"
@@ -158,15 +165,15 @@ def dispatch_fixture():
     """A priced single-item dispatch scene for unit-testing governors."""
     system = build_accelerator(ACCELERATOR, PES)
     engine = ExecutionEngine(sub=system.subs[0])
-    costs = CachedCostTable()
-    nominal = system.engine_cost(costs, "HT", 0, None)
+    prices = price_table(system)
+    nominal = prices.engine_cost("HT", 0)
     request = InferenceRequest(
         model_code="HT",
         model_frame=0,
         request_time_s=0.0,
         deadline_s=nominal.latency_s * 10,
     )
-    return system, engine, costs, nominal, WorkItem(request=request)
+    return system, engine, prices, nominal, WorkItem(request=request)
 
 
 class TestGovernorSelection:
@@ -181,18 +188,18 @@ class TestGovernorSelection:
             make_governor("warp_speed")
 
     def test_static_governor_returns_base_point(self, dispatch_fixture):
-        system, engine, costs, _, item = dispatch_fixture
+        system, engine, prices, _, item = dispatch_fixture
         low = DvfsPoint("low", 0.7)
         engine = ExecutionEngine(sub=system.subs[0], dvfs=low)
         chosen = StaticGovernor().select(
-            0.0, item, engine, (), system, costs, DispatchContext()
+            0.0, item, engine, (), system, prices, DispatchContext()
         )
         assert chosen is low
 
     def test_race_to_idle_picks_fastest(self, dispatch_fixture):
-        system, engine, costs, _, item = dispatch_fixture
+        system, engine, prices, _, item = dispatch_fixture
         chosen = RaceToIdleGovernor().select(
-            0.0, item, engine, (), system, costs, DispatchContext()
+            0.0, item, engine, (), system, prices, DispatchContext()
         )
         assert chosen is not None
         assert chosen.frequency_scale == max(
@@ -202,43 +209,43 @@ class TestGovernorSelection:
     def test_slack_downshifts_with_generous_headroom(
         self, dispatch_fixture
     ):
-        system, engine, costs, _, item = dispatch_fixture
+        system, engine, prices, _, item = dispatch_fixture
         chosen = SlackGovernor().select(
-            0.0, item, engine, (), system, costs, DispatchContext()
+            0.0, item, engine, (), system, prices, DispatchContext()
         )
         assert chosen is not None
         assert chosen.name == "eco"
 
     def test_slack_declines_under_contention(self, dispatch_fixture):
-        system, engine, costs, _, item = dispatch_fixture
+        system, engine, prices, _, item = dispatch_fixture
         chosen = SlackGovernor().select(
-            0.0, item, engine, (), system, costs,
+            0.0, item, engine, (), system, prices,
             DispatchContext(contended=True),
         )
         assert chosen is engine.dvfs
 
     def test_slack_declines_for_upstream_models(self, dispatch_fixture):
-        system, engine, costs, _, item = dispatch_fixture
+        system, engine, prices, _, item = dispatch_fixture
         chosen = SlackGovernor().select(
-            0.0, item, engine, (), system, costs,
+            0.0, item, engine, (), system, prices,
             DispatchContext(has_dependents=True),
         )
         assert chosen is engine.dvfs
 
     def test_slack_respects_event_horizon(self, dispatch_fixture):
-        system, engine, costs, nominal, item = dispatch_fixture
+        system, engine, prices, nominal, item = dispatch_fixture
         # The next scheduled event lands before any slower point could
         # finish, so the governor must not stretch past it.
         chosen = SlackGovernor().select(
-            0.0, item, engine, (), system, costs,
+            0.0, item, engine, (), system, prices,
             DispatchContext(next_event_s=nominal.latency_s * 1.01),
         )
         assert chosen is engine.dvfs
 
     def test_slack_races_only_when_it_rescues(self, dispatch_fixture):
-        system, engine, costs, nominal, item = dispatch_fixture
-        boost_latency = system.engine_cost(
-            costs, "HT", 0, DvfsPoint("boost", 1.3)
+        system, engine, prices, nominal, item = dispatch_fixture
+        boost_latency = prices.engine_cost(
+            "HT", 0, DvfsPoint("boost", 1.3)
         ).latency_s
         # Boost fits, nominal does not -> race.
         rescuable = WorkItem(request=InferenceRequest(
@@ -246,7 +253,7 @@ class TestGovernorSelection:
             deadline_s=(boost_latency + nominal.latency_s) / 2,
         ))
         chosen = SlackGovernor().select(
-            0.0, rescuable, engine, (), system, costs, DispatchContext()
+            0.0, rescuable, engine, (), system, prices, DispatchContext()
         )
         assert chosen is not None and chosen.name == "boost"
         # Nothing fits -> stay at base instead of burning boost energy.
@@ -255,14 +262,14 @@ class TestGovernorSelection:
             deadline_s=boost_latency / 2,
         ))
         chosen = SlackGovernor().select(
-            0.0, hopeless, engine, (), system, costs, DispatchContext()
+            0.0, hopeless, engine, (), system, prices, DispatchContext()
         )
         assert chosen is engine.dvfs
 
     def test_slack_reserves_budget_for_remaining_segments(
         self, dispatch_fixture
     ):
-        system, engine, costs, nominal, item = dispatch_fixture
+        system, engine, prices, nominal, item = dispatch_fixture
         # Deadline fits this piece at eco, but only if no later segment
         # needed time; with a whole extra model's worth reserved, the
         # eco stretch no longer fits.
@@ -274,11 +281,15 @@ class TestGovernorSelection:
             num_segments=2,
             task_code="HT",
         )
+        chain = SegmentChain("HT", ("HT", "HT"))
+        chain.ids = (prices.ids["HT"],) * 2
         unreserved = SlackGovernor().select(
-            0.0, tight, engine, (), system, costs, DispatchContext()
+            0.0, tight, engine, chain.suffixes[2], system, prices,
+            DispatchContext(),
         )
         reserved = SlackGovernor().select(
-            0.0, tight, engine, ("HT",), system, costs, DispatchContext()
+            0.0, tight, engine, chain.suffixes[1], system, prices,
+            DispatchContext(),
         )
         assert unreserved is not None and unreserved.name == "eco"
         assert reserved is not unreserved
@@ -286,12 +297,28 @@ class TestGovernorSelection:
 
 # -- the slack governor against its per-call formulation ---------------------
 #
-# ``reference_select`` is ``SlackGovernor.select`` as it stood before it
-# priced its ladder without closures, kept verbatim: it filters the ladder
-# under a thermal cap and builds its two pricing closures on every call.
+# ``reference_select`` is ``SlackGovernor.select`` in its per-call form:
+# it filters the ladder under a thermal cap on every call and prices each
+# candidate, and each remaining segment, by key.  It never reads the
+# run's price table: zoo codes go through ``CostTable`` and dispatch
+# pieces (``X.iofn``) through the analysis of ``split_graph``'s piece,
+# both scaled with ``scale_cost``.
 
-#: The ladder positions when no price table is in reach: none.
-_NO_POSITIONS: Mapping[int, int] = MappingProxyType({})
+
+@functools.cache
+def reference_cost(code: str, dataflow: Dataflow, num_pes: int,
+                   point: DvfsPoint | None) -> ModelCost:
+    """One code's cost on one engine shape at ``point``, by key."""
+    model, _, piece = code.partition(".")
+    if piece:
+        index, total = piece.split("of")
+        graph = split_graph(build_model(model), int(total))[int(index)]
+        cost = CostModel(dataflow=dataflow, num_pes=num_pes).model_cost(
+            graph
+        )
+    else:
+        cost = CostTable().cost(code, dataflow, num_pes)
+    return cost if point is None else scale_cost(cost, point)
 
 
 def reference_select(
@@ -301,7 +328,7 @@ def reference_select(
     engine: ExecutionEngine,
     remaining_codes: Sequence[str | None],
     system: AcceleratorSystem,
-    costs: CostTable,
+    prices: PriceTable,
     context: DispatchContext,
 ) -> DvfsPoint | None:
     # A thermal ceiling clamps both the baseline (the engine's
@@ -315,59 +342,23 @@ def reference_select(
         if cap is None
         else tuple(p for p in self.points if p.frequency_scale <= cap)
     )
-    code = item.code
-    engine_index = engine.index
-
-    # Candidates are read by ladder position from the run's price
-    # table when the cost table keeps one: the row holds this
-    # piece's cost at every position, and positions resolve by
-    # identity.  A table without prices, or a point off the run's
-    # ladder, is priced through the keyed lookup.  Both give the
-    # same floats, so the choice is bit-identical either way.
-    prices_of = getattr(costs, "prices", None)
-    prices = prices_of(system) if prices_of is not None else None
-    code_id = prices.ids.get(code) if prices is not None else None
-    if prices is None or code_id is None:
-        position_by_id: Mapping[int, int] = _NO_POSITIONS
-        row: tuple[ModelCost, ...] = ()
-    else:
-        position_by_id = prices.position_by_id
-        row = prices.ladder_row(code_id, engine_index)
+    sub = engine.sub
 
     def lat_en(point: DvfsPoint | None) -> tuple[float, float]:
-        at = position_by_id.get(id(point))
-        cost = (
-            system.engine_cost(costs, code, engine_index, point)
-            if at is None else row[at]
-        )
+        cost = reference_cost(item.code, sub.dataflow, sub.num_pes, point)
         return cost.latency_s, cost.energy_mj
 
-    # A ChainSuffix (the event loop's compile-time segment-chain
-    # view) answers the whole reservation from its per-(engine,
-    # position) latency memo; a plain code sequence, or a point
-    # without a position, is priced per call.  Both paths subtract
-    # the same floats in the same order, so the budgets — and
-    # therefore the chosen points — are bit-identical.
     slack_s = item.request.deadline_s - now_s
-    reserving = bool(remaining_codes)
-    remaining = getattr(remaining_codes, "remaining_latencies", None)
 
     def budget_at(point: DvfsPoint | None) -> float:
         """Deadline budget for this piece with the rest of the
         chain reserved at ``point`` (successors re-decide at their
         own boundaries, so uniform pricing is self-consistent)."""
         budget_s = slack_s
-        if not reserving:
-            return budget_s
-        at = position_by_id.get(id(point))
-        if at is not None and remaining is not None:
-            for latency_s in remaining(prices, engine_index, at):
-                budget_s -= latency_s
-            return budget_s
         for rcode in remaining_codes:
-            budget_s -= system.engine_cost(
-                costs, rcode or item.request.model_code,
-                engine_index, point,
+            budget_s -= reference_cost(
+                rcode or item.request.model_code, sub.dataflow,
+                sub.num_pes, point,
             ).latency_s
         return budget_s
 
@@ -404,31 +395,26 @@ def reference_select(
     return choice
 
 
-
 class _CheckedSlackGovernor(SlackGovernor):
     """The slack governor, checked against :func:`reference_select` on
     every call (test instrumentation)."""
 
     calls = 0
     throttled = 0
-    keyed = 0
 
-    def select(self, now_s, item, engine, remaining_codes, system, costs,
+    def select(self, now_s, item, engine, remaining_codes, system, prices,
                context):
         chosen = super().select(
-            now_s, item, engine, remaining_codes, system, costs, context
+            now_s, item, engine, remaining_codes, system, prices, context
         )
         expected = reference_select(
-            self, now_s, item, engine, remaining_codes, system, costs,
+            self, now_s, item, engine, remaining_codes, system, prices,
             context,
         )
         assert chosen is expected, (now_s, item, chosen, expected)
         _CheckedSlackGovernor.calls += 1
         if engine.max_frequency_scale is not None:
             _CheckedSlackGovernor.throttled += 1
-        prices_of = getattr(costs, "prices", None)
-        if prices_of is None or prices_of(system) is None:
-            _CheckedSlackGovernor.keyed += 1
         return chosen
 
 
@@ -443,7 +429,6 @@ def checked_slack(monkeypatch):
 
     _CheckedSlackGovernor.calls = 0
     _CheckedSlackGovernor.throttled = 0
-    _CheckedSlackGovernor.keyed = 0
     monkeypatch.setattr(multisim, "make_governor", make)
     return _CheckedSlackGovernor
 
@@ -480,31 +465,22 @@ class TestSlackAgainstReference:
         run_horizon_spec()
         assert checked_slack.calls > 0
 
-    def test_keyed_pricing(self, checked_slack):
-        # A plain CostTable keeps no prices of its own: the run wraps it
-        # in a CachedCostTable, so every candidate is still read from
-        # the run's price table and none goes through the keyed lookup.
-        run_case("latency_greedy", "model", 16, dvfs="slack",
-                 costs=CostTable())
-        assert checked_slack.calls > 0
-        assert checked_slack.keyed == 0
-
 
 class TestTransitionsAndRecords:
     def test_fleet_begin_logs_frequency_transitions(self):
         system = build_accelerator(ACCELERATOR, PES)
         engine = ExecutionEngine(sub=system.subs[0])
         fleet = EngineFleet([engine])
-        costs = CachedCostTable()
+        prices = price_table(system)
         eco = DvfsPoint("eco", 0.5)
         item = WorkItem(request=InferenceRequest(
             model_code="HT", model_frame=0,
             request_time_s=0.0, deadline_s=1.0,
         ))
-        cost = system.engine_cost(costs, "HT", 0, eco)
+        cost = prices.engine_cost("HT", 0, eco)
         end = fleet.begin(engine, item, 0.0, cost, dvfs=eco)
         fleet.finish(0, end)
-        cost2 = system.engine_cost(costs, "HT", 0, None)
+        cost2 = prices.engine_cost("HT", 0)
         item2 = WorkItem(request=InferenceRequest(
             model_code="HT", model_frame=1,
             request_time_s=end, deadline_s=end + 1.0,
@@ -520,8 +496,7 @@ class TestTransitionsAndRecords:
         system = build_accelerator(ACCELERATOR, PES)
         engine = ExecutionEngine(sub=system.subs[0])
         fleet = EngineFleet([engine])
-        costs = CachedCostTable()
-        cost = system.engine_cost(costs, "HT", 0, None)
+        cost = price_table(system).engine_cost("HT", 0)
         for frame in range(3):
             item = WorkItem(request=InferenceRequest(
                 model_code="HT", model_frame=frame,

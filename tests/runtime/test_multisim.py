@@ -8,7 +8,6 @@ import pytest
 from sim_helpers import replicate, run_single
 
 from repro.core import score_sessions
-from repro.costmodel import CachedCostTable, CostTable
 from repro.hardware import build_accelerator
 from repro.runtime import (
     LatencyGreedyScheduler,
@@ -184,14 +183,12 @@ class TestDeterminism:
         assert signature(multi(seed=0)) != signature(multi(seed=100))
 
     def test_single_session_matches_legacy_simulator(self):
-        # One session handed a plain CostTable, which the run wraps in a
-        # CachedCostTable over it, matches the same session run on the
-        # simulator's default CachedCostTable.
+        # One session built directly matches the same session built
+        # through the shared helper.
         legacy = MultiScenarioSimulator(
             sessions=[SessionSpec(0, get_scenario("vr_gaming"), seed=5)],
             system=build_accelerator("J", 8192),
             scheduler=LatencyGreedyScheduler(),
-            costs=CostTable(),
         ).run().sessions[0]
         result = multi(sessions=1, seed=5)
         [session] = result.sessions
@@ -256,43 +253,27 @@ class TestSegmentGranularity:
             get_scenario("ar_gaming"),
             build_accelerator("J", 8192),
             LatencyGreedyScheduler(),
-            costs=CachedCostTable(),
             granularity="segment",
             segments_per_model=3,
         )
         assert max(r.num_segments for r in result.records) == 3
 
-    def test_table_reuse_across_split_counts_stays_correct(self):
-        # Segment codes embed the split count, so a table warmed by a
-        # 2-way run never prices a 3-way run with stale segment graphs.
+    def test_split_counts_never_share_pieces(self):
+        # Piece codes embed the split count and pieces are memoised per
+        # (graph, count), so a 2-way run leaves nothing that a later
+        # 3-way run could price a segment against.
         def signature_of(result):
             return [
                 (r.model_code, r.model_frame, r.end_time_s)
                 for r in result.sessions[0].completed()
             ]
 
-        shared = CachedCostTable()
+        three_way = dict(scenario="ar_gaming", acc="A", sessions=1,
+                         granularity="segment", segments_per_model=3)
+        first = multi(**three_way)
         multi(scenario="ar_gaming", acc="A", sessions=1,
-              granularity="segment", costs=shared)
-        reused = multi(scenario="ar_gaming", acc="A", sessions=1,
-                       granularity="segment", segments_per_model=3,
-                       costs=shared)
-        fresh = multi(scenario="ar_gaming", acc="A", sessions=1,
-                      granularity="segment", segments_per_model=3,
-                      costs=CachedCostTable())
-        assert signature_of(reused) == signature_of(fresh)
-
-    def test_plain_cost_table_gets_wrapped(self):
-        # Every run prices through a CachedCostTable: a bare CostTable is
-        # wrapped transparently rather than rejected, at either
-        # granularity, and the wrapper's counts are reported.  Segment
-        # granularity also needs the wrapper's graph registry.
-        for granularity in ("model", "segment"):
-            result = multi(granularity=granularity, sessions=1,
-                           **{"costs": CostTable()})
-            assert result.cost_stats is not None
-            assert result.cost_stats.lookups > 0
-        assert any(r.num_segments > 1 for r in result.records)
+              granularity="segment")
+        assert signature_of(multi(**three_way)) == signature_of(first)
 
 
 class TestCostCache:
@@ -302,10 +283,10 @@ class TestCostCache:
         assert stats.lookups > 0
         assert stats.hit_rate > 0.9  # hot path is dominated by hits
 
-    def test_default_table_counts_each_run_alone(self):
-        # The default table is a plain CostTable, which every run wraps
-        # in a fresh CachedCostTable: a second run of one simulator
-        # reports its own lookups, not the first run's as well.
+    def test_each_run_counts_its_own_lookups(self):
+        # Every run builds its own price table: a second run of one
+        # simulator reports its own lookups, not the first run's as
+        # well.  Fill: 3 codes x 2 engines at nominal, 6 misses.
         sim = replicate(
             get_scenario("vr_gaming"), build_accelerator("J", 8192),
             LatencyGreedyScheduler(), 1, duration_s=0.1,
@@ -314,11 +295,3 @@ class TestCostCache:
             stats = sim.run().cost_stats
             assert (stats.hits, stats.misses) == (24, 6)
 
-    def test_shared_base_table_reused(self):
-        base = CostTable()
-        multi(sessions=2, **{"costs": CachedCostTable(base=base)})
-        cached = CachedCostTable(base=base)
-        result = multi(sessions=2, **{"costs": cached})
-        # Every analytical answer came from the warm base table.
-        assert cached.stats.misses > 0
-        assert result.cost_stats is cached.stats

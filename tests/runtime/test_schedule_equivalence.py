@@ -34,7 +34,6 @@ import json
 import pytest
 from sim_helpers import replicate
 
-from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
 from repro.runtime import (
     MultiScenarioSimulator,
@@ -372,12 +371,10 @@ def run_case(
     admission: str = "none",
     phase: str | None = None,
     accelerator: str = ACCELERATOR,
-    costs: CostTable | None = None,
 ):
     """One golden cell.  ``phase`` names a scenario every session
     switches to halfway through the run (one :class:`SessionPhase`);
-    such cells take no churn windows.  ``costs`` replaces the run's
-    default cost table."""
+    such cells take no churn windows."""
     kwargs = {"preemptive": True} if preemptive else {}
     windows = (
         churn_windows(sessions, DURATION_S, churn, BASE_SEED)
@@ -394,8 +391,6 @@ def run_case(
         fault_seed=BASE_SEED,
         admission=admission,
     )
-    if costs is not None:
-        options["costs"] = costs
     if phase is not None:
         switch = (SessionPhase(DURATION_S / 2, get_scenario(phase)),)
         return MultiScenarioSimulator(
@@ -597,20 +592,6 @@ def test_wide_fleet_schedule_matches_golden(scheduler, granularity):
     result = run_case(scheduler, granularity, WIDE_SESSIONS,
                       accelerator=WIDE_ACCELERATOR)
     key = (scheduler, granularity)
-    assert checksum_of(result) == GOLDEN_WIDE[key]
-    assert request_checksum_of(result) == GOLDEN_WIDE_REQUESTS[key]
-
-
-@pytest.mark.parametrize(
-    "scheduler", sorted({s for s, g in GOLDEN_WIDE if g == "model"}),
-)
-def test_wide_fleet_keyed_pricing_matches_dense(scheduler):
-    """A plain :class:`CostTable` keeps no prices: the run wraps it in a
-    :class:`~repro.costmodel.CachedCostTable` over it, and the wrapped
-    table must pick the golden engines on the four-engine fleet."""
-    result = run_case(scheduler, "model", WIDE_SESSIONS,
-                      accelerator=WIDE_ACCELERATOR, costs=CostTable())
-    key = (scheduler, "model")
     assert checksum_of(result) == GOLDEN_WIDE[key]
     assert request_checksum_of(result) == GOLDEN_WIDE_REQUESTS[key]
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 import random
 
 import pytest
-from sim_helpers import replicate
+from sim_helpers import price_table, replicate
 
-from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
 from repro.runtime import (
     SCHEDULERS,
@@ -32,13 +31,13 @@ MODEL_CODES = sorted(UNIT_MODELS)
 
 
 @pytest.fixture(scope="module")
-def table():
-    return CostTable()
+def quad():
+    return build_accelerator("H", 4096)  # four engines
 
 
 @pytest.fixture(scope="module")
-def quad():
-    return build_accelerator("H", 4096)  # four engines
+def table(quad):
+    return price_table(quad)
 
 
 @pytest.fixture(scope="module")

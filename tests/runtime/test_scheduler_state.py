@@ -12,9 +12,8 @@ the policy at the start of every run.
 from __future__ import annotations
 
 import pytest
-from sim_helpers import replicate, run_single
+from sim_helpers import price_table, replicate, run_single
 
-from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
 from repro.runtime import (
     EngineFleet,
@@ -115,7 +114,8 @@ class TestRateMonotonicMemoization:
     def test_memoizes_inferred_period_per_model_code(self, system, engines):
         scheduler = RateMonotonicScheduler(memoize_periods=True)
         first = WorkItem(req("HT", 0, t=0.0, deadline=0.020))
-        scheduler.select(0.0, [first], engines[:1], system, CostTable())
+        scheduler.select(0.0, [first], engines[:1], system,
+                         price_table(system))
         assert scheduler.periods["HT"] == pytest.approx(0.020)
         # A later request of the same model with different slack reuses
         # the memoized period instead of re-inferring.
@@ -129,7 +129,7 @@ class TestRateMonotonicMemoization:
         # slack decides its priority.
         scheduler = RateMonotonicScheduler()
         scheduler.select(0.0, [WorkItem(req("HT", 0, t=0.0, deadline=0.020))],
-                         engines[:1], system, CostTable())
+                         engines[:1], system, price_table(system))
         assert "HT" not in scheduler.periods
         assert scheduler._period(
             req("HT", 5, t=0.5, deadline=0.590)
@@ -175,12 +175,12 @@ class TestRoundRobinRotor:
         # full behaviour — this unit test pins the probe logic in
         # isolation).
         scheduler = RoundRobinScheduler()
-        costs = CostTable()
+        prices = price_table(system)
         waiting = [WorkItem(req())]
         ws, os_ = engines
 
         def chosen(idle):
-            return scheduler.select(0.0, waiting, idle, system, costs)[1]
+            return scheduler.select(0.0, waiting, idle, system, prices)[1]
 
         assert chosen([ws, os_]) is ws
         assert chosen([ws, os_]) is os_

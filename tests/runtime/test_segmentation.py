@@ -6,10 +6,12 @@ import pytest
 from sim_helpers import replicate, run_single
 
 from repro.core import score_simulation
-from repro.costmodel import CachedCostTable, Dataflow
+from repro.costmodel import Dataflow, PriceTable
 from repro.hardware import build_accelerator
 from repro.runtime import (
     LatencyGreedyScheduler,
+    MultiScenarioSimulator,
+    SessionSpec,
     segment_scenario,
     split_graph,
 )
@@ -21,7 +23,16 @@ from repro.zoo import build_model
 class TestSplitGraph:
     def test_single_segment_is_identity(self):
         g = build_model("PD")
-        assert split_graph(g, 1) == [g]
+        assert split_graph(g, 1) == (g,)
+
+    def test_pieces_memoised_per_graph_and_count(self):
+        # Runs and variants share piece objects, which the cost store
+        # keys by identity.
+        g = build_model("PD")
+        pieces = split_graph(g, 2)
+        assert isinstance(pieces, tuple)
+        assert split_graph(g, 2) is pieces
+        assert split_graph(g, 3) != pieces
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_partition_covers_all_layers(self, k):
@@ -68,27 +79,26 @@ class TestSplitGraph:
 
 
 class TestSegmentGraphPricing:
-    """Segment pieces registered on the one cost-table class.
+    """Segment pieces are priced from their own graphs."""
 
-    Zoo codes falling through to the base table and conflicting
-    registrations are covered in ``tests/costmodel/test_cached.py``.
-    """
+    def prices(self):
+        pd = build_model("PD")
+        pieces = split_graph(pd, 2)
+        return PriceTable(
+            build_accelerator("A", 4096), (),
+            {"PD": pd, "PD.0": pieces[0], "PD.1": pieces[1]},
+        )
 
-    def test_registered_graph_used(self):
-        table = CachedCostTable()
-        pieces = split_graph(build_model("PD"), 2)
-        table.register_graph("PD.0", pieces[0])
-        cost = table.cost("PD.0", Dataflow.WS, 4096)
+    def test_piece_priced_from_its_graph(self):
+        cost = self.prices().engine_cost("PD.0", 0)
         assert cost.model_name == "plane_detection.0"
+        assert cost.dataflow is Dataflow.WS
 
     def test_segments_cheaper_than_whole(self):
-        table = CachedCostTable()
-        pieces = split_graph(build_model("PD"), 2)
-        table.register_graph("PD.0", pieces[0])
-        table.register_graph("PD.1", pieces[1])
-        whole = table.cost("PD", Dataflow.WS, 4096).latency_s
-        part0 = table.cost("PD.0", Dataflow.WS, 4096).latency_s
-        part1 = table.cost("PD.1", Dataflow.WS, 4096).latency_s
+        prices = self.prices()
+        whole = prices.engine_cost("PD", 0).latency_s
+        part0 = prices.engine_cost("PD.0", 0).latency_s
+        part1 = prices.engine_cost("PD.1", 0).latency_s
         assert part0 < whole and part1 < whole
         # Splitting adds only the per-layer ramp overhead.
         assert part0 + part1 == pytest.approx(whole, rel=0.05)
@@ -96,25 +106,31 @@ class TestSegmentGraphPricing:
 
 class TestSegmentScenario:
     def test_replaces_model_with_chain(self):
-        scenario, _ = segment_scenario(get_scenario("ar_gaming"), "PD", 2)
+        scenario = segment_scenario(get_scenario("ar_gaming"), "PD", 2)
         assert "PD" not in scenario.codes
         assert segment_code("PD", 0) in scenario.codes
         assert segment_code("PD", 1) in scenario.codes
 
+    def test_segments_carry_their_pieces(self):
+        scenario = segment_scenario(get_scenario("ar_gaming"), "PD", 2)
+        pieces = split_graph(build_model("PD"), 2)
+        assert scenario.get("PD.0").model.graph is pieces[0]
+        assert scenario.get("PD.1").model.graph is pieces[1]
+
     def test_chain_dependencies(self):
-        scenario, _ = segment_scenario(get_scenario("ar_gaming"), "PD", 3)
+        scenario = segment_scenario(get_scenario("ar_gaming"), "PD", 3)
         assert scenario.upstream_of("PD.0") is None
         assert scenario.upstream_of("PD.1").upstream == "PD.0"
         assert scenario.upstream_of("PD.2").upstream == "PD.1"
 
     def test_intermediate_segments_marked_aux(self):
-        scenario, _ = segment_scenario(get_scenario("ar_gaming"), "PD", 3)
+        scenario = segment_scenario(get_scenario("ar_gaming"), "PD", 3)
         assert scenario.get("PD.0").aux
         assert scenario.get("PD.1").aux
         assert not scenario.get("PD.2").aux
 
     def test_rates_inherited(self):
-        scenario, _ = segment_scenario(get_scenario("ar_gaming"), "PD", 2)
+        scenario = segment_scenario(get_scenario("ar_gaming"), "PD", 2)
         assert scenario.fps_of("PD.0") == 30
         assert scenario.fps_of("PD.1") == 30
 
@@ -133,15 +149,12 @@ class TestSegmentScenario:
 
 class TestSegmentedExecution:
     def run(self, segments: int):
-        if segments == 1:
-            scenario, table = get_scenario("ar_gaming"), CachedCostTable()
-        else:
-            scenario, table = segment_scenario(
-                get_scenario("ar_gaming"), "PD", segments
-            )
+        scenario = get_scenario("ar_gaming")
+        if segments > 1:
+            scenario = segment_scenario(scenario, "PD", segments)
         sim = run_single(
             scenario, build_accelerator("J", 4096),
-            LatencyGreedyScheduler(), duration_s=1.0, costs=table,
+            LatencyGreedyScheduler(), duration_s=1.0,
         )
         return sim, score_simulation(sim)
 
@@ -176,39 +189,52 @@ class TestSegmentedExecution:
         assert "PD.1" in scored
 
 
-class TestSharedTableReuse:
-    """Regression: a table reused across segmented runs must not raise.
+class TestSegmentedGroups:
+    """Sessions that stream segment variants side by side.
 
-    ``segment_scenario`` used to call ``register_graph`` unguarded, so
-    the second segmentation against one shared table — the Experiment
-    shared-cost-table path — failed with "already registered".
+    A run prices each code from the graph its sessions bind to it, so
+    two sessions binding one code to two different graphs cannot share
+    a price table: the run must refuse before anything is dispatched.
     """
 
-    def test_segment_scenario_twice_on_one_table(self):
-        table = CachedCostTable()
-        first, t1 = segment_scenario(
-            get_scenario("ar_gaming"), "PD", 2, table
+    def group(self, *splits):
+        return MultiScenarioSimulator(
+            sessions=[
+                SessionSpec(
+                    i, segment_scenario(get_scenario("ar_gaming"), "PD", k),
+                    seed=i,
+                )
+                for i, k in enumerate(splits)
+            ],
+            system=build_accelerator("J", 8192),
+            scheduler=self.scheduler,
+            duration_s=0.2,
         )
-        second, t2 = segment_scenario(
-            get_scenario("ar_gaming"), "PD", 2, table
-        )
-        assert t1 is table and t2 is table
-        assert first.get(segment_code("PD", 0)) is not None
-        assert second.get(segment_code("PD", 0)) is not None
 
-    def test_conflicting_split_counts_still_rejected(self):
-        table = CachedCostTable()
-        segment_scenario(get_scenario("ar_gaming"), "PD", 2, table)
-        with pytest.raises(ValueError, match="already registered"):
-            # PD.0 from a 3-way split is a *different* graph under the
-            # same scenario-level code: silent reuse would price the
-            # 3-way segment against the stale 2-way piece.
-            segment_scenario(get_scenario("ar_gaming"), "PD", 3, table)
+    def setup_method(self):
+        self.scheduler = _RecordingScheduler()
 
-    def test_back_to_back_segmented_runs_share_dispatch_table(self):
+    def test_variants_of_one_split_share_pieces(self):
+        first = segment_scenario(get_scenario("ar_gaming"), "PD", 2)
+        second = segment_scenario(get_scenario("ar_gaming"), "PD", 2)
+        for code in ("PD.0", "PD.1"):
+            assert first.get(code).model.graph is (
+                second.get(code).model.graph
+            )
+        result = self.group(2, 2).run()
+        assert all(s.completed("PD.1") for s in result.sessions)
+
+    def test_mixed_split_counts_rejected_before_any_dispatch(self):
+        # PD.0 of the 2-way split is half of PD, of the 3-way split a
+        # third: pricing both from one entry would mis-price a session.
+        group = self.group(2, 3)
+        with pytest.raises(ValueError, match="'PD.0'"):
+            group.run()
+        assert self.scheduler.calls == 0
+
+    def test_back_to_back_segmented_runs_are_identical(self):
         from repro.runtime import make_scheduler
 
-        table = CachedCostTable()
         results = []
         for _ in range(2):
             results.append(replicate(
@@ -218,12 +244,21 @@ class TestSharedTableReuse:
                 2,
                 duration_s=0.2,
                 granularity="segment",
-                costs=table,
             ).run())
-        # Identical runs through the shared table are bit-identical.
         logs = [
             [(r.start_s, r.sub_index, r.model_code, r.segment_index)
              for r in result.records]
             for result in results
         ]
         assert logs[0] == logs[1]
+
+
+class _RecordingScheduler(LatencyGreedyScheduler):
+    """Latency-greedy, counting the dispatch decisions it is asked for."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def select(self, now_s, waiting, idle_engines, system, prices):
+        self.calls += 1
+        return super().select(now_s, waiting, idle_engines, system, prices)

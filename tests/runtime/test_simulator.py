@@ -5,32 +5,24 @@ from __future__ import annotations
 import pytest
 from sim_helpers import run_single
 
-from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
 from repro.runtime import LatencyGreedyScheduler
 from repro.workload import get_scenario
 
 
-def simulate(scenario="vr_gaming", acc="A", pes=8192, duration=1.0, seed=0,
-             costs=None):
+def simulate(scenario="vr_gaming", acc="A", pes=8192, duration=1.0, seed=0):
     return run_single(
         get_scenario(scenario),
         build_accelerator(acc, pes),
         LatencyGreedyScheduler(),
         seed=seed,
         duration_s=duration,
-        costs=costs or CostTable(),
     )
 
 
 @pytest.fixture(scope="module")
-def table():
-    return CostTable()
-
-
-@pytest.fixture(scope="module")
-def vr_result(table):
-    return simulate(costs=table)
+def vr_result():
+    return simulate()
 
 
 class TestBasicInvariants:
@@ -56,7 +48,7 @@ class TestBasicInvariants:
         for r in vr_result.completed():
             assert r.end_time_s > r.start_time_s
 
-    def test_dependency_order_respected(self, vr_result, table):
+    def test_dependency_order_respected(self, vr_result):
         # Every GE inference must start after some ES inference completed
         # at or before its request time (its data source).
         es_ends = sorted(
@@ -104,12 +96,12 @@ class TestFrameAccounting:
             assert vr_result.utilization(i) == pytest.approx(expected)
             assert vr_result.utilization(i) >= 0.0
 
-    def test_overloaded_utilization_caps_at_one(self, table):
+    def test_overloaded_utilization_caps_at_one(self):
         # A saturated run keeps an engine busy past duration_s (in-flight
         # work drains), but busy time is clipped to the measurement
         # window at accounting time, so the occupancy share saturates at
         # exactly 100% instead of overcounting the drain tail.
-        result = simulate("ar_gaming", "J", 4096, costs=table)
+        result = simulate("ar_gaming", "J", 4096)
         top = max(
             result.utilization(i) for i in range(result.system.num_subs)
         )
@@ -120,59 +112,58 @@ class TestFrameAccounting:
 
 
 class TestDeterminism:
-    def test_same_seed_same_outcome(self, table):
-        a = simulate(seed=7, costs=table)
-        b = simulate(seed=7, costs=table)
+    def test_same_seed_same_outcome(self):
+        a = simulate(seed=7)
+        b = simulate(seed=7)
         sig_a = [(r.model_code, r.model_frame, r.end_time_s, r.dropped)
                  for r in a.requests]
         sig_b = [(r.model_code, r.model_frame, r.end_time_s, r.dropped)
                  for r in b.requests]
         assert sig_a == sig_b
 
-    def test_different_seed_different_jitter(self, table):
-        a = simulate(seed=0, costs=table)
-        b = simulate(seed=42, costs=table)
+    def test_different_seed_different_jitter(self):
+        a = simulate(seed=0)
+        b = simulate(seed=42)
         ta = [r.request_time_s for r in a.requests]
         tb = [r.request_time_s for r in b.requests]
         assert ta != tb
 
 
 class TestSaturationBehaviour:
-    def test_overloaded_system_drops_frames(self, table):
+    def test_overloaded_system_drops_frames(self):
         # AR gaming on a 4K-PE system saturates (Figure 6).
-        result = simulate("ar_gaming", "J", 4096, costs=table)
+        result = simulate("ar_gaming", "J", 4096)
         assert result.frame_drop_rate() > 0.15
         assert result.mean_utilization() > 0.9
 
-    def test_bigger_system_drops_fewer(self, table):
-        small = simulate("ar_gaming", "J", 4096, costs=table)
-        big = simulate("ar_gaming", "J", 8192, costs=table)
+    def test_bigger_system_drops_fewer(self):
+        small = simulate("ar_gaming", "J", 4096)
+        big = simulate("ar_gaming", "J", 8192)
         assert big.frame_drop_rate() < small.frame_drop_rate()
 
-    def test_light_scenario_no_drops(self, table):
-        result = simulate("outdoor_activity_a", "A", 8192, costs=table)
+    def test_light_scenario_no_drops(self):
+        result = simulate("outdoor_activity_a", "A", 8192)
         assert result.frame_drop_rate() == 0.0
 
-    def test_in_flight_work_finishes_after_duration(self, table):
+    def test_in_flight_work_finishes_after_duration(self):
         # Streams stop at duration_s but in-flight inference completes.
-        result = simulate("ar_gaming", "J", 4096, costs=table)
+        result = simulate("ar_gaming", "J", 4096)
         last_end = max(r.end_time_s for r in result.completed())
         assert last_end > result.duration_s
 
 
 class TestControlDependency:
-    def test_sr_triggered_fraction(self, table):
+    def test_sr_triggered_fraction(self):
         # AR assistant cascades KD -> SR with p = 0.5; over many seeds the
         # trigger count should approximate half the KD completions.
         triggered = total_kd = 0
         for seed in range(30):
-            result = simulate("ar_assistant", "A", 8192, seed=seed,
-                              costs=table)
+            result = simulate("ar_assistant", "A", 8192, seed=seed)
             triggered += result.num_frames("SR")
             total_kd += len(result.completed("KD"))
         assert 0.3 < triggered / total_kd < 0.7
 
-    def test_duration_scales_requests(self, table):
-        short = simulate("vr_gaming", "A", 8192, duration=0.5, costs=table)
-        long = simulate("vr_gaming", "A", 8192, duration=2.0, costs=table)
+    def test_duration_scales_requests(self):
+        short = simulate("vr_gaming", "A", 8192, duration=0.5)
+        long = simulate("vr_gaming", "A", 8192, duration=2.0)
         assert len(long.requests) > 3 * len(short.requests)

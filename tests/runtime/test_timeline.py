@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 from sim_helpers import run_single
 
-from repro.costmodel import CostTable
 from repro.hardware import build_accelerator
 from repro.runtime import (
     LatencyGreedyScheduler,
@@ -22,7 +21,6 @@ def result():
         build_accelerator("J", 8192),
         LatencyGreedyScheduler(),
         duration_s=1.0,
-        costs=CostTable(),
     )
 
 

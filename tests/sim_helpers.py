@@ -1,18 +1,33 @@
-"""Session-group builders shared by the tests.
+"""Session-group builders and price tables shared by the tests.
 
 The runtime has one event loop, :class:`repro.runtime.MultiScenarioSimulator`,
 fed a list of :class:`repro.runtime.SessionSpec`.  Most tests run either
 N copies of one scenario with consecutive seeds (:func:`replicate`) or
-one session, the single-scenario run (:func:`run_single`).
+one session, the single-scenario run (:func:`run_single`).  Policy unit
+tests that call ``select`` directly price through :func:`price_table`.
 """
 
 from __future__ import annotations
 
+from repro.costmodel import DEFAULT_DVFS_POINTS, PriceTable
 from repro.runtime import (
     MultiScenarioSimulator,
     SessionSpec,
     SimulationResult,
 )
+from repro.workload import UNIT_MODELS
+
+
+def price_table(system, codes=tuple(UNIT_MODELS),
+                points=DEFAULT_DVFS_POINTS) -> PriceTable:
+    """The price table a run on ``system`` builds for zoo ``codes``.
+
+    Each code is priced from its zoo graph, and ``points`` (by default
+    the governors' ladder) join nominal on the table's DVFS ladder.
+    """
+    return PriceTable(
+        system, points, {code: UNIT_MODELS[code].graph for code in codes}
+    )
 
 
 def replicate(

@@ -67,6 +67,14 @@ class TestCommands:
     def test_run_rejects_bad_session_count(self, capsys):
         assert main(["run", "vr_gaming", "J", "--sessions", "0"]) == 2
 
+    def test_run_rejects_segment_count_without_segment_dispatch(
+        self, capsys
+    ):
+        assert main(["run", "ar_gaming", "J", "--segments", "3"]) == 2
+        assert "segments_per_model=3 only acts at segment granularity" in (
+            capsys.readouterr().err
+        )
+
     def test_suite(self, capsys):
         assert main(["suite", "A", "--duration", "0.5"]) == 0
         assert "XRBench SCORE" in capsys.readouterr().out

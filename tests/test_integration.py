@@ -14,8 +14,8 @@ from repro.workload import SCENARIO_ORDER
 
 
 @pytest.fixture(scope="module")
-def harness(cost_table):
-    return Harness(costs=cost_table)
+def harness():
+    return Harness()
 
 
 @pytest.fixture(scope="module")
@@ -150,13 +150,13 @@ class TestSuiteLevel:
 class TestSchedulerAblation:
     """The scheduler is a first-class knob (Section 3.5)."""
 
-    def test_edf_competitive_with_greedy(self, cost_table):
+    def test_edf_competitive_with_greedy(self):
         from repro.core import HarnessConfig
 
         results = {}
         for sched in ("latency_greedy", "edf", "round_robin"):
             h = Harness(
-                config=HarnessConfig(scheduler=sched), costs=cost_table
+                config=HarnessConfig(scheduler=sched)
             )
             results[sched] = h.run_scenario(
                 "ar_gaming", build_accelerator("J", 8192)

@@ -146,13 +146,10 @@ class TestRandomScenarioSimulation:
     )
     def test_invariants_hold(self, base, rate_factor, acc, pes, loss, seed):
         from repro.core import score_simulation
-        from repro.costmodel import CostTable
         from repro.hardware import build_accelerator
         from repro.runtime import LatencyGreedyScheduler
         from repro.workload import get_scenario, scale_rates
 
-        if not hasattr(TestRandomScenarioSimulation, "_table"):
-            TestRandomScenarioSimulation._table = CostTable()
         scenario = scale_rates(get_scenario(base), rate_factor)
         result = run_single(
             scenario,
@@ -160,7 +157,6 @@ class TestRandomScenarioSimulation:
             LatencyGreedyScheduler(),
             seed=seed,
             duration_s=0.5,
-            costs=TestRandomScenarioSimulation._table,
             frame_loss_probability=loss,
         )
 
