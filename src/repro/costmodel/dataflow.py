@@ -112,7 +112,10 @@ class DataflowSpec:
 #: Mapping efficiencies are end-to-end effective rates (stalls, drain,
 #: imperfect tiling): real accelerators achieve 20-40% of peak on full
 #: models, and these values calibrate the suite into the deadline-stress
-#: regime the paper's evaluation operates in (see DESIGN.md).
+#: regime the paper's evaluation operates in: PD at 30 FPS takes over
+#: 50 ms on a 2K-PE WS engine against its 33 ms deadline, so the 4K-PE
+#: J system saturates (Figure 6), and 25-45 ms on a 4K-PE engine
+#: (``tests/costmodel/test_analysis.py::TestCalibrationShape``).
 DATAFLOW_SPECS: dict[Dataflow, DataflowSpec] = {
     Dataflow.WS: DataflowSpec(Dataflow.WS, mapping_efficiency=0.35,
                               buf_reads_per_mac=1.0),

@@ -2,7 +2,7 @@
 
 Per-operation energies for an 8-bit edge accelerator in a recent mobile
 process node, in picojoules.  The absolute values are calibration
-constants (see DESIGN.md): they are chosen within the plausible published
+constants: they are chosen within the plausible published
 ranges (Horowitz ISSCC'14 scaling and follow-ups) such that heavy
 inferences land in the hundreds-of-mJ regime the paper's energy scores
 imply against the 1500 mJ ``Enmax`` budget.

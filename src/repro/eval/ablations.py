@@ -1,7 +1,6 @@
 """Ablation studies over the reproduction's design choices.
 
-DESIGN.md calls out the knobs that shape results; each function here
-isolates one of them:
+Each function here isolates one of the knobs that shape the results:
 
 * :func:`scheduler_ablation` — latency-greedy vs round-robin vs EDF
   (Section 3.5 makes the scheduler user-replaceable; this quantifies why).

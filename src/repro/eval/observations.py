@@ -1,11 +1,10 @@
 """Automated verification of the paper's Section 4 claims.
 
 Runs the full sweep once and checks each claim of Sections 4.2-4.4
-programmatically, producing a pass/fail report — the executable version
-of EXPERIMENTS.md.  The same properties are asserted (with slack) by the
-integration test suite; this module exists so a user who changes the
-calibration, a model, or the scheduler can immediately see which paper
-shapes still hold.
+programmatically, producing a pass/fail report.  The same properties
+are asserted (with slack) by the integration test suite; this module
+exists so a user who changes the calibration, a model, or the scheduler
+can immediately see which paper shapes still hold.
 """
 
 from __future__ import annotations

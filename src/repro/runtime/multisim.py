@@ -71,12 +71,14 @@ Key properties:
   build time (so they outrank same-instant work events), and all
   randomness — including the churn plan — flows through the per-session
   seeds: two runs with the same specs are bit-identical.
-* **Incremental dispatch state**: the event loop never recomputes what it
-  can maintain.  Root arrivals stream from one cursor per session phase,
-  so the event heap holds a few entries per session rather than the
-  whole schedule, and a root's request is built only when it arrives
-  (see :mod:`repro.runtime.events`).  Waiting work lives in one
-  :class:`~repro.runtime.queues.WaitingQueue` updated on
+* **Incremental dispatch state**: the event loop never recomputes what
+  it can maintain.  Root arrivals stream from one cursor per session
+  phase, so the event heap holds a few entries per session rather than
+  the whole schedule, and a root's request is built only when it arrives
+  (see :mod:`repro.runtime.events`).  The schedules of every window the
+  run plans are built in one batch when it starts
+  (:func:`~repro.workload.loadgen.root_schedules`).  Waiting work lives
+  in one :class:`~repro.runtime.queues.WaitingQueue` updated on
   arrival/dispatch/retirement: a dict whose insertion order is the
   dispatch order, so a fresh frame superseding a waiting one costs two
   dict operations (work items are built — and their segment plans
@@ -95,7 +97,7 @@ import heapq
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.costmodel import (
     DEFAULT_DVFS_POINTS,
@@ -113,6 +115,7 @@ from repro.workload import (
     UsageScenario,
     scale_rates,
 )
+from repro.workload.loadgen import Schedule, root_schedules
 
 from .admission import (
     DEGRADATION_LADDER,
@@ -281,7 +284,9 @@ class _SessionState:
     phase_ids[p + 1]`` — to the current phase when ``request_id >=
     phase_ids[phase]`` — and completions of stale-phase work spawn no
     cascades.  ``cursor`` streams the current phase's roots (``None``
-    when it has none).
+    when it has none).  ``planned`` yields the root schedule of each
+    window planned when the run started, in window order; a degrade
+    phase spliced in mid-run is not among them.
     """
 
     spec: SessionSpec
@@ -296,6 +301,7 @@ class _SessionState:
     active: bool = False
     phase_ids: list[int] = field(default_factory=list)
     cursor: _ArrivalCursor | None = None
+    planned: Iterator[Schedule] = field(default_factory=lambda: iter(()))
 
     @property
     def active_duration_s(self) -> float:
@@ -306,13 +312,15 @@ class _SessionState:
 class _ArrivalCursor:
     """One session phase's root arrivals, streamed one event at a time.
 
-    ``rows`` is the phase's root schedule
-    (:meth:`~repro.workload.LoadGenerator.root_schedule`: sorted, in
-    phase-local time).  Row ``k`` arrives at ``rows[k][0] + start_s`` as
-    event ``first_seq + k`` and becomes request ``first_id + k``; both
-    blocks are reserved when the phase is entered, so every arrival
-    keeps the event key and request id it would have had if the whole
-    schedule were pushed then.  ``index`` is the next row to pop (the
+    ``rows`` is the phase's root schedule (sorted, in phase-local time):
+    a planned window's comes from the batch
+    (:func:`~repro.workload.loadgen.root_schedules`) the run builds for
+    every window it plans when it starts, a degrade phase's from a batch
+    of one when the phase is entered.  Row ``k`` arrives at
+    ``rows[k][0] + start_s`` as event ``first_seq + k`` and becomes
+    request ``first_id + k``; both blocks are reserved when the phase is
+    entered, so every arrival keeps the event key and request id it
+    would have had if the whole schedule were pushed then.  ``index`` is the next row to pop (the
     one on the event heap), ``len(rows)`` once every row has popped, so
     ``rows[index:]`` are the rows still to come.
 
@@ -322,7 +330,7 @@ class _ArrivalCursor:
     governor's event horizon, but they build no request.
     """
 
-    rows: tuple[tuple[float, str, int, float], ...]
+    rows: Schedule
     start_s: float
     first_seq: int
     first_id: int
@@ -436,7 +444,8 @@ class MultiScenarioSimulator:
             segment boundaries).
         segments_per_model: target segments per model under segment
             granularity; models without enough residual-safe cut points
-            run whole.
+            run whole.  Any count but the default 2 is rejected at model
+            granularity, where nothing splits.
         engine_dvfs: optional per-engine *base* DVFS operating points.
         dvfs_policy: runtime DVFS governor policy — ``"static"`` (every
             dispatch at the engine's base point, the historical
@@ -518,6 +527,14 @@ class MultiScenarioSimulator:
             raise ValueError(
                 f"segments_per_model must be >= 1, "
                 f"got {self.segments_per_model}"
+            )
+        if self.segments_per_model != 2 and self.granularity != "segment":
+            # Only segment dispatch splits models: another count here
+            # would be ignored, so it is rejected as RunSpec rejects it.
+            raise ValueError(
+                f"segments_per_model={self.segments_per_model} only acts "
+                f"at segment granularity; set granularity='segment' or "
+                f"drop it"
             )
         for index in self.engine_dvfs:
             if not 0 <= index < self.system.num_subs:
@@ -716,16 +733,24 @@ class MultiScenarioSimulator:
         context = DispatchContext()
         events = EventQueue()
         states: dict[int, _SessionState] = {}
-        for spec in sorted(self.sessions, key=lambda s: s.session_id):
-            # Non-empty by construction: arrival_s < duration_s is
-            # validated, and departures/phases are validated after it.
-            windows = self._phase_windows(spec)
+        specs = sorted(self.sessions, key=lambda s: s.session_id)
+        # Non-empty by construction: arrival_s < duration_s is
+        # validated, and departures/phases are validated after it.
+        all_windows = [self._phase_windows(spec) for spec in specs]
+        # Every planned window's root schedule, in one batch.
+        schedules = iter(root_schedules([
+            (scenario, stop - start, spec.seed, spec.frame_loss_probability)
+            for spec, windows in zip(specs, all_windows)
+            for start, stop, scenario in windows
+        ]))
+        for spec, windows in zip(specs, all_windows):
             states[spec.session_id] = _SessionState(
                 spec=spec,
                 windows=windows,
                 requests=[],
                 busy_time_s={i: 0.0 for i in range(self.system.num_subs)},
                 spawned={},
+                planned=iter([next(schedules) for _ in windows]),
             )
             # Lifecycle events are scheduled up front: their low sequence
             # numbers give them priority over same-instant work events.
@@ -830,14 +855,18 @@ class MultiScenarioSimulator:
         #: root or dependent, takes the next id from this one counter.
         request_ids = itertools.count()
 
-        def enter_phase(state: _SessionState, phase: int) -> None:
+        def enter_phase(state: _SessionState, phase: int,
+                        rows: Schedule | None) -> None:
             """Swap the session onto phase ``phase`` and stream its roots.
 
-            The phase's roots get an arrival cursor holding blocks of
-            event sequence numbers and request ids, one per root; only
-            the first root goes on the heap (see :class:`_ArrivalCursor`).
-            The load generator works in phase-local time; the cursor
-            shifts each root to absolute run time as it arrives.
+            ``rows`` is the phase's root schedule when the run planned
+            the phase (``state.planned``), ``None`` for a degrade phase,
+            whose schedule is built here as a batch of one.  The phase's
+            roots get an arrival cursor holding blocks of event sequence
+            numbers and request ids, one per root; only the first root
+            goes on the heap (see :class:`_ArrivalCursor`).  The load
+            generator works in phase-local time; the cursor shifts each
+            root to absolute run time as it arrives.
             """
             nonlocal request_ids
             start, stop, scenario = state.windows[phase]
@@ -855,7 +884,8 @@ class MultiScenarioSimulator:
                 state.spawned.setdefault(sm.code, 0)
             for code, count in loadgen.expected_frames().items():
                 state.spawned[code] += count
-            rows = loadgen.root_schedule()
+            if rows is None:
+                rows = loadgen.root_schedule()
             first_id = next(request_ids)
             request_ids = itertools.count(first_id + len(rows))
             state.phase_ids.append(first_id)
@@ -933,7 +963,7 @@ class MultiScenarioSimulator:
                     spawned[code] -= 1
                 cursor.retired = True
             retire_waiting(sid, include_resumable=True)
-            enter_phase(state, state.phase + 1)
+            enter_phase(state, state.phase + 1, None)
 
         def fresh_item(request: InferenceRequest,
                        session_id: int) -> WorkItem:
@@ -1322,12 +1352,14 @@ class MultiScenarioSimulator:
                             log.shed = True
                             log.shed_reason = action.reason
                             log.actions += (action,)
-                    enter_phase(state, 0)
+                    enter_phase(state, 0, next(state.planned))
                 elif kind is SESSION_PHASE:
                     state = states[session_id]
                     if state.active:
                         retire_waiting(session_id, include_resumable=True)
-                        enter_phase(state, state.phase + 1)
+                        enter_phase(
+                            state, state.phase + 1, next(state.planned)
+                        )
                         if controller is not None:
                             # A planned activity change starts at full
                             # fidelity: the new scenario was never

@@ -20,8 +20,6 @@ model on the 60 FPS camera skips every other frame).
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +28,7 @@ import numpy as np
 from .scenarios import ScenarioModel
 from .sensors import FloatArray, InputSource, IntArray
 
-__all__ = ["FramePlan", "InferenceRequest", "request_times_s"]
+__all__ = ["FramePlan", "InferenceRequest"]
 
 
 @dataclass(frozen=True)
@@ -99,9 +97,15 @@ class FramePlan:
         return int(self.sensor_frames(np.array([model_frame]))[0])
 
     def request_time_s(self, model_frame: int, seed: int = 0) -> float:
-        """Jittered availability time of one model frame's input data."""
-        (times,) = request_times_s([(self, np.array([model_frame]))], seed)
-        return float(times[0])
+        """Jittered availability time of one model frame's input data.
+
+        The latest arrival among the model's sensors (Definition 7):
+        multi-modal models (DR) wait for *all* of them.
+        """
+        return max(
+            sensor.arrival_s(int(ids[0]), seed)
+            for sensor, ids in self.sensor_reads(np.array([model_frame]))
+        )
 
     def deadline_s(self, model_frame: int) -> float:
         """Nominal arrival of the next consumed frame (Definition 8)."""
@@ -126,38 +130,6 @@ class FramePlan:
             if arrivals[-1] >= duration_s:
                 return int(np.searchsorted(arrivals, duration_s))
             count *= 2
-
-
-def request_times_s(
-    frames: Sequence[tuple[FramePlan, IntArray]], seed: int
-) -> list[FloatArray]:
-    """Jittered request times (Definition 7) of several models' frames.
-
-    A model frame's request time is the latest arrival among its
-    sensors: multi-modal models (DR) wait for *all* of them.  Each sensor
-    is drawn once, over every frame any of the models reads from it, so
-    models sharing a sensor share its draws and the fixed cost of a draw
-    is paid once per sensor.
-    """
-    reads = [plan.sensor_reads(model_frames) for plan, model_frames in frames]
-    wanted: dict[InputSource, list[IntArray]] = {}
-    for model_reads in reads:
-        for sensor, ids in model_reads:
-            wanted.setdefault(sensor, []).append(ids)
-    drawn = {}
-    for sensor, chunks in wanted.items():
-        # The distinct frame ids, sorted.  (np.unique would import
-        # numpy.ma, about 1.5 MB of resident memory, on first use.)
-        ids = np.sort(np.concatenate(chunks))
-        ids = ids[np.diff(ids, prepend=-1) != 0]
-        drawn[sensor] = (ids, sensor.arrivals_s(ids, seed))
-    return [
-        functools.reduce(np.maximum, [
-            drawn[sensor][1][np.searchsorted(drawn[sensor][0], ids)]
-            for sensor, ids in model_reads
-        ])
-        for model_reads in reads
-    ]
 
 
 @dataclass(slots=True)

@@ -12,8 +12,7 @@ model and records the inter-model dependencies:
   probability — 0.2 for the outdoor scenarios, 0.5 for AR assistant
   (Section 4.1, "Modeling Dynamic Cascading").
 
-The seven scenario variants reconstruct Table 2; see DESIGN.md for how the
-row/column alignment ambiguities of the extracted table were resolved.
+The seven scenario variants reconstruct Table 2.
 """
 
 from __future__ import annotations

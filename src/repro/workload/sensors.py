@@ -11,9 +11,9 @@ with ``Dist`` a distribution over [0, 1] (Gaussian by default in the paper;
 we use a clipped Gaussian) and ``rand`` a deterministic function of the
 sensor and frame id, so a run is reproducible for a given seed.
 
-Arrival times are computed a batch of frames at a time
-(:meth:`InputSource.arrivals_s`); the one-frame accessors are the batch
-of one.
+Jitter is computed in blocks of (sensor, frames, seeds), any number of
+them in one kernel call (:func:`jitter_blocks_s`); the one-frame
+accessors are the block of one.
 """
 
 from __future__ import annotations
@@ -21,14 +21,17 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
 from ._ziggurat import KI, WI
 
-__all__ = ["InputSource", "CAMERA", "LIDAR", "MICROPHONE", "SENSORS", "get_sensor"]
+__all__ = [
+    "InputSource", "CAMERA", "LIDAR", "MICROPHONE", "SENSORS", "get_sensor",
+    "jitter_blocks_s",
+]
 
 IntArray = npt.NDArray[np.int64]
 FloatArray = npt.NDArray[np.float64]
@@ -211,35 +214,60 @@ def _seeded_normal() -> Callable[[npt.NDArray[np.uint64]], float]:
     return draw
 
 
-def _jitter_units(name: str, frame_ids: IntArray, seed: int) -> FloatArray:
-    """The clipped-Gaussian draws ``u`` for (sensor, frame, seed) keys.
+#: Jitter keys in a block: ``(name, frames, seeds)`` stands for the key
+#: ``f"{name}:{frame}:{seed}"`` of every frame under every seed,
+#: seed-major.
+JitterBlock = tuple[str, Sequence[int], Sequence[int]]
+#: Keys per pass of the array arithmetic: whatever the batch size, a pass
+#: holds its temporaries to a few hundred kB.
+_CHUNK = 4096
+
+
+def _jitter_units(blocks: Iterable[JitterBlock]) -> FloatArray:
+    """The clipped-Gaussian draws ``u`` of blocks of jitter keys.
 
     Each draw is exactly
     ``clip(default_rng(int.from_bytes(sha256(key)[:8], "little"))
     .normal(0.5, 1/6), 0, 1)`` for ``key = f"{name}:{frame}:{seed}"``:
-    a pure function of its key, so frames are order-independent.  The
-    whole batch is uint array arithmetic: the seed-sequence hashing
-    (:func:`_seed_words`), PCG64's seeding and first output
-    (:func:`_pcg64_first_outputs`) and the ziggurat's fast path
-    (:func:`_ziggurat_fast_path`), whose tables ``tools/ziggurat_tables.py``
-    read off numpy into ``_ziggurat.py``.  The 1.5% of draws off the fast
-    path seed a generator with their words and run numpy's own sampler.
-    A 120-frame batch takes about 0.23 ms, against 0.45 ms with a
-    generator per draw; the arrays' fixed cost makes a one-frame batch
-    76 µs against 48 µs (numpy 2.4.6, CPython 3.11.7, Intel Xeon).
+    a pure function of its key, so frames, seeds and blocks are
+    order-independent.  The draws come back block by block, each
+    seed-major (reshape a block's to ``(len(seeds), len(frames))``).
+    One sha256 pass, which encodes each frame's key prefix once per
+    block, feeds uint array arithmetic over every key at once: the
+    seed-sequence hashing (:func:`_seed_words`), PCG64's seeding and
+    first output (:func:`_pcg64_first_outputs`) and the ziggurat's fast
+    path (:func:`_ziggurat_fast_path`), whose tables
+    ``tools/ziggurat_tables.py`` read off numpy into ``_ziggurat.py``.
+    The 1.5% of draws off the fast path seed a generator with their
+    words and run numpy's own sampler.  The array passes have a fixed
+    cost, so a run draws every schedule it plans in one call
+    (:func:`repro.workload.loadgen.root_schedules`), degrade phases one
+    at a time: a cold 256-session ``vr_gaming`` run makes one call of
+    30,720 keys, 28 ms, where it made 256 calls of 120 keys at 0.22 ms
+    each (one key alone takes 0.16 ms; numpy 2.4.6, CPython 3.11.7,
+    2-core Intel Xeon).
     """
     sha256 = hashlib.sha256
-    digests = b"".join(
-        sha256(f"{name}:{frame}:{seed}".encode()).digest()[:8]
-        for frame in frame_ids.tolist()
-    )
-    words = _seed_words(np.frombuffer(digests, "<u4").reshape(-1, 2))
-    units, fast = _ziggurat_fast_path(_pcg64_first_outputs(words))
-    slow = np.flatnonzero(~fast).tolist()
-    if slow:
-        draw = _seeded_normal()
-        for row in slow:
-            units[row] = draw(words[row])
+    digests: list[bytes] = []
+    for name, frames, seeds in blocks:
+        prefixes = [f"{name}:{frame}:".encode() for frame in frames]
+        digests += [
+            b"".join([
+                sha256(prefix + suffix).digest()[:8] for prefix in prefixes
+            ])
+            for suffix in [str(seed).encode() for seed in seeds]
+        ]
+    entropy = np.frombuffer(b"".join(digests), "<u4").reshape(-1, 2)
+    units = np.empty(len(entropy))
+    for start in range(0, len(entropy), _CHUNK):
+        words = _seed_words(entropy[start:start + _CHUNK])
+        chunk, fast = _ziggurat_fast_path(_pcg64_first_outputs(words))
+        slow = np.flatnonzero(~fast).tolist()
+        if slow:
+            draw = _seeded_normal()
+            for row in slow:
+                chunk[row] = draw(words[row])
+        units[start:start + _CHUNK] = chunk
     return np.minimum(np.maximum(units, 0.0, out=units), 1.0, out=units)
 
 
@@ -282,27 +310,16 @@ class InputSource:
             raise ValueError(f"frame_id must be >= 0, got {frame_ids.min()}")
         return self.init_latency_ms / 1e3 + frame_ids / self.fps
 
-    def jitters_s(self, frame_ids: IntArray, seed: int = 0) -> FloatArray:
-        """Deterministic jitter of each of ``frame_ids`` in seconds.
+    def arrivals_from_s(
+        self, frame_ids: IntArray, jitters_s: FloatArray | float
+    ) -> FloatArray:
+        """Arrival times of ``frame_ids`` given their jitter (Definition 7).
 
-        The jitter is ``2*Jt*(u - 0.5)`` where ``u`` is drawn from a
-        Gaussian centred at 0.5 (sigma 1/6) clipped to [0, 1], seeded by a
-        stable hash of (sensor, frame, seed) so every harness component
-        observing this frame sees the same arrival time.
+        ``jitters_s`` may carry leading axes, such as one row per seed
+        (:func:`jitter_blocks_s`).  Clamped at zero: a frame cannot
+        arrive before the stream starts.
         """
-        if self.jitter_ms == 0.0:
-            return np.zeros(len(frame_ids))
-        u = _jitter_units(self.name, frame_ids, seed)
-        return 2.0 * (self.jitter_ms / 1e3) * (u - 0.5)
-
-    def arrivals_s(self, frame_ids: IntArray, seed: int = 0) -> FloatArray:
-        """Jittered arrival times of ``frame_ids`` (Definition 7), seconds.
-
-        Clamped at zero: a frame cannot arrive before the stream starts.
-        """
-        times = self.nominal_arrivals_s(frame_ids) + self.jitters_s(
-            frame_ids, seed
-        )
+        times = self.nominal_arrivals_s(frame_ids) + jitters_s
         return np.where(times > 0.0, times, 0.0)
 
     def nominal_arrival_s(self, frame_id: int) -> float:
@@ -310,13 +327,18 @@ class InputSource:
         return float(self.nominal_arrivals_s(np.array([frame_id]))[0])
 
     def jitter_s(self, frame_id: int, seed: int = 0) -> float:
-        """Deterministic jitter of one frame in seconds."""
-        return float(self.jitters_s(np.array([frame_id]), seed)[0])
+        """Deterministic jitter of one frame in seconds.
+
+        The block of one of :func:`jitter_blocks_s`.
+        """
+        (jitter,) = jitter_blocks_s([(self, np.array([frame_id]), (seed,))])
+        return float(jitter[0, 0])
 
     def arrival_s(self, frame_id: int, seed: int = 0) -> float:
         """Jittered arrival time of one frame (Definition 7), seconds."""
-        return float(self.arrivals_s(np.array([frame_id]), seed)[0])
-
+        frame_ids = np.array([frame_id])
+        jitter = self.jitter_s(frame_id, seed)
+        return float(self.arrivals_from_s(frame_ids, jitter)[0])
 
 CAMERA = InputSource("camera", "Images", fps=60.0, jitter_ms=0.05)
 LIDAR = InputSource("lidar", "Sparse Depth Points", fps=60.0, jitter_ms=0.05)
@@ -325,6 +347,39 @@ MICROPHONE = InputSource("microphone", "Audio", fps=3.0, jitter_ms=0.1)
 SENSORS: dict[str, InputSource] = {
     s.name: s for s in (CAMERA, LIDAR, MICROPHONE)
 }
+
+
+def jitter_blocks_s(
+    blocks: Sequence[tuple[InputSource, IntArray, Sequence[int]]],
+) -> list[FloatArray]:
+    """Deterministic jitter of (sensor, frame ids, seeds) blocks, seconds.
+
+    Block ``(sensor, frame_ids, seeds)`` gets a ``(len(seeds),
+    len(frame_ids))`` matrix whose row ``i`` is the jitter under
+    ``seeds[i]``: ``2*Jt*(u - 0.5)``, where ``u`` is drawn from a
+    Gaussian centred at 0.5 (sigma 1/6) clipped to [0, 1] and seeded by
+    a stable hash of (sensor, frame, seed), so every harness component
+    observing a frame sees the same arrival time.  Every block's draws
+    come from one :func:`_jitter_units` call; a sensor without jitter
+    draws nothing.
+    """
+    units = _jitter_units([
+        (sensor.name, frame_ids.tolist(), seeds)
+        for sensor, frame_ids, seeds in blocks
+        if sensor.jitter_ms != 0.0
+    ])
+    jitters: list[FloatArray] = []
+    start = 0
+    for sensor, frame_ids, seeds in blocks:
+        shape = (len(seeds), len(frame_ids))
+        if sensor.jitter_ms == 0.0:
+            jitters.append(np.zeros(shape))
+            continue
+        stop = start + shape[0] * shape[1]
+        u = units[start:stop].reshape(shape)
+        jitters.append(2.0 * (sensor.jitter_ms / 1e3) * (u - 0.5))
+        start = stop
+    return jitters
 
 
 def get_sensor(name: str) -> InputSource:

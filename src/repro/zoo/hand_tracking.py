@@ -15,8 +15,8 @@ from repro.nn import GraphBuilder, ModelGraph
 
 from .registry import register_model
 
-#: Channel-width multiplier.  Widths are calibrated (see DESIGN.md) so the
-#: simulated 4K/8K-PE accelerators are stressed the way the paper's are.
+#: Channel-width multiplier.  Widths are calibrated so the simulated
+#: 4K/8K-PE accelerators are stressed the way the paper's are.
 WIDTH = 2.0
 
 

@@ -180,7 +180,7 @@ class TestModelCost:
 
 
 class TestCalibrationShape:
-    """The latency regimes the paper's evaluation depends on (DESIGN.md)."""
+    """The latency regimes the paper's evaluation depends on."""
 
     def test_pd_saturates_2k_engines(self):
         # PD at 30 FPS (33.3 ms deadline) must exceed ~2x the deadline on a

@@ -70,6 +70,31 @@ class TestConstruction:
                 granularity="layer",
             )
 
+    @pytest.mark.parametrize("segments", [1, 3])
+    def test_rejects_segment_count_off_segment_granularity(self, segments):
+        # Model dispatch splits nothing, so the count would be ignored:
+        # one ar_gaming session on J gave identical records with 2 and 3.
+        message = (
+            f"segments_per_model={segments} only acts at segment granularity"
+        )
+        with pytest.raises(ValueError, match=message):
+            MultiScenarioSimulator(
+                sessions=[SessionSpec(0, get_scenario("ar_gaming"))],
+                system=build_accelerator("J", 8192),
+                scheduler=LatencyGreedyScheduler(),
+                duration_s=0.25,
+                segments_per_model=segments,
+            )
+
+    def test_harness_rejects_segment_count_off_segment_granularity(self):
+        from repro.core import Harness
+
+        with pytest.raises(ValueError, match="only acts at segment"):
+            Harness().run_sessions(
+                "ar_gaming", build_accelerator("J", 8192), num_sessions=1,
+                segments_per_model=3,
+            )
+
 
 class TestMultiplexing:
     def test_per_session_results_and_qoe(self, four_sessions):

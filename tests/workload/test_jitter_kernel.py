@@ -1,13 +1,16 @@
 """The batched jitter draw against the per-draw generator it replaces.
 
 Definition 7's ``rand`` is a clipped Gaussian seeded per (sensor, frame,
-seed).  The schedule path draws a whole sensor's frames at once
-(:func:`repro.workload.sensors._jitter_units`); these tests pin it, and
-the schedules built from it, to the one-generator-per-draw formulation
-kept here as the reference, so every float must match exactly.  CI runs
-this file by name on each of its interpreters, so a numpy whose sampler
+seed).  A run draws every sensor, frame and seed of the schedules it
+plans in one kernel call (:func:`repro.workload.sensors._jitter_units`,
+behind :func:`repro.workload.loadgen.root_schedules`); these tests pin
+the kernel, and the batched schedules built from it, to the
+one-generator-per-draw formulation kept here as the reference, so every
+float must match exactly.  CI runs this file by name on each of its
+interpreters and under several hash seeds, so a numpy whose sampler
 differs (other ziggurat tables, or a fused multiply-add in
-``loc + scale * z``) fails there by name.
+``loc + scale * z``), or a batch whose rows follow hash-dependent
+iteration, fails there by name.
 """
 
 from __future__ import annotations
@@ -22,12 +25,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sim_helpers import replicate
+
 import repro
+from repro.hardware import build_accelerator
+from repro.runtime import LatencyGreedyScheduler
 from repro.runtime.admission import DEGRADATION_LADDER
 from repro.workload import SCENARIO_ORDER, SENSORS, get_scenario, scale_rates
-from repro.workload import _ziggurat
+from repro.workload import _ziggurat, loadgen, sensors
 from repro.workload._ziggurat import KI, WI
-from repro.workload.loadgen import _root_schedule
+from repro.workload.loadgen import _build_schedules, root_schedules
 from repro.workload.sensors import (
     _jitter_units,
     _pcg64_first_outputs,
@@ -127,16 +134,31 @@ class TestJitterUnits:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("name", sorted(SENSORS))
     def test_batch_matches_per_draw_generator(self, name, seed):
-        got = _jitter_units(name, np.arange(self.FRAMES), seed).tolist()
+        got = _jitter_units([(name, range(self.FRAMES), (seed,))]).tolist()
         assert got == [
             reference_unit(name, frame, seed) for frame in range(self.FRAMES)
         ]
 
     def test_frames_are_order_independent(self):
-        frames = np.array([17, 3, 400, 3, 0])
-        got = _jitter_units("camera", frames, 5).tolist()
+        frames = [17, 3, 400, 3, 0]
+        got = _jitter_units([("camera", frames, (5,))]).tolist()
         assert got == [reference_unit("camera", f, 5) for f in frames]
-        assert _jitter_units("camera", frames[:0], 5).shape == (0,)
+        assert _jitter_units([("camera", [], (5,))]).shape == (0,)
+
+    def test_blocks_are_seed_major_and_concatenated(self):
+        blocks = [
+            ("camera", [4, 0, 9], (2, 11)),
+            ("microphone", [1], (0,)),
+            ("lidar", [], (3, 4)),
+            ("lidar", [8, 2], (2**31 - 1, 0, 5)),
+        ]
+        got = _jitter_units(blocks).tolist()
+        assert got == [
+            reference_unit(name, frame, seed)
+            for name, frames, seeds in blocks
+            for seed in seeds for frame in frames
+        ]
+        assert _jitter_units([]).shape == (0,)
 
     @pytest.mark.parametrize("name", sorted(SENSORS))
     def test_scalar_accessors_are_the_batch_of_one(self, name):
@@ -226,12 +248,16 @@ class TestZigguratScan:
         rows = []  # (name, seed, frame, got, reference, route)
         frames = range(self.FRAMES)
         for name in sorted(SENSORS):
-            for seed in self.SCAN_SEEDS:
-                got = _jitter_units(name, np.arange(self.FRAMES), seed)
+            # One call per sensor: 36,000 keys, so the scan also crosses
+            # the kernel's chunk boundaries.
+            got = _jitter_units([(name, frames, self.SCAN_SEEDS)]).reshape(
+                len(self.SCAN_SEEDS), self.FRAMES
+            )
+            for seed, seed_got in zip(self.SCAN_SEEDS, got.tolist()):
                 outputs = _pcg64_first_outputs(key_words(name, frames, seed))
                 _, fast = _ziggurat_fast_path(outputs)
                 for frame, value, word, on_fast in zip(
-                    frames, got.tolist(), outputs.tolist(), fast.tolist()
+                    frames, seed_got, outputs.tolist(), fast.tolist()
                 ):
                     route = (
                         "fast" if on_fast else
@@ -259,11 +285,11 @@ class TestZigguratScan:
     )
     def test_one_frame_batch(self, scan, route):
         name, seed, frame = next(row for row in scan if row[5] == route)[:3]
-        got = _jitter_units(name, np.array([frame]), seed)
+        got = _jitter_units([(name, [frame], (seed,))])
         assert got.tolist() == [reference_unit(name, frame, seed)]
 
     def test_empty_batch(self):
-        got = _jitter_units("lidar", np.arange(0), 3)
+        got = _jitter_units([("lidar", [], (3,))])
         assert got.shape == (0,) and got.dtype == np.float64
         units, fast = _ziggurat_fast_path(
             _pcg64_first_outputs(np.zeros((0, 4), np.uint64))
@@ -292,6 +318,22 @@ class TestZigguratTables:
 # -- the schedules built from it -------------------------------------------------
 
 
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A fresh, empty process-wide schedule memo for one test."""
+    memo: dict = {}
+    monkeypatch.setattr(loadgen, "_SCHEDULES", memo)
+    return memo
+
+
+def degraded(name: str):
+    """``name`` rate-scaled by every step of the degradation ladder."""
+    return [
+        scale_rates(get_scenario(name), step.rate_factor)
+        for step in DEGRADATION_LADDER[1:]
+    ]
+
+
 class TestRootSchedule:
     @pytest.mark.parametrize("frame_loss", [0.0, 0.2])
     @pytest.mark.parametrize("duration_s", [0.25, 1.0, 2.0])
@@ -299,9 +341,8 @@ class TestRootSchedule:
     @pytest.mark.parametrize("name", SCENARIO_ORDER)
     def test_matches_per_frame_loop(self, name, seed, duration_s, frame_loss):
         scenario = get_scenario(name)
-        assert _root_schedule(scenario, duration_s, seed, frame_loss) == (
-            reference_schedule(scenario, duration_s, seed, frame_loss)
-        )
+        key = (scenario, duration_s, seed, frame_loss)
+        assert _build_schedules([key]) == [reference_schedule(*key)]
 
     @pytest.mark.parametrize("step", DEGRADATION_LADDER[1:])
     @pytest.mark.parametrize(
@@ -313,6 +354,99 @@ class TestRootSchedule:
         # the run: odd durations and fractional frame strides.
         scenario = scale_rates(get_scenario(name), step.rate_factor)
         for duration_s, seed in ((0.37, 3), (1.913, 2**31 - 1)):
-            assert _root_schedule(scenario, duration_s, seed, 0.0) == (
-                reference_schedule(scenario, duration_s, seed, 0.0)
-            )
+            key = (scenario, duration_s, seed, 0.0)
+            assert _build_schedules([key]) == [reference_schedule(*key)]
+
+
+class TestBatch:
+    """Many keys in one build: every group, sensor and seed at once."""
+
+    @pytest.fixture(scope="class")
+    def mixed_keys(self):
+        keys = [
+            (get_scenario(name), duration_s, seed, frame_loss)
+            for name in SCENARIO_ORDER
+            for duration_s in (0.25, 1.0, 2.0)
+            for seed in SEEDS  # 2**31 - 1 among them
+            for frame_loss in (0.0, 0.2)
+        ]
+        keys += [
+            (scenario, duration_s, seed, 0.0)
+            for name in ("ar_gaming", "outdoor_activity_a")
+            for scenario in degraded(name)
+            for duration_s, seed in ((0.37, 3), (1.913, 2**31 - 1))
+        ]
+        keys.append(keys[5])  # the same key twice in one batch
+        return keys
+
+    def test_mixed_batch_matches_reference_key_by_key(
+        self, mixed_keys, empty_memo
+    ):
+        schedules = root_schedules(mixed_keys)
+        assert len(schedules) == len(mixed_keys)
+        for key, rows in zip(mixed_keys, schedules):
+            assert rows == reference_schedule(*key), key
+        assert schedules[-1] is schedules[5]
+        assert len(empty_memo) == len(set(mixed_keys))
+
+    def test_rows_do_not_depend_on_batch_position(self):
+        vr = get_scenario("vr_gaming")
+        others = [
+            (vr, 2.0, 5, 0.0),  # the same group
+            (vr, 0.25, 7, 0.2),
+            (get_scenario("ar_assistant"), 1.0, 5, 0.0),
+            (degraded("ar_gaming")[0], 0.37, 1, 0.0),
+        ]
+        for key in [(vr, 2.0, 9, 0.0), (vr, 2.0, 9, 0.2),
+                    (get_scenario("outdoor_activity_b"), 1.0, 2, 0.0)]:
+            (alone,) = _build_schedules([key])
+            assert _build_schedules([key, *others])[0] == alone
+            assert _build_schedules([*others, key])[-1] == alone
+
+    def test_memo_answers_without_building(self, empty_memo, monkeypatch):
+        key = (get_scenario("ar_gaming"), 0.5, 3, 0.0)
+        (first,) = root_schedules([key])
+
+        def fail(*_):
+            raise AssertionError("a memoised key was built again")
+
+        monkeypatch.setattr(loadgen, "_build_schedules", fail)
+        assert root_schedules([key, key]) == [first, first]
+        assert root_schedules([key])[0] is first
+
+    def test_memo_is_bounded(self, empty_memo, monkeypatch):
+        monkeypatch.setattr(loadgen, "_MEMO_SIZE", 4)
+        vr = get_scenario("vr_gaming")
+        keys = [(vr, 0.25, seed, 0.0) for seed in range(6)]
+        schedules = root_schedules(keys)
+        assert schedules == [reference_schedule(*key) for key in keys]
+        assert list(empty_memo) == keys[2:]
+
+    def test_session_group_draws_in_one_kernel_call(
+        self, empty_memo, monkeypatch
+    ):
+        calls = []
+
+        def counted(blocks):
+            calls.append(blocks)
+            return _jitter_units(blocks)
+
+        monkeypatch.setattr(sensors, "_jitter_units", counted)
+        group = replicate(
+            get_scenario("vr_gaming"), build_accelerator("J", 8192),
+            LatencyGreedyScheduler(), 16, base_seed=40, duration_s=0.5,
+        )
+        first = group.run()
+        assert len(calls) == 1, "the run drew its schedules per session"
+        ((name, _, seeds),) = calls[0]
+        assert (name, list(seeds)) == ("camera", list(range(40, 56)))
+        assert len(empty_memo) == 16
+        second = group.run()
+        assert len(calls) == 1, "a warm run drew jitter again"
+        assert [
+            (r.model_code, r.model_frame, r.request_time_s, r.end_time_s)
+            for s in first.sessions for r in s.requests
+        ] == [
+            (r.model_code, r.model_frame, r.request_time_s, r.end_time_s)
+            for s in second.sessions for r in s.requests
+        ]

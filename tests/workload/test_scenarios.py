@@ -35,7 +35,7 @@ class TestRegistry:
 
 
 class TestTable2Rates:
-    """The reconstructed Table 2 (see DESIGN.md for the reconstruction)."""
+    """The reconstructed Table 2."""
 
     def test_social_interaction_a(self):
         s = get_scenario("social_interaction_a")

@@ -3,7 +3,7 @@
 Each class pins down the structure of one zoo model: stage resolutions,
 block counts, head shapes and the operator signature Table 7 attributes
 to that model's published instance.  These are regression guards for the
-calibrated architectures DESIGN.md documents.
+calibrated architectures.
 """
 
 from __future__ import annotations
