@@ -11,15 +11,14 @@ Run:  python examples/ar_gaming_deep_dive.py
 
 from __future__ import annotations
 
-from repro import Harness, build_accelerator
+from repro import RunSpec, execute
 
 
 def main() -> None:
-    harness = Harness()
-
     for total_pes in (4096, 8192):
-        system = build_accelerator("J", total_pes)
-        report = harness.run_scenario("ar_gaming", system)
+        report = execute(
+            RunSpec(scenario="ar_gaming", accelerator="J", pes=total_pes)
+        )
         sim, score = report.simulation, report.score
 
         print(f"=== accelerator J @ {total_pes} PEs ===")

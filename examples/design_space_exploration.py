@@ -11,19 +11,17 @@ Run:  python examples/design_space_exploration.py
 
 from __future__ import annotations
 
-from repro import Harness, build_accelerator
+from repro import RunSpec, execute
 from repro.hardware import ACCELERATOR_IDS
 from repro.workload import SCENARIO_ORDER
 
 
 def main() -> None:
-    harness = Harness()
     results: dict[tuple[str, int], dict] = {}
 
     for pes in (4096, 8192):
         for acc_id in ACCELERATOR_IDS:
-            system = build_accelerator(acc_id, pes)
-            suite = harness.run_suite(system)
+            suite = execute(RunSpec.for_suite(acc_id, pes=pes))
             per_scenario = {
                 r.simulation.scenario.name: r.score.overall
                 for r in suite.scenario_reports

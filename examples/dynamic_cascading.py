@@ -8,19 +8,22 @@ the paper's finding: the constrained design sheds QoE to protect its
 real-time behaviour as cascading pressure rises, while the strong design
 barely moves.
 
+A spec names its scenario, and a mutated scenario has no name, so each
+trial hands the mutated scenario to the runner as a ``SessionSpec``.
+
 Run:  python examples/dynamic_cascading.py
 """
 
 from __future__ import annotations
 
-from repro import Harness, build_accelerator
-from repro.workload import get_scenario
+from repro import build_accelerator, get_scenario
+from repro.api import run_group
+from repro.runtime import SessionSpec
 
 TRIALS = 40  # the paper uses 200; 40 keeps this example snappy
 
 
 def main() -> None:
-    harness = Harness()
     base = get_scenario("vr_gaming")
 
     print(
@@ -34,7 +37,10 @@ def main() -> None:
             scenario = base.with_dependency_probability("ES", "GE", prob)
             sums = {"rt": 0.0, "qoe": 0.0, "overall": 0.0, "ge_frames": 0.0}
             for seed in range(TRIALS):
-                score = harness.run_scenario(scenario, system, seed=seed).score
+                session = SessionSpec(
+                    session_id=0, scenario=scenario, seed=seed
+                )
+                score = run_group([session], system).session_reports[0].score
                 sums["rt"] += score.rt
                 sums["qoe"] += score.qoe
                 sums["overall"] += score.overall

@@ -10,20 +10,19 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import Harness, build_accelerator
+from repro import RunSpec, execute
 
 
 def main() -> None:
-    harness = Harness()
-
     for total_pes in (4096, 8192):
-        system = build_accelerator("J", total_pes)
-        report = harness.run_scenario("ar_gaming", system)
+        report = execute(
+            RunSpec(scenario="ar_gaming", accelerator="J", pes=total_pes)
+        )
         print(report.summary())
         print()
 
     # The full suite produces the single mandatory XRBench SCORE.
-    suite = harness.run_suite(build_accelerator("J", 8192))
+    suite = execute(RunSpec.for_suite("J", pes=8192))
     print(suite.summary())
 
 

@@ -17,18 +17,15 @@ Run:  python examples/robustness_study.py
 
 from __future__ import annotations
 
-from repro import Harness, HarnessConfig, build_accelerator
-from repro.eval import dvfs_ablation, run_seed_sweep
+from repro import RunSpec, execute
+from repro.eval import dvfs_ablation, seed_sweep
 
 
 def frame_loss_sweep() -> None:
     print("1) Sensor frame loss on VR gaming (accelerator A @ 8K PEs)")
-    system = build_accelerator("A", 8192)
+    spec = RunSpec(scenario="vr_gaming", accelerator="A", pes=8192)
     for loss in (0.0, 0.05, 0.15, 0.30):
-        harness = Harness(
-            config=HarnessConfig(frame_loss_probability=loss)
-        )
-        score = harness.run_scenario("vr_gaming", system).score
+        score = execute(spec.replace(frame_loss=loss)).score
         print(
             f"   loss={loss:4.0%}: overall={score.overall:.3f} "
             f"qoe={score.qoe:.3f} rt={score.rt:.3f}"
@@ -38,11 +35,10 @@ def frame_loss_sweep() -> None:
 
 def seed_statistics() -> None:
     print("2) Seed variance of the dynamic scenarios (A @ 4K PEs)")
-    harness = Harness()
-    system = build_accelerator("A", 4096)
     for scenario in ("outdoor_activity_a", "ar_assistant",
                      "social_interaction_b"):
-        sweep = run_seed_sweep(harness, scenario, system, seeds=15)
+        spec = RunSpec(scenario=scenario, accelerator="A", pes=4096)
+        sweep = seed_sweep(spec, seeds=15)
         overall = sweep.get("overall")
         lo, hi = overall.confidence_interval()
         print(

@@ -19,8 +19,7 @@ package rebuilds the whole published stack:
 * :mod:`repro.hardware` — the 13 accelerator configurations of Table 5.
 * :mod:`repro.runtime` — the discrete-event benchmark runtime with
   pluggable schedulers and multi-tenant session multiplexing.
-* :mod:`repro.core` — the XRBench scoring metrics, reports and the
-  :class:`Harness`, the front end for live scenario objects.
+* :mod:`repro.core` — the XRBench scoring metrics, reports and export.
 * :mod:`repro.eval` — drivers regenerating every evaluation table/figure.
 
 Quickstart::
@@ -40,16 +39,14 @@ Quickstart::
     sweep = Sweep(base=spec, grid={"accelerator": ("A", "J", "M")})
     reports = Experiment.from_sweep(sweep).run(workers=2)
 
-The pre-spec surface (``Harness().run_scenario(...)``) remains available
-for scenario objects a spec cannot carry, and runs through the same
-runner.
+A scenario object a spec cannot name (a variant from
+:mod:`repro.workload.variants`, say) runs through the same runner,
+:func:`repro.api.run_group`, as a :class:`repro.runtime.SessionSpec`.
 """
 
 from .api import Experiment, Report, RunSpec, Sweep, execute
 from .core import (
     BenchmarkReport,
-    Harness,
-    HarnessConfig,
     MultiSessionReport,
     ScenarioReport,
     ScoreConfig,
@@ -63,8 +60,6 @@ __version__ = "1.1.0"
 __all__ = [
     "BenchmarkReport",
     "Experiment",
-    "Harness",
-    "HarnessConfig",
     "MultiSessionReport",
     "Report",
     "RunSpec",

@@ -34,9 +34,9 @@ Quickstart::
 
 Every name a spec mentions (scenario, scheduler, accelerator, score
 preset) resolves through :mod:`repro.registry`, so third-party
-registrations are addressable from JSON without code changes.
-:class:`repro.core.Harness` stays as the front end for live scenario
-objects, in front of the same runner.
+registrations are addressable from JSON without code changes.  A live
+scenario object a spec cannot name (a mutated variant) runs through
+:func:`run_group` directly, as a :class:`repro.runtime.SessionSpec`.
 """
 
 from .events import (

@@ -1,14 +1,17 @@
 """The single execution funnel: ``execute(spec) -> Report``.
 
-Every front end — :class:`repro.core.Harness`, the CLI, the eval figure
-drivers, the benchmarks — runs through this module, and every run shape
-goes through one runner, :func:`run_group`: it multiplexes a group of
-sessions onto one system (:class:`~repro.runtime.MultiScenarioSimulator`)
-and scores each session.  A single-scenario run is a one-session group
+Every front end — the CLI, the eval figure drivers, the examples, the
+benchmarks — runs through this module, and every run shape goes through
+one runner, :func:`run_group`: it multiplexes a group of sessions onto
+one system (:class:`~repro.runtime.MultiScenarioSimulator`) and scores
+each session.  A single-scenario run is a one-session group
 (:class:`~repro.core.ScenarioReport`), a session group is one group
 (:class:`~repro.core.MultiSessionReport`), and the seven-scenario suite
 is one one-session group per scenario
-(:class:`~repro.core.BenchmarkReport`).
+(:class:`~repro.core.BenchmarkReport`).  A caller holding a live
+scenario object a spec cannot name (Figure 7's cascading-probability
+variants, say) hands :func:`run_group` its
+:class:`~repro.runtime.SessionSpec` values directly.
 
 :func:`execute` compiles a :class:`~repro.api.RunSpec` into a
 :class:`~repro.api.DispatchPlan` and :func:`execute_plan` runs it,

@@ -5,7 +5,12 @@ benchmark run — scenario(s) x system x scheduler x sessions x
 granularity x duration/seed/score knobs.  Every front end (the Python
 API, the ``xrbench`` CLI, the eval figure drivers, benchmarks, and any
 future distributed worker) compiles down to a spec and hands it to
-:func:`repro.api.execute`; nothing else constructs simulators directly.
+:func:`repro.api.execute`.  A spec names its scenarios, so a run of a
+live scenario object (Figure 7's cascading-probability variants, the
+edits of :mod:`repro.workload.variants`) hands
+:class:`~repro.runtime.SessionSpec` values to
+:func:`repro.api.run_group`, the runner :func:`~repro.api.execute`
+ends in; nothing else constructs simulators directly.
 
 A :class:`Sweep` expands a cartesian grid of field values over a base
 spec into a list of specs — the serializable form of "13 accelerators x

@@ -48,8 +48,8 @@ from repro.api import (
     Sweep,
     execute,
 )
-from repro.core import Harness, HarnessConfig
 from repro.costmodel import CostTable, Dataflow
+from repro.costmodel.analysis import ordered_sum
 from repro.hardware import ACCELERATOR_IDS
 from repro.lint.cli import add_lint_arguments, run as run_lint_command
 from repro.workload import SCENARIO_ORDER, UNIT_MODELS
@@ -67,13 +67,19 @@ def build_parser() -> argparse.ArgumentParser:
     # Flags default to None so "not passed" is distinguishable from
     # "passed the default value": _spec_from_args fills in the RunSpec
     # defaults, and `run --spec` treats any explicitly-passed flag as an
-    # override of the corresponding spec field.
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--pes", type=int, default=None,
-            help="total PE budget (default 4096)",
-        )
-        p.add_argument("--seed", type=int, default=None)
+    # override of the corresponding spec field.  A figure sets the PE
+    # budgets (and Figure 7 the seeds) itself, so it offers no flag the
+    # run would ignore.
+    def add_common(
+        p: argparse.ArgumentParser, *, pes: bool = True, seed: bool = True,
+    ) -> None:
+        if pes:
+            p.add_argument(
+                "--pes", type=int, default=None,
+                help="total PE budget (default 4096)",
+            )
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument(
             "--duration", type=float, default=None,
             help="streamed seconds per run (default 1.0)",
@@ -240,16 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--metric", default="overall",
         choices=["rt", "energy", "qoe", "overall"],
     )
-    add_common(fig5_p)
+    add_common(fig5_p, pes=False)
 
     fig6_p = sub.add_parser("figure6", help="regenerate Figure 6")
     fig6_p.add_argument("--accelerator", default="J",
                         choices=list(ACCELERATOR_IDS))
-    add_common(fig6_p)
+    add_common(fig6_p, pes=False)
 
     fig7_p = sub.add_parser("figure7", help="regenerate Figure 7")
     fig7_p.add_argument("--trials", type=int, default=200)
-    add_common(fig7_p)
+    add_common(fig7_p, pes=False, seed=False)
 
     sub.add_parser("figure8", help="regenerate Figure 8")
 
@@ -382,18 +388,6 @@ def _explicit_flags(args: argparse.Namespace) -> dict:
         for flag, (field, _) in _FLAG_FIELDS.items()
         if getattr(args, flag, None) is not None
     }
-
-
-def _harness(args: argparse.Namespace) -> Harness:
-    """Config carrier for the figure drivers (a front end to run_group)."""
-    return Harness(
-        config=HarnessConfig(
-            duration_s=_flag(args, "duration"),
-            seed=_flag(args, "seed"),
-            scheduler=_flag(args, "scheduler"),
-            frame_loss_probability=_flag(args, "frame_loss"),
-        )
-    )
 
 
 def _record_runs(args: argparse.Namespace, pairs: list[tuple]) -> None:
@@ -623,9 +617,9 @@ def main(argv: list[str] | None = None) -> int:
                 # Churned/preemptive sweeps route through the
                 # multi-tenant engine: report session means.
                 scores = [r.score for r in report.session_reports]
-                overall = sum(s.overall for s in scores) / len(scores)
-                rt = sum(s.rt for s in scores) / len(scores)
-                qoe = sum(s.qoe for s in scores) / len(scores)
+                overall = ordered_sum(s.overall for s in scores) / len(scores)
+                rt = ordered_sum(s.rt for s in scores) / len(scores)
+                qoe = ordered_sum(s.qoe for s in scores) / len(scores)
             else:
                 s = report.score
                 overall, rt, qoe = s.overall, s.rt, s.qoe
@@ -637,20 +631,32 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "figure5":
         from repro.eval import format_figure5, run_figure5
 
-        rows = run_figure5(_harness(args))
-        print(format_figure5(rows, args.metric))
+        try:
+            base = _spec_from_args(args, scenario=SCENARIO_ORDER[0])
+        except (KeyError, ValueError) as exc:
+            return _fail(exc)
+        print(format_figure5(run_figure5(base), args.metric))
         return 0
 
     if args.command == "figure6":
         from repro.eval import format_figure6, run_figure6
 
-        print(format_figure6(run_figure6(_harness(args), args.accelerator)))
+        try:
+            base = _spec_from_args(args, scenario="ar_gaming")
+        except (KeyError, ValueError) as exc:
+            return _fail(exc)
+        print(format_figure6(run_figure6(base)))
         return 0
 
     if args.command == "figure7":
         from repro.eval import format_figure7, run_figure7
 
-        print(format_figure7(run_figure7(_harness(args), trials=args.trials)))
+        try:
+            base = _spec_from_args(args, scenario="vr_gaming")
+            rows = run_figure7(base, trials=args.trials)
+        except (KeyError, ValueError) as exc:
+            return _fail(exc)
+        print(format_figure7(rows))
         return 0
 
     if args.command == "figure8":

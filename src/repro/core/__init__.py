@@ -1,4 +1,4 @@
-"""XRBench core: scoring metrics, aggregation, harness and reports."""
+"""XRBench core: scoring metrics, aggregation, reports and export."""
 
 from .aggregate import (
     InferenceScore,
@@ -8,14 +8,8 @@ from .aggregate import (
     score_sessions,
     score_simulation,
 )
-from .config import (
-    HarnessConfig,
-    ScoreConfig,
-    get_score_preset,
-    register_score_preset,
-)
+from .config import ScoreConfig, get_score_preset, register_score_preset
 from .export import benchmark_to_dict, scenario_to_dict, submission, to_csv
-from .harness import Harness
 from .report import BenchmarkReport, MultiSessionReport, ScenarioReport
 from .scores import (
     accuracy_score,
@@ -31,8 +25,6 @@ __all__ = [
     "submission",
     "to_csv",
     "BenchmarkReport",
-    "Harness",
-    "HarnessConfig",
     "InferenceScore",
     "ModelScore",
     "MultiSessionReport",

@@ -14,7 +14,7 @@ These mirror the defaults stated in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.registry import score_presets as SCORE_PRESET_REGISTRY
 
@@ -81,29 +81,3 @@ register_score_preset("default", ScoreConfig())
 register_score_preset("strict_rt", ScoreConfig(rt_k=30.0))
 register_score_preset("lenient_rt", ScoreConfig(rt_k=5.0))
 register_score_preset("low_power", ScoreConfig(energy_max_mj=750.0))
-
-
-@dataclass(frozen=True)
-class HarnessConfig:
-    """Top-level harness settings for one benchmark run."""
-
-    duration_s: float = DEFAULT_DURATION_S
-    seed: int = 0
-    scheduler: str = "latency_greedy"
-    score: ScoreConfig = field(default_factory=ScoreConfig)
-    #: Failure injection: probability a sensor frame is lost upstream of
-    #: the device (0 disables; see LoadGenerator.frame_loss_probability).
-    frame_loss_probability: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError(
-                f"duration_s must be > 0, got {self.duration_s}"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 <= self.frame_loss_probability < 1.0:
-            raise ValueError(
-                f"frame_loss_probability must be in [0, 1), got "
-                f"{self.frame_loss_probability}"
-            )

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import Harness, HarnessConfig, ScoreConfig
+from repro.api import RunSpec, execute
+from repro.core import ScoreConfig
 from repro.costmodel import CostTable, Dataflow
+from repro.costmodel.analysis import ordered_sum
 from repro.costmodel.dvfs import best_point_for_slack
-from repro.hardware import build_accelerator
 from repro.nn.quantize import quality_proxy
 from repro.workload import UNIT_MODELS
 from repro.workload.sensors import SENSORS
@@ -61,10 +62,10 @@ def scheduler_ablation(
     """Score the same workload under each shipped scheduler."""
     rows = []
     for name in ("latency_greedy", "round_robin", "edf"):
-        harness = Harness(config=HarnessConfig(scheduler=name))
-        score = harness.run_scenario(
-            scenario, build_accelerator(acc_id, total_pes)
-        ).score
+        score = execute(RunSpec(
+            scenario=scenario, accelerator=acc_id, pes=total_pes,
+            scheduler=name,
+        )).score
         rows.append(
             AblationRow(
                 setting=name, scenario=scenario,
@@ -89,20 +90,20 @@ def jitter_ablation(
     disregarded".  Returns two rows: the seed-averaged scores
     ("jitter_mean") and the max-min spread ("jitter_spread").
     """
-    harness = Harness()
-    system = build_accelerator(acc_id, total_pes)
     scores = [
-        harness.run_scenario(scenario, system, seed=s).score
+        execute(RunSpec(
+            scenario=scenario, accelerator=acc_id, pes=total_pes, seed=s,
+        )).score
         for s in range(seeds)
     ]
     overall = [s.overall for s in scores]
-    mean = sum(overall) / len(overall)
+    mean = ordered_sum(overall) / len(overall)
     spread = max(overall) - min(overall)
     return [
         AblationRow(
             setting="jitter_mean", scenario=scenario, overall=mean,
-            rt=sum(s.rt for s in scores) / len(scores),
-            qoe=sum(s.qoe for s in scores) / len(scores),
+            rt=ordered_sum(s.rt for s in scores) / len(scores),
+            qoe=ordered_sum(s.qoe for s in scores) / len(scores),
             detail=max(SENSORS["camera"].jitter_ms, 0.0),
         ),
         AblationRow(
@@ -120,12 +121,10 @@ def rt_k_sensitivity(
     ks: tuple[float, ...] = (1.0, 15.0, 50.0),
 ) -> list[AblationRow]:
     """Scenario scores under different deadline-sensitivity constants."""
+    spec = RunSpec(scenario=scenario, accelerator=acc_id, pes=total_pes)
     rows = []
     for k in ks:
-        harness = Harness(config=HarnessConfig(score=ScoreConfig(rt_k=k)))
-        score = harness.run_scenario(
-            scenario, build_accelerator(acc_id, total_pes)
-        ).score
+        score = execute(spec, score=ScoreConfig(rt_k=k)).score
         rows.append(
             AblationRow(
                 setting=f"k={k:g}", scenario=scenario,
@@ -143,14 +142,10 @@ def enmax_sensitivity(
     enmaxes: tuple[float, ...] = (500.0, 1500.0, 4500.0),
 ) -> list[AblationRow]:
     """Scenario scores under different per-inference energy budgets."""
+    spec = RunSpec(scenario=scenario, accelerator=acc_id, pes=total_pes)
     rows = []
     for enmax in enmaxes:
-        harness = Harness(
-            config=HarnessConfig(score=ScoreConfig(energy_max_mj=enmax)),
-        )
-        score = harness.run_scenario(
-            scenario, build_accelerator(acc_id, total_pes)
-        ).score
+        score = execute(spec, score=ScoreConfig(energy_max_mj=enmax)).score
         rows.append(
             AblationRow(
                 setting=f"Enmax={enmax:g}mJ", scenario=scenario,

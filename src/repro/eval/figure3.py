@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import Harness, ScenarioReport
-from repro.hardware import build_accelerator
+from repro.api import RunSpec, execute
+from repro.core import ScenarioReport
 
 __all__ = ["Figure3Row", "run_figure3", "format_figure3"]
 
@@ -36,16 +36,14 @@ class Figure3Row:
 
 
 def run_figure3(
-    harness: Harness | None = None,
     acc_id: str = "A",
     total_pes: int = 8192,
     frames_window_s: float = 3 / 60,
 ) -> tuple[list[Figure3Row], ScenarioReport]:
     """Simulate Social Interaction A and extract the first frames."""
-    harness = harness or Harness()
-    report = harness.run_scenario(
-        "social_interaction_a", build_accelerator(acc_id, total_pes)
-    )
+    report = execute(RunSpec(
+        scenario="social_interaction_a", accelerator=acc_id, pes=total_pes,
+    ))
     rows = [
         Figure3Row(
             model_code=r.model_code,

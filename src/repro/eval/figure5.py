@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.api import RunSpec, execute
-from repro.core import Harness
+from repro.costmodel.analysis import ordered_sum
 from repro.hardware import ACCELERATOR_IDS, PE_BUDGETS
 from repro.workload import SCENARIO_ORDER
 
@@ -31,36 +31,34 @@ class Figure5Row:
 
 
 def run_figure5(
-    harness: Harness | None = None,
+    base: RunSpec | None = None,
     acc_ids: tuple[str, ...] = ACCELERATOR_IDS,
     pe_budgets: dict[str, int] | None = None,
     scenarios: tuple[str, ...] = SCENARIO_ORDER,
 ) -> list[Figure5Row]:
     """Produce every Figure 5 bar, including the (h) averages.
 
-    The whole sweep is expressed as :class:`RunSpec` grid points run
-    through the :func:`repro.api.execute` funnel; the ``harness``
-    argument survives as a carrier for the run configuration.
+    Each bar is one :func:`repro.api.execute` run of ``base`` with the
+    bar's scenario, accelerator and PE budget set, as a
+    :class:`~repro.api.Sweep` sets its grid fields.  ``base`` carries the
+    rest (seed, duration, scheduler, frame loss, score preset) and must
+    describe a single-scenario run.
     """
-    harness = harness or Harness()
-    config = harness.config
+    base = base or RunSpec(scenario=SCENARIO_ORDER[0])
+    if base.mode != "single":
+        raise ValueError(
+            f"Figure 5 plots single-scenario runs; the base spec "
+            f"{base.describe()!r} is a {base.mode} run"
+        )
     budgets = pe_budgets or PE_BUDGETS
     rows: list[Figure5Row] = []
     for budget_name, total_pes in budgets.items():
         for acc_id in acc_ids:
             per_scenario = []
             for scenario in scenarios:
-                spec = RunSpec(
-                    scenario=scenario,
-                    accelerator=acc_id,
-                    pes=total_pes,
-                    scheduler=config.scheduler,
-                    duration_s=config.duration_s,
-                    seed=config.seed,
-                    frame_loss=config.frame_loss_probability,
-                )
-                report = execute(spec, score=config.score)
-                s = report.score
+                s = execute(base.replace(
+                    scenario=scenario, accelerator=acc_id, pes=total_pes,
+                )).score
                 row = Figure5Row(
                     scenario=scenario,
                     acc_id=acc_id,
@@ -78,10 +76,10 @@ def run_figure5(
                     scenario="average",
                     acc_id=acc_id,
                     pe_budget=budget_name,
-                    rt=sum(r.rt for r in per_scenario) / n,
-                    energy=sum(r.energy for r in per_scenario) / n,
-                    qoe=sum(r.qoe for r in per_scenario) / n,
-                    overall=sum(r.overall for r in per_scenario) / n,
+                    rt=ordered_sum(r.rt for r in per_scenario) / n,
+                    energy=ordered_sum(r.energy for r in per_scenario) / n,
+                    qoe=ordered_sum(r.qoe for r in per_scenario) / n,
+                    overall=ordered_sum(r.overall for r in per_scenario) / n,
                 )
             )
     return rows

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import Harness, ScenarioReport
-from repro.hardware import build_accelerator
+from repro.api import RunSpec, execute
+from repro.core import ScenarioReport
 
 __all__ = ["Figure6Result", "run_figure6", "format_figure6"]
 
@@ -32,15 +32,24 @@ class Figure6Result:
         return self.report.simulation.mean_utilization()
 
 
-def run_figure6(
-    harness: Harness | None = None, acc_id: str = "J"
-) -> dict[str, Figure6Result]:
-    """Run AR gaming on the 4K and 8K variants of one accelerator."""
-    harness = harness or Harness()
+def run_figure6(base: RunSpec | None = None) -> dict[str, Figure6Result]:
+    """Run AR gaming on the 4K and 8K variants of one accelerator.
+
+    Each panel is one :func:`repro.api.execute` run of ``base`` with
+    the scenario and PE budget set, as a :class:`~repro.api.Sweep` sets
+    its grid fields.  ``base`` carries the rest (accelerator, seed,
+    duration, scheduler, frame loss, score preset) and must describe a
+    single-scenario run.
+    """
+    base = base or RunSpec(scenario="ar_gaming")
+    if base.mode != "single":
+        raise ValueError(
+            f"Figure 6 plots single-scenario runs; the base spec "
+            f"{base.describe()!r} is a {base.mode} run"
+        )
     out: dict[str, Figure6Result] = {}
     for budget_name, total_pes in (("4K", 4096), ("8K", 8192)):
-        system = build_accelerator(acc_id, total_pes)
-        report = harness.run_scenario("ar_gaming", system)
+        report = execute(base.replace(scenario="ar_gaming", pes=total_pes))
         out[budget_name] = Figure6Result(pe_budget=budget_name, report=report)
     return out
 

@@ -4,14 +4,21 @@ Varies the probability that Gaze Estimation is triggered after Eye
 Segmentation (25% .. 100%) in the VR-gaming scenario, on accelerators B
 (low score) and J (high score) with 4K PEs, averaging over repeated
 trials as the paper does (200 experiments).
+
+A spec names its scenario, and the mutated scenario has no name, so each
+trial runs as one :class:`~repro.runtime.SessionSpec` through
+:func:`repro.api.run_group`, the runner behind :func:`repro.api.execute`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import Harness
+from repro.api import RunSpec, run_group
+from repro.core import get_score_preset
+from repro.costmodel.analysis import ordered_sum
 from repro.hardware import build_accelerator
+from repro.runtime import SessionSpec
 from repro.workload import get_scenario
 
 __all__ = ["Figure7Row", "run_figure7", "format_figure7"]
@@ -33,37 +40,55 @@ class Figure7Row:
 
 
 def run_figure7(
-    harness: Harness | None = None,
+    base: RunSpec | None = None,
     acc_ids: tuple[str, ...] = ("B", "J"),
     probabilities: tuple[float, ...] = DEFAULT_PROBABILITIES,
     trials: int = 200,
     total_pes: int = 4096,
 ) -> list[Figure7Row]:
-    """Sweep the ES->GE trigger probability, averaging ``trials`` seeds."""
+    """Sweep the ES->GE trigger probability, averaging ``trials`` seeds.
+
+    The figure sets each trial's scenario, accelerator, PE budget and
+    seed, as a :class:`~repro.api.Sweep` sets its grid fields.  ``base``
+    carries the rest (duration, scheduler, frame loss, score preset) and
+    must describe a single-scenario run.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    harness = harness or Harness()
-    base = get_scenario("vr_gaming")
+    base = base or RunSpec(scenario="vr_gaming")
+    if base.mode != "single":
+        raise ValueError(
+            f"Figure 7 plots single-scenario runs; the base spec "
+            f"{base.describe()!r} is a {base.mode} run"
+        )
+    score = get_score_preset(base.score_preset)
+    vr_gaming = get_scenario("vr_gaming")
     rows: list[Figure7Row] = []
     for acc_id in acc_ids:
         system = build_accelerator(acc_id, total_pes)
         for p in probabilities:
-            scenario = base.with_dependency_probability("ES", "GE", p)
-            acc = {"rt": 0.0, "energy": 0.0, "qoe": 0.0, "overall": 0.0}
-            for seed in range(trials):
-                score = harness.run_scenario(scenario, system, seed=seed).score
-                acc["rt"] += score.rt
-                acc["energy"] += score.energy
-                acc["qoe"] += score.qoe
-                acc["overall"] += score.overall
+            scenario = vr_gaming.with_dependency_probability("ES", "GE", p)
+            scores = [
+                run_group(
+                    [SessionSpec(
+                        session_id=0, scenario=scenario, seed=seed,
+                        frame_loss_probability=base.frame_loss,
+                    )],
+                    system,
+                    scheduler=base.scheduler,
+                    duration_s=base.duration_s,
+                    score=score,
+                ).session_reports[0].score
+                for seed in range(trials)
+            ]
             rows.append(
                 Figure7Row(
                     acc_id=acc_id,
                     probability=p,
-                    rt=acc["rt"] / trials,
-                    energy=acc["energy"] / trials,
-                    qoe=acc["qoe"] / trials,
-                    overall=acc["overall"] / trials,
+                    rt=ordered_sum(s.rt for s in scores) / trials,
+                    energy=ordered_sum(s.energy for s in scores) / trials,
+                    qoe=ordered_sum(s.qoe for s in scores) / trials,
+                    overall=ordered_sum(s.overall for s in scores) / trials,
                     trials=trials,
                 )
             )

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import Harness
-from repro.hardware import ACCELERATOR_IDS, build_accelerator
+from repro.api import RunSpec, execute
+from repro.hardware import ACCELERATOR_IDS
 from repro.workload import SCENARIO_ORDER
 
 __all__ = ["Observation", "verify_observations", "format_observations"]
@@ -28,26 +28,25 @@ class Observation:
     evidence: str
 
 
-def _sweep(harness: Harness) -> dict[tuple[str, int, str], float]:
-    out: dict[tuple[str, int, str], float] = {}
-    for pes in (4096, 8192):
-        for acc in ACCELERATOR_IDS:
-            system = build_accelerator(acc, pes)
-            for scenario in SCENARIO_ORDER:
-                report = harness.run_scenario(scenario, system)
-                out[(acc, pes, scenario)] = report.score.overall
-    return out
+def _sweep() -> dict[tuple[str, int, str], float]:
+    return {
+        (acc, pes, scenario): execute(RunSpec(
+            scenario=scenario, accelerator=acc, pes=pes,
+        )).score.overall
+        for pes in (4096, 8192)
+        for acc in ACCELERATOR_IDS
+        for scenario in SCENARIO_ORDER
+    }
 
 
-def verify_observations(harness: Harness | None = None) -> list[Observation]:
+def verify_observations() -> list[Observation]:
     """Check every Section 4 claim against a fresh sweep."""
-    harness = harness or Harness()
-    sweep = _sweep(harness)
+    sweep = _sweep()
     observations: list[Observation] = []
 
     # 4.2.1 — the composite score is necessary.
-    j4 = harness.run_scenario("ar_gaming", build_accelerator("J", 4096))
-    j8 = harness.run_scenario("ar_gaming", build_accelerator("J", 8192))
+    j4 = execute(RunSpec(scenario="ar_gaming", accelerator="J", pes=4096))
+    j8 = execute(RunSpec(scenario="ar_gaming", accelerator="J", pes=8192))
     observations.append(
         Observation(
             claim="4K J fails AR gaming while 8K J delivers it",

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import Harness
-from repro.hardware import ACCELERATOR_IDS, build_accelerator
+from repro.api import RunSpec, execute
+from repro.costmodel.analysis import ordered_sum
+from repro.hardware import ACCELERATOR_IDS
 
 __all__ = ["DesignPoint", "QoePoint", "evaluate_designs", "pareto_frontier"]
 
@@ -91,16 +92,13 @@ class QoePoint:
 
 
 def evaluate_designs(
-    harness: Harness | None = None,
     acc_ids: tuple[str, ...] = ACCELERATOR_IDS,
     total_pes: int = 4096,
 ) -> list[DesignPoint]:
     """Run the suite on every design and collect the objective values."""
-    harness = harness or Harness()
     points = []
     for acc_id in acc_ids:
-        system = build_accelerator(acc_id, total_pes)
-        suite = harness.run_suite(system)
+        suite = execute(RunSpec.for_suite(acc_id, pes=total_pes))
         energies: list[float] = []
         drops: list[float] = []
         for report in suite.scenario_reports:
@@ -113,8 +111,8 @@ def evaluate_designs(
                 acc_id=acc_id,
                 total_pes=total_pes,
                 xrbench_score=suite.xrbench_score,
-                mean_energy_mj=sum(energies) / len(energies),
-                mean_drop_rate=sum(drops) / len(drops),
+                mean_energy_mj=ordered_sum(energies) / len(energies),
+                mean_drop_rate=ordered_sum(drops) / len(drops),
             )
         )
     return points

@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 
 from repro.api import RunSpec, execute
-from repro.core import Harness
+from repro.costmodel.analysis import ordered_sum
 from repro.hardware import AcceleratorSystem
 
-__all__ = ["ScoreStatistics", "SeedSweep", "run_seed_sweep", "seed_sweep"]
+__all__ = ["ScoreStatistics", "SeedSweep", "seed_sweep"]
 
 #: Two-sided z values for the confidence levels we expose.
 _Z_VALUES = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
@@ -83,9 +83,10 @@ class SeedSweep:
 
 def _summarise(name: str, values: list[float]) -> ScoreStatistics:
     n = len(values)
-    mean = sum(values) / n
+    mean = ordered_sum(values) / n
     variance = (
-        sum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else 0.0
+        ordered_sum((v - mean) ** 2 for v in values) / (n - 1)
+        if n > 1 else 0.0
     )
     return ScoreStatistics(
         name=name,
@@ -139,32 +140,4 @@ def seed_sweep(
             name: _summarise(name, values)
             for name, values in samples.items()
         },
-    )
-
-
-def run_seed_sweep(
-    harness: Harness,
-    scenario: str,
-    system: AcceleratorSystem,
-    seeds: int = 20,
-) -> SeedSweep:
-    """Facade-compatible wrapper: sweep seeds for a harness + system."""
-    from repro import registry
-
-    config = harness.config
-    # The pre-built system overrides the spec's accelerator fields in
-    # execute(); the name is a carrier only, so an unregistered custom
-    # system falls back to a registered placeholder instead of failing
-    # spec validation.
-    acc_id = system.acc_id if system.acc_id in registry.accelerators else "J"
-    spec = RunSpec(
-        scenario=scenario,
-        accelerator=acc_id,
-        pes=system.total_pes,
-        scheduler=config.scheduler,
-        duration_s=config.duration_s,
-        frame_loss=config.frame_loss_probability,
-    )
-    return seed_sweep(
-        spec, seeds, system=system, score=config.score,
     )

@@ -1,8 +1,8 @@
 """Tests for the declarative RunSpec and the execute funnel.
 
-The satellite contract: ``RunSpec -> to_dict -> from_dict -> execute``
-is byte-identical in results to direct ``Harness`` calls across all four
-schedulers and both granularities.
+The contract: ``RunSpec -> to_dict -> from_dict -> execute`` is
+byte-identical in results to a hand-built ``run_group`` call across all
+four schedulers and both granularities.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ import re
 
 import pytest
 
-from repro.api import CollectingSink, RunSpec, execute
-from repro.core import Harness, HarnessConfig
-from repro.runtime import SCHEDULERS
+from repro.api import CollectingSink, RunSpec, execute, run_group
+from repro.core import BenchmarkReport
+from repro.runtime import SCHEDULERS, SessionSpec
+from repro.workload import benchmark_suite, get_scenario
 
 
 ALL_SCHEDULERS = sorted(SCHEDULERS)
@@ -86,10 +87,14 @@ class TestValidation:
             RunSpec(scenario="ar_gaming", sessions=0)
         with pytest.raises(ValueError, match="duration"):
             RunSpec(scenario="ar_gaming", duration_s=0)
+        with pytest.raises(ValueError, match="seed"):
+            RunSpec(scenario="ar_gaming", seed=-1)
         with pytest.raises(ValueError, match="granularity"):
             RunSpec(scenario="ar_gaming", granularity="layer")
         with pytest.raises(ValueError, match="frame_loss"):
             RunSpec(scenario="ar_gaming", frame_loss=1.0)
+        with pytest.raises(ValueError, match="frame_loss"):
+            RunSpec(scenario="ar_gaming", frame_loss=-0.1)
 
 
 class TestSerialization:
@@ -122,32 +127,40 @@ class TestSerialization:
             spec.replace(scenario="nope")
 
 
+def sessions(name, count=1, seed=0):
+    """``count`` sessions of one scenario with consecutive seeds."""
+    return [
+        SessionSpec(session_id=i, scenario=get_scenario(name), seed=seed + i)
+        for i in range(count)
+    ]
+
+
 class TestExecuteEquivalence:
-    """Round-tripped specs reproduce Harness results exactly."""
+    """Round-tripped specs reproduce hand-built run_group calls exactly."""
 
     @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
-    def test_single_scenario_matches_harness(
+    def test_single_scenario_matches_run_group(
         self, scheduler, hda_j_4k
     ):
         spec = RunSpec.from_dict(RunSpec(
             scenario="ar_gaming", accelerator="J",
             scheduler=scheduler, duration_s=0.4, seed=3,
         ).to_dict())
-        harness = Harness(
-            config=HarnessConfig(duration_s=0.4, scheduler=scheduler),
-        )
         via_spec = execute(spec)
-        via_harness = harness.run_scenario("ar_gaming", hda_j_4k, seed=3)
-        assert via_spec.score.overall == via_harness.score.overall
-        assert via_spec.score.rt == via_harness.score.rt
-        assert via_spec.score.qoe == via_harness.score.qoe
+        via_group = run_group(
+            sessions("ar_gaming", seed=3), hda_j_4k,
+            scheduler=scheduler, duration_s=0.4,
+        ).session_reports[0]
+        assert via_spec.score.overall == via_group.score.overall
+        assert via_spec.score.rt == via_group.score.rt
+        assert via_spec.score.qoe == via_group.score.qoe
         assert len(via_spec.simulation.requests) == (
-            len(via_harness.simulation.requests)
+            len(via_group.simulation.requests)
         )
 
     @pytest.mark.parametrize("granularity", ["model", "segment"])
     @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
-    def test_sessions_match_harness(
+    def test_sessions_match_run_group(
         self, scheduler, granularity, hda_j_4k
     ):
         spec = RunSpec.from_dict(RunSpec(
@@ -155,30 +168,34 @@ class TestExecuteEquivalence:
             scheduler=scheduler, duration_s=0.4, sessions=2,
             granularity=granularity,
         ).to_dict())
-        harness = Harness(
-            config=HarnessConfig(duration_s=0.4, scheduler=scheduler),
-        )
         via_spec = execute(spec)
-        via_harness = harness.run_sessions(
-            "vr_gaming", hda_j_4k, num_sessions=2, granularity=granularity
+        via_group = run_group(
+            sessions("vr_gaming", count=2), hda_j_4k,
+            scheduler=scheduler, duration_s=0.4, granularity=granularity,
         )
         assert [r.score.overall for r in via_spec.session_reports] == (
-            [r.score.overall for r in via_harness.session_reports]
+            [r.score.overall for r in via_group.session_reports]
         )
-        assert via_spec.result.busy_time_s == via_harness.result.busy_time_s
+        assert via_spec.result.busy_time_s == via_group.result.busy_time_s
 
-    def test_suite_matches_harness(self, fda_ws_4k):
+    def test_suite_matches_run_group(self, fda_ws_4k):
         spec = RunSpec.from_json(
             RunSpec.for_suite("A", duration_s=0.4).to_json()
         )
-        harness = Harness(
-            config=HarnessConfig(duration_s=0.4)
-        )
         via_spec = execute(spec)
-        via_harness = harness.run_suite(fda_ws_4k)
-        assert via_spec.xrbench_score == via_harness.xrbench_score
+        via_groups = BenchmarkReport(
+            system=fda_ws_4k,
+            scenario_reports=[
+                run_group(
+                    [SessionSpec(session_id=0, scenario=scenario)],
+                    fda_ws_4k, duration_s=0.4,
+                ).session_reports[0]
+                for scenario in benchmark_suite()
+            ],
+        )
+        assert via_spec.xrbench_score == via_groups.xrbench_score
         assert [r.overall for r in via_spec.scenario_reports] == (
-            [r.overall for r in via_harness.scenario_reports]
+            [r.overall for r in via_groups.scenario_reports]
         )
 
     def test_same_spec_is_deterministic(self):

@@ -4,20 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Harness, HarnessConfig
 from repro.hardware import build_accelerator
-
-
-@pytest.fixture(scope="session")
-def shared_harness() -> Harness:
-    """A default harness."""
-    return Harness()
-
-
-@pytest.fixture(scope="session")
-def short_harness() -> Harness:
-    """A harness with a short duration for fast runtime tests."""
-    return Harness(config=HarnessConfig(duration_s=0.5))
 
 
 @pytest.fixture(scope="session")

@@ -383,43 +383,33 @@ class TestBenchmarkScore:
 
 
 class TestScoreSimulation:
-    def test_end_to_end(self, short_harness, fda_ws_4k):
-        report = short_harness.run_scenario("vr_gaming", fda_ws_4k)
+    def test_end_to_end(self):
+        report = execute(RunSpec(scenario="vr_gaming", accelerator="A", duration_s=0.5))
         score = report.score
         assert 0.0 <= score.overall <= 1.0
         assert {m.model_code for m in score.model_scores} == {
             "HT", "ES", "GE",
         }
 
-    def test_measured_quality_lowers_accuracy(self, short_harness, fda_ws_4k):
-        good = short_harness.run_scenario("vr_gaming", fda_ws_4k)
-        degraded = short_harness.run_scenario(
-            "vr_gaming", fda_ws_4k,
-            measured_quality={"ES": 45.0},  # target is 90.54 mIoU
+    def test_measured_quality_lowers_accuracy(self):
+        spec = RunSpec(scenario="vr_gaming", accelerator="A", duration_s=0.5)
+        good = execute(spec)
+        degraded = execute(
+            spec, measured_quality={"ES": 45.0},  # target is 90.54 mIoU
         )
         assert degraded.score.model("ES").mean_unit("accuracy") == (
             pytest.approx(45.0 / 90.54)
         )
         assert degraded.score.overall < good.score.overall
 
-    def test_default_accuracy_is_one(self, short_harness, fda_ws_4k):
-        report = short_harness.run_scenario("vr_gaming", fda_ws_4k)
+    def test_default_accuracy_is_one(self):
+        report = execute(RunSpec(scenario="vr_gaming", accelerator="A", duration_s=0.5))
         assert report.score.accuracy == pytest.approx(1.0)
 
-    def test_custom_config_enmax(self, fda_ws_4k):
-        from repro.core import Harness, HarnessConfig
-
-        tight = Harness(
-            config=HarnessConfig(
-                duration_s=0.5, score=ScoreConfig(energy_max_mj=100.0)
-            ),
-        )
-        loose = Harness(
-            config=HarnessConfig(duration_s=0.5)
-        )
-        a = tight.run_scenario("vr_gaming", fda_ws_4k).score.energy
-        b = loose.run_scenario("vr_gaming", fda_ws_4k).score.energy
-        assert a < b
+    def test_custom_config_enmax(self):
+        spec = RunSpec(scenario="vr_gaming", accelerator="A", duration_s=0.5)
+        tight = execute(spec, score=ScoreConfig(energy_max_mj=100.0))
+        assert tight.score.energy < execute(spec).score.energy
 
 
 class TestScoreDigests:

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from repro.api import RunSpec, execute
 from repro.core import (
     benchmark_to_dict,
     scenario_to_dict,
@@ -17,13 +18,13 @@ from repro.core import (
 
 
 @pytest.fixture(scope="module")
-def scenario_report(short_harness, fda_ws_4k):
-    return short_harness.run_scenario("vr_gaming", fda_ws_4k)
+def scenario_report():
+    return execute(RunSpec(scenario="vr_gaming", accelerator="A", duration_s=0.5))
 
 
 @pytest.fixture(scope="module")
-def suite_report(short_harness, fda_ws_4k):
-    return short_harness.run_suite(fda_ws_4k)
+def suite_report():
+    return execute(RunSpec.for_suite("A", duration_s=0.5))
 
 
 class TestScenarioToDict:
@@ -150,8 +151,8 @@ class TestAdmissionExport:
         )
 
     def test_single_tenant_run_exports_neutral_block(self, scenario_report):
-        # The Harness path never installs a controller, so the block is
-        # the documented all-defaults stamp.
+        # A run without admission control installs no controller, so
+        # the block is the documented all-defaults stamp.
         data = scenario_to_dict(scenario_report)
         assert data["admission"] == self.NEUTRAL
 

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-
-@pytest.fixture(scope="module")
-def vr_report(short_harness, fda_ws_4k):
-    return short_harness.run_scenario("vr_gaming", fda_ws_4k)
+from repro.api import RunSpec, execute
 
 
 @pytest.fixture(scope="module")
-def suite_report(short_harness, fda_ws_4k):
-    return short_harness.run_suite(fda_ws_4k)
+def vr_report():
+    return execute(RunSpec(scenario="vr_gaming", accelerator="A", duration_s=0.5))
+
+
+@pytest.fixture(scope="module")
+def suite_report():
+    return execute(RunSpec.for_suite("A", duration_s=0.5))
 
 
 class TestScenarioReport:

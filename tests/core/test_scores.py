@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import (
+    ScoreConfig,
     accuracy_score,
     energy_score,
     inference_score,
@@ -181,3 +182,13 @@ class TestInferenceScore:
     def test_product_bounded(self, rt, en, acc):
         s = inference_score(rt, en, acc)
         assert 0.0 <= s <= min(rt, en, acc) + 1e-12
+
+
+class TestScoreConfig:
+    def test_rejects_bad_score_config(self):
+        with pytest.raises(ValueError, match="rt_k"):
+            ScoreConfig(rt_k=-1)
+        with pytest.raises(ValueError, match="energy_max"):
+            ScoreConfig(energy_max_mj=0)
+        with pytest.raises(ValueError, match="acc_epsilon"):
+            ScoreConfig(acc_epsilon=0)

@@ -195,9 +195,9 @@ class TestPareto:
         frontier = pareto_frontier([better, worse, trade])
         assert [p.label for p in frontier] == ["degrade", "none"]
 
-    def test_evaluate_designs_small(self, shared_harness):
+    def test_evaluate_designs_small(self):
         points = evaluate_designs(
-            shared_harness, acc_ids=("A", "C"), total_pes=4096
+            acc_ids=("A", "C"), total_pes=4096
         )
         assert len(points) == 2
         frontier = pareto_frontier(points)

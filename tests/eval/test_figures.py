@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import RunSpec
 from repro.eval import (
     best_accelerator,
     format_figure5,
@@ -15,16 +16,11 @@ from repro.eval import (
     run_figure7,
     run_figure8,
 )
-from repro.eval.figure3 import run_figure3
 from repro.workload import FramePlan
 
 
 class TestFigure3:
     """The Social Interaction A deep dive (Section 3.6)."""
-
-    @pytest.fixture(scope="class")
-    def figure3(self, shared_harness):
-        return run_figure3(shared_harness)
 
     def test_all_models_appear(self, figure3):
         rows, _ = figure3
@@ -69,35 +65,30 @@ class TestFigure3:
 class TestFigure5Grid:
     """The full Figure 5 sweep: 13 accelerators x 2 budgets."""
 
-    @pytest.fixture(scope="class")
-    def rows(self, shared_harness):
-        return run_figure5(shared_harness)
-
-    def test_row_count(self, rows):
+    def test_row_count(self, figure5_grid):
         # 13 accelerators x 2 budgets x (7 scenarios + 1 average).
-        assert len(rows) == 13 * 2 * 8
+        assert len(figure5_grid) == 13 * 2 * 8
 
-    def test_ar_gaming_hardest_at_4k(self, rows):
+    def test_ar_gaming_hardest_at_4k(self, figure5_grid):
         """AR gaming (the PD-saturated scenario) has the lowest 4K scores."""
         by_scenario: dict[str, list[float]] = {}
-        for row in rows:
+        for row in figure5_grid:
             if row.pe_budget == "4K" and row.scenario != "average":
                 by_scenario.setdefault(row.scenario, []).append(row.overall)
         means = {s: sum(v) / len(v) for s, v in by_scenario.items()}
         assert min(means, key=means.get) == "ar_gaming"
 
-    def test_average_panel(self, rows):
+    def test_average_panel(self, figure5_grid):
         """Subplot (h): the averages exist for every accelerator."""
-        averages = [r for r in rows if r.scenario == "average"]
+        averages = [r for r in figure5_grid if r.scenario == "average"]
         assert len(averages) == 26
         assert all(0.0 < r.overall <= 1.0 for r in averages)
 
 
 @pytest.fixture(scope="module")
-def fig5_rows(shared_harness):
+def fig5_rows():
     # Reduced sweep: 3 accelerators, one budget, 2 scenarios.
     return run_figure5(
-        shared_harness,
         acc_ids=("A", "B", "J"),
         pe_budgets={"4K": 4096},
         scenarios=("vr_gaming", "ar_gaming"),
@@ -144,53 +135,90 @@ class TestFigure5:
         with pytest.raises(KeyError):
             best_accelerator(fig5_rows, "nope", "4K")
 
+    def test_bars_overwrite_the_base_grid_fields(self, fig5_rows):
+        base = RunSpec(scenario="outdoor_activity_b", accelerator="M",
+                       pes=8192)
+        rows = run_figure5(
+            base, acc_ids=("A", "B", "J"), pe_budgets={"4K": 4096},
+            scenarios=("vr_gaming", "ar_gaming"),
+        )
+        assert rows == fig5_rows
+
+    def test_base_score_preset_reaches_every_bar(self, fig5_rows):
+        rows = run_figure5(
+            RunSpec(scenario="ar_gaming", score_preset="low_power"),
+            acc_ids=("A", "B", "J"), pe_budgets={"4K": 4096},
+            scenarios=("vr_gaming", "ar_gaming"),
+        )
+        for low_power, default in zip(rows, fig5_rows):
+            assert low_power.energy < default.energy
+            assert low_power.rt == default.rt
+
+    def test_rejects_a_session_group_base(self):
+        with pytest.raises(ValueError, match="is a sessions run"):
+            run_figure5(RunSpec(scenario="ar_gaming", sessions=2))
+
 
 class TestFigure6:
-    @pytest.fixture(scope="class")
-    def results(self, shared_harness):
-        return run_figure6(shared_harness)
+    def test_both_budgets(self, figure6_results):
+        assert set(figure6_results) == {"4K", "8K"}
 
-    def test_both_budgets(self, results):
-        assert set(results) == {"4K", "8K"}
-
-    def test_paper_shape(self, results):
+    def test_paper_shape(self, figure6_results):
         # Section 4.2.2: the 4K system utilises more but drops more and
         # scores worse overall.
-        small, big = results["4K"], results["8K"]
+        small, big = figure6_results["4K"], figure6_results["8K"]
         assert small.drop_rate > big.drop_rate
         assert small.utilization >= big.utilization - 0.02
         assert small.report.overall < big.report.overall
 
-    def test_drop_rates(self, results):
+    def test_drop_rates(self, figure6_results):
         """Paper: 47.1% drops at 4K vs 2.3% at 8K."""
-        assert results["4K"].drop_rate > 0.25
-        assert results["8K"].drop_rate < 0.10
+        assert figure6_results["4K"].drop_rate > 0.25
+        assert figure6_results["8K"].drop_rate < 0.10
 
-    def test_pd_fails_on_4k(self, results):
+    def test_pd_fails_on_4k(self, figure6_results):
         """The 4K system starves PD (the paper: 'completely fails to run')."""
-        pd_4k = results["4K"].report.score.model("PD")
+        pd_4k = figure6_results["4K"].report.score.model("PD")
         assert pd_4k.mean_unit("rt") < 0.05
         assert pd_4k.qoe < 0.75
 
-    def test_8k_rt_limited_by_pd_only(self, results):
+    def test_8k_rt_limited_by_pd_only(self, figure6_results):
         """8K panel: PD misses deadlines, DE is fine (paper RT 0.68)."""
-        score = results["8K"].report.score
+        score = figure6_results["8K"].report.score
         assert score.model("PD").mean_unit("rt") < 0.1
         assert score.model("DE").mean_unit("rt") > 0.9
         assert 0.3 < score.rt < 0.9
 
-    def test_format(self, results):
-        text = format_figure6(results)
+    def test_format(self, figure6_results):
+        text = format_figure6(figure6_results)
         assert "4K PEs" in text and "8K PEs" in text
         assert "Realtime" in text and "QoE" in text
+
+    def test_base_score_preset_reaches_both_panels(self, figure6_results):
+        low_power = run_figure6(
+            RunSpec(scenario="ar_gaming", score_preset="low_power")
+        )
+        for budget, result in low_power.items():
+            default = figure6_results[budget].report.score
+            assert result.report.score.energy < default.energy
+            assert result.report.score.rt == default.rt
+
+    def test_base_accelerator_runs_both_panels(self):
+        results = run_figure6(RunSpec(scenario="ar_gaming", accelerator="A"))
+        for budget, total_pes in (("4K", 4096), ("8K", 8192)):
+            system = results[budget].report.simulation.system
+            assert (system.acc_id, system.total_pes) == ("A", total_pes)
+
+    def test_rejects_a_suite_base(self):
+        with pytest.raises(ValueError, match="is a suite run"):
+            run_figure6(RunSpec.for_suite("J"))
 
 
 class TestFigure7:
     @pytest.fixture(scope="class")
-    def rows(self, shared_harness):
+    def rows(self):
         return run_figure7(
-            shared_harness, acc_ids=("B", "J"),
-            probabilities=(0.25, 1.0), trials=5,
+            acc_ids=("B", "J"), probabilities=(0.25, 1.0), trials=5,
         )
 
     def test_row_count(self, rows):
@@ -217,16 +245,42 @@ class TestFigure7:
         qoe = [r.qoe for r in rows if r.acc_id == "J"]
         assert max(qoe) - min(qoe) < 0.05
 
-    def test_qoe_declines_with_probability_on_b(self, shared_harness):
+    def test_qoe_declines_with_probability_on_b(self):
         rows = run_figure7(
-            shared_harness, acc_ids=("B",),
-            probabilities=(0.25, 1.0), trials=10,
+            acc_ids=("B",), probabilities=(0.25, 1.0), trials=10,
         )
         assert rows[1].qoe <= rows[0].qoe + 0.01
 
-    def test_rejects_zero_trials(self, shared_harness):
+    def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials"):
-            run_figure7(shared_harness, trials=0)
+            run_figure7(trials=0)
+
+    def test_trials_overwrite_the_base_grid_fields(self, rows):
+        base = RunSpec(scenario="ar_gaming", accelerator="M", pes=8192,
+                       seed=9)
+        assert run_figure7(
+            base, acc_ids=("B", "J"), probabilities=(0.25, 1.0), trials=5,
+        ) == rows
+
+    @pytest.mark.parametrize("field, value", [
+        ("score_preset", "low_power"),
+        ("frame_loss", 0.2),
+    ])
+    def test_base_settings_reach_run_group(self, rows, field, value):
+        base = RunSpec(scenario="vr_gaming", **{field: value})
+        changed = run_figure7(
+            base, acc_ids=("B", "J"), probabilities=(0.25, 1.0), trials=5,
+        )
+        assert changed != rows
+
+    @pytest.mark.parametrize("field, value", [
+        ("dvfs_policy", "race_to_idle"),
+        ("sessions", 2),
+    ])
+    def test_rejects_a_base_that_is_not_single(self, field, value):
+        base = RunSpec(scenario="vr_gaming", **{field: value})
+        with pytest.raises(ValueError, match="is a sessions run"):
+            run_figure7(base, trials=1)
 
     def test_format(self, rows):
         text = format_figure7(rows)

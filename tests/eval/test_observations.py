@@ -2,15 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.eval import format_observations, verify_observations
+from repro.eval import format_observations
 from repro.eval.observations import Observation
-
-
-@pytest.fixture(scope="module")
-def observations(shared_harness):
-    return verify_observations(shared_harness)
 
 
 class TestVerifyObservations:

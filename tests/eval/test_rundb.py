@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.api import RunSpec
+from repro.api import RunSpec, execute
 from repro.core import MultiSessionReport, ScenarioReport
 from repro.eval import (
     ReportGenerator,
@@ -37,10 +37,10 @@ def make_record(policy="none", qoe=0.5, throughput=400.0, energy=100.0,
 
 
 @pytest.fixture(scope="module")
-def scenario_pair(short_harness, fda_ws_4k):
+def scenario_pair():
     spec = RunSpec(scenario="vr_gaming", accelerator="A", pes=4096,
                    duration_s=0.5)
-    return spec, short_harness.run_scenario("vr_gaming", fda_ws_4k)
+    return spec, execute(spec)
 
 
 class TestSummarize:
@@ -63,10 +63,10 @@ class TestSummarize:
         assert a.spec == b.spec
         assert a.metrics == b.metrics
 
-    def test_benchmark_report(self, short_harness, fda_ws_4k):
+    def test_benchmark_report(self):
         spec = RunSpec(suite=True, accelerator="A", pes=4096,
                        duration_s=0.5)
-        report = short_harness.run_suite(fda_ws_4k)
+        report = execute(spec)
         record = summarize_report(spec, report)
         assert len(record.sessions) == len(report.scenario_reports)
         assert record.label == "suite[none]"

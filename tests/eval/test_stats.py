@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval import run_seed_sweep
+from repro.api import RunSpec
+from repro.eval import seed_sweep
 from repro.eval.stats import _summarise
 from repro.hardware import build_accelerator
 
@@ -42,13 +43,13 @@ class TestSummarise:
         assert "overall" in text and "95% CI" in text
 
 
-class TestRunSeedSweep:
+class TestSeedSweep:
+    SPEC = RunSpec(scenario="outdoor_activity_a", accelerator="A",
+                   duration_s=0.5)
+
     @pytest.fixture(scope="class")
-    def sweep(self, short_harness):
-        return run_seed_sweep(
-            short_harness, "outdoor_activity_a",
-            build_accelerator("A", 4096), seeds=8,
-        )
+    def sweep(self):
+        return seed_sweep(self.SPEC, seeds=8)
 
     def test_components_present(self, sweep):
         assert set(sweep.statistics) == {
@@ -69,35 +70,33 @@ class TestRunSeedSweep:
         assert "outdoor_activity_a" in text
         assert "overall" in text
 
-    def test_rejects_zero_seeds(self, short_harness):
+    def test_rejects_zero_seeds(self):
         with pytest.raises(ValueError, match="seeds"):
-            run_seed_sweep(
-                short_harness, "vr_gaming",
-                build_accelerator("A", 4096), seeds=0,
-            )
+            seed_sweep(self.SPEC, seeds=0)
 
-    def test_accepts_unregistered_custom_system(self, short_harness):
-        # The facade exists for callers holding pre-built systems a
-        # spec cannot name; an unregistered acc_id must not fail spec
-        # validation inside the wrapper.
+    def test_rejects_a_session_group_spec(self):
+        with pytest.raises(ValueError, match="single-scenario"):
+            seed_sweep(self.SPEC.replace(sessions=2), seeds=2)
+
+    def test_accepts_unregistered_custom_system(self):
+        # A pre-built system no registered name describes runs in place
+        # of the spec's named accelerator.
         import dataclasses
 
         system = dataclasses.replace(
             build_accelerator("A", 4096), acc_id="custom_a"
         )
-        sweep = run_seed_sweep(
-            short_harness, "vr_gaming", system, seeds=2
+        sweep = seed_sweep(
+            self.SPEC.replace(scenario="vr_gaming"), seeds=2, system=system,
         )
         assert "custom_a" in sweep.system
 
-    def test_dynamic_scenarios_vary_more_than_static(self, short_harness):
+    def test_dynamic_scenarios_vary_more_than_static(self):
         # Outdoor A's KD->SR trigger is probabilistic; Social B has only
         # jitter randomness.  The dynamic scenario's spread dominates.
-        system = build_accelerator("A", 8192)
-        dynamic = run_seed_sweep(
-            short_harness, "outdoor_activity_a", system, seeds=10
-        )
-        static = run_seed_sweep(
-            short_harness, "social_interaction_b", system, seeds=10
+        spec = self.SPEC.replace(pes=8192)
+        dynamic = seed_sweep(spec, seeds=10)
+        static = seed_sweep(
+            spec.replace(scenario="social_interaction_b"), seeds=10
         )
         assert dynamic.get("overall").std >= static.get("overall").std - 1e-6

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from sim_helpers import price_table, run_single
 
-from repro.core import Harness, HarnessConfig
+from repro.api import RunSpec, execute
 from repro.hardware import build_accelerator
 from repro.runtime import (
     EngineFleet,
@@ -79,18 +79,12 @@ class TestSimulatorUnderFrameLoss:
         assert lossy.qoe < clean.qoe
         assert lossy.overall < clean.overall
 
-    def test_harness_config_plumbing(self):
-        harness = Harness(
-            config=HarnessConfig(frame_loss_probability=0.4),
-        )
-        report = harness.run_scenario(
-            "vr_gaming", build_accelerator("A", 8192)
-        )
+    def test_spec_frame_loss_plumbing(self):
+        report = execute(RunSpec(
+            scenario="vr_gaming", accelerator="A", pes=8192,
+            frame_loss=0.4,
+        ))
         assert report.score.qoe < 0.9
-
-    def test_config_validates_probability(self):
-        with pytest.raises(ValueError, match="frame_loss"):
-            HarnessConfig(frame_loss_probability=-0.1)
 
 
 class TestRateMonotonicScheduler:
@@ -119,21 +113,17 @@ class TestRateMonotonicScheduler:
         assert self.select(s, [pd, es])[0] is pd
 
     def test_end_to_end_run(self):
-        harness = Harness(
-            config=HarnessConfig(scheduler="rate_monotonic"),
-        )
-        report = harness.run_scenario(
-            "ar_gaming", build_accelerator("J", 8192)
-        )
+        report = execute(RunSpec(
+            scenario="ar_gaming", accelerator="J", pes=8192,
+            scheduler="rate_monotonic",
+        ))
         assert 0.0 <= report.overall <= 1.0
 
     def test_rm_protects_high_rate_models_under_load(self):
         # On the saturated 4K system, RM must keep the 45 FPS HT model at
         # least as healthy as the 30 FPS PD model.
-        harness = Harness(
-            config=HarnessConfig(scheduler="rate_monotonic"),
-        )
-        score = harness.run_scenario(
-            "ar_gaming", build_accelerator("J", 4096)
-        ).score
+        score = execute(RunSpec(
+            scenario="ar_gaming", accelerator="J", pes=4096,
+            scheduler="rate_monotonic",
+        )).score
         assert score.model("HT").qoe >= score.model("PD").qoe - 0.05

@@ -86,13 +86,13 @@ class TestConstruction:
                 segments_per_model=segments,
             )
 
-    def test_harness_rejects_segment_count_off_segment_granularity(self):
-        from repro.core import Harness
+    def test_run_group_rejects_segment_count_off_segment_granularity(self):
+        from repro.api import run_group
 
         with pytest.raises(ValueError, match="only acts at segment"):
-            Harness().run_sessions(
-                "ar_gaming", build_accelerator("J", 8192), num_sessions=1,
-                segments_per_model=3,
+            run_group(
+                [SessionSpec(0, get_scenario("ar_gaming"))],
+                build_accelerator("J", 8192), segments_per_model=3,
             )
 
 

@@ -205,6 +205,37 @@ class TestCommands:
         assert lines[1].startswith("vr_gaming")
 
 
+class TestFigureFlags:
+    """Every flag a figure accepts reaches its runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["figure6", "--duration", "0.5"],
+        ["figure7", "--trials", "2", "--duration", "0.5"],
+    ])
+    def test_score_preset_reaches_the_runs(self, argv, capsys):
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--score-preset", "low_power"]) == 0
+        assert capsys.readouterr().out != default
+
+    @pytest.mark.parametrize("argv", [
+        ["figure5", "--pes", "8192"],
+        ["figure6", "--pes", "1234"],
+        ["figure7", "--pes", "8192"],
+        ["figure7", "--seed", "3"],
+    ])
+    def test_flags_a_figure_would_ignore_are_rejected(self, argv, capsys):
+        # Each figure sets its own PE budgets, and Figure 7 its seeds.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_unknown_score_preset_fails_cleanly(self, capsys):
+        assert main(["figure5", "--score-preset", "bogus"]) == 2
+        assert "unknown score preset" in capsys.readouterr().err
+
+
 class TestChurnedExport:
     """CLI ``export`` across all three formats on a churned suite."""
 

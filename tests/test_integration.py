@@ -9,41 +9,44 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Harness, build_accelerator
+from repro import RunSpec, execute
 from repro.workload import SCENARIO_ORDER
 
 
-@pytest.fixture(scope="module")
-def harness():
-    return Harness()
+def run(scenario, acc, pes, **fields):
+    return execute(
+        RunSpec(scenario=scenario, accelerator=acc, pes=pes, **fields)
+    )
+
+
+def run_suite(acc, pes):
+    return execute(RunSpec.for_suite(acc, pes=pes))
 
 
 @pytest.fixture(scope="module")
-def sweep(harness):
+def sweep():
     """Overall scores for all 13 accelerators x 7 scenarios x 2 budgets."""
-    out: dict[tuple[str, int, str], float] = {}
-    for pes in (4096, 8192):
-        for acc in "ABCDEFGHIJKLM":
-            system = build_accelerator(acc, pes)
-            for scenario in SCENARIO_ORDER:
-                report = harness.run_scenario(scenario, system)
-                out[(acc, pes, scenario)] = report.score.overall
-    return out
+    return {
+        (acc, pes, scenario): run(scenario, acc, pes).score.overall
+        for pes in (4096, 8192)
+        for acc in "ABCDEFGHIJKLM"
+        for scenario in SCENARIO_ORDER
+    }
 
 
 class TestSection422_OverallScoreNecessary:
     """4.2: single metrics mislead; the overall score composes them."""
 
-    def test_4k_j_ar_gaming_fails(self, harness):
-        report = harness.run_scenario("ar_gaming", build_accelerator("J", 4096))
+    def test_4k_j_ar_gaming_fails(self):
+        report = run("ar_gaming", "J", 4096)
         s = report.score
         # Heavy drops, deep deadline violations, low overall (paper: 0).
         assert report.simulation.frame_drop_rate() > 0.25
         assert s.rt < 0.45
         assert s.overall < 0.35
 
-    def test_8k_j_ar_gaming_works(self, harness):
-        report = harness.run_scenario("ar_gaming", build_accelerator("J", 8192))
+    def test_8k_j_ar_gaming_works(self):
+        report = run("ar_gaming", "J", 8192)
         s = report.score
         # Few/no drops; PD still misses its deadline (paper RT 0.68).
         assert report.simulation.frame_drop_rate() < 0.15
@@ -51,29 +54,27 @@ class TestSection422_OverallScoreNecessary:
         assert s.model("PD").mean_unit("rt") < 0.1
         assert s.overall > 0.3
 
-    def test_high_rt_does_not_imply_high_overall(self, sweep, harness):
+    def test_high_rt_does_not_imply_high_overall(self, sweep):
         # An accelerator can ace real-time yet lose on energy/QoE: compare
         # per-unit breakdowns on a light scenario.
-        report = harness.run_scenario(
-            "outdoor_activity_a", build_accelerator("A", 8192)
-        )
+        report = run("outdoor_activity_a", "A", 8192)
         s = report.score
         assert s.rt > 0.95
         assert s.overall < s.rt  # energy multiplies in
 
 
 class TestSection422_UtilizationWrongMetric:
-    def test_utilization_anticorrelates_with_experience(self, harness):
-        small = harness.run_scenario("ar_gaming", build_accelerator("J", 4096))
-        big = harness.run_scenario("ar_gaming", build_accelerator("J", 8192))
+    def test_utilization_anticorrelates_with_experience(self):
+        small = run("ar_gaming", "J", 4096)
+        big = run("ar_gaming", "J", 8192)
         # The busier system delivers the worse experience.
         assert small.simulation.mean_utilization() >= (
             big.simulation.mean_utilization() - 0.02
         )
         assert small.score.overall < big.score.overall
 
-    def test_pd_starves_on_4k(self, harness):
-        report = harness.run_scenario("ar_gaming", build_accelerator("J", 4096))
+    def test_pd_starves_on_4k(self):
+        report = run("ar_gaming", "J", 4096)
         pd = report.score.model("PD")
         assert pd.qoe < 0.75  # paper: PD QoE collapses on the 4K system
 
@@ -131,16 +132,15 @@ class TestSection44_Observations:
 
 
 class TestSuiteLevel:
-    def test_xrbench_score_reproducible(self, harness):
-        system = build_accelerator("J", 8192)
-        a = harness.run_suite(system).xrbench_score
-        b = harness.run_suite(system).xrbench_score
+    def test_xrbench_score_reproducible(self):
+        a = run_suite("J", 8192).xrbench_score
+        b = run_suite("J", 8192).xrbench_score
         assert a == pytest.approx(b)
 
-    def test_8k_beats_4k_overall(self, harness):
+    def test_8k_beats_4k_overall(self):
         for acc in ("A", "J", "M"):
-            small = harness.run_suite(build_accelerator(acc, 4096))
-            big = harness.run_suite(build_accelerator(acc, 8192))
+            small = run_suite(acc, 4096)
+            big = run_suite(acc, 8192)
             assert big.xrbench_score >= small.xrbench_score - 0.02
 
     def test_all_scores_in_unit_interval(self, sweep):
@@ -151,16 +151,10 @@ class TestSchedulerAblation:
     """The scheduler is a first-class knob (Section 3.5)."""
 
     def test_edf_competitive_with_greedy(self):
-        from repro.core import HarnessConfig
-
-        results = {}
-        for sched in ("latency_greedy", "edf", "round_robin"):
-            h = Harness(
-                config=HarnessConfig(scheduler=sched)
-            )
-            results[sched] = h.run_scenario(
-                "ar_gaming", build_accelerator("J", 8192)
-            ).score.overall
+        results = {
+            sched: run("ar_gaming", "J", 8192, scheduler=sched).score.overall
+            for sched in ("latency_greedy", "edf", "round_robin")
+        }
         assert results["edf"] > 0.2
         # Round-robin ignores engine fit on the heterogeneous system.
         assert results["round_robin"] <= max(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import run_group
+from repro.runtime import SessionSpec
 from repro.workload import (
     DependencyKind,
     activate,
@@ -171,18 +173,26 @@ class TestVariantProperties:
             retarget(social_a, "ht", 15)
 
 
+def run_variant(scenario, system):
+    """One session of a live scenario object through the runner."""
+    return run_group(
+        [SessionSpec(session_id=0, scenario=scenario)], system,
+        duration_s=0.5,
+    ).session_reports[0]
+
+
 class TestVariantsRunEndToEnd:
-    def test_harness_accepts_variants(self, short_harness, fda_ws_4k):
+    def test_runner_accepts_variants(self, fda_ws_4k):
         base = get_scenario("ar_gaming")
         lighter = deactivate(base, "PD")
-        full = short_harness.run_scenario(base, fda_ws_4k)
-        light = short_harness.run_scenario(lighter, fda_ws_4k)
+        full = run_variant(base, fda_ws_4k)
+        light = run_variant(lighter, fda_ws_4k)
         # Removing the saturating model must improve the score.
         assert light.overall > full.overall
 
-    def test_rate_scaling_degrades_score(self, short_harness, fda_ws_4k):
+    def test_rate_scaling_degrades_score(self, fda_ws_4k):
         base = get_scenario("social_interaction_a")
         stressed = scale_rates(base, 2.0)
-        a = short_harness.run_scenario(base, fda_ws_4k)
-        b = short_harness.run_scenario(stressed, fda_ws_4k)
+        a = run_variant(base, fda_ws_4k)
+        b = run_variant(stressed, fda_ws_4k)
         assert b.overall <= a.overall + 0.02
