@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
 from repro.core.aggregate import score_sessions
@@ -187,7 +187,10 @@ def execute_plan(
     suite runs each scenario's row as its own one-session group at
     whole-model granularity; any other plan is one group.  A plan
     round-tripped through :meth:`DispatchPlan.to_json` /
-    :meth:`DispatchPlan.from_json` replays to identical results.
+    :meth:`DispatchPlan.from_json` replays to identical results.  The
+    returned report carries the plan's fingerprints
+    (``plan_fingerprint``, ``workload_fingerprint``), so export and the
+    run database name the plan that ran without compiling it again.
     """
     if score is None:
         score = get_score_preset(plan.score_preset)
@@ -208,6 +211,10 @@ def execute_plan(
         "admission": plan.admission,
         "faults": plan.fault_plan(),
     }
+    stamp = {
+        "plan_fingerprint": plan.fingerprint,
+        "workload_fingerprint": plan.workload_fingerprint,
+    }
     report: Report
     if plan.mode == "suite":
         reports = []
@@ -226,7 +233,9 @@ def execute_plan(
                 },
             ))
             reports.append(scenario_report)
-        report = BenchmarkReport(system=system, scenario_reports=reports)
+        report = BenchmarkReport(
+            system=system, scenario_reports=reports, **stamp
+        )
     else:
         multi = run_group(
             sessions, system,
@@ -239,9 +248,9 @@ def execute_plan(
             **shared,
         )
         if plan.mode == "single":
-            report = multi.session_reports[0]
+            report = replace(multi.session_reports[0], **stamp)
         else:
-            report = multi
+            report = replace(multi, **stamp)
     emit(sinks, ProgressEvent(
         kind="spec_finished", label=label, index=index, total=total,
         payload={"overall": _overall(report)},

@@ -286,13 +286,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pareto_p.add_argument("--pes", type=int, default=4096)
 
+    # A seed sweep sets every seed itself, so it offers no --seed; no
+    # abbreviations, so a --seed typed anyway is not read as --seeds.
     stats_p = sub.add_parser(
-        "stats", help="multi-seed statistics for a dynamic scenario"
+        "stats", help="multi-seed statistics for a dynamic scenario",
+        allow_abbrev=False,
     )
     stats_p.add_argument("scenario", choices=list(SCENARIO_ORDER))
     stats_p.add_argument("accelerator", choices=list(ACCELERATOR_IDS))
     stats_p.add_argument("--seeds", type=int, default=20)
-    add_common(stats_p)  # no dynamics flags: seed sweeps are single-mode
+    # No dynamics flags: seed sweeps are single-mode.
+    add_common(stats_p, seed=False)
 
     export_p = sub.add_parser(
         "export", help="suite results as JSON submission or CSV"
@@ -772,29 +776,31 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "export":
-        from repro.api import compile_plan
         from repro.core import benchmark_to_dict, submission, to_csv
 
         try:
             spec = _spec_from_args(args, suite=True)
-            plan = compile_plan(spec)
             report = execute(spec)
         except (KeyError, ValueError) as exc:
             return _fail(exc)
         _record_runs(args, [(spec, report)])
+        # The executed report carries its plan's fingerprints.
         if args.format == "submission":
             print(submission(report, include_breakdowns=args.breakdowns))
         elif args.format == "json":
             print(json.dumps(
                 benchmark_to_dict(
                     report,
-                    plan_fingerprint=plan.fingerprint,
-                    workload_fingerprint=plan.workload_fingerprint,
+                    plan_fingerprint=report.plan_fingerprint,
+                    workload_fingerprint=report.workload_fingerprint,
                 ),
                 indent=2,
             ))
         else:
-            print(to_csv(report, plan_fingerprint=plan.fingerprint), end="")
+            print(
+                to_csv(report, plan_fingerprint=report.plan_fingerprint),
+                end="",
+            )
         return 0
 
     if args.command == "report":

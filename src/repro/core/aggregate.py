@@ -27,11 +27,19 @@ Each O(n) aggregate is computed on its first read and then kept
 means, and a scenario's scored models, overall score and breakdowns.
 Export, the run database and the progress events each read a scenario's
 ``overall``, and without the cache each read would score every
-inference again.  The caches are sound because every input is frozen: the score classes are
-frozen dataclasses over tuples (a list argument is copied to one) of
-frozen :class:`InferenceScore` objects, and ``dataclasses.replace``
-builds a new object with empty caches.  So :class:`InferenceScore` must
-stay frozen; its ``request`` is mutable, but no aggregate reads it.
+inference again.  The caches are sound because every input is
+immutable: the score classes are frozen dataclasses over tuples (a list
+argument is copied to one) of :class:`InferenceScore` named tuples, and
+``dataclasses.replace`` builds a new object with empty caches.  An
+:class:`InferenceScore` is built per completed inference, so it is a
+``NamedTuple`` (slotted, and cheaper to build than a frozen dataclass);
+its ``request`` is mutable, but no aggregate reads it.
+
+:func:`score_simulation` partitions the request log in one pass, and
+each :class:`ModelScore` keeps the counts it made: export, the run
+database and the report summaries read executed and dropped frames from
+:attr:`ScenarioScore.total_executed` and
+:attr:`ScenarioScore.total_dropped` instead of scanning the log again.
 Every float reduction adds left to right through
 :func:`~repro.costmodel.analysis.ordered_sum`, so every interpreter
 gives the same scores.
@@ -41,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from repro.costmodel.analysis import ordered_sum
 from repro.runtime import MultiSessionResult, SimulationResult
@@ -67,9 +76,8 @@ __all__ = [
 _UNITS = ("rt", "energy", "accuracy")
 
 
-@dataclass(frozen=True)
-class InferenceScore:
-    """Scored view of one completed inference."""
+class InferenceScore(NamedTuple):
+    """Scored view of one completed inference (immutable)."""
 
     request: InferenceRequest
     rt: float
@@ -206,6 +214,10 @@ class ScenarioScore:
         return sum(m.missed_deadlines for m in self.model_scores)
 
     @property
+    def total_executed(self) -> int:
+        return sum(m.frames_executed for m in self.model_scores)
+
+    @property
     def total_dropped(self) -> int:
         return sum(m.frames_dropped for m in self.model_scores)
 
@@ -273,9 +285,7 @@ def score_simulation(
                 request.latency_s * 1e3, request.slack_s * 1e3, cfg.rt_k
             )
             en = energy_score(request.energy_mj or 0.0, cfg.energy_max_mj)
-            inf_scores.append(
-                InferenceScore(request=request, rt=rt, energy=en, accuracy=acc)
-            )
+            inf_scores.append(InferenceScore(request, rt, en, acc))
         executed = len(inf_scores)
         streamed = result.num_frames(code)
         model_scores.append(

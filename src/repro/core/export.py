@@ -138,11 +138,12 @@ def scenario_to_dict(report: ScenarioReport) -> dict[str, Any]:
             "accuracy": score.accuracy,
             "qoe": score.qoe,
         },
+        # Counted once, by scoring's pass over the request log.
         "frames": {
             "streamed": len(sim.requests),
-            "executed": len(sim.completed()),
-            "dropped": len(sim.dropped()),
-            "drop_rate": sim.frame_drop_rate(),
+            "executed": score.total_executed,
+            "dropped": score.total_dropped,
+            "drop_rate": report.frame_drop_rate(),
             "missed_deadlines": score.total_missed_deadlines,
         },
         # Window-clipped busy fractions: busy time is clipped to the
@@ -180,9 +181,10 @@ def benchmark_to_dict(
 
     The optional fingerprints stamp which compiled
     :class:`~repro.api.DispatchPlan` produced the report (``xrbench
-    export`` passes them), so exports from the identical plan — and,
-    via the workload fingerprint, from the same plan under different
-    seeds — are groupable without re-deriving anything.
+    export`` passes the ones the executed report carries), so exports
+    from the identical plan — and, via the workload fingerprint, from
+    the same plan under different seeds — are groupable without
+    re-deriving anything.
     """
     data: dict[str, Any] = {
         "system": report.system.describe(),

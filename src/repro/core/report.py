@@ -4,6 +4,12 @@ The harness returns reports rather than bare numbers because the paper's
 output contract includes "not only the scores ... but also detailed
 performance statistics such as the amount of delay over deadline, frame
 drop, execution timeline, and so on" (Section 3.5).
+
+A report that :func:`repro.api.execute_plan` returns carries the
+``plan_fingerprint`` and ``workload_fingerprint`` of the
+:class:`~repro.api.DispatchPlan` it executed, so export and the run
+database name the plan without compiling it again.  A report built any
+other way (:func:`repro.api.run_group`, or by hand) has ``None`` there.
 """
 
 from __future__ import annotations
@@ -25,10 +31,19 @@ class ScenarioReport:
 
     simulation: SimulationResult
     score: ScenarioScore
+    plan_fingerprint: str | None = None
+    workload_fingerprint: str | None = None
 
     @property
     def overall(self) -> float:
         return self.score.overall
+
+    def frame_drop_rate(self) -> float:
+        """Dropped share of the streamed requests, from the score's counts."""
+        streamed = len(self.simulation.requests)
+        if streamed == 0:
+            return 0.0
+        return self.score.total_dropped / streamed
 
     def delay_over_deadline_ms(self) -> dict[str, float]:
         """Mean lateness (ms past deadline) per model, 0 if always on time."""
@@ -39,7 +54,7 @@ class ScenarioReport:
                 for r in self.simulation.completed(sm.code)
                 if r.missed_deadline
             ]
-            out[sm.code] = sum(late) / len(late) if late else 0.0
+            out[sm.code] = ordered_sum(late) / len(late) if late else 0.0
         return out
 
     def summary(self) -> str:
@@ -63,9 +78,9 @@ class ScenarioReport:
             ),
             (
                 f"  frames: {len(sim.requests)} streamed, "
-                f"{len(sim.completed())} executed, "
-                f"{len(sim.dropped())} dropped "
-                f"({sim.frame_drop_rate():.1%}); "
+                f"{score.total_executed} executed, "
+                f"{score.total_dropped} dropped "
+                f"({self.frame_drop_rate():.1%}); "
                 f"{score.total_missed_deadlines} missed deadlines"
             ),
             # Total energy actually spent (occupancy-log sum, so it
@@ -108,6 +123,8 @@ class BenchmarkReport:
 
     system: object  # AcceleratorSystem; kept loose to avoid import cycles
     scenario_reports: list[ScenarioReport]
+    plan_fingerprint: str | None = None
+    workload_fingerprint: str | None = None
 
     @property
     def xrbench_score(self) -> float:
@@ -154,6 +171,8 @@ class MultiSessionReport:
 
     result: MultiSessionResult
     session_reports: tuple[ScenarioReport, ...]
+    plan_fingerprint: str | None = None
+    workload_fingerprint: str | None = None
 
     @property
     def mean_overall(self) -> float:
@@ -215,7 +234,7 @@ class MultiSessionReport:
                 f"{recovered} recovered, {lost} lost to faults"
             )
             if latencies:
-                mean_s = sum(latencies) / len(latencies)
+                mean_s = ordered_sum(latencies) / len(latencies)
                 line += f", mean recovery {mean_s * 1e3:.2f} ms"
             lines.append(line)
         for report in self.session_reports:
@@ -235,7 +254,7 @@ class MultiSessionReport:
                 f"    session {sim.session_id}: "
                 f"overall={score.overall:.3f} rt={score.rt:.3f} "
                 f"qoe={score.qoe:.3f} frames={len(sim.requests)} "
-                f"dropped={len(sim.dropped())} "
+                f"dropped={score.total_dropped} "
                 f"missed={score.total_missed_deadlines} "
                 f"energy={sim.total_energy_mj():.1f}mJ{window}"
                 f"{fault_note}"

@@ -107,7 +107,13 @@ def inference_score(
     rt: float, energy: float, accuracy: float
 ) -> float:
     """Definition 14: the per-inference product of the three unit scores."""
-    for name, v in (("rt", rt), ("energy", energy), ("accuracy", accuracy)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} score must be in [0, 1], got {v}")
+    if not (
+        0.0 <= rt <= 1.0 and 0.0 <= energy <= 1.0 and 0.0 <= accuracy <= 1.0
+    ):
+        # Only to name the bad input: the check above decides.
+        for name, v in (
+            ("rt", rt), ("energy", energy), ("accuracy", accuracy)
+        ):
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} score must be in [0, 1], got {v}")
     return rt * energy * accuracy

@@ -56,7 +56,13 @@ def run_figure6(base: RunSpec | None = None) -> dict[str, Figure6Result]:
 
 def format_figure6(results: dict[str, Figure6Result], width: int = 90) -> str:
     """Timelines plus the score panels of Figure 6."""
-    lines = ["Figure 6 — AR gaming execution timeline (accelerator J)"]
+    accelerators = ", ".join(dict.fromkeys(
+        res.report.simulation.system.acc_id for res in results.values()
+    ))
+    lines = [
+        f"Figure 6 — AR gaming execution timeline "
+        f"(accelerator {accelerators})"
+    ]
     for budget, res in results.items():
         s = res.report.score
         lines.append("")

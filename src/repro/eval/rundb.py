@@ -62,8 +62,10 @@ class RunRecord:
     ``plan`` stamps the compiled :class:`~repro.api.DispatchPlan` that
     executed the run — its full ``fingerprint`` and the seed-independent
     ``workload_fingerprint`` — so the report generator can group runs of
-    the identical plan under different seeds.  Records appended before
-    the stamp existed load with an empty block.
+    the identical plan under different seeds.  Records of reports that
+    carry no plan stamp (:func:`repro.api.run_group`'s, hand-built
+    ones), and records appended before the stamp existed, have an empty
+    block.
     """
 
     spec: dict
@@ -126,17 +128,20 @@ class RunRecord:
 
 
 def _session_row(report: ScenarioReport) -> dict:
-    """Per-session detail row, including the admission-control stamp."""
+    """Per-session detail row, including the admission-control stamp.
+
+    The frame counts are the ones scoring made in its pass over the
+    request log; the row does not scan the log again.
+    """
     sim, score = report.simulation, report.score
-    completed = len(sim.completed())
     row = {
         "session_id": sim.session_id,
         "scenario": sim.scenario.name,
         "overall": score.overall,
         "qoe": score.qoe,
         "frames_streamed": len(sim.requests),
-        "frames_executed": completed,
-        "frames_dropped": len(sim.dropped()),
+        "frames_executed": score.total_executed,
+        "frames_dropped": score.total_dropped,
         "missed_deadlines": score.total_missed_deadlines,
         "energy_mj": sim.total_energy_mj(),
         "shed": False,
@@ -163,23 +168,20 @@ def _session_row(report: ScenarioReport) -> dict:
     return row
 
 
-def _aggregate(reports: list[ScenarioReport]) -> dict:
-    """System-level metrics over a group of per-scenario/session reports.
+def _aggregate(rows: tuple[dict, ...], duration_s: float) -> dict:
+    """System-level metrics over a run's per-session rows.
 
     The float sums add left to right (``ordered_sum``), so a row is the
     same on every interpreter; the integer counts use ``sum()``.
     """
-    executed = sum(len(r.simulation.completed()) for r in reports)
-    missed = sum(r.score.total_missed_deadlines for r in reports)
-    duration = max(r.simulation.duration_s for r in reports)
+    executed = sum(row["frames_executed"] for row in rows)
+    missed = sum(row["missed_deadlines"] for row in rows)
     return {
-        "qoe": _mean([r.score.qoe for r in reports]),
-        "throughput_rps": executed / duration,
-        "energy_mj": ordered_sum(
-            r.simulation.total_energy_mj() for r in reports
-        ),
+        "qoe": _mean([row["qoe"] for row in rows]),
+        "throughput_rps": executed / duration_s,
+        "energy_mj": ordered_sum(row["energy_mj"] for row in rows),
         "miss_rate": missed / executed if executed else 0.0,
-        "mean_overall": _mean([r.score.overall for r in reports]),
+        "mean_overall": _mean([row["overall"] for row in rows]),
         "frames_executed": executed,
         "missed_deadlines": missed,
     }
@@ -189,7 +191,10 @@ def summarize_report(spec, report) -> RunRecord:
     """Flatten any :func:`repro.api.execute` report into a RunRecord.
 
     ``spec`` may be a :class:`repro.api.RunSpec` or an already-serialized
-    spec dict (the worker-process path hands dicts around).
+    spec dict (the worker-process path hands dicts around).  The plan
+    block is the stamp :func:`repro.api.execute_plan` put on the report:
+    the fingerprints of the plan that ran.  A report without one gets
+    an empty block; nothing is compiled here.
     """
     spec_dict = spec if isinstance(spec, dict) else spec.to_dict()
     if isinstance(report, ScenarioReport):
@@ -200,8 +205,10 @@ def summarize_report(spec, report) -> RunRecord:
         reports = list(report.session_reports)
     else:
         raise TypeError(f"cannot summarize report type {type(report)!r}")
-    metrics = _aggregate(reports)
     sessions = tuple(_session_row(r) for r in reports)
+    metrics = _aggregate(
+        sessions, max(r.simulation.duration_s for r in reports)
+    )
     # Aggregate quality across sessions: degraded or shed sessions pull
     # the run-level quality proxy below 1.0 (a shed session's retained
     # quality is 0 — its user got nothing).
@@ -209,22 +216,14 @@ def summarize_report(spec, report) -> RunRecord:
         0.0 if row["shed"] else row["quality_proxy"] for row in sessions
     ]
     metrics["quality_proxy"] = _mean(qualities)
-    # Stamp which compiled plan this run executed.  Compilation is pure
-    # and deterministic, so recompiling here yields exactly the plan the
-    # executor consumed; records of the same plan under different seeds
-    # share the workload fingerprint.
-    from repro.api import RunSpec, compile_plan
-
-    spec_obj = RunSpec.from_dict(spec_dict) if isinstance(spec, dict) else spec
-    plan = compile_plan(spec_obj)
+    plan: dict = {}
+    if report.plan_fingerprint is not None:
+        plan = {
+            "fingerprint": report.plan_fingerprint,
+            "workload_fingerprint": report.workload_fingerprint,
+        }
     return RunRecord(
-        spec=spec_dict,
-        metrics=metrics,
-        sessions=sessions,
-        plan={
-            "fingerprint": plan.fingerprint,
-            "workload_fingerprint": plan.workload_fingerprint,
-        },
+        spec=spec_dict, metrics=metrics, sessions=sessions, plan=plan,
     )
 
 

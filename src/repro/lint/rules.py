@@ -46,11 +46,12 @@ TIMING_SHIM_ALLOWLIST: tuple[str, ...] = ("tests/",)
 #: scripts are allowed stateful RNG).
 RNG_EXEMPT_PATHS: tuple[str, ...] = ("tests/", "examples/")
 
-#: Hot-record registry (rule C001): classes on the dispatch hot path
-#: that PR 6 slotted for attribute-access speed and footprint.  Any
-#: class *with one of these names* must keep ``__slots__`` (explicitly
-#: or via ``@dataclass(slots=True)``) — reintroducing a ``__dict__``
-#: here is a silent perf regression the benchmarks only catch later.
+#: Hot-record registry (rule C001): classes on the dispatch and scoring
+#: hot paths, slotted for attribute-access speed and footprint.  Any
+#: class *with one of these names* must keep ``__slots__`` (explicitly,
+#: via ``@dataclass(slots=True)``, or as a direct ``NamedTuple``
+#: subclass) — reintroducing a ``__dict__`` here is a silent perf
+#: regression the benchmarks only catch later.
 HOT_RECORDS: tuple[str, ...] = (
     "WorkItem",
     "ExecutionRecord",
@@ -58,6 +59,7 @@ HOT_RECORDS: tuple[str, ...] = (
     "InferenceRequest",
     "SegmentChain",
     "ChainSuffix",
+    "InferenceScore",
 )
 
 #: Wall-clock callables banned by D001, as canonical dotted names.
@@ -148,6 +150,15 @@ def _dotted(node: ast.AST, aliases: dict[str, str]) -> str | None:
     root = aliases.get(node.id, node.id)
     parts.append(root)
     return ".".join(reversed(parts))
+
+
+def _last_name(node: ast.AST) -> str | None:
+    """``c`` for a name ``c`` or an attribute ``a.b.c``, else ``None``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
 
 
 def _path_matches(relpath: str, prefixes: Iterable[str]) -> bool:
@@ -432,6 +443,9 @@ class NoOrderDependentIteration(Rule):
 
 
 def _declares_slots(cls: ast.ClassDef) -> bool:
+    # A direct NamedTuple subclass is a namedtuple: ``__slots__ = ()``.
+    if any(_last_name(base) == "NamedTuple" for base in cls.bases):
+        return True
     for node in cls.body:
         if isinstance(node, ast.Assign):
             for target in node.targets:
@@ -446,11 +460,7 @@ def _declares_slots(cls: ast.ClassDef) -> bool:
     for decorator in cls.decorator_list:
         if not isinstance(decorator, ast.Call):
             continue
-        func = decorator.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None
-        )
-        if name != "dataclass":
+        if _last_name(decorator.func) != "dataclass":
             continue
         for keyword in decorator.keywords:
             if (
@@ -467,8 +477,9 @@ class SlotsOnHotRecords(Rule):
     name = "slots-on-hot-records"
     description = (
         "classes named in the hot-record registry (WorkItem, "
-        "ExecutionRecord, ...) must declare __slots__ (directly or via "
-        "@dataclass(slots=True)): they are allocated per streamed frame"
+        "ExecutionRecord, ...) must declare __slots__ (directly, via "
+        "@dataclass(slots=True), or as a NamedTuple subclass): they are "
+        "allocated per streamed frame"
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[tuple[int, str]]:
@@ -574,11 +585,7 @@ def _register_model_code(decorator: ast.expr) -> str | None:
     """The task code of an ``@register_model("XX")`` decorator, if any."""
     if not isinstance(decorator, ast.Call):
         return None
-    func = decorator.func
-    name = func.attr if isinstance(func, ast.Attribute) else (
-        func.id if isinstance(func, ast.Name) else None
-    )
-    if name != "register_model":
+    if _last_name(decorator.func) != "register_model":
         return None
     if decorator.args and isinstance(decorator.args[0], ast.Constant):
         value = decorator.args[0].value

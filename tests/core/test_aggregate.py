@@ -18,8 +18,10 @@ from repro.core import (
 )
 from repro.core import aggregate
 from repro.core.aggregate import InferenceScore, ModelScore, ScenarioScore
+from repro.eval import rundb
 from repro.eval.rundb import summarize_report
 from repro.hardware import ACCELERATOR_IDS, PE_BUDGETS
+from repro.runtime import admission
 from repro.workload import SCENARIO_ORDER, InferenceRequest
 
 #: sha256 over ``repr(_score_row(score))`` of every scenario score a run
@@ -260,6 +262,14 @@ class TestInferenceScore:
         s = make_inf(rt=0.5, en=0.8, acc=1.0)
         assert s.overall == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("name", ["request", "rt", "energy", "accuracy"])
+    def test_fields_are_read_only(self, name):
+        # The aggregates cache over these values, so none may change.
+        s = make_inf()
+        with pytest.raises(AttributeError):
+            setattr(s, name, 0.5)
+        assert not hasattr(s, "__dict__")
+
 
 class TestModelScore:
     def test_per_model_is_mean(self):
@@ -345,6 +355,7 @@ class TestScenarioScore:
             make_model("ES", [make_inf()], streamed=5, executed=1,
                        dropped=2, missed=3),
         ))
+        assert s.total_executed == 2
         assert s.total_dropped == 6
         assert s.total_missed_deadlines == 4
 
@@ -435,6 +446,65 @@ class TestScoreDigests:
         assert _score_digest(scores, report.xrbench_score) == (
             GOLDEN_SUITE_SCORES
         )
+
+
+# -- frame counts: scored once, read by export and the run database ----------
+
+
+def _assert_counts_match_a_rescan(spec, report):
+    """Export, the rundb row and the summary against the request log."""
+    sessions = (
+        report.session_reports
+        if isinstance(report, MultiSessionReport) else (report,)
+    )
+    record = summarize_report(spec, report)
+    executed = 0
+    for session, row in zip(sessions, record.sessions):
+        sim = session.simulation
+        completed, dropped = len(sim.completed()), len(sim.dropped())
+        executed += completed
+        frames = scenario_to_dict(session)["frames"]
+        assert frames["executed"] == row["frames_executed"] == completed
+        assert frames["dropped"] == row["frames_dropped"] == dropped
+        assert frames["drop_rate"] == sim.frame_drop_rate()
+        assert (
+            f"{completed} executed, {dropped} dropped "
+            f"({sim.frame_drop_rate():.1%})"
+        ) in session.summary()
+    assert record.metrics["frames_executed"] == executed
+
+
+class TestCountedOnce:
+    """Executed and dropped counts come from scoring's one pass."""
+
+    def test_figure5_grid(self, figure5_grid_reports):
+        specs = FIGURE5_GRID.expand()
+        for spec, report in zip(specs, figure5_grid_reports):
+            _assert_counts_match_a_rescan(spec, report)
+
+    def test_segment_granularity(self):
+        spec = RunSpec(scenario="ar_gaming", accelerator="J", pes=8192,
+                       granularity="segment", duration_s=0.5)
+        report = execute(spec)
+        sim = report.session_reports[0].simulation
+        assert len(sim.records) > len(sim.completed())  # split dispatches
+        _assert_counts_match_a_rescan(spec, report)
+
+    def test_faulted_degraded_session_group(self, monkeypatch):
+        # Retained quality is beside the point here, and measuring it
+        # runs the quantised networks.
+        for module in (admission, rundb):
+            monkeypatch.setattr(
+                module, "quality_retention", lambda scenario, level: 1.0
+            )
+        report = execute(DYNAMIC_GROUP)
+        sims = [r.simulation for r in report.session_reports]
+        assert any(s.faults.killed for s in sims)
+        assert any(s.admission.degradation_level for s in sims)
+        assert any(s.dropped() for s in sims)
+        _assert_counts_match_a_rescan(DYNAMIC_GROUP, report)
+        for sim, line in zip(sims, report.summary().splitlines()[-8:]):
+            assert f" dropped={len(sim.dropped())} " in line
 
 
 # -- the aggregates against their references ----------------------------------

@@ -10,7 +10,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.api import RunSpec, execute
+import repro.api
+from repro.api import (
+    CollectingSink,
+    Experiment,
+    RunSpec,
+    Sweep,
+    compile_plan,
+    execute,
+    run_group,
+)
 from repro.core import MultiSessionReport, ScenarioReport
 from repro.eval import (
     ReportGenerator,
@@ -19,6 +28,9 @@ from repro.eval import (
     rundb,
     summarize_report,
 )
+from repro.hardware import build_accelerator
+from repro.runtime import SessionSpec
+from repro.workload import get_scenario
 
 
 def make_record(policy="none", qoe=0.5, throughput=400.0, energy=100.0,
@@ -89,6 +101,77 @@ class TestSummarize:
     def test_unknown_report_type_rejected(self):
         with pytest.raises(TypeError, match="cannot summarize"):
             summarize_report({"scenario": "x"}, object())
+
+
+def plan_block(plan) -> dict:
+    return {
+        "fingerprint": plan.fingerprint,
+        "workload_fingerprint": plan.workload_fingerprint,
+    }
+
+
+class TestPlanStamp:
+    """A record's plan block names the plan that executed, uncompiled."""
+
+    @pytest.mark.parametrize("spec", [
+        RunSpec(scenario="vr_gaming", accelerator="A", duration_s=0.25),
+        RunSpec(scenario=("vr_gaming", "ar_gaming", "vr_gaming"),
+                accelerator="J", pes=8192, granularity="segment",
+                faults="single", churn=0.25, duration_s=0.25, seed=3),
+        RunSpec(suite=True, accelerator="A", duration_s=0.25),
+    ], ids=["single", "group", "suite"])
+    def test_block_is_the_executed_plan(self, spec):
+        report = execute(spec)
+        plan = compile_plan(spec)
+        assert (report.plan_fingerprint, report.workload_fingerprint) == (
+            plan.fingerprint, plan.workload_fingerprint
+        )
+        assert summarize_report(spec, report).plan == plan_block(plan)
+
+    def test_system_override_stamps_the_plan_that_ran(self):
+        # The plan compiled against the override, not the spec's named
+        # accelerator: their fault schedules differ.
+        spec = RunSpec(scenario="ar_gaming", accelerator="J", pes=8192,
+                       duration_s=0.25, faults="flaky")
+        system = build_accelerator("G", 8192)
+        ran = compile_plan(spec, system=system)
+        assert ran.fingerprint != compile_plan(spec).fingerprint
+        record = summarize_report(spec, execute(spec, system=system))
+        assert record.plan == plan_block(ran)
+
+    def test_experiment_plan_cache(self):
+        sweep = Sweep(
+            base=RunSpec(scenario="ar_gaming", accelerator="J", pes=8192,
+                         granularity="segment", duration_s=0.25),
+            grid={"seed": (0, 1, 2)},
+        )
+        specs = sweep.expand()
+        sink = CollectingSink()
+        reports = Experiment(specs=tuple(specs)).run(sinks=[sink])
+        assert sink.events[-1].payload["plan_cache_hits"] == 2
+        blocks = [
+            summarize_report(spec, report).plan
+            for spec, report in zip(specs, reports)
+        ]
+        assert blocks == [plan_block(compile_plan(s)) for s in specs]
+        assert len({b["workload_fingerprint"] for b in blocks}) == 1
+
+    def test_unstamped_report_records_an_empty_block(self, monkeypatch):
+        def no_compiling(*args, **kwargs):
+            raise AssertionError("summarize_report compiled a plan")
+
+        monkeypatch.setattr(repro.api, "compile_plan", no_compiling)
+        monkeypatch.setattr(repro.api.plan, "compile_plan", no_compiling)
+        report = run_group(
+            [SessionSpec(session_id=0, scenario=get_scenario("vr_gaming"))],
+            build_accelerator("A", 4096), duration_s=0.25,
+        )
+        assert report.plan_fingerprint is None
+        spec = RunSpec(scenario="vr_gaming", sessions=1, duration_s=0.25)
+        record = summarize_report(spec, report)
+        assert record.plan == {}
+        assert "plan" not in record.to_dict()
+        assert RunRecord.from_dict(record.to_dict()) == record
 
 
 class TestRunRecord:
@@ -290,7 +373,10 @@ def tenth_session(session_id: int) -> ScenarioReport:
         ),
         faults=None,
     )
-    score = SimpleNamespace(qoe=0.1, overall=0.1, total_missed_deadlines=0)
+    score = SimpleNamespace(
+        qoe=0.1, overall=0.1, total_missed_deadlines=0,
+        total_executed=1, total_dropped=0,
+    )
     return ScenarioReport(simulation=simulation, score=score)
 
 

@@ -102,6 +102,21 @@ def test_c001_negative_slotted_and_unregistered(lint_fixture):
     assert not report.findings, report.render()
 
 
+def test_c001_flags_an_unslotted_inference_score(lint_fixture):
+    # One is built per completed inference, so it is a hot record; a
+    # class deriving from a namedtuple class gets a __dict__ back.
+    report = lint_fixture("src/c001_named_tuple_positive.py")
+    findings = _only(report, "C001")
+    assert [f.line for f in findings] == [8, 16]
+    assert "InferenceScore" in findings[0].message
+    assert "SegmentChain" in findings[1].message
+
+
+def test_c001_direct_named_tuple_counts_as_slotted(lint_fixture):
+    report = lint_fixture("src/c001_named_tuple_negative.py")
+    assert not report.findings, report.render()
+
+
 # ---------------------------------------------------------------------------
 # C002 schema-dataclass-drift
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ specs from every combination of scheduler, granularity, preemption,
 churn, DVFS policy, admission policy and fault profile, on one to eight
 sessions of mixed scenarios, and checks what must hold in every run:
 the energy ledgers agree, no engine is busy past the run, every request
-ends exactly once, the cost cache is consulted, the admission and fault
-records exist exactly when their policy is on and reconcile, QoE stays
-in [0, 1], faults never zero a run that scored without them, and a spec
-run twice gives the same digests.
+ends exactly once and the score counts it, the cost cache is consulted,
+the admission and fault records exist exactly when their policy is on
+and reconcile, QoE stays in [0, 1], faults never zero a run that scored
+without them, and a spec run twice gives the same digests.
 """
 
 from __future__ import annotations
@@ -101,6 +101,9 @@ def test_every_spec_keeps_the_run_invariants(spec):
 
     for sim, scored in zip(result.sessions, report.session_reports):
         assert 0 <= sim.missed_deadlines() <= len(sim.completed())
+        # Export and the run database read these counts from the score.
+        assert scored.score.total_executed == len(sim.completed())
+        assert scored.score.total_dropped == len(sim.dropped())
         for busy_s in sim.busy_time_s.values():
             assert busy_s <= duration_s + 1e-9
         for request in sim.requests:

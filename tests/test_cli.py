@@ -103,6 +103,13 @@ class TestCommands:
         assert main(["figure6", "--duration", "0.5"]) == 0
         assert "Figure 6" in capsys.readouterr().out
 
+    def test_figure6_names_the_accelerator_that_ran(self, capsys):
+        assert main(
+            ["figure6", "--accelerator", "A", "--duration", "0.5"]
+        ) == 0
+        title = capsys.readouterr().out.splitlines()[0]
+        assert title.endswith("(accelerator A)")
+
     def test_figure7_small(self, capsys):
         assert main(["figure7", "--trials", "2", "--duration", "0.5"]) == 0
         assert "Figure 7" in capsys.readouterr().out
@@ -143,6 +150,15 @@ class TestCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "95% CI" in out
+
+    @pytest.mark.parametrize("seeds", [[], ["--seeds", "3"]])
+    def test_stats_rejects_seed(self, seeds, capsys):
+        # The sweep sets every seed itself; nor is --seed read as --seeds.
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "outdoor_activity_a", "A", "--seed", "7",
+                  "--duration", "0.5", *seeds])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
     def test_export_submission(self, capsys):
         assert main(["export", "A", "--duration", "0.5"]) == 0
