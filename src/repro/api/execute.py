@@ -211,7 +211,7 @@ def execute_plan(
         "admission": plan.admission,
         "faults": plan.fault_plan(),
     }
-    stamp = {
+    stamp: dict[str, Any] = {
         "plan_fingerprint": plan.fingerprint,
         "workload_fingerprint": plan.workload_fingerprint,
     }
