@@ -8,6 +8,7 @@ per-session results.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -142,6 +143,57 @@ class TestFingerprints:
             base.replace(scenario=("ar_gaming",) * 2), reuse=first
         )
         assert other.workload_fingerprint != first.workload_fingerprint
+
+
+#: sha256 of ``compile_plan(spec).to_json()``: every mode, every policy
+#: and every plan table, pinned to the byte.
+GOLDEN_PLANS = {
+    "single": (
+        RunSpec(scenario="ar_gaming"),
+        "650773ff249fe1195a67409dfcbf57fc7ef8d61beb6cc790800e9d84089e961a",
+    ),
+    "churn": (
+        RunSpec(scenario="vr_gaming", sessions=4, churn=0.25, seed=5),
+        "f09b83c4bb7a69c1ee9cbb135202309ba11358ca207988cacfb710997c9a7179",
+    ),
+    "segment_mix": (
+        RunSpec(scenario=("ar_gaming", "vr_gaming", "social_interaction_a"),
+                granularity="segment", segments_per_model=3),
+        "6ca508bb4cff160060458be10fbd6640a994bf749d5ebb12c6d52c92c6403de3",
+    ),
+    "every_policy": (
+        RunSpec(scenario="vr_gaming", sessions=3, granularity="segment",
+                churn=0.3, scheduler="edf", preemptive=True,
+                admission="shed", dvfs_policy="slack", faults="flaky",
+                duration_s=0.5),
+        "1af3c039e7ecc81fdfae589f02f01b925cc1e0a9b4c5b8d02368ed1ef60409d5",
+    ),
+    "degrade_thermal": (
+        RunSpec(scenario="vr_gaming", sessions=2, admission="degrade",
+                dvfs_policy="race_to_idle", faults="thermal",
+                accelerator="M", pes=8192),
+        "657de29aa3d8d9d9400bd387b7c3b0df1b784a93d32642b002c45780ec68d725",
+    ),
+    "suite": (
+        RunSpec.for_suite("J"),
+        "f60f1ddb0db987e6c6e7a068c85439a3a3397db61ba1bc9ea0ebb0f5e0241851",
+    ),
+    "suite_policies": (
+        RunSpec.for_suite("J", churn=0.2, frame_loss=0.05,
+                          admission="shed", dvfs_policy="slack", seed=11),
+        "c6528e24e3682eefe3a238c0956c96deac803985474ad01c5df43e93a47df91f",
+    ),
+}
+
+
+class TestPlanDigests:
+    """The serialized plan of seven specs, pinned byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
+    def test_plan_bytes(self, name):
+        spec, digest = GOLDEN_PLANS[name]
+        text = compile_plan(spec).to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestSerialization:
