@@ -50,12 +50,7 @@ from repro.runtime import (
 from repro.workload import get_scenario
 
 from .events import EventSink, ProgressEvent, emit
-from .plan import (
-    DispatchPlan,
-    PlanSession,
-    compile_plan,
-    workload_fingerprint,
-)
+from .plan import DispatchPlan, PlanSession, compile_plan
 from .spec import RunSpec, Sweep
 
 __all__ = [
@@ -373,24 +368,11 @@ class Experiment:
             payload={"specs": total, "workers": workers},
         ))
         retried_cells: list[str] = []
-        plan_cache_hits: int | None = None
         if workers == 1 or total <= 1:
-            # Plan cache keyed on the workload fingerprint (the spec
-            # minus its seed): sweep cells sharing a workload reuse the
-            # seed-independent compilation — notably the segment-chain
-            # table — instead of recompiling it per cell.
-            plans: dict[str, DispatchPlan] = {}
-            plan_cache_hits = 0
-            reports = []
-            for i, spec in enumerate(specs):
-                cached = plans.get(workload_fingerprint(spec))
-                if cached is not None:
-                    plan_cache_hits += 1
-                plan = compile_plan(spec, reuse=cached)
-                plans[plan.workload_fingerprint] = plan
-                reports.append(execute_plan(
-                    plan, sinks=sinks, index=i, total=total,
-                ))
+            reports = [
+                execute(spec, sinks=sinks, index=i, total=total)
+                for i, spec in enumerate(specs)
+            ]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = []
@@ -421,8 +403,6 @@ class Experiment:
                     reports.append(report)
                 retried_cells = retried
         finished_payload: dict[str, Any] = {"specs": total}
-        if plan_cache_hits is not None:
-            finished_payload["plan_cache_hits"] = plan_cache_hits
         if retried_cells:
             finished_payload["retried"] = retried_cells
         emit(sinks, ProgressEvent(

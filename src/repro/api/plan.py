@@ -14,17 +14,19 @@ the *fully resolved* run:
 * the DVFS ladder and policy bindings, the admission policy and its
   resolved control-tick schedule;
 * a sha256 ``fingerprint`` over the whole artifact, and a
-  ``workload_fingerprint`` over the spec *minus its seed* — the plan
-  cache key that lets sweep cells sharing a workload skip
-  recompilation (:meth:`repro.api.Experiment.run`).
+  ``workload_fingerprint`` over the spec *minus its seed*, which the
+  cells of a seed grid share.
 
 Planning is pure: compiling never touches a cost table or an engine.
+Each table comes from the runtime helper the run reads it from
+(:func:`~repro.runtime.segmentation.chain_codes`,
+:func:`~repro.runtime.admission.control_ticks`, the governor's own
+ladder), and the plan is the one producer of a run's fault schedule.
 The executor (:func:`repro.api.execute_plan`) consumes the plan —
 session windows and fault events are *read*, not re-derived, and the
-segment-chain codes must equal the split the executor derives from the
-same helper — and :func:`repro.api.execute` is exactly
-compile-then-execute, pinned bit-identical by the golden schedule
-checksums.
+segment-chain codes must equal the split the executor derives — and
+:func:`repro.api.execute` is exactly compile-then-execute, pinned
+bit-identical by the golden schedule checksums and the plan digests.
 
 ``schema/dispatchplan.schema.json`` validates the serialized form;
 ``xrbench plan`` emits it and ``xrbench plan --diff`` renders
@@ -36,13 +38,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
-
-if TYPE_CHECKING:
-    from repro.runtime.faults import FaultPlan
+from typing import Any, Mapping
 
 from repro.costmodel import DEFAULT_DVFS_POINTS, CostTable
 from repro.hardware import AcceleratorSystem, build_accelerator
+from repro.runtime.admission import control_ticks, make_admission
+from repro.runtime.faults import FaultPlan, make_fault_plan
+from repro.runtime.governor import make_governor
+from repro.runtime.segmentation import chain_codes, split_models
 from repro.workload import benchmark_suite, churn_windows, get_scenario
 
 from .spec import RunSpec
@@ -70,12 +73,11 @@ def _sha256(data: Any) -> str:
 
 
 def workload_fingerprint(spec: RunSpec) -> str:
-    """sha256 over the spec *minus its seed* — the plan-cache key.
+    """sha256 over the spec *minus its seed*.
 
-    Two specs that differ only in ``seed`` describe the same workload:
-    their plans share every seed-independent table (notably the
-    segment-chain table, the expensive part of compilation), so sweep
-    cells keyed equal here reuse a prior cell's compilation.
+    Two specs that differ only in ``seed`` describe the same workload,
+    so the cells of a seed grid share this fingerprint while each keeps
+    its own plan fingerprint.
     """
     data = spec.to_dict()
     data.pop("seed", None)
@@ -203,8 +205,6 @@ class DispatchPlan:
         """The plan's :class:`~repro.runtime.faults.FaultPlan`, or None."""
         if self.faults is None:
             return None
-        from repro.runtime.faults import FaultPlan
-
         return FaultPlan.from_dict(self.faults)
 
     def describe(self) -> str:
@@ -316,9 +316,13 @@ class DispatchPlan:
 def _session_rows(
     spec: RunSpec, names: tuple[str, ...]
 ) -> tuple[PlanSession, ...]:
-    """The resolved session table for a sessions-mode spec:
-    consecutive seeds from ``spec.seed`` and the deterministic churn
-    windows seeded by it."""
+    """The resolved session table of one group: consecutive seeds from
+    ``spec.seed`` and the deterministic churn windows seeded by it.
+
+    A single-mode spec is a one-name group without churn, and each
+    suite scenario a one-name group of its own, whose row is the lone
+    session (id 0) of that group.
+    """
     windows = churn_windows(
         len(names), spec.duration_s, spec.churn, spec.seed
     )
@@ -339,68 +343,10 @@ def _session_rows(
     return tuple(rows)
 
 
-def _suite_rows(spec: RunSpec) -> tuple[PlanSession, ...]:
-    """One row per suite scenario, in suite order.
-
-    Each scenario runs as its own one-session group, so the
-    ``session_id`` is the within-group id 0.  Under churn every
-    scenario gets the same one-session window plan (it is seeded by the
-    spec seed, not the scenario).
-    """
-    rows = []
-    for scenario in benchmark_suite():
-        if spec.churn > 0:
-            (window,) = churn_windows(
-                1, spec.duration_s, spec.churn, spec.seed
-            )
-            arrival, departure = window.arrival_s, window.departure_s
-        else:
-            arrival, departure = 0.0, None
-        end = spec.duration_s
-        if departure is not None:
-            end = min(departure, spec.duration_s)
-        rows.append(PlanSession(
-            session_id=0,
-            scenario=scenario.name,
-            seed=spec.seed,
-            frame_loss=spec.frame_loss,
-            arrival_s=arrival,
-            departure_s=departure,
-            timeline=((arrival, end, scenario.name),),
-        ))
-    return tuple(rows)
-
-
-def _plan_chains(
-    spec: RunSpec, names: tuple[str, ...]
-) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """The per-model segment-chain code table, in planning order.
-
-    Records the decision of :func:`repro.runtime.segmentation.split_models`
-    (which models split, into which codes); the executor derives the
-    same table with the piece graphs and checks it against this one.
-    """
-    if spec.granularity != "segment":
-        return ()
-    from repro.runtime.segmentation import dispatch_segment_code, split_models
-
-    split = split_models(
-        (get_scenario(name) for name in names), spec.segments_per_model
-    )
-    return tuple(
-        (code, tuple(
-            dispatch_segment_code(code, idx, len(pieces))
-            for idx in range(len(pieces))
-        ))
-        for code, pieces in split.items()
-    )
-
-
 def compile_plan(
     spec: RunSpec,
     *,
     system: AcceleratorSystem | None = None,
-    reuse: DispatchPlan | None = None,
 ) -> DispatchPlan:
     """Compile a spec into its fully resolved :class:`DispatchPlan`.
 
@@ -408,80 +354,51 @@ def compile_plan(
     schedule and the segment-chain table — no cost-model analysis and
     no execution.  ``system`` substitutes a pre-built accelerator for
     the spec's named one (the same override :func:`repro.api.execute`
-    accepts), which matters to the fault plan's engine count.  ``reuse``
-    is a previously compiled plan for the *same workload* (equal
-    :func:`workload_fingerprint`); its seed-independent segment-chain
-    table is adopted instead of being re-derived — the plan-cache fast
-    path for sweep cells differing only in seed.
+    accepts), which matters to the fault plan's engine count.  The
+    chain codes, control ticks and DVFS ladder come from the runtime
+    helpers the run itself reads them from.
     """
     if system is None:
         system = build_accelerator(spec.accelerator, spec.pes)
     mode = spec.mode
     if mode == "suite":
-        rows = _suite_rows(spec)
-    elif mode == "sessions":
+        rows = tuple(
+            _session_rows(spec, (scenario.name,))[0]
+            for scenario in benchmark_suite()
+        )
+    else:
         names = (
             spec.scenario
             if isinstance(spec.scenario, tuple)
             else (spec.scenario,) * spec.sessions
         )
         rows = _session_rows(spec, names)
-    else:
-        rows = (PlanSession(
-            session_id=0,
-            scenario=spec.scenario,
-            seed=spec.seed,
-            frame_loss=spec.frame_loss,
-            timeline=((0.0, spec.duration_s, spec.scenario),),
-        ),)
 
-    workload = workload_fingerprint(spec)
-    if mode == "sessions":
-        if (
-            reuse is not None
-            and reuse.workload_fingerprint == workload
-            and reuse.num_engines == system.num_subs
-        ):
-            chains = reuse.segment_chains
-        else:
-            chains = _plan_chains(spec, tuple(r.scenario for r in rows))
-    else:
-        # Suite and single specs dispatch whole models (RunSpec rejects
-        # a suite spec with granularity="segment"), so they have no
-        # chains.
-        chains = ()
-
-    faults = None
-    if spec.faults != "none":
-        from repro.runtime.faults import make_fault_plan
-
-        fplan = make_fault_plan(
-            spec.faults, system.num_subs, spec.duration_s, seed=spec.seed
+    # Only segment granularity splits models (RunSpec rejects it for
+    # suites and reports it as a session group); a model that cannot
+    # split is absent and runs whole.
+    chains: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    if spec.granularity == "segment":
+        split = split_models(
+            (get_scenario(row.scenario) for row in rows),
+            spec.segments_per_model,
         )
-        faults = fplan.to_dict() if fplan is not None else None
+        chains = tuple(chain_codes(split).items())
 
+    fplan = make_fault_plan(
+        spec.faults, system.num_subs, spec.duration_s, seed=spec.seed
+    )
+
+    controller = make_admission(spec.admission)
     admission_period: float | None = None
     ticks: tuple[float, ...] = ()
-    if spec.admission != "none":
-        from repro.runtime.admission import make_admission
+    if controller is not None:
+        admission_period = controller.period_s
+        ticks = control_ticks(controller.period_s, spec.duration_s)
 
-        controller = make_admission(spec.admission)
-        if controller is not None:
-            admission_period = controller.period_s
-            tick_times = []
-            tick = 1
-            while tick * controller.period_s < spec.duration_s:
-                tick_times.append(tick * controller.period_s)
-                tick += 1
-            ticks = tuple(tick_times)
-
-    if spec.dvfs_policy != "static":
-        from repro.runtime.governor import make_governor
-
-        governor = make_governor(spec.dvfs_policy)
-        points = tuple(getattr(governor, "points", DEFAULT_DVFS_POINTS))
-    else:
-        points = DEFAULT_DVFS_POINTS
+    points = getattr(
+        make_governor(spec.dvfs_policy), "points", DEFAULT_DVFS_POINTS
+    )
     ladder = tuple(
         {"name": p.name, "frequency_scale": p.frequency_scale}
         for p in points
@@ -504,13 +421,12 @@ def compile_plan(
         churn=spec.churn,
         sessions=rows,
         segment_chains=chains,
-        faults=faults,
+        faults=fplan.to_dict() if fplan is not None else None,
         admission=spec.admission,
         admission_period_s=admission_period,
         control_ticks_s=ticks,
         dvfs_policy=spec.dvfs_policy,
         dvfs_ladder=ladder,
-        workload_fingerprint=workload,
     )
 
 

@@ -19,7 +19,11 @@ spec into a list of specs — the serializable form of "13 accelerators x
 All names inside a spec (scenario, accelerator, scheduler, score preset)
 resolve through :mod:`repro.registry`, so constructing a spec validates
 them eagerly with did-you-mean errors, and third-party registrations are
-usable from JSON without code changes.
+usable from JSON without code changes.  The policy, profile and
+granularity names and the churn bound are the runtime's own tuples and
+constants, imported from the modules that define them (and re-exported
+from :mod:`repro.api` for the CLI and benchmarks): a spec accepts
+exactly what the runtime runs.
 """
 
 from __future__ import annotations
@@ -33,6 +37,11 @@ from typing import Any, Iterable, Mapping
 
 from repro import registry
 from repro.core.config import DEFAULT_DURATION_S
+from repro.runtime.admission import ADMISSION_POLICIES
+from repro.runtime.faults import FAULT_PROFILES, make_fault_plan
+from repro.runtime.governor import DVFS_POLICIES
+from repro.runtime.multisim import GRANULARITIES
+from repro.workload import MAX_CHURN
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -41,36 +50,6 @@ __all__ = [
     "RunSpec",
     "Sweep",
 ]
-
-#: Dispatch granularities (mirrors ``repro.runtime.GRANULARITIES``
-#: without importing the runtime at spec-construction time).
-_GRANULARITIES = ("model", "segment")
-
-#: Upper bound of the churn knob (mirrors ``repro.workload.MAX_CHURN``):
-#: arrivals and departures each fray over ``churn * duration`` seconds,
-#: and past one half the two bands would overlap.
-_MAX_CHURN = 0.5
-
-#: Runtime DVFS governor policies (mirrors
-#: ``repro.runtime.DVFS_POLICIES`` without importing the runtime at
-#: spec-construction time; a test pins the two — and the JSON-schema
-#: enum — to each other).  Public: the CLI and benchmarks read their
-#: ``--dvfs`` choices from here.
-DVFS_POLICIES = ("static", "slack", "race_to_idle")
-
-#: QoE admission-control policies (mirrors
-#: ``repro.runtime.ADMISSION_POLICIES`` without importing the runtime at
-#: spec-construction time; a test pins the two — and the JSON-schema
-#: enum — to each other).  Public: the CLI and benchmarks read their
-#: ``--admission`` choices from here.
-ADMISSION_POLICIES = ("none", "shed", "degrade")
-
-#: Fault-injection profiles (mirrors
-#: ``repro.runtime.FAULT_PROFILES`` without importing the runtime at
-#: spec-construction time; a test pins the two — and the JSON-schema
-#: enum — to each other).  Public: the CLI and benchmarks read their
-#: ``--faults`` choices from here.
-FAULT_PROFILES = ("none", "single", "flaky", "thermal")
 
 
 @dataclass(frozen=True)
@@ -108,8 +87,8 @@ class RunSpec:
     #: ``should_preempt`` hook (edf, rate_monotonic).
     preemptive: bool = False
     #: Runtime DVFS governor: ``"static"`` (the default — every dispatch
-    #: at the engine's configured point, bit-identical to the historical
-    #: runtime), ``"slack"`` (spend deadline slack on slower, cheaper
+    #: at nominal frequency, bit-identical to the historical runtime),
+    #: ``"slack"`` (spend deadline slack on slower, cheaper
     #: operating points per dispatch) or ``"race_to_idle"`` (always the
     #: fastest ladder point).
     dvfs_policy: str = "static"
@@ -170,9 +149,9 @@ class RunSpec:
             raise ValueError(f"sessions must be >= 1, got {self.sessions}")
         if self.pes < 1:
             raise ValueError(f"pes must be >= 1, got {self.pes}")
-        if self.granularity not in _GRANULARITIES:
+        if self.granularity not in GRANULARITIES:
             raise ValueError(
-                f"granularity must be one of {_GRANULARITIES}, "
+                f"granularity must be one of {GRANULARITIES}, "
                 f"got {self.granularity!r}"
             )
         if self.segments_per_model < 1:
@@ -199,9 +178,9 @@ class RunSpec:
             raise ValueError(
                 f"frame_loss must be in [0, 1), got {self.frame_loss}"
             )
-        if not 0.0 <= self.churn <= _MAX_CHURN:
+        if not 0.0 <= self.churn <= MAX_CHURN:
             raise ValueError(
-                f"churn must be in [0, {_MAX_CHURN}], got {self.churn}"
+                f"churn must be in [0, {MAX_CHURN}], got {self.churn}"
             )
         if self.dvfs_policy not in DVFS_POLICIES:
             raise ValueError(
@@ -230,11 +209,7 @@ class RunSpec:
             # windows would fail every engine of this accelerator
             # simultaneously (e.g. "single" on a one-engine system) is
             # rejected here, at spec-compile time, with the plan's
-            # no-capacity error instead of stalling mid-run.  Lazy
-            # import keeps the runtime off the spec module's import
-            # path.
-            from repro.runtime.faults import make_fault_plan
-
+            # no-capacity error instead of stalling mid-run.
             system = accelerator_factory(self.pes)
             make_fault_plan(
                 self.faults, system.num_subs, self.duration_s,
@@ -405,10 +380,10 @@ class Sweep:
         """All *distinct* grid points as specs, first occurrence kept.
 
         Overlapping axis values (``{"seed": (0, 0, 1)}``, or two axes
-        that collapse to the same spec) would otherwise execute — and
-        plan-cache — identical cells repeatedly; duplicates are dropped
-        with a :class:`UserWarning` naming the count.  ``len(sweep)``
-        still counts raw grid points.
+        that collapse to the same spec) would otherwise execute
+        identical cells repeatedly; duplicates are dropped with a
+        :class:`UserWarning` naming the count.  ``len(sweep)`` still
+        counts raw grid points.
         """
         if not self.grid:
             return [self.base]

@@ -52,6 +52,7 @@ from repro.costmodel import CostTable, Dataflow
 from repro.costmodel.analysis import ordered_sum
 from repro.hardware import ACCELERATOR_IDS
 from repro.lint.cli import add_lint_arguments, run as run_lint_command
+from repro.runtime import GRANULARITIES, SCHEDULERS
 from repro.workload import SCENARIO_ORDER, UNIT_MODELS
 
 __all__ = ["main", "build_parser"]
@@ -85,9 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="streamed seconds per run (default 1.0)",
         )
         p.add_argument(
-            "--scheduler", default=None,
-            choices=["latency_greedy", "round_robin", "edf",
-                     "rate_monotonic"],
+            "--scheduler", default=None, choices=list(SCHEDULERS),
         )
         p.add_argument(
             "--frame-loss", type=float, default=None,
@@ -155,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(distinct seeds; default 1)",
     )
     run_p.add_argument(
-        "--granularity", default=None, choices=["model", "segment"],
+        "--granularity", default=None, choices=list(GRANULARITIES),
         help="dispatch whole models, or split models at segment "
              "boundaries so long inferences yield engines (default model)",
     )
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan_p.add_argument("--sessions", type=int, default=None)
     plan_p.add_argument("--granularity", default=None,
-                        choices=["model", "segment"])
+                        choices=list(GRANULARITIES))
     plan_p.add_argument("--segments", type=int, default=None)
     plan_p.add_argument("--preemptive", action="store_const", const=True,
                         default=None)
@@ -577,20 +576,13 @@ def main(argv: list[str] | None = None) -> int:
         except (KeyError, ValueError) as exc:
             return _fail(exc)
         if args.dry_run:
-            # Per-cell plan fingerprints and cost/duration estimates:
-            # cells sharing a workload fingerprint reuse a prior
-            # compilation.
+            # Per-cell plan fingerprints and cost/duration estimates.
             from repro.api import compile_plan, estimate_plan
-            from repro.api import workload_fingerprint as workload_fp
 
-            plans: dict[str, object] = {}
             cells = []
             try:
                 for spec in specs:
-                    plan = compile_plan(
-                        spec, reuse=plans.get(workload_fp(spec))
-                    )
-                    plans[plan.workload_fingerprint] = plan
+                    plan = compile_plan(spec)
                     cells.append({
                         "fingerprint": plan.fingerprint,
                         "workload_fingerprint": plan.workload_fingerprint,

@@ -600,22 +600,26 @@ class RegistryCompleteness(Rule):
     description = (
         "every zoo/ model module registers exactly one builder via "
         "@register_model, codes are unique and match TASK_CODES, and "
-        "the *_POLICIES tuples agree across api/spec.py, the runtime "
-        "modules, the JSON-schema enums and the CLI choices"
+        "the runtime's policy/profile/granularity tuples agree with the "
+        "JSON-schema enums and the CLI choices"
     )
 
-    #: Policy tuples: spec-module name -> (runtime module, schema key).
+    #: Name tuples: name -> (the runtime module that defines it as a
+    #: literal, its runspec schema key).  RunSpec and the CLI import
+    #: these tuples; nothing else may spell the names out.
     POLICY_CONTRACTS: tuple[tuple[str, str, str], ...] = (
         ("DVFS_POLICIES", "src/repro/runtime/governor.py", "dvfs_policy"),
         ("ADMISSION_POLICIES", "src/repro/runtime/admission.py", "admission"),
         ("FAULT_PROFILES", "src/repro/runtime/faults.py", "faults"),
+        ("GRANULARITIES", "src/repro/runtime/multisim.py", "granularity"),
     )
 
-    #: CLI flag -> the spec tuple its choices must come from.
+    #: CLI flag -> the runtime tuple its choices must come from.
     CLI_CHOICES: tuple[tuple[str, str], ...] = (
         ("--dvfs", "DVFS_POLICIES"),
         ("--admission", "ADMISSION_POLICIES"),
         ("--faults", "FAULT_PROFILES"),
+        ("--granularity", "GRANULARITIES"),
     )
 
     def check_project(
@@ -710,10 +714,6 @@ class RegistryCompleteness(Rule):
     def _check_policies(
         self, project: Project
     ) -> Iterator[tuple[str, int, str]]:
-        spec_rel = "src/repro/api/spec.py"
-        spec_tree = project.module(spec_rel)
-        if spec_tree is None:
-            return
         schema = project.read_json("schema/runspec.schema.json")
         spec_props = {}
         if isinstance(schema, dict):
@@ -722,41 +722,41 @@ class RegistryCompleteness(Rule):
                 .get("runspec", {})
                 .get("properties", {})
             )
+        tuples: dict[str, tuple[str, ...]] = {}
         for name, runtime_rel, schema_key in self.POLICY_CONTRACTS:
-            spec_literal = _tuple_literal(spec_tree, name)
-            if spec_literal is None:
-                continue
-            line, spec_values = spec_literal
             runtime_tree = project.module(runtime_rel)
-            if runtime_tree is not None:
-                runtime_literal = _tuple_literal(runtime_tree, name)
-                if (
-                    runtime_literal is not None
-                    and runtime_literal[1] != spec_values
-                ):
-                    yield (
-                        spec_rel,
-                        line,
-                        f"{name} {spec_values} disagrees with "
-                        f"{runtime_rel} ({runtime_literal[1]}); the two "
-                        "mirror each other by contract",
-                    )
+            if runtime_tree is None:
+                continue
+            literal = _tuple_literal(runtime_tree, name)
+            if literal is None:
+                # Without the literal there is nothing to compare the
+                # schema and the CLI against: say so, not pass silently.
+                yield (
+                    runtime_rel,
+                    1,
+                    f"{name} is not a module-level tuple of string "
+                    "literals here; C003 checks the schema enum and the "
+                    "CLI choices against it",
+                )
+                continue
+            line, values = literal
+            tuples[name] = values
             enum = None
             prop = spec_props.get(schema_key)
             if isinstance(prop, dict):
                 enum = prop.get("enum")
-            if enum is not None and tuple(enum) != spec_values:
+            if enum is not None and tuple(enum) != values:
                 yield (
-                    spec_rel,
+                    runtime_rel,
                     line,
-                    f"{name} {spec_values} disagrees with the "
+                    f"{name} {values} disagrees with the "
                     f"schema/runspec.schema.json enum for "
                     f"{schema_key!r} ({tuple(enum)})",
                 )
-        yield from self._check_cli_choices(project, spec_tree)
+        yield from self._check_cli_choices(project, tuples)
 
     def _check_cli_choices(
-        self, project: Project, spec_tree: ast.Module
+        self, project: Project, tuples: dict[str, tuple[str, ...]]
     ) -> Iterator[tuple[str, int, str]]:
         cli_rel = "src/repro/cli.py"
         cli_tree = project.module(cli_rel)
@@ -780,8 +780,7 @@ class RegistryCompleteness(Rule):
             )
             if choices is None:
                 continue
-            spec_literal = _tuple_literal(spec_tree, expected_name)
-            expected = spec_literal[1] if spec_literal else None
+            expected = tuples.get(expected_name)
             if (
                 isinstance(choices, ast.Call)
                 and isinstance(choices.func, ast.Name)
@@ -795,7 +794,7 @@ class RegistryCompleteness(Rule):
                         node.lineno,
                         f"{flag} choices come from "
                         f"{choices.args[0].id}, not {expected_name}; "
-                        "CLI choices must mirror the spec tuple",
+                        "CLI choices must be the runtime tuple",
                     )
                 continue
             if isinstance(choices, (ast.List, ast.Tuple)):

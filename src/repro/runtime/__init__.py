@@ -29,7 +29,6 @@ from .governor import (
     DvfsGovernor,
     RaceToIdleGovernor,
     SlackGovernor,
-    StaticGovernor,
     make_governor,
 )
 from .multisim import (
@@ -90,7 +89,6 @@ __all__ = [
     "RateMonotonicScheduler",
     "RoundRobinScheduler",
     "SlackGovernor",
-    "StaticGovernor",
     "SCHEDULERS",
     "Scheduler",
     "Segment",

@@ -74,6 +74,7 @@ __all__ = [
     "AdmissionController",
     "ShedController",
     "DegradeController",
+    "control_ticks",
     "make_admission",
     "quality_retention",
 ]
@@ -425,6 +426,21 @@ def make_admission(policy: str) -> AdmissionController | None:
     if name == "shed":
         return ShedController()
     return DegradeController()
+
+
+def control_ticks(period_s: float, duration_s: float) -> tuple[float, ...]:
+    """The instants a controller is consulted: every whole period
+    strictly inside the streamed duration.
+
+    The event loop posts a CONTROL_TICK at each, and the plan compiler
+    records them, so both read this one schedule.
+    """
+    ticks = []
+    tick = 1
+    while tick * period_s < duration_s:
+        ticks.append(tick * period_s)
+        tick += 1
+    return tuple(ticks)
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,8 @@
 
 The multi-tenant runtime models each sub-accelerator as an
 :class:`ExecutionEngine` that owns its occupancy state, busy-time
-accounting, DVFS operating point, and an execution log.  Work arrives as
+accounting, DVFS operating point (nominal until a governor moves it),
+thermal ceiling, and an execution log.  Work arrives as
 :class:`WorkItem` values — session-tagged and segment-granular, so a long
 model split by :mod:`repro.runtime.segmentation` can yield the engine
 between segments (a preemption point) and resume on whichever engine is
@@ -150,11 +151,10 @@ class ExecutionEngine:
     """Runtime state of one sub-accelerator.
 
     Enforces the hardware-occupancy condition (one item at a time),
-    accrues busy time, and logs every execution.  ``dvfs`` is the
-    engine's configured *base* operating point (``None`` means nominal
-    frequency); the *current* operating point starts there and may be
-    moved per dispatch by a DVFS governor via
-    :meth:`set_operating_point`, which logs every frequency transition.
+    accrues busy time, and logs every execution.  The engine starts at
+    nominal frequency; a DVFS governor may move its operating point per
+    dispatch via :meth:`set_operating_point`, which logs every
+    frequency transition.
 
     ``horizon_s`` bounds busy-time accounting: occupancy beyond it (the
     drain tail of in-flight work past the measurement window) is real
@@ -165,7 +165,6 @@ class ExecutionEngine:
     """
 
     sub: SubAccelerator
-    dvfs: DvfsPoint | None = None
     horizon_s: float | None = None
     busy_time_s: float = 0.0
     records: list[ExecutionRecord] = field(default_factory=list)
@@ -187,9 +186,6 @@ class ExecutionEngine:
     _until_s: float = field(default=0.0, repr=False)
     _energy_mj: float = field(default=0.0, repr=False)
     _thermal_point: DvfsPoint | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        self._point = self.dvfs
 
     @property
     def index(self) -> int:
@@ -215,17 +211,13 @@ class ExecutionEngine:
 
     @property
     def effective_dvfs(self) -> DvfsPoint | None:
-        """The base operating point, clamped by any thermal ceiling.
-
-        The *identical* object as :attr:`dvfs` while unthrottled (or
-        while the base point already respects the ceiling), so
-        unthrottled pricing stays bit-identical to the historical path.
-        """
-        if self.max_frequency_scale is None:
-            return self.dvfs
-        base_scale = 1.0 if self.dvfs is None else self.dvfs.frequency_scale
-        if base_scale <= self.max_frequency_scale:
-            return self.dvfs
+        """Nominal (``None``), or the thermal clamp point while a
+        ceiling below nominal frequency is imposed."""
+        if (
+            self.max_frequency_scale is None
+            or self.max_frequency_scale >= 1.0
+        ):
+            return None
         return self._thermal_point
 
     def throttle(
@@ -303,7 +295,7 @@ class ExecutionEngine:
         """Move the engine to ``point``, logging the transition.
 
         A no-op when the engine is already there, so ungoverned runs
-        (every dispatch at the base point) log no transitions.
+        (every dispatch at nominal) log no transitions.
         """
         if point != self._point:
             self.dvfs_transitions.append((now_s, self._point, point))

@@ -2,22 +2,24 @@
 
 Appendix B.1 makes latency slack a first-class energy knob ("adjust
 energy to meet the deadlines or optimize using the slack to the deadline
-(e.g., DVFS)").  Historically the runtime only supported *static* DVFS —
-a per-engine operating point fixed before the run
-(``MultiScenarioSimulator.engine_dvfs``) — and the slack optimisation
-(:func:`repro.costmodel.best_point_for_slack`) lived in an offline
-ablation.  A :class:`DvfsGovernor` brings that trade into the live event
-loop: it is consulted at every dispatch boundary (whole models *and*
-individual segments, so a governed run re-decides at each preemption
-point) and picks the operating point the engine runs that piece of work
-at.
+(e.g., DVFS)").  Without a governor every dispatch runs at nominal
+frequency, and the slack optimisation
+(:func:`repro.costmodel.best_point_for_slack`) is an offline ablation.
+A :class:`DvfsGovernor` brings that trade into the live event loop: it
+is consulted at every dispatch boundary (whole models *and* individual
+segments, so a governed run re-decides at each preemption point) and
+picks the operating point the engine runs that piece of work at.
+
+An engine's *base* point below is its effective point: nominal, or its
+thermal clamp point while a fault throttles it below nominal
+(:attr:`~repro.runtime.engine.ExecutionEngine.effective_dvfs`).
 
 Policies:
 
-* ``static`` — today's behaviour: every dispatch runs at the engine's
-  configured base point.  :func:`make_governor` returns ``None`` for it,
-  so the static path is *literally* the historical code path — the
-  golden schedule checksums pin it bit-identically.
+* ``static`` — every dispatch runs at the engine's base point.
+  :func:`make_governor` returns ``None`` for it, so the static path is
+  *literally* the historical code path — the golden schedule checksums
+  pin it bit-identically.
 * ``slack`` — greedy slack-into-energy, the live counterpart of
   :func:`~repro.costmodel.best_point_for_slack`: the cheapest ladder
   point whose scaled latency fits the work item's remaining deadline
@@ -39,8 +41,8 @@ point name on every :class:`~repro.runtime.engine.ExecutionRecord`, so
 timelines and exports show the point each segment ran at.  A governor
 receives the run's :class:`~repro.costmodel.PriceTable`, and the slack
 governor reads its candidates from it by ladder position: the run puts
-the governor's ladder, the engines' base points and the thermal clamp
-points on the table's ladder.
+the governor's ladder and the thermal clamp points on the table's
+ladder.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ __all__ = [
     "DVFS_POLICIES",
     "DispatchContext",
     "DvfsGovernor",
-    "StaticGovernor",
     "SlackGovernor",
     "RaceToIdleGovernor",
     "make_governor",
@@ -119,29 +120,6 @@ class DvfsGovernor(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class StaticGovernor:
-    """Always the engine's configured base point (today's behaviour).
-
-    Exists so governed and ungoverned call sites share one shape; the
-    runtime itself short-circuits ``dvfs_policy="static"`` to *no*
-    governor (see :func:`make_governor`), keeping the historical
-    dispatch path untouched.
-    """
-
-    def select(
-        self,
-        now_s: float,
-        item: WorkItem,
-        engine: ExecutionEngine,
-        remaining_codes: ChainSuffix,
-        system: AcceleratorSystem,
-        prices: PriceTable,
-        context: DispatchContext,
-    ) -> DvfsPoint | None:
-        return engine.dvfs
-
-
 def _fastest(points: tuple[DvfsPoint, ...]) -> DvfsPoint:
     return max(points, key=lambda p: p.frequency_scale)
 
@@ -167,7 +145,7 @@ class RaceToIdleGovernor:
         context: DispatchContext,
     ) -> DvfsPoint | None:
         # A thermally-throttled engine clamps the ladder: only points
-        # under its ceiling are permitted (the engine's clamped base
+        # under its ceiling are permitted (the engine's thermal clamp
         # point when none is).
         cap = engine.max_frequency_scale
         if cap is None:
@@ -219,9 +197,8 @@ class SlackGovernor:
         context: DispatchContext,
     ) -> DvfsPoint | None:
         # A thermal ceiling clamps both the baseline (the engine's
-        # effective point — the identical object as its base point while
-        # unthrottled, keeping fault-free runs bit-identical) and the
-        # candidate ladder.
+        # effective point: nominal, or its clamp point while throttled)
+        # and the candidate ladder.
         base = engine.effective_dvfs
         cap = engine.max_frequency_scale
         engine_index = engine.index

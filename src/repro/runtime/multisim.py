@@ -58,14 +58,22 @@ Key properties:
   Only a custom governor's point off that ladder is priced by key.  A
   run whose sessions bind one code to two different graphs is rejected
   before any event runs.
-* **Slack-aware DVFS** (``dvfs_policy``): a
+* **Slack-aware DVFS** (``dvfs_policy``): every engine starts at
+  nominal frequency, and a
   :class:`~repro.runtime.governor.DvfsGovernor` consulted at every
   dispatch boundary may move the engine's operating point per piece of
   work — the paper's Appendix B.1 slack-into-energy trade, live.  The
   default ``"static"`` policy installs no governor at all, keeping the
-  historical dispatch path bit-identical.  Frequency transitions are
-  logged per engine and each :class:`ExecutionRecord` carries the point
-  it ran at.
+  historical dispatch path bit-identical: nominal, or an engine's
+  thermal clamp point while a fault throttles it.  Frequency transitions
+  are logged per engine and each :class:`ExecutionRecord` carries the
+  point it ran at.
+* **Compiled inputs**: faults arrive as a compiled
+  :class:`~repro.runtime.faults.FaultPlan` (or ``None``), never a
+  profile name; control ticks and segment-chain codes come from
+  :func:`~repro.runtime.admission.control_ticks` and
+  :func:`~repro.runtime.segmentation.chain_codes`, the helpers
+  :func:`repro.api.compile_plan` records them with.
 * **Determinism**: sessions are iterated in id order, merged queues are
   sorted with session-id tie-breaks, lifecycle events are scheduled at
   build time (so they outrank same-instant work events), and all
@@ -99,12 +107,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
-from repro.costmodel import (
-    DEFAULT_DVFS_POINTS,
-    CostCacheStats,
-    DvfsPoint,
-    PriceTable,
-)
+from repro.costmodel import DEFAULT_DVFS_POINTS, CostCacheStats, PriceTable
 from repro.costmodel.analysis import ordered_sum
 from repro.hardware import AcceleratorSystem
 from repro.nn import ModelGraph
@@ -123,15 +126,16 @@ from .admission import (
     AdmissionRecord,
     ControlAction,
     SessionView,
+    control_ticks,
     make_admission,
 )
 from .engine import EngineFleet, ExecutionEngine, ExecutionRecord, WorkItem
 from .events import EventKind, EventQueue
-from .faults import FaultAction, FaultPlan, FaultRecord, make_fault_plan
+from .faults import FaultAction, FaultPlan, FaultRecord
 from .governor import DispatchContext, DvfsGovernor, make_governor
 from .queues import DependencyTracker, WaitingQueue
 from .scheduler import Scheduler
-from .segmentation import SegmentChain, dispatch_segment_code, split_models
+from .segmentation import SegmentChain, chain_codes, split_models
 from .simulator import SimulationResult
 
 __all__ = [
@@ -446,9 +450,9 @@ class MultiScenarioSimulator:
             granularity; models without enough residual-safe cut points
             run whole.  Any count but the default 2 is rejected at model
             granularity, where nothing splits.
-        engine_dvfs: optional per-engine *base* DVFS operating points.
         dvfs_policy: runtime DVFS governor policy — ``"static"`` (every
-            dispatch at the engine's base point, the historical
+            dispatch at nominal frequency, or at an engine's thermal
+            clamp point while a fault throttles it; the historical
             behaviour, pinned by the golden schedule checksums),
             ``"slack"`` (greedy slack-into-energy via
             :func:`repro.costmodel.best_point_for_slack`) or
@@ -462,16 +466,13 @@ class MultiScenarioSimulator:
             sessions' models to cheaper variants mid-run).  An
             :class:`~repro.runtime.admission.AdmissionController`
             instance may be supplied directly for custom policies.
-        faults: hardware-fault injection — ``"none"`` (no plan installed,
-            the historical path, pinned by the golden schedule
-            checksums), a profile name from
-            :data:`~repro.runtime.faults.FAULT_PROFILES` (a seeded
-            :class:`~repro.runtime.faults.FaultPlan` is built from
-            ``fault_seed``), or a :class:`FaultPlan` instance.  Engine
-            failures kill and requeue in-flight work under the plan's
-            retry budget; thermal events clamp the DVFS ladder.
-        fault_seed: seed for string-named fault profiles (ignored when a
-            plan instance is supplied).
+        faults: a compiled :class:`~repro.runtime.faults.FaultPlan`
+            (:func:`~repro.runtime.faults.make_fault_plan`; on the spec
+            path :func:`repro.api.compile_plan` builds it), or ``None``
+            for no fault machinery — the historical path, pinned by the
+            golden schedule checksums.  Engine failures kill and
+            requeue in-flight work under the plan's retry budget;
+            thermal events clamp the DVFS ladder.
         segment_plan: optional precompiled segment-chain table — model
             code to the exact piece codes it splits into (a
             :class:`~repro.api.DispatchPlan`'s ``segment_chains``).
@@ -487,11 +488,9 @@ class MultiScenarioSimulator:
     duration_s: float = 1.0
     granularity: str = "model"
     segments_per_model: int = 2
-    engine_dvfs: dict[int, DvfsPoint] = field(default_factory=dict)
     dvfs_policy: str | DvfsGovernor = "static"
     admission: str | AdmissionController = "none"
-    faults: str | FaultPlan | None = "none"
-    fault_seed: int = 0
+    faults: FaultPlan | None = None
     segment_plan: Mapping[str, Sequence[str]] | None = None
 
     def __post_init__(self) -> None:
@@ -536,12 +535,6 @@ class MultiScenarioSimulator:
                 f"at segment granularity; set granularity='segment' or "
                 f"drop it"
             )
-        for index in self.engine_dvfs:
-            if not 0 <= index < self.system.num_subs:
-                raise ValueError(
-                    f"engine_dvfs references engine {index}, but the "
-                    f"system has {self.system.num_subs}"
-                )
         # Resolve the governor eagerly so a bad policy name fails at
         # construction time; "static" resolves to no governor at all —
         # the exact historical dispatch path.
@@ -556,27 +549,22 @@ class MultiScenarioSimulator:
             self._controller = make_admission(self.admission)
         else:
             self._controller = self.admission
-        # And for fault injection: "none" resolves to no plan, so no
-        # fault events are ever scheduled and the event stream is the
-        # exact historical one.  Building the plan here also runs its
-        # validation (including the all-engines-down capacity veto) at
-        # construction — i.e. spec-compile — time.
-        if isinstance(self.faults, str):
-            self._fault_plan = make_fault_plan(
-                self.faults,
-                self.system.num_subs,
-                self.duration_s,
-                seed=self.fault_seed,
-            )
-        else:
-            self._fault_plan = self.faults
-            if (
-                self._fault_plan is not None
-                and self._fault_plan.num_engines != self.system.num_subs
-            ):
+        # Fault injection takes a compiled plan: a profile name would
+        # need a seed this class does not own.  Without a plan no fault
+        # events are ever scheduled and the event stream is the exact
+        # historical one.
+        if self.faults is not None:
+            if not isinstance(self.faults, FaultPlan):
+                raise TypeError(
+                    f"faults takes a compiled FaultPlan or None, got "
+                    f"{self.faults!r}; build the plan with "
+                    f"make_fault_plan(profile, num_engines, duration_s, "
+                    f"seed=...)"
+                )
+            if self.faults.num_engines != self.system.num_subs:
                 raise ValueError(
                     f"fault plan describes "
-                    f"{self._fault_plan.num_engines} engine(s) but the "
+                    f"{self.faults.num_engines} engine(s) but the "
                     f"system has {self.system.num_subs}"
                 )
 
@@ -647,13 +635,7 @@ class MultiScenarioSimulator:
             split_models(scenarios, self.segments_per_model)
             if self.granularity == "segment" else {}
         )
-        codes = {
-            code: tuple(
-                dispatch_segment_code(code, idx, len(pieces))
-                for idx in range(len(pieces))
-            )
-            for code, pieces in split.items()
-        }
+        codes = chain_codes(split)
         if self.segment_plan is not None:
             planned = {
                 code: tuple(pieces)
@@ -692,7 +674,6 @@ class MultiScenarioSimulator:
         fleet = EngineFleet([
             ExecutionEngine(
                 sub=sub,
-                dvfs=self.engine_dvfs.get(sub.index),
                 # Busy-time charges clip to the streamed horizon, so the
                 # drain tail of in-flight work cannot push
                 # window-normalised utilization past 100%.
@@ -702,7 +683,7 @@ class MultiScenarioSimulator:
         ])
         idle = fleet.idle  # live, index-ordered; maintained by the fleet
         engines = fleet.engines
-        fplan = self._fault_plan
+        fplan = self.faults
         # The throttle clamp points come off the governor's ladder when
         # one is installed, so governed and clamped choices price the
         # same points.
@@ -711,14 +692,12 @@ class MultiScenarioSimulator:
         )
         # One price table for the run: every code the run can dispatch,
         # on every engine, at every point the run can price — nominal,
-        # the governor's ladder, the engines' base points and the
-        # thermal clamp points.  The dispatch path reads it by (code id,
-        # engine index, ladder position): a work item's code id is its
-        # chain's ``ids`` entry, and ``positions[i]`` is engine i's
-        # effective point, resolved here and again whenever a throttle
-        # fires or lifts.
+        # the governor's ladder and the thermal clamp points.  The
+        # dispatch path reads it by (code id, engine index, ladder
+        # position): a work item's code id is its chain's ``ids`` entry,
+        # and ``positions[i]`` is engine i's effective point, nominal
+        # until a throttle fires and again once it lifts.
         points = [*getattr(governor, "points", ())]
-        points.extend(engine.dvfs for engine in engines)
         if fplan is not None and fplan.has_thermal:
             points.extend(thermal_ladder)
         prices = PriceTable(self.system, points, graphs)
@@ -726,8 +705,7 @@ class MultiScenarioSimulator:
             chain.ids = tuple(
                 prices.ids[code or chain.model_code] for code in chain.codes
             )
-        base_positions = [prices.position(e.dvfs) for e in engines]
-        positions = list(base_positions)
+        positions = list(prices.nominal)
         #: The governor's view of each dispatch instant: one object per
         #: run, updated in place (see DispatchContext).
         context = DispatchContext()
@@ -797,14 +775,10 @@ class MultiScenarioSimulator:
             # they outrank same-instant work events); they are
             # system-wide — the handler ignores the tagging session.
             tick_sid = min(states)
-            tick = 1
-            while tick * controller.period_s < self.duration_s:
+            for tick_s in control_ticks(controller.period_s, self.duration_s):
                 events.push(
-                    tick * controller.period_s,
-                    EventKind.CONTROL_TICK,
-                    session_id=tick_sid,
+                    tick_s, EventKind.CONTROL_TICK, session_id=tick_sid,
                 )
-                tick += 1
 
         # Fault injection: the plan's events are scheduled up front like
         # lifecycle events (they are system-wide — the handler ignores
@@ -899,12 +873,10 @@ class MultiScenarioSimulator:
                     cursor, session_id=state.spec.session_id,
                 )
 
-        def retire_waiting(session_id: int,
-                           include_resumable: bool) -> None:
-            """Purge a departed/phase-changed session's pending work."""
+        def retire_waiting(session_id: int) -> None:
+            """Purge a departed/phase-changed session's pending work:
+            its waiting items and its resumable segment chains."""
             waiting.purge_session(session_id)
-            if not include_resumable:
-                return
             kept = [
                 entry for entry in resumable
                 if entry[4].session_id != session_id
@@ -917,10 +889,11 @@ class MultiScenarioSimulator:
                 heapq.heapify(resumable)
 
         def cheapest_latency(code: str) -> float:
-            """A task's best-engine latency at the engines' base points."""
+            """A task's best-engine latency at nominal (ladder position
+            0), whatever the engines' thermal state."""
             code_id = prices.ids[code]
             return min(
-                prices.cost(code_id, index, base_positions[index]).latency_s
+                prices.cost(code_id, index, 0).latency_s
                 for index in range(len(engines))
             )
 
@@ -962,7 +935,7 @@ class MultiScenarioSimulator:
                 for _, code, _, _ in cursor.rows[cursor.index:]:
                     spawned[code] -= 1
                 cursor.retired = True
-            retire_waiting(sid, include_resumable=True)
+            retire_waiting(sid)
             enter_phase(state, state.phase + 1, None)
 
         def fresh_item(request: InferenceRequest,
@@ -1356,7 +1329,7 @@ class MultiScenarioSimulator:
                 elif kind is SESSION_PHASE:
                     state = states[session_id]
                     if state.active:
-                        retire_waiting(session_id, include_resumable=True)
+                        retire_waiting(session_id)
                         enter_phase(
                             state, state.phase + 1, next(state.planned)
                         )
@@ -1391,9 +1364,7 @@ class MultiScenarioSimulator:
                             log.shed_reason = action.reason
                             victim = states[action.session_id]
                             victim.active = False
-                            retire_waiting(
-                                action.session_id, include_resumable=True
-                            )
+                            retire_waiting(action.session_id)
                         elif action.kind == "degrade":
                             log.degradation_level = action.level
                             apply_degrade(action)
@@ -1417,7 +1388,7 @@ class MultiScenarioSimulator:
                     )
                 elif kind is THERMAL_RELEASE:
                     engines[sub_index].release_thermal(now_s)
-                    positions[sub_index] = base_positions[sub_index]
+                    positions[sub_index] = prices.nominal[sub_index]
                 elif kind is WORK_RETRY:
                     item = retry_items.pop(request.request_id, None)
                     if item is not None:
@@ -1461,7 +1432,7 @@ class MultiScenarioSimulator:
                             ))
                 else:  # SESSION_LEAVE
                     states[session_id].active = False
-                    retire_waiting(session_id, include_resumable=True)
+                    retire_waiting(session_id)
                 if not heap or heap[0][0] != now_s:
                     break
                 if idle and (waiting or resumable):

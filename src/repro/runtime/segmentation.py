@@ -32,7 +32,7 @@ store keys by identity.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from repro.costmodel import PriceTable
 from repro.nn import ModelGraph
@@ -43,8 +43,8 @@ from repro.workload import (
     UsageScenario,
 )
 
-__all__ = ["split_graph", "split_models", "segment_scenario",
-           "segment_code", "dispatch_segment_code",
+__all__ = ["split_graph", "split_models", "chain_codes",
+           "segment_scenario", "segment_code", "dispatch_segment_code",
            "SegmentChain", "ChainSuffix"]
 
 
@@ -178,6 +178,20 @@ def split_models(
             except ValueError:
                 continue
     return split
+
+
+def chain_codes(
+    split: Mapping[str, tuple[ModelGraph, ...]]
+) -> dict[str, tuple[str, ...]]:
+    """The dispatch codes of every split model's pieces, in ``split``'s
+    order: what the plan compiler records and the event loop prices."""
+    return {
+        code: tuple(
+            dispatch_segment_code(code, idx, len(pieces))
+            for idx in range(len(pieces))
+        )
+        for code, pieces in split.items()
+    }
 
 
 class SegmentChain:

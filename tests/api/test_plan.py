@@ -14,9 +14,7 @@ import json
 import pytest
 
 from repro.api import (
-    CollectingSink,
     DispatchPlan,
-    Experiment,
     RunSpec,
     compile_plan,
     diff_plans,
@@ -131,18 +129,6 @@ class TestFingerprints:
         a, b = compile_plan(base), compile_plan(base.replace(seed=99))
         assert a.fingerprint != b.fingerprint
         assert a.workload_fingerprint == b.workload_fingerprint
-
-    def test_reuse_adopts_chains_for_same_workload(self):
-        base = RunSpec(scenario="vr_gaming", sessions=2,
-                       granularity="segment", **SHORT)
-        first = compile_plan(base)
-        reused = compile_plan(base.replace(seed=42), reuse=first)
-        assert reused.segment_chains == first.segment_chains
-        # A different workload must not adopt the cached chains blindly.
-        other = compile_plan(
-            base.replace(scenario=("ar_gaming",) * 2), reuse=first
-        )
-        assert other.workload_fingerprint != first.workload_fingerprint
 
 
 #: sha256 of ``compile_plan(spec).to_json()``: every mode, every policy
@@ -343,33 +329,36 @@ class TestExecutePlan:
         with pytest.raises(ValueError, match="segment plan drift"):
             execute_plan(forge(plan.segment_chains[1:]))
 
-
-class TestPlanCache:
-    def test_seed_grid_hits_the_cache(self):
-        from repro.api import Sweep
-
-        sweep = Sweep(
-            base=RunSpec(scenario="vr_gaming", sessions=2, **SHORT),
-            grid={"seed": (0, 1, 2)},
+    def test_degrade_run_ticks_at_the_planned_instants(self):
+        from repro.hardware import build_accelerator
+        from repro.runtime import (
+            DegradeController,
+            MultiScenarioSimulator,
+            SessionSpec,
+            make_scheduler,
         )
-        sink = CollectingSink()
-        experiment = Experiment.from_sweep(sweep)
-        experiment.run(sinks=[sink])
-        (finished,) = [
-            e for e in sink.events if e.kind == "experiment_finished"
-        ]
-        assert finished.payload["plan_cache_hits"] == 2
+        from repro.workload import get_scenario
 
-    def test_distinct_workloads_never_hit(self):
-        from repro.api import Sweep
+        plan = compile_plan(RunSpec(
+            scenario="vr_gaming", sessions=2, admission="degrade", **SHORT
+        ))
+        consulted = []
 
-        sweep = Sweep(
-            base=RunSpec(scenario="vr_gaming", **SHORT),
-            grid={"scenario": ("vr_gaming", "ar_gaming")},
-        )
-        sink = CollectingSink()
-        Experiment.from_sweep(sweep).run(sinks=[sink])
-        (finished,) = [
-            e for e in sink.events if e.kind == "experiment_finished"
-        ]
-        assert finished.payload["plan_cache_hits"] == 0
+        class Recording(DegradeController):
+            def decide(self, now_s, *args):
+                consulted.append(now_s)
+                return super().decide(now_s, *args)
+
+        MultiScenarioSimulator(
+            sessions=[
+                SessionSpec(row.session_id, get_scenario(row.scenario),
+                            row.seed)
+                for row in plan.sessions
+            ],
+            system=build_accelerator(plan.accelerator, plan.pes),
+            scheduler=make_scheduler(plan.scheduler),
+            duration_s=plan.duration_s,
+            admission=Recording(),
+        ).run()
+        assert len(plan.control_ticks_s) == 12  # every 20 ms in 0.25 s
+        assert tuple(consulted) == plan.control_ticks_s

@@ -1,8 +1,8 @@
-"""C003 policy-clean fixture: choices read from the spec tuples."""
+"""C003 policy-clean fixture: choices read from the runtime tuples."""
 
 import argparse
 
-from repro.api.spec import ADMISSION_POLICIES, DVFS_POLICIES
+from repro.api import ADMISSION_POLICIES, DVFS_POLICIES
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,7 +2,7 @@
 
 import argparse
 
-from repro.api.spec import ADMISSION_POLICIES, DVFS_POLICIES
+from repro.api import ADMISSION_POLICIES, DVFS_POLICIES
 
 WRONG_NAME = ADMISSION_POLICIES
 

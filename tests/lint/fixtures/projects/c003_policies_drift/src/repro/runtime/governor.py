@@ -1,3 +1,3 @@
-"""C003 policy-drift fixture: runtime grew a policy the spec missed."""
+"""C003 policy-drift fixture: the runtime grew a policy the schema missed."""
 
-DVFS_POLICIES: tuple[str, ...] = ("static", "slack", "race_to_idle")
+DVFS_POLICIES: tuple[str, ...] = ("static", "slack")

@@ -175,8 +175,7 @@ def test_c003_policy_drift_fixture(lint_project, c003):
     report = lint_project("c003_policies_drift", rules=c003)
     findings = _only(report, "C003")
     messages = "\n".join(f.message for f in findings)
-    assert len(findings) == 4, messages
-    assert "disagrees with src/repro/runtime/governor.py" in messages
+    assert len(findings) == 3, messages
     assert "schema/runspec.schema.json enum for 'dvfs_policy'" in messages
     assert "--dvfs literal choices" in messages
     assert "--admission choices come from WRONG_NAME" in messages
@@ -185,6 +184,23 @@ def test_c003_policy_drift_fixture(lint_project, c003):
 def test_c003_policy_clean_fixture(lint_project, c003):
     report = lint_project("c003_policies_clean", rules=c003)
     assert not report.findings, report.render()
+
+
+def test_c003_flags_a_runtime_tuple_it_cannot_read(tmp_path, c003):
+    # A computed tuple leaves the schema and CLI checks nothing to
+    # compare against: the rule says so instead of passing silently.
+    from repro.lint import run_lint
+
+    runtime = tmp_path / "src" / "repro" / "runtime"
+    runtime.mkdir(parents=True)
+    (runtime / "governor.py").write_text(
+        "_GOVERNORS = {'static': None}\n"
+        "DVFS_POLICIES = tuple(_GOVERNORS)\n"
+    )
+    report = run_lint([tmp_path / "src"], root=tmp_path, rules=c003)
+    (finding,) = _only(report, "C003")
+    assert finding.path == "src/repro/runtime/governor.py"
+    assert "DVFS_POLICIES is not a module-level tuple" in finding.message
 
 
 def test_c003_real_zoo_and_policies_hold(c003, repo_root):

@@ -125,8 +125,8 @@ class TestExecutionEngine:
 
     def test_describe_mentions_dvfs(self):
         system = build_accelerator("J", 4096)
-        engine = ExecutionEngine(sub=system.subs[0],
-                                 dvfs=DvfsPoint("eco", 0.5))
+        engine = ExecutionEngine(sub=system.subs[0])
+        engine.set_operating_point(DvfsPoint("eco", 0.5), 0.0)
         assert "eco" in engine.describe()
 
 
@@ -239,11 +239,13 @@ class TestBusyTimeHorizon:
 
 class TestOperatingPoint:
     def test_starts_at_base_point(self):
+        # Every engine starts at nominal: no point, nothing logged.
         system = build_accelerator("J", 4096)
-        low = DvfsPoint("low", 0.7)
-        engine = ExecutionEngine(sub=system.subs[0], dvfs=low)
-        assert engine.operating_point is low
-        assert "[low]" in engine.describe()
+        engine = ExecutionEngine(sub=system.subs[0])
+        assert engine.operating_point is None
+        assert engine.effective_dvfs is None
+        assert engine.dvfs_transitions == []
+        assert engine.describe() == system.subs[0].describe()
 
     def test_set_operating_point_logs_transitions(self, engine):
         eco = DvfsPoint("eco", 0.5)

@@ -40,9 +40,16 @@ SEEDED_PROFILES = ("single", "flaky", "thermal")
 def run_sim(faults="single", sessions=4, accelerator="J",
             scheduler="latency_greedy", granularity="model",
             dvfs_policy="static", seed=0, duration_s=DURATION_S):
+    """Run vr_gaming sessions under ``faults``: a compiled plan, or a
+    profile name compiled here with ``seed``."""
+    system = build_accelerator(accelerator, 8192)
+    if isinstance(faults, str):
+        faults = make_fault_plan(
+            faults, system.num_subs, duration_s, seed=seed
+        )
     return replicate(
         get_scenario("vr_gaming"),
-        build_accelerator(accelerator, 8192),
+        system,
         make_scheduler(scheduler),
         sessions,
         base_seed=seed,
@@ -50,7 +57,6 @@ def run_sim(faults="single", sessions=4, accelerator="J",
         granularity=granularity,
         dvfs_policy=dvfs_policy,
         faults=faults,
-        fault_seed=seed,
     ).run()
 
 
@@ -125,6 +131,16 @@ class TestFaultPlanConstruction:
         with pytest.raises(ValueError, match="fails all 1 engine"):
             RunSpec(scenario="vr_gaming", accelerator="A", pes=4096,
                     duration_s=DURATION_S, faults="single")
+
+    def test_simulator_rejects_a_profile_name(self):
+        # The simulator owns no fault seed, so it takes only a compiled
+        # plan; the error names the function that compiles one.
+        with pytest.raises(TypeError, match="make_fault_plan"):
+            replicate(
+                get_scenario("vr_gaming"), build_accelerator("J", 8192),
+                make_scheduler("latency_greedy"), 2,
+                duration_s=DURATION_S, faults="single",
+            )
 
     def test_runspec_rejects_unknown_profile(self):
         from repro.api import RunSpec
@@ -249,13 +265,13 @@ class TestEngineFaultMechanics:
 
     def test_throttle_clamps_to_fastest_permitted_ladder_point(self, fleet):
         engine = fleet.engines[0]
-        base = engine.dvfs  # None = nominal (scale 1.0)
+        assert engine.effective_dvfs is None  # nominal (scale 1.0)
         engine.throttle(0.01, 0.7, DEFAULT_DVFS_POINTS)
         clamped = engine.effective_dvfs
         assert clamped is not None
         assert clamped.frequency_scale == pytest.approx(0.7)
         engine.release_thermal(0.02)
-        assert engine.effective_dvfs is base
+        assert engine.effective_dvfs is None
 
     def test_throttle_below_ladder_floor_picks_slowest_point(self, fleet):
         engine = fleet.engines[0]

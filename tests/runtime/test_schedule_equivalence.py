@@ -39,6 +39,7 @@ from repro.runtime import (
     MultiScenarioSimulator,
     SessionPhase,
     SessionSpec,
+    make_fault_plan,
     make_scheduler,
 )
 from repro.runtime.segmentation import dispatch_segment_code
@@ -387,8 +388,9 @@ def run_case(
         duration_s=DURATION_S,
         granularity=granularity,
         dvfs_policy=dvfs,
-        faults=faults,
-        fault_seed=BASE_SEED,
+        faults=make_fault_plan(
+            faults, system.num_subs, DURATION_S, seed=BASE_SEED
+        ),
         admission=admission,
     )
     if phase is not None:
