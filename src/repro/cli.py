@@ -66,9 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Flags default to None so "not passed" is distinguishable from
-    # "passed the default value": _spec_from_args fills in the RunSpec
-    # defaults, and `run --spec` treats any explicitly-passed flag as an
-    # override of the corresponding spec field.  A figure sets the PE
+    # "passed the default value": a flag not passed sets no field, so the
+    # RunSpec default applies, and `run --spec` treats any passed flag as
+    # an override of the corresponding spec field.  A figure sets the PE
     # budgets (and Figure 7 the seeds) itself, so it offers no flag the
     # run would ignore.
     def add_common(
@@ -332,65 +332,63 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: run-subcommand flag -> (RunSpec field, default when the flag is not
-#: passed).  Shared by _spec_from_args and the `run --spec` overrides.
+#: flag -> the RunSpec field it sets.  A flag not passed sets nothing,
+#: so the spec's own default applies.
 _FLAG_FIELDS = {
-    "pes": ("pes", 4096),
-    "seed": ("seed", 0),
-    "duration": ("duration_s", 1.0),
-    "scheduler": ("scheduler", "latency_greedy"),
-    "frame_loss": ("frame_loss", 0.0),
-    "score_preset": ("score_preset", "default"),
-    "sessions": ("sessions", 1),
-    "granularity": ("granularity", "model"),
-    "segments": ("segments_per_model", 2),
-    "churn": ("churn", 0.0),
-    "preemptive": ("preemptive", False),
-    "dvfs": ("dvfs_policy", "static"),
-    "admission": ("admission", "none"),
-    "faults": ("faults", "none"),
+    "pes": "pes",
+    "seed": "seed",
+    "duration": "duration_s",
+    "scheduler": "scheduler",
+    "frame_loss": "frame_loss",
+    "score_preset": "score_preset",
+    "sessions": "sessions",
+    "granularity": "granularity",
+    "segments": "segments_per_model",
+    "churn": "churn",
+    "preemptive": "preemptive",
+    "dvfs": "dvfs_policy",
+    "admission": "admission",
+    "faults": "faults",
 }
 
 
-def _flag(args: argparse.Namespace, name: str) -> object:
-    """One flag's value, falling back to its default when not passed."""
-    field, default = _FLAG_FIELDS[name]
-    value = getattr(args, name, None)
-    return default if value is None else value
-
-
-def _spec_from_args(args: argparse.Namespace, **overrides) -> RunSpec:
-    """Compile the common flags into a RunSpec, once, for every subcommand.
-
-    ``overrides`` supplies the subcommand-specific fields (scenario,
-    suite, sessions, ...); everything else comes from the shared flags.
-    """
-    return RunSpec(
-        accelerator=overrides.pop(
-            "accelerator", getattr(args, "accelerator", None) or "J"
-        ),
-        pes=_flag(args, "pes"),
-        scheduler=_flag(args, "scheduler"),
-        duration_s=_flag(args, "duration"),
-        seed=_flag(args, "seed"),
-        frame_loss=_flag(args, "frame_loss"),
-        score_preset=_flag(args, "score_preset"),
-        churn=_flag(args, "churn"),
-        preemptive=_flag(args, "preemptive"),
-        dvfs_policy=_flag(args, "dvfs"),
-        admission=_flag(args, "admission"),
-        faults=_flag(args, "faults"),
-        **overrides,
-    )
-
-
-def _explicit_flags(args: argparse.Namespace) -> dict:
-    """Explicitly-passed run flags, as RunSpec field overrides for --spec."""
+def _passed_flags(args: argparse.Namespace) -> dict:
+    """The passed flags, as the RunSpec fields they set."""
     return {
         field: getattr(args, flag)
-        for flag, (field, _) in _FLAG_FIELDS.items()
+        for flag, field in _FLAG_FIELDS.items()
         if getattr(args, flag, None) is not None
     }
+
+
+def _spec_from_args(args: argparse.Namespace, **fields) -> RunSpec:
+    """Compile the passed flags into a RunSpec, once, for every subcommand.
+
+    ``fields`` supplies the subcommand's own fields (scenario,
+    accelerator, suite, ...); every field neither sets keeps its
+    RunSpec default.
+    """
+    return RunSpec(**_passed_flags(args), **fields)
+
+
+def _positional_spec(
+    args: argparse.Namespace, parser: argparse.ArgumentParser, missing: str,
+) -> RunSpec:
+    """The spec of `run` and `plan`: the positionals and flags, or a
+    --spec file whose fields the passed flags override.  Without either,
+    the usage error says ``missing``."""
+    if args.spec is not None:
+        if args.scenario is not None or args.accelerator is not None:
+            raise ValueError(
+                "--spec replaces the scenario/accelerator positionals; "
+                "pass one or the other"
+            )
+        return _load_spec(args.spec).replace(**_passed_flags(args))
+    if args.scenario is None or args.accelerator is None:
+        parser.error(missing)
+    return _spec_from_args(
+        args, scenario=args.scenario, accelerator=args.accelerator
+    )
 
 
 def _record_runs(args: argparse.Namespace, pairs: list[tuple]) -> None:
@@ -441,30 +439,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "run":
         try:
-            if args.spec is not None:
-                if args.scenario is not None or args.accelerator is not None:
-                    print("--spec replaces the scenario/accelerator "
-                          "positionals; pass one or the other",
-                          file=sys.stderr)
-                    return 2
-                spec = _load_spec(args.spec)
-                overrides = _explicit_flags(args)
-                if overrides:
-                    spec = spec.replace(**overrides)
-            else:
-                if args.scenario is None or args.accelerator is None:
-                    parser.error(
-                        "run needs a scenario and an accelerator "
-                        "(or --spec SPEC.json)"
-                    )
-                spec = _spec_from_args(
-                    args,
-                    scenario=args.scenario,
-                    accelerator=args.accelerator,
-                    sessions=_flag(args, "sessions"),
-                    granularity=_flag(args, "granularity"),
-                    segments_per_model=_flag(args, "segments"),
-                )
+            spec = _positional_spec(
+                args, parser,
+                "run needs a scenario and an accelerator "
+                "(or --spec SPEC.json)",
+            )
             report = execute(spec)
         except (KeyError, ValueError, OSError) as exc:
             return _fail(exc)
@@ -488,7 +467,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "suite":
         try:
-            spec = _spec_from_args(args, suite=True)
+            spec = _spec_from_args(
+                args, suite=True, accelerator=args.accelerator
+            )
             report = execute(spec)
         except (KeyError, ValueError) as exc:
             return _fail(exc)
@@ -522,30 +503,11 @@ def main(argv: list[str] | None = None) -> int:
                           f"{entry['b']!r}")
             return 0
         try:
-            if args.spec is not None:
-                if args.scenario is not None or args.accelerator is not None:
-                    print("--spec replaces the scenario/accelerator "
-                          "positionals; pass one or the other",
-                          file=sys.stderr)
-                    return 2
-                spec = _load_spec(args.spec)
-                overrides = _explicit_flags(args)
-                if overrides:
-                    spec = spec.replace(**overrides)
-            else:
-                if args.scenario is None or args.accelerator is None:
-                    parser.error(
-                        "plan needs a scenario and an accelerator (or "
-                        "--spec SPEC.json, or --diff A.json B.json)"
-                    )
-                spec = _spec_from_args(
-                    args,
-                    scenario=args.scenario,
-                    accelerator=args.accelerator,
-                    sessions=_flag(args, "sessions"),
-                    granularity=_flag(args, "granularity"),
-                    segments_per_model=_flag(args, "segments"),
-                )
+            spec = _positional_spec(
+                args, parser,
+                "plan needs a scenario and an accelerator (or "
+                "--spec SPEC.json, or --diff A.json B.json)",
+            )
             plan = compile_plan(spec)
         except (KeyError, ValueError, OSError) as exc:
             return _fail(exc)
@@ -638,7 +600,9 @@ def main(argv: list[str] | None = None) -> int:
         from repro.eval import format_figure6, run_figure6
 
         try:
-            base = _spec_from_args(args, scenario="ar_gaming")
+            base = _spec_from_args(
+                args, scenario="ar_gaming", accelerator=args.accelerator
+            )
         except (KeyError, ValueError) as exc:
             return _fail(exc)
         print(format_figure6(run_figure6(base)))
@@ -771,7 +735,9 @@ def main(argv: list[str] | None = None) -> int:
         from repro.core import benchmark_to_dict, submission, to_csv
 
         try:
-            spec = _spec_from_args(args, suite=True)
+            spec = _spec_from_args(
+                args, suite=True, accelerator=args.accelerator
+            )
             report = execute(spec)
         except (KeyError, ValueError) as exc:
             return _fail(exc)

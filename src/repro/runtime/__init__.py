@@ -14,7 +14,7 @@ from .admission import (
     quality_retention,
 )
 from .engine import EngineFleet, ExecutionEngine, ExecutionRecord, WorkItem
-from .events import Event, EventKind, EventQueue
+from .events import EventKind, EventQueue
 from .faults import (
     FAULT_PROFILES,
     FaultAction,
@@ -38,7 +38,7 @@ from .multisim import (
     SessionPhase,
     SessionSpec,
 )
-from .queues import DependencyTracker, WaitingQueue
+from .queues import WaitingQueue
 from .scheduler import (
     SCHEDULERS,
     EarliestDeadlineScheduler,
@@ -66,12 +66,10 @@ __all__ = [
     "ShedController",
     "make_admission",
     "quality_retention",
-    "DependencyTracker",
     "DispatchContext",
     "DvfsGovernor",
     "EarliestDeadlineScheduler",
     "EngineFleet",
-    "Event",
     "EventKind",
     "EventQueue",
     "ExecutionEngine",

@@ -361,11 +361,6 @@ def _engine_index(engine: ExecutionEngine) -> int:
     return engine.index
 
 
-#: Sentinel for :meth:`EngineFleet.begin`: leave the operating point as
-#: is (``None`` is a real point — nominal — so it cannot be the default).
-_KEEP_POINT = object()
-
-
 @dataclass
 class EngineFleet:
     """The system's engines plus an incrementally-maintained idle set.
@@ -394,17 +389,18 @@ class EngineFleet:
         return self._idle
 
     def begin(self, engine: ExecutionEngine, item: WorkItem,
-              now_s: float, cost: ModelCost, dvfs=_KEEP_POINT) -> float:
+              now_s: float, cost: ModelCost,
+              dvfs: DvfsPoint | None = None) -> float:
         """Occupy ``engine`` with ``item``; returns the completion time.
 
-        ``dvfs`` (a :class:`~repro.costmodel.DvfsPoint` or ``None`` for
-        nominal) moves the engine to that operating point first — the
-        one mutation path a DVFS governor uses, so every frequency
-        transition is logged on the engine.  Omitted, the point is left
-        untouched.
+        ``dvfs`` is the point ``cost`` was priced at (a
+        :class:`~repro.costmodel.DvfsPoint`, or ``None`` for nominal):
+        the governor's choice, or the engine's thermal clamp point on an
+        ungoverned dispatch.  The engine moves there first, so every
+        frequency transition is logged on the engine and every record
+        names the point its work ran at.
         """
-        if dvfs is not _KEEP_POINT:
-            engine.set_operating_point(dvfs, now_s)
+        engine.set_operating_point(dvfs, now_s)
         end_s = engine.begin(item, now_s, cost)
         self._idle.remove(engine)
         return end_s

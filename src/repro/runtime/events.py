@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 from repro.workload import InferenceRequest
 
-__all__ = ["EventKind", "Event", "EventQueue"]
+__all__ = ["EventKind", "EventQueue"]
 
 
 class EventKind(enum.Enum):
@@ -72,41 +72,21 @@ class EventKind(enum.Enum):
     WORK_RETRY = "work_retry"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Event:
-    """One scheduled event; ordering fields first for the heap.
-
-    ``session_id`` tags the tenant session the event belongs to in
-    multi-session runs; single-session runs use the default 0.
-    ``request`` is the request of a work event and ``None`` for events
-    that concern a session or an engine as a whole.  A streamed root
-    arrival carries its stream's cursor there instead, which the event
-    loop turns into the request when the event pops; the queue itself
-    never looks inside.
-    """
-
-    time_s: float
-    seq: int
-    kind: EventKind = field(compare=False)
-    request: object = field(default=None, compare=False)
-    sub_index: int | None = field(default=None, compare=False)
-    session_id: int = field(default=0, compare=False)
-
-
 @dataclass
 class EventQueue:
     """A deterministic min-heap of events.
 
-    Internally the heap holds flat
+    The heap holds flat
     ``(time_s, seq, kind, request, sub_index, session_id)`` tuples: sift
     comparisons touch only the leading floats and ints (``seq`` is
     unique, so later fields are never compared), and the hot path —
     thousands of pushes and pops per simulated second — allocates one
-    tuple per event instead of a dataclass plus a wrapper.  The ordering
-    is identical to comparing :class:`Event` values directly (whose
-    compare fields are exactly ``(time_s, seq)``).  :meth:`pop` still
-    materialises an :class:`Event` for API compatibility; the event
-    loop drains via :meth:`pop_fields`, which hands back the raw tuple.
+    tuple per event.  ``session_id`` tags the tenant session the event
+    belongs to (0 in single-session runs).  ``request`` is the request
+    of a work event and ``None`` for events that concern a session or an
+    engine as a whole; a streamed root arrival carries its stream's
+    cursor there instead, which the event loop turns into the request
+    when the event pops.  The queue never looks inside it.
     """
 
     _heap: list[
@@ -156,20 +136,12 @@ class EventQueue:
             self._heap, (time_s, seq, kind, request, sub_index, session_id)
         )
 
-    def pop(self) -> Event:
-        if not self._heap:
-            raise IndexError("pop from empty event queue")
-        return Event(*heapq.heappop(self._heap))
-
     def pop_fields(
         self,
     ) -> tuple[float, int, EventKind, object, int | None, int]:
-        """Pop the next event as its raw heap tuple (the hot-path API).
-
-        Returns ``(time_s, seq, kind, request, sub_index, session_id)``
-        — same ordering contract as :meth:`pop`, minus the
-        :class:`Event` allocation.
-        """
+        """Pop the next event: its ``(time_s, seq, kind, request,
+        sub_index, session_id)`` heap tuple, earliest ``(time_s, seq)``
+        first."""
         if not self._heap:
             raise IndexError("pop from empty event queue")
         return heapq.heappop(self._heap)

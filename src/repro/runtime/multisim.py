@@ -2,11 +2,12 @@
 
 This is the runtime's one event loop.  :class:`MultiScenarioSimulator`
 multiplexes any number of independent *sessions* — each a scenario
-instance bound to its own seed (a distinct user), with its own load
-generator, dependency tracker and QoE accounting — onto one shared
-:class:`~repro.hardware.AcceleratorSystem` through a single event queue
-and one shared waiting queue.  A single-scenario run is a one-session
-group.
+instance bound to its own seed (a distinct user), with its own QoE
+accounting — onto one shared :class:`~repro.hardware.AcceleratorSystem`
+through a single event queue and one shared waiting queue.  A session
+phase reads its frame counts and dependencies from the process's one
+:class:`~repro.workload.LoadGenerator` for its (scenario, duration).  A
+single-scenario run is a one-session group.
 
 Key properties:
 
@@ -133,7 +134,7 @@ from .engine import EngineFleet, ExecutionEngine, ExecutionRecord, WorkItem
 from .events import EventKind, EventQueue
 from .faults import FaultAction, FaultPlan, FaultRecord
 from .governor import DispatchContext, DvfsGovernor, make_governor
-from .queues import DependencyTracker, WaitingQueue
+from .queues import WaitingQueue
 from .scheduler import Scheduler
 from .segmentation import SegmentChain, chain_codes, split_models
 from .simulator import SimulationResult
@@ -198,6 +199,11 @@ class SessionSpec:
         if self.session_id < 0:
             raise ValueError(
                 f"session_id must be >= 0, got {self.session_id}"
+            )
+        if not 0.0 <= self.frame_loss_probability < 1.0:
+            raise ValueError(
+                f"frame_loss_probability must be in [0, 1), got "
+                f"{self.frame_loss_probability}"
             )
         if self.arrival_s < 0:
             raise ValueError(
@@ -276,8 +282,9 @@ class _SessionState:
     which keys its drop policy on (session, model).  ``windows`` is the
     session's phase plan — ``(start_s, stop_s, scenario)`` triples
     covering its active lifetime; ``phase`` indexes the current one.
-    ``loadgen``/``deps`` belong to the current phase and work in
-    *phase-local* time (``offset_s`` translates to absolute run time).
+    ``loadgen`` is the current phase's shared generator
+    (:meth:`~repro.workload.LoadGenerator.of`), read in *phase-local*
+    time (``offset_s`` translates to absolute run time).
 
     ``phase_ids[p]`` is the run's next request id when phase ``p`` was
     entered.  Requests are numbered from one increasing counter: a
@@ -300,7 +307,6 @@ class _SessionState:
     spawned: dict[str, int]
     phase: int = -1
     loadgen: LoadGenerator | None = None
-    deps: DependencyTracker | None = None
     offset_s: float = 0.0
     active: bool = False
     phase_ids: list[int] = field(default_factory=list)
@@ -844,22 +850,19 @@ class MultiScenarioSimulator:
             """
             nonlocal request_ids
             start, stop, scenario = state.windows[phase]
-            loadgen = LoadGenerator(
-                scenario,
-                stop - start,
-                state.spec.seed,
-                frame_loss_probability=state.spec.frame_loss_probability,
-            )
+            loadgen = state.loadgen = LoadGenerator.of(scenario, stop - start)
             state.phase = phase
-            state.loadgen = loadgen
-            state.deps = DependencyTracker(scenario)
             state.offset_s = start
             for sm in scenario.models:
                 state.spawned.setdefault(sm.code, 0)
-            for code, count in loadgen.expected_frames().items():
+            for code, count in loadgen.root_frames.items():
                 state.spawned[code] += count
             if rows is None:
-                rows = loadgen.root_schedule()
+                spec = state.spec
+                rows = root_schedules([(
+                    scenario, stop - start, spec.seed,
+                    spec.frame_loss_probability,
+                )])[0]
             first_id = next(request_ids)
             request_ids = itertools.count(first_id + len(rows))
             state.phase_ids.append(first_id)
@@ -960,11 +963,14 @@ class MultiScenarioSimulator:
             request = item.request
             index = engine.index
             if governor is None:
+                # Nominal, or the engine's thermal clamp point.
+                at = positions[index]
                 cost = prices.cost(
-                    item.chain.ids[item.segment_index], index,
-                    positions[index],
+                    item.chain.ids[item.segment_index], index, at
                 )
-                end_s = fleet.begin(engine, item, now_s, cost)
+                end_s = fleet.begin(
+                    engine, item, now_s, cost, dvfs=prices.ladder[at]
+                )
             else:
                 # The dispatch boundary is the governor's decision
                 # point: it may move the engine's operating point for
@@ -976,8 +982,8 @@ class MultiScenarioSimulator:
                 context.contended = bool(waiting) or bool(resumable)
                 context.next_event_s = events.next_time_s
                 context.has_dependents = (
-                    state.deps is not None
-                    and request.model_code in state.deps.upstream
+                    state.loadgen is not None
+                    and request.model_code in state.loadgen.dependents
                 )
                 point = governor.select(
                     now_s, item, engine,
@@ -1266,14 +1272,16 @@ class MultiScenarioSimulator:
                             or request.request_id
                             < state.phase_ids[state.phase]
                         )
-                        if not stale:
-                            for dep in state.deps.downstream_of(
-                                request.model_code
+                        loadgen = state.loadgen
+                        if not stale and loadgen is not None:
+                            for entry in loadgen.dependents.get(
+                                request.model_code, ()
                             ):
-                                child = state.loadgen.spawn_dependent(
-                                    dep,
+                                child = loadgen.spawn_dependent(
+                                    entry,
                                     request.model_frame,
                                     now_s - state.offset_s,
+                                    state.spec.seed,
                                 )
                                 if child is not None:
                                     child.request_time_s += state.offset_s

@@ -1,7 +1,8 @@
-"""Runtime data structures (Figure 2): the waiting queue and the
-dependency tracker.  Figure 2's active inference table is
-:class:`~repro.runtime.engine.EngineFleet`, which tracks what each engine
-runs.
+"""Runtime data structures (Figure 2): the waiting queue.  Figure 2's
+active inference table is :class:`~repro.runtime.engine.EngineFleet`,
+which tracks what each engine runs, and its dependency tracker is
+:attr:`repro.workload.LoadGenerator.dependents`, which maps a completed
+upstream inference to the downstream requests it may spawn.
 
 :class:`WaitingQueue` implements the frame-freshness drop policy: at most
 one *waiting* request per (session, model).  When a new frame arrives
@@ -27,14 +28,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.workload import Dependency, UsageScenario
-
 from .engine import WorkItem
 
-__all__ = [
-    "WaitingQueue",
-    "DependencyTracker",
-]
+__all__ = ["WaitingQueue"]
 
 
 def _dispatch_order(item: WorkItem) -> tuple[float, int, str]:
@@ -250,31 +246,3 @@ class WaitingQueue:
         if self._unordered:
             self._restore_order()
         return iter(self._by_key.values())
-
-
-@dataclass
-class DependencyTracker:
-    """Maps completed upstream inferences to downstream spawns."""
-
-    scenario: UsageScenario
-    #: Each upstream code's dependencies, in scenario order, built once
-    #: so a completion reads its dependents with one dict probe.
-    _downstream: dict[str, tuple[Dependency, ...]] = field(
-        init=False, repr=False
-    )
-    #: Codes whose completion triggers downstream models: a set probe
-    #: answers "does this model have dependents".
-    upstream: frozenset[str] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        by_code: dict[str, list[Dependency]] = {}
-        for dep in self.scenario.dependencies:
-            by_code.setdefault(dep.upstream, []).append(dep)
-        self._downstream = {
-            code: tuple(deps) for code, deps in by_code.items()
-        }
-        self.upstream = frozenset(self._downstream)
-
-    def downstream_of(self, model_code: str) -> tuple[Dependency, ...]:
-        """Dependencies that fire when ``model_code`` completes a frame."""
-        return self._downstream.get(model_code, ())

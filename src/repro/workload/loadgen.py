@@ -1,12 +1,19 @@
 """Load generator: turns a usage scenario into timed inference requests.
 
+What a run reads about a scenario streamed for a duration depends on
+that pair alone, never on the session: each root model's streamed-frame
+count, and each dependency's downstream frame ratio and deadlines.
+:class:`LoadGenerator` holds those tables, one immutable generator per
+(scenario, duration) value in the process (:meth:`LoadGenerator.of`).
+
 Root models (those driven directly by sensors) get their full request
 schedule generated up front from the jittered sensor streams, as timing
 rows the runtime turns into requests one arrival at a time.  A run
-builds the schedule of every window it plans in one batch
-(:func:`root_schedules`).  Dependent models (downstream of a data or
-control dependency) are *not* scheduled here — the runtime spawns their
-requests when the upstream inference completes, rolling the
+builds the schedule of every window it plans in one batch, and a
+degrade phase's as a batch of one (:func:`root_schedules`).  Dependent
+models (downstream of a data or control dependency) are *not* scheduled
+here — the runtime spawns their requests when the upstream inference
+completes (:meth:`LoadGenerator.spawn_dependent`), rolling the
 dependency's trigger probability with a deterministic per-frame RNG so
 runs are reproducible.
 """
@@ -16,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -33,10 +39,15 @@ ScheduleKey = tuple[UsageScenario, float, int, float]
 #: ``(request_time_s, model_code, model_frame, deadline_s)`` rows in
 #: dispatch order.
 Schedule = tuple[tuple[float, str, int, float], ...]
+#: One dependency as an upstream completion reads it: the dependency,
+#: the downstream frames per upstream frame, and the deadline of every
+#: downstream frame streamed within the duration (Definition 8).
+Dependent = tuple[Dependency, float, tuple[float, ...]]
 
-#: Every root schedule built in the process, oldest first; past
-#: ``_MEMO_SIZE`` the oldest go.
+#: Every root schedule and every generator built in the process, oldest
+#: first, keyed by value; past ``_MEMO_SIZE`` the oldest go.
 _SCHEDULES: dict[ScheduleKey, Schedule] = {}
+_GENERATORS: dict[tuple[UsageScenario, float], LoadGenerator] = {}
 _MEMO_SIZE = 1 << 10
 
 
@@ -55,42 +66,126 @@ def _unit_roll(key: str) -> float:
     return float(rng.random())
 
 
-@lru_cache(maxsize=1 << 12)
-def _num_frames(plan: FramePlan, duration_s: float) -> int:
-    """Memoised :meth:`FramePlan.num_frames` (hashable frozen plan)."""
-    return plan.num_frames(duration_s)
+class LoadGenerator:
+    """What a run reads about one scenario streamed for one duration.
 
+    Immutable and shared: every session phase that streams an equal
+    scenario for an equal duration reads the one generator :meth:`of`
+    looks up by value — a degrade action's fresh but equal rate-scaled
+    scenario included.  Per-session inputs (the seed) are arguments.
 
-@lru_cache(maxsize=1 << 10)
-def _frame_deadlines(plan: FramePlan, duration_s: float) -> tuple[float, ...]:
-    """The deadline of every model frame streamed within ``duration_s``.
-
-    Memoised for dependent models, whose requests are spawned one at a
-    time mid-run: a lookup here is cheaper than a batch of one.
+    Attributes:
+        root_frames: each root model's streamed-frame count, in scenario
+            order: its QoE denominator.  Frames lost before reaching
+            the device still count, so sensor flakiness degrades QoE
+            exactly like runtime drops do.  Dependent models'
+            denominators are counted at runtime, since only triggered
+            requests are "streamed" work for them.
+        dependents: each upstream code's dependencies in scenario order,
+            as :data:`Dependent` entries — Figure 2's dependency
+            tracker, which a completion reads with one dict probe.
     """
-    frames = np.arange(_num_frames(plan, duration_s))
-    return tuple(plan.deadlines_s(frames).tolist())
+
+    __slots__ = ("root_frames", "dependents")
+
+    def __init__(self, scenario: UsageScenario, duration_s: float) -> None:
+        if duration_s <= 0:
+            raise ValueError(f"duration must be > 0, got {duration_s}")
+        plans = {sm.code: FramePlan(sm) for sm in scenario.models}
+        downstream = {dep.downstream for dep in scenario.dependencies}
+        self.root_frames: dict[str, int] = {
+            code: plan.num_frames(duration_s)
+            for code, plan in plans.items()
+            if code not in downstream
+        }
+        by_code: dict[str, list[Dependent]] = {}
+        for dep in scenario.dependencies:
+            down = plans[dep.downstream]
+            frames = np.arange(down.num_frames(duration_s))
+            by_code.setdefault(dep.upstream, []).append((
+                dep,
+                down.effective_fps / plans[dep.upstream].effective_fps,
+                tuple(down.deadlines_s(frames).tolist()),
+            ))
+        self.dependents: dict[str, tuple[Dependent, ...]] = {
+            code: tuple(entries) for code, entries in by_code.items()
+        }
+
+    @classmethod
+    def of(cls, scenario: UsageScenario, duration_s: float) -> LoadGenerator:
+        """The process's generator for ``scenario`` over ``duration_s``."""
+        key = (scenario, duration_s)
+        generator = _GENERATORS.get(key)
+        if generator is None:
+            generator = _GENERATORS[key] = cls(scenario, duration_s)
+            while len(_GENERATORS) > _MEMO_SIZE:
+                del _GENERATORS[next(iter(_GENERATORS))]
+        return generator
+
+    def spawn_dependent(
+        self,
+        entry: Dependent,
+        upstream_frame: int,
+        ready_time_s: float,
+        seed: int,
+    ) -> InferenceRequest | None:
+        """Create the downstream request triggered by an upstream completion.
+
+        ``entry`` is one of :attr:`dependents`.  Returns ``None`` when the
+        trigger roll for ``seed`` fails (dynamic cascading) or when the
+        downstream frame falls outside the duration.  The downstream
+        inherits the upstream's frame index mapped onto its own frame
+        plan; its request time is when the upstream's output became
+        available.  Times are in the generator's window.
+        """
+        dep, ratio, deadlines = entry
+        probability = dep.probability
+        if probability < 1.0 and (
+            probability <= 0.0
+            or _unit_roll(
+                f"{dep.upstream}->{dep.downstream}:{upstream_frame}:{seed}"
+            ) >= probability
+        ):
+            return None
+        # Map the upstream model-frame to the downstream frame covering the
+        # same instant of the sensor stream.
+        down_frame = int(upstream_frame * ratio)
+        # The streamed frames are a prefix (FramePlan.num_frames): past
+        # it, the frame's nominal arrival is at or after the duration.
+        if down_frame >= len(deadlines):
+            return None
+        return InferenceRequest(
+            model_code=dep.downstream,
+            model_frame=down_frame,
+            request_time_s=ready_time_s,
+            deadline_s=deadlines[down_frame],
+        )
 
 
 class _RootTable:
     """What a scenario's root schedules over one duration share: all but
     the seed.
 
-    Its rows are every root model's streamed frames, models in code
-    order and each model's frames in order: ``codes``, ``frames`` and
-    ``deadlines`` hold each row's model code, model frame and deadline
-    (Definition 8).  ``sensors`` lists each sensor the models read with
-    the distinct frame ids read from it, sorted, so models sharing a
-    sensor share its draws; ``reads`` holds each model's ``(sensor
-    index, positions in those ids)`` pairs.
+    Its rows are every root model's streamed frames (counted by the
+    scenario's :class:`LoadGenerator`), models in code order and each
+    model's frames in order: ``codes``, ``frames`` and ``deadlines``
+    hold each row's model code, model frame and deadline (Definition
+    8).  ``sensors`` lists each sensor the models read with the distinct
+    frame ids read from it, sorted, so models sharing a sensor share its
+    draws; ``reads`` holds each model's ``(sensor index, positions in
+    those ids)`` pairs.  The table lives only while a batch is built,
+    so the generator memo keeps the frame counts but not these arrays.
     """
 
     def __init__(self, scenario: UsageScenario, duration_s: float) -> None:
+        root_frames = LoadGenerator.of(scenario, duration_s).root_frames
         plans = [
             FramePlan(sm)
             for sm in sorted(scenario.root_models(), key=lambda sm: sm.code)
         ]
-        frames = [np.arange(_num_frames(plan, duration_s)) for plan in plans]
+        frames = [
+            np.arange(root_frames[plan.scenario_model.code]) for plan in plans
+        ]
         reads = [plan.sensor_reads(f) for plan, f in zip(plans, frames)]
         wanted: dict[InputSource, list[IntArray]] = {}
         for model_reads in reads:
@@ -135,7 +230,10 @@ class _RootTable:
         Definition 7's operations run on ``(members, frames)`` matrices
         in the per-sensor order: jittered arrivals clamped at zero, then
         each model frame's latest arrival among its sensors, since
-        multi-modal models (DR) wait for *all* of them.
+        multi-modal models (DR) wait for *all* of them.  A frame is lost
+        before reaching the device (bus errors, sensor glitches) when
+        its deterministic roll falls below the member's loss
+        probability; a lost frame never becomes a request.
         """
         arrivals = [
             sensor.arrivals_from_s(ids, next(jitters))
@@ -238,142 +336,3 @@ def _build_schedules(keys: Sequence[ScheduleKey]) -> list[Schedule]:
         built[id(scenario), duration_s][seed, loss]
         for scenario, duration_s, seed, loss in keys
     ]
-
-
-@dataclass
-class LoadGenerator:
-    """Generates the request stream for one scenario run.
-
-    Attributes:
-        scenario: the usage scenario to drive.
-        duration_s: how long the input streams run.
-        seed: seed for jitter and dependency-trigger randomness.
-        frame_loss_probability: failure-injection knob — probability that a
-            sensor frame is lost before reaching the device (bus errors,
-            sensor glitches).  Lost frames never become requests; the QoE
-            denominator still counts them, so sensor flakiness degrades
-            QoE exactly like runtime drops do.
-    """
-
-    scenario: UsageScenario
-    duration_s: float
-    seed: int = 0
-    frame_loss_probability: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be > 0, got {self.duration_s}")
-        if not 0.0 <= self.frame_loss_probability < 1.0:
-            raise ValueError(
-                f"frame_loss_probability must be in [0, 1), got "
-                f"{self.frame_loss_probability}"
-            )
-        self._plans = {
-            sm.code: FramePlan(sm) for sm in self.scenario.models
-        }
-        self._deadlines = {
-            dep.downstream: _frame_deadlines(
-                self._plans[dep.downstream], self.duration_s
-            )
-            for dep in self.scenario.dependencies
-        }
-
-    def frame_lost(self, code: str, model_frame: int) -> bool:
-        """Deterministically roll whether a sensor frame was lost."""
-        if self.frame_loss_probability <= 0.0:
-            return False
-        roll = _unit_roll(f"loss:{code}:{model_frame}:{self.seed}")
-        return roll < self.frame_loss_probability
-
-    def plan_for(self, code: str) -> FramePlan:
-        return self._plans[code]
-
-    def root_schedule(self) -> Schedule:
-        """The sensor-driven requests' timing, sorted by request time.
-
-        ``(request_time_s, model_code, model_frame, deadline_s)`` rows:
-        the batch of one of :func:`root_schedules`, which a run calls
-        once for every window it plans.  The tuple is shared between
-        every generator with the same parameters, so it is immutable;
-        the runtime builds each row's request only when the row arrives.
-        """
-        return root_schedules([(
-            self.scenario,
-            self.duration_s,
-            self.seed,
-            self.frame_loss_probability,
-        )])[0]
-
-    def root_requests(self) -> list[InferenceRequest]:
-        """All requests for sensor-driven models, sorted by request time.
-
-        The batch view of :meth:`root_schedule`: the request objects are
-        always fresh, since callers mutate them.
-        """
-        return [
-            InferenceRequest(
-                model_code=code,
-                model_frame=frame,
-                request_time_s=request_time_s,
-                deadline_s=deadline_s,
-            )
-            for request_time_s, code, frame, deadline_s
-            in self.root_schedule()
-        ]
-
-    def dependency_triggers(
-        self, dep: Dependency, model_frame: int
-    ) -> bool:
-        """Deterministically roll whether ``dep`` fires for a frame."""
-        if dep.probability >= 1.0:
-            return True
-        if dep.probability <= 0.0:
-            return False
-        roll = _unit_roll(
-            f"{dep.upstream}->{dep.downstream}:{model_frame}:{self.seed}"
-        )
-        return roll < dep.probability
-
-    def spawn_dependent(
-        self, dep: Dependency, upstream_frame: int, ready_time_s: float
-    ) -> InferenceRequest | None:
-        """Create the downstream request triggered by an upstream completion.
-
-        Returns ``None`` when the trigger roll fails (dynamic cascading) or
-        when the downstream frame falls outside the run duration.  The
-        downstream inherits the upstream's frame index mapped onto its own
-        frame plan; its request time is when the upstream's output became
-        available.
-        """
-        if not self.dependency_triggers(dep, upstream_frame):
-            return None
-        down_plan = self._plans[dep.downstream]
-        up_plan = self._plans[dep.upstream]
-        # Map the upstream model-frame to the downstream frame covering the
-        # same instant of the sensor stream.
-        ratio = down_plan.effective_fps / up_plan.effective_fps
-        down_frame = int(upstream_frame * ratio)
-        # The streamed frames are a prefix (FramePlan.num_frames): past
-        # it, the frame's nominal arrival is at or after the duration.
-        deadlines = self._deadlines[dep.downstream]
-        if down_frame >= len(deadlines):
-            return None
-        return InferenceRequest(
-            model_code=dep.downstream,
-            model_frame=down_frame,
-            request_time_s=ready_time_s,
-            deadline_s=deadlines[down_frame],
-        )
-
-    def expected_frames(self) -> dict[str, int]:
-        """Streamed frame counts per root model (QoE denominators).
-
-        Dependent models' denominators are counted at runtime, since only
-        triggered requests are "streamed" work for them.
-        """
-        downstream = {d.downstream for d in self.scenario.dependencies}
-        return {
-            sm.code: _num_frames(self._plans[sm.code], self.duration_s)
-            for sm in self.scenario.models
-            if sm.code not in downstream
-        }

@@ -31,6 +31,7 @@ from test_schedule_equivalence import (
     checksum_of,
 )
 
+from repro.api import RunSpec, execute
 from repro.hardware import build_accelerator
 from repro.runtime import (
     ADMISSION_POLICIES,
@@ -44,7 +45,7 @@ from repro.runtime import (
     make_scheduler,
     quality_retention,
 )
-from repro.workload import get_scenario
+from repro.workload import LoadGenerator, get_scenario
 
 VR = get_scenario("vr_gaming")
 
@@ -423,6 +424,32 @@ def test_controlled_runs_are_deterministic():
         duration_s=0.25, admission="degrade",
     ).run()
     assert checksum_of(a) == checksum_of(b)
+
+
+def test_repeated_degrade_run_builds_no_load_generator(monkeypatch):
+    """A degrade action streams a fresh but equal rate-scaled scenario on
+    every execution, so a repeat finds every phase's load generator in
+    the memo, which is keyed by value."""
+    spec = RunSpec(
+        scenario="vr_gaming", sessions=16, accelerator="J", pes=8192,
+        duration_s=0.5, admission="degrade",
+    )
+    report = execute(spec)
+    assert any(
+        action.kind == "degrade"
+        for session in report.result.sessions
+        for action in session.admission.actions
+    ), "the overloaded cell should degrade"
+    built = []
+    init = LoadGenerator.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(LoadGenerator, "__init__", counting_init)
+    execute(spec)
+    assert built == []
 
 
 # -- never-worse properties --------------------------------------------------

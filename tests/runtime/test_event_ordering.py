@@ -96,19 +96,6 @@ class TestQueueOrdering:
         ]
         assert [(f[0], f[2]) for f in second] == [(2.0, EventKind.ARRIVAL)]
 
-    def test_pop_fields_matches_pop(self):
-        a, b = EventQueue(), EventQueue()
-        for q in (a, b):
-            q.push(0.5, EventKind.ARRIVAL, session_id=4)
-            q.push(0.5, EventKind.COMPLETION, sub_index=1, session_id=4)
-        while a:
-            fields = a.pop_fields()
-            event = b.pop()
-            assert fields == (
-                event.time_s, event.seq, event.kind, event.request,
-                event.sub_index, event.session_id,
-            )
-
 
 class _TracingQueue(EventQueue):
     """An EventQueue that logs every popped tuple and the heap size it

@@ -18,15 +18,15 @@ class TestEventQueue:
         q.push(0.5, EventKind.ARRIVAL, req(frame=1))
         q.push(0.1, EventKind.ARRIVAL, req(frame=2))
         q.push(0.3, EventKind.ARRIVAL, req(frame=3))
-        assert [q.pop().time_s for _ in range(3)] == [0.1, 0.3, 0.5]
+        assert [q.pop_fields()[0] for _ in range(3)] == [0.1, 0.3, 0.5]
 
     def test_fifo_for_simultaneous_events(self):
         q = EventQueue()
         first, second = req(frame=1), req(frame=2)
         q.push(0.2, EventKind.ARRIVAL, first)
         q.push(0.2, EventKind.ARRIVAL, second)
-        assert q.pop().request is first
-        assert q.pop().request is second
+        assert q.pop_fields()[3] is first
+        assert q.pop_fields()[3] is second
 
     def test_len_and_bool(self):
         q = EventQueue()
@@ -36,7 +36,7 @@ class TestEventQueue:
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError, match="empty"):
-            EventQueue().pop()
+            EventQueue().pop_fields()
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="event time"):
@@ -54,9 +54,9 @@ class TestEventQueue:
     def test_completion_carries_engine(self):
         q = EventQueue()
         q.push(0.4, EventKind.COMPLETION, req(), sub_index=2)
-        event = q.pop()
-        assert event.kind is EventKind.COMPLETION
-        assert event.sub_index == 2
+        _, _, kind, _, sub_index, _ = q.pop_fields()
+        assert kind is EventKind.COMPLETION
+        assert sub_index == 2
 
     def test_reserved_stream_pops_like_pushing_it_up_front(self):
         """A sorted run streamed one event at a time, each pushed under

@@ -11,45 +11,53 @@ from repro.runtime import (
     EngineFleet,
     ExecutionEngine,
     RateMonotonicScheduler,
+    SessionSpec,
     WorkItem,
     make_scheduler,
 )
 from repro.workload import InferenceRequest, LoadGenerator, get_scenario
+from repro.workload.loadgen import _build_schedules, root_schedules
 
 
 class TestLoadGenFrameLoss:
     def test_zero_loss_is_default(self):
-        gen = LoadGenerator(get_scenario("vr_gaming"), 1.0)
-        assert not any(gen.frame_lost("HT", f) for f in range(100))
+        scenario = get_scenario("vr_gaming")
+        loss = SessionSpec(0, scenario).frame_loss_probability
+        assert loss == 0.0
+        (rows,) = root_schedules([(scenario, 1.0, 0, loss)])
+        assert [f for _, code, f, _ in rows if code == "HT"] == list(range(45))
 
     def test_loss_rate_approximates_probability(self):
-        gen = LoadGenerator(
-            get_scenario("vr_gaming"), 1.0, seed=0,
-            frame_loss_probability=0.3,
-        )
-        losses = sum(gen.frame_lost("ES", f) for f in range(3000))
-        assert 0.25 < losses / 3000 < 0.35
+        # 50 s streams 3,000 ES frames.
+        scenario = get_scenario("vr_gaming")
+        (rows,) = root_schedules([(scenario, 50.0, 0, 0.3)])
+        streamed = LoadGenerator.of(scenario, 50.0).root_frames["ES"]
+        kept = sum(1 for _, code, _, _ in rows if code == "ES")
+        assert streamed == 3000
+        assert 0.25 < 1 - kept / streamed < 0.35
 
     def test_lost_frames_removed_from_requests(self):
+        # Loss drops rows and leaves the others as they were.
         scenario = get_scenario("vr_gaming")
-        clean = LoadGenerator(scenario, 1.0, seed=0).root_requests()
-        lossy = LoadGenerator(
-            scenario, 1.0, seed=0, frame_loss_probability=0.5
-        ).root_requests()
+        clean, lossy = root_schedules([
+            (scenario, 1.0, 0, 0.0), (scenario, 1.0, 0, 0.5),
+        ])
         assert len(lossy) < len(clean)
+        assert set(lossy) <= set(clean)
 
     def test_deterministic_per_seed(self):
-        scenario = get_scenario("vr_gaming")
-        a = LoadGenerator(scenario, 1.0, seed=3,
-                          frame_loss_probability=0.4).root_requests()
-        b = LoadGenerator(scenario, 1.0, seed=3,
-                          frame_loss_probability=0.4).root_requests()
-        assert [r.model_frame for r in a] == [r.model_frame for r in b]
+        # A fresh build (past the memo) loses the memoised rows' frames.
+        key = (get_scenario("vr_gaming"), 1.0, 3, 0.4)
+        (rebuilt,) = _build_schedules([key])
+        (rows,) = root_schedules([key])
+        assert [r[2] for r in rebuilt] == [r[2] for r in rows]
 
-    def test_rejects_invalid_probability(self):
+    @pytest.mark.parametrize("loss", [1.0, -0.5])
+    def test_rejects_invalid_probability(self, loss):
+        # At construction, not when the session joins a run.
         with pytest.raises(ValueError, match="frame_loss"):
-            LoadGenerator(get_scenario("vr_gaming"), 1.0,
-                          frame_loss_probability=1.0)
+            SessionSpec(0, get_scenario("vr_gaming"),
+                        frame_loss_probability=loss)
 
 
 class TestSimulatorUnderFrameLoss:

@@ -379,6 +379,33 @@ class TestRecoveryMachinery:
             scale = scale_of[record.dvfs] if record.dvfs else 1.0
             assert scale <= throttle.max_frequency_scale + 1e-12
 
+    def test_thermal_clamp_is_recorded_on_static_dispatches(self):
+        """An ungoverned dispatch on a throttled engine is priced at the
+        clamp point, and its record names that point; every other
+        dispatch runs at nominal."""
+        plan = make_fault_plan("thermal", 2, DURATION_S, seed=0)
+        (throttle,) = [
+            e for e in plan.events if e.kind == "thermal_throttle"
+        ]
+        (release,) = [
+            e for e in plan.events if e.kind == "thermal_release"
+        ]
+        clamp = max(
+            (p for p in DEFAULT_DVFS_POINTS
+             if p.frequency_scale <= throttle.max_frequency_scale),
+            key=lambda p: p.frequency_scale,
+        )
+        result = run_sim("thermal")
+        throttled = {
+            id(r) for r in result.records
+            if r.sub_index == throttle.engine_index
+            and throttle.time_s <= r.start_s < release.time_s
+        }
+        assert throttled, "expected dispatches on the throttled engine"
+        for record in result.records:
+            expected = clamp.name if id(record) in throttled else None
+            assert record.dvfs == expected, record
+
 
 class TestResilienceInvariants:
     @pytest.mark.parametrize("profile", ["single", "flaky"])

@@ -1,4 +1,4 @@
-"""Tests for the waiting queue, active table and dependency tracker."""
+"""Tests for the waiting queue and the active table."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import repro.runtime.multisim as multisim
 from repro.hardware import build_accelerator
 from repro.runtime.queues import DEADLINE_VIEW_BOUND
 from repro.runtime import (
-    DependencyTracker,
     WaitingQueue,
     WorkItem,
     make_scheduler,
@@ -394,13 +393,3 @@ class TestReSortsInRealRuns:
         )
         assert queue.resorts == 0
 
-
-class TestDependencyTracker:
-    def test_downstream_of_upstream(self):
-        tracker = DependencyTracker(get_scenario("vr_gaming"))
-        deps = tracker.downstream_of("ES")
-        assert [d.downstream for d in deps] == ["GE"]
-
-    def test_no_downstream(self):
-        tracker = DependencyTracker(get_scenario("vr_gaming"))
-        assert tracker.downstream_of("HT") == ()

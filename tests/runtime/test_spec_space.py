@@ -8,7 +8,8 @@ the energy ledgers agree, no engine is busy past the run, every request
 ends exactly once and the score counts it, the cost cache is consulted,
 the admission and fault records exist exactly when their policy is on
 and reconcile, QoE stays in [0, 1], faults never zero a run that scored
-without them, and a spec run twice gives the same digests.
+without them, and a spec's plan, round-tripped through JSON and run
+again, equals the compiled plan and gives the same digests.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from test_schedule_equivalence import (
     request_checksum_of,
 )
 
-from repro.api import RunSpec, execute
+from repro.api import DispatchPlan, RunSpec, compile_plan, execute, execute_plan
 from repro.api.spec import ADMISSION_POLICIES, DVFS_POLICIES, FAULT_PROFILES
 from repro.runtime.admission import DEGRADATION_LADDER
 from repro.workload import SCENARIO_ORDER
@@ -127,4 +128,8 @@ def test_every_spec_keeps_the_run_invariants(spec):
         if mean_qoe(twin) > 0:
             assert mean_qoe(report) > 0
 
-    assert digests(execute(spec).result) == digests(result)
+    # The second run replays the plan through its JSON round trip.
+    plan = compile_plan(spec)
+    replayed = DispatchPlan.from_json(plan.to_json())
+    assert replayed == plan
+    assert digests(execute_plan(replayed).result) == digests(result)
