@@ -143,8 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--spec", default=None, metavar="SPEC.json",
         help="load the RunSpec from a JSON file (mutually exclusive with "
-             "the positionals); flags set to non-default values override "
-             "the corresponding spec fields",
+             "the positionals); every flag passed overrides the "
+             "corresponding spec field, also when it passes the flag's "
+             "default value",
     )
     run_p.add_argument("--timeline", action="store_true",
                        help="print the execution timeline")
@@ -189,8 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     plan_p.add_argument(
         "--spec", default=None, metavar="SPEC.json",
         help="load the RunSpec from a JSON file (mutually exclusive with "
-             "the positionals); flags set to non-default values override "
-             "the corresponding spec fields",
+             "the positionals); every flag passed overrides the "
+             "corresponding spec field, also when it passes the flag's "
+             "default value",
     )
     plan_p.add_argument(
         "--diff", nargs=2, default=None, metavar=("A.json", "B.json"),

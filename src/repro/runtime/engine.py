@@ -49,11 +49,13 @@ class WorkItem:
     (:meth:`successor`).  The class is not ``frozen`` because a frozen
     dataclass sets every field through ``object.__setattr__``: built
     positionally, the frozen class took about 2.2 µs against 0.6 µs
-    (CPython 3.11, Intel Xeon), and the event loop builds one per
-    arriving request.  Nothing relies on frozenness: no item is hashed
-    or used as a key (its mutable request field makes ``hash()`` raise
-    either way), and schedulers already receive the mutable waiting
-    queue and requests under the same read-only contract.
+    (CPython 3.11, Intel Xeon), and a run builds one per request a
+    policy reads from the :class:`~repro.runtime.queues.WaitingQueue`
+    plus one per later segment.  Nothing relies on frozenness: no item
+    is hashed or used as a key (its mutable request field makes
+    ``hash()`` raise either way), and schedulers already receive the
+    mutable waiting queue and requests under the same read-only
+    contract.
     """
 
     request: InferenceRequest

@@ -90,8 +90,9 @@ Key properties:
   in one :class:`~repro.runtime.queues.WaitingQueue` updated on
   arrival/dispatch/retirement: a dict whose insertion order is the
   dispatch order, so a fresh frame superseding a waiting one costs two
-  dict operations (work items are built — and their segment plans
-  resolved — once per request, not once per scheduler call).  Whether a
+  dict operations.  A request waits as itself, and its work item — its
+  segment chain riding along — is built when a policy first reads it,
+  so a frame superseded unread never becomes one.  Whether a
   request belongs to its session's current phase is one comparison of
   its run-scoped id against the id the phase started at
   (``_SessionState.phase_ids``), not a per-request map.  Resumable
@@ -829,8 +830,9 @@ class MultiScenarioSimulator:
         resume_seq = itertools.count()
 
         #: Every session's waiting work, maintained in dispatch order on
-        #: offer/take — schedulers read this view directly.
-        waiting = WaitingQueue()
+        #: offer/take — schedulers read this view directly.  A read
+        #: builds a waiting request's work item from its chain.
+        waiting = WaitingQueue(chains)
         #: Request ids are run-scoped: every request the run creates,
         #: root or dependent, takes the next id from this one counter.
         request_ids = itertools.count()
@@ -878,7 +880,7 @@ class MultiScenarioSimulator:
 
         def retire_waiting(session_id: int) -> None:
             """Purge a departed/phase-changed session's pending work:
-            its waiting items and its resumable segment chains."""
+            its waiting requests and its resumable segment chains."""
             waiting.purge_session(session_id)
             kept = [
                 entry for entry in resumable
@@ -940,22 +942,6 @@ class MultiScenarioSimulator:
                 cursor.retired = True
             retire_waiting(sid)
             enter_phase(state, state.phase + 1, None)
-
-        def fresh_item(request: InferenceRequest,
-                       session_id: int) -> WorkItem:
-            """The first schedulable piece of a newly-arrived request.
-
-            Segment plans are resolved exactly once, here, and ride on
-            the work item — as its compile-time chain — for the rest of
-            the request's life: successors, prices and governor
-            reservations index the chain instead of re-probing the plan
-            table.
-            """
-            chain = chains[request.model_code]
-            codes = chain.codes
-            return WorkItem(
-                request, session_id, 0, len(codes), codes[0], chain
-            )
 
         def start(item: WorkItem, engine: ExecutionEngine,
                   now_s: float) -> None:
@@ -1211,7 +1197,7 @@ class MultiScenarioSimulator:
                                 # like any other drop.
                                 request.dropped = True
                             else:
-                                waiting.offer(fresh_item(request, session_id))
+                                waiting.offer(request, session_id)
                     else:
                         # A dependent: numbered at spawn, inside its
                         # phase's id range.
@@ -1236,7 +1222,7 @@ class MultiScenarioSimulator:
                             request.dropped = True
                         else:
                             state.requests.append(request)
-                            waiting.offer(fresh_item(request, session_id))
+                            waiting.offer(request, session_id)
                 elif kind is COMPLETION and fplan is not None and (
                     engines[sub_index].current is None
                     or engines[sub_index].current.request is not request
@@ -1432,7 +1418,7 @@ class MultiScenarioSimulator:
                                 attempt=retry_counts.get(rid, 0),
                             ))
                         else:
-                            waiting.offer(item)
+                            waiting.requeue(item)
                             log.actions.append(FaultAction(
                                 now_s, "requeued", -1, rid,
                                 request.model_code,

@@ -10,15 +10,19 @@ while the previous one is still waiting to start, the stale frame is
 dropped — processing it could no longer contribute to the target rate
 (its successor has already arrived), and real XR runtimes prefer the
 fresh frame.  Requests that have *started* are never aborted.  One queue
-spans every session, holding session-tagged
-:class:`~repro.runtime.engine.WorkItem` values readable in dispatch
-order, so the event loop hands schedulers a ready-sorted view instead of
-rebuilding and re-sorting a list on every scheduler call.  Arrivals come
-in time order, so the queue keeps that order by appending: a fresh frame
-superseding a waiting one costs two dict operations, and only an
-out-of-order offer (a fault retry) costs a re-sort, once, at the next
-read.  EDF reads a second, deadline-ordered view of the same items
-(:meth:`WaitingQueue.earliest_deadline`) instead of scanning them.
+spans every session and reads as session-tagged
+:class:`~repro.runtime.engine.WorkItem` values in dispatch order, so the
+event loop hands schedulers a ready-sorted view instead of rebuilding
+and re-sorting a list on every scheduler call.  Under load nearly every
+frame is superseded before an engine frees, so the queue holds an
+arriving request as itself and builds its work item only when a read
+first returns it: a superseded frame never becomes a work item.
+Arrivals come in time order, so the queue keeps that order by appending:
+a fresh frame superseding a waiting one costs two dict operations, and
+only an out-of-order offer (a fault retry) costs a re-sort, once, at the
+next read.  EDF reads a second, deadline-ordered view of the same
+requests (:meth:`WaitingQueue.earliest_deadline`) instead of scanning
+them.
 """
 
 from __future__ import annotations
@@ -26,28 +30,36 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Mapping
+
+from repro.workload import InferenceRequest
 
 from .engine import WorkItem
+from .segmentation import SegmentChain
 
 __all__ = ["WaitingQueue"]
 
 
-def _dispatch_order(item: WorkItem) -> tuple[float, int, str]:
+def _dispatch_order(
+    entry: tuple[tuple[int, str], InferenceRequest | WorkItem],
+) -> tuple[float, int, str]:
     """Global dispatch order: oldest data first, session/model tie-breaks."""
-    return (
-        item.request.request_time_s,
-        item.session_id,
-        item.request.model_code,
-    )
+    (session_id, code), waiting = entry
+    request = waiting.request if isinstance(waiting, WorkItem) else waiting
+    return (request.request_time_s, session_id, code)
 
+
+#: A deadline-view entry: ``(deadline_s, request_time_s, session_id,
+#: model_code, seq, request)``.
+_DeadlineEntry = tuple[float, float, int, str, int, InferenceRequest]
 
 #: Compares below every dispatch key: the ``_max_key`` of an empty queue.
 _NO_KEY: tuple[float, int, str] = (float("-inf"), -1, "")
 
-#: The deadline view is rebuilt from the live items when it holds more
-#: than this many entries per waiting item: superseded and taken items
-#: leave their entries behind, and this bounds what they can add up to.
+#: The deadline view is rebuilt from the live requests when it holds
+#: more than this many entries per waiting request: superseded and taken
+#: requests leave their entries behind, and this bounds what they can
+#: add up to.
 DEADLINE_VIEW_BOUND = 4
 
 
@@ -55,64 +67,79 @@ DEADLINE_VIEW_BOUND = 4
 class WaitingQueue:
     """All sessions' waiting work, read in dispatch order.
 
-    At most one waiting :class:`WorkItem` per (session, model); offering
-    a fresh frame drops the stale one (frame-freshness policy).  Reads —
-    iteration, indexing, :meth:`purge_session` — see the items sorted by
+    At most one waiting request per (session, model); offering a fresh
+    frame drops the stale one (frame-freshness policy).  Reads —
+    iteration, indexing, :meth:`peek`, :meth:`earliest_deadline` — return
+    :class:`WorkItem` values, iteration and indexing sorted by
     ``(request_time_s, session_id, model_code)``, so schedulers receive
     this object directly as their waiting view.  Treat it as read-only
-    inside a scheduler: only the event loop offers and takes.
+    inside a scheduler: only the event loop offers, requeues and takes.
 
-    The items live in one dict keyed by (session, model), and its
-    insertion order *is* the dispatch order.  Arrivals come in time
+    A request waits as itself until a read first returns it.  That read
+    builds its work item from the model's chain in ``chains`` (the run's
+    :class:`~repro.runtime.segmentation.SegmentChain` per model code) and
+    stores it back under the request's key, so every later read returns
+    the same object and :meth:`take` accepts it; a frame superseded
+    unread never becomes a work item.  A killed item's retry waits as
+    the item itself (:meth:`requeue`).
+
+    The waiting values live in one dict keyed by (session, model), and
+    its insertion order *is* the dispatch order.  Arrivals come in time
     order, so an offer almost always carries a key no smaller than any
     offered since the queue was last empty (``_max_key``); appending it
-    keeps the dict sorted, and removals keep it sorted, so superseding a
-    frame is two dict operations.  An offer that would land out of order
-    — a fault retry, or a same-instant arrival of a lower session —
-    marks the order stale (``_unordered``) instead, and the next read
-    re-sorts once (:meth:`_restore_order`).  Waiting keys are unique
-    (one item per (session, model)), so the sorted order is unique: every
-    read sees the same list whatever order the items were offered in.
-    The key fields are stable for a waiting item — request times are
-    only ever shifted *before* the item is offered.
+    keeps the dict sorted, and removals (and storing a built item back
+    in its request's place) keep it sorted, so superseding a frame is
+    two dict operations.  An offer that would land out of order — a
+    fault retry, or a same-instant arrival of a lower session — marks
+    the order stale (``_unordered``) instead, and the next read re-sorts
+    once (:meth:`_restore_order`).  Waiting keys are unique, so the
+    sorted order is unique: every read sees the same list whatever order
+    the requests were offered in.  The key fields are stable for a
+    waiting request — request times are only ever shifted *before* the
+    request is offered.
 
-    :meth:`earliest_deadline` reads the same items in deadline order,
+    :meth:`earliest_deadline` reads the same requests in deadline order,
     from a heap of ``(deadline_s, request_time_s, session_id,
-    model_code, seq, item)`` entries (``_deadlines``).  The heap is built
-    on the first read, so a queue no policy reads by deadline pays one
-    ``is None`` test per offer.  Deletion is lazy: an entry is live
-    while its item is the one waiting under its (session, model), which
-    also holds for a fault retry re-offering the same item object.  The
-    heap is dropped when the queue empties, and rebuilt from the live
-    items when it holds more than :data:`DEADLINE_VIEW_BOUND` entries per
-    waiting item.
+    model_code, seq, request)`` entries (``_deadlines``).  The heap is
+    built on the first read, so a queue no policy reads by deadline pays
+    one ``is None`` test per offer.  Deletion is lazy: an entry is live
+    while its key holds its request or an item of it, which also holds
+    for a requeued retry.  The heap is dropped when the queue empties,
+    and rebuilt from the live requests when it holds more than
+    :data:`DEADLINE_VIEW_BOUND` entries per waiting request.
     """
 
-    _by_key: dict[tuple[int, str], WorkItem] = field(default_factory=dict)
+    chains: Mapping[str, SegmentChain] = field(repr=False)
+    _by_key: dict[tuple[int, str], InferenceRequest | WorkItem] = field(
+        default_factory=dict
+    )
     _max_key: tuple[float, int, str] = _NO_KEY
     _unordered: bool = False
-    _deadlines: list[
-        tuple[float, float, int, str, int, WorkItem]
-    ] | None = field(default=None, repr=False, compare=False)
+    _deadlines: list[_DeadlineEntry] | None = field(
+        default=None, repr=False, compare=False
+    )
     _pushes: Iterator[int] = field(
         default_factory=itertools.count, repr=False, compare=False
     )
 
-    def offer(self, item: WorkItem) -> WorkItem | None:
-        """Add a fresh work item; returns the displaced stale item, if any.
+    def offer(self, request: InferenceRequest, session_id: int) -> None:
+        """Add a fresh request of session ``session_id``.
 
-        The stale item's request is marked dropped; the request's flag
-        and the returned item are the record of the drop.
+        The request still waiting under the same (session, model), if
+        any, is stale: it is superseded, and its ``dropped`` flag is the
+        record of the drop.
         """
-        request = item.request
-        session_id = item.session_id
         code = request.model_code
         key = (session_id, code)
         by_key = self._by_key
         stale = by_key.pop(key, None)
         if stale is not None:
-            stale.request.dropped = True
-        by_key[key] = item
+            # Most stale frames were never read: test for a request first.
+            if isinstance(stale, InferenceRequest):
+                stale.dropped = True
+            else:
+                stale.request.dropped = True
+        by_key[key] = request
         order = (request.request_time_s, session_id, code)
         if order >= self._max_key:
             self._max_key = order
@@ -122,14 +149,20 @@ class WaitingQueue:
         if deadlines is not None:
             heapq.heappush(deadlines, (
                 request.deadline_s, request.request_time_s, session_id,
-                code, next(self._pushes), item,
+                code, next(self._pushes), request,
             ))
             if len(deadlines) > DEADLINE_VIEW_BOUND * len(by_key):
                 self._build_deadlines()
-        return stale
+
+    def requeue(self, item: WorkItem) -> None:
+        """Offer a killed item's retry: ``item`` itself waits again."""
+        request = item.request
+        self.offer(request, item.session_id)
+        self._by_key[(item.session_id, request.model_code)] = item
 
     def take(self, item: WorkItem) -> None:
-        """Remove an item that is about to be dispatched."""
+        """Remove an item, read from this queue, that is about to be
+        dispatched."""
         key = (item.session_id, item.request.model_code)
         by_key = self._by_key
         current = by_key.get(key)
@@ -152,37 +185,46 @@ class WaitingQueue:
         frame of the same model is already waiting, the stale retry is
         abandoned instead of displacing it.
         """
-        return self._by_key.get((session_id, model_code))
+        key = (session_id, model_code)
+        waiting = self._by_key.get(key)
+        if waiting is None or isinstance(waiting, WorkItem):
+            return waiting
+        return self._build_item(key, waiting)
 
-    def purge_session(self, session_id: int) -> list[WorkItem]:
-        """Retire every waiting item of one session (departure / phase end).
+    def purge_session(self, session_id: int) -> None:
+        """Retire every waiting request of one session (departure / phase
+        end).
 
-        The retired items' requests are marked dropped: they were
-        streamed while the session was online but will never run, so
-        they degrade QoE exactly like freshness drops do.  Returns the
-        retired items, oldest data first.
+        The retired requests are marked dropped: they were streamed while
+        the session was online but will never run, so they degrade QoE
+        exactly like freshness drops do.
         """
-        if self._unordered:
-            self._restore_order()
         by_key = self._by_key
-        retired = [
-            item for item in by_key.values() if item.session_id == session_id
-        ]
-        for item in retired:
-            del by_key[(session_id, item.request.model_code)]
-            item.request.dropped = True
+        for key in [k for k in by_key if k[0] == session_id]:
+            waiting = by_key.pop(key)
+            if isinstance(waiting, WorkItem):
+                waiting = waiting.request
+            waiting.dropped = True
         if not by_key:
             self._max_key = _NO_KEY
             self._unordered = False
             self._deadlines = None
-        return retired
+
+    def _build_item(
+        self, key: tuple[int, str], request: InferenceRequest,
+    ) -> WorkItem:
+        """Build a waiting request's first work item from its chain and
+        store it back under ``key``, in the request's place."""
+        chain = self.chains[key[1]]
+        codes = chain.codes
+        item = self._by_key[key] = WorkItem(
+            request, key[0], 0, len(codes), codes[0], chain
+        )
+        return item
 
     def _restore_order(self) -> None:
         """Rebuild the dict in dispatch order after an out-of-order offer."""
-        self._by_key = dict(sorted(
-            self._by_key.items(),
-            key=lambda entry: _dispatch_order(entry[1]),
-        ))
+        self._by_key = dict(sorted(self._by_key.items(), key=_dispatch_order))
         self._unordered = False
 
     def earliest_deadline(self) -> WorkItem | None:
@@ -194,7 +236,7 @@ class WaitingQueue:
         of equal keys and the queue iterates in dispatch order.  Waiting
         (session, model) pairs are unique, so the heap key after the
         deadline and request time, ``(session_id, model_code)``, orders
-        every waiting item apart.
+        every waiting request apart.
         """
         deadlines = self._deadlines
         if deadlines is None:
@@ -202,24 +244,30 @@ class WaitingQueue:
         by_key = self._by_key
         while deadlines:
             entry = deadlines[0]
-            if by_key.get((entry[2], entry[3])) is entry[5]:
-                return entry[5]
+            key = (entry[2], entry[3])
+            waiting = by_key.get(key)
+            request = entry[5]
+            if waiting is request:
+                return self._build_item(key, request)
+            if isinstance(waiting, WorkItem) and waiting.request is request:
+                return waiting
             heapq.heappop(deadlines)
         return None
 
-    def _build_deadlines(
-        self,
-    ) -> list[tuple[float, float, int, str, int, WorkItem]]:
-        """(Re)build the deadline view from the waiting items alone."""
+    def _build_deadlines(self) -> list[_DeadlineEntry]:
+        """(Re)build the deadline view from the waiting requests alone."""
         pushes = self._pushes
-        deadlines = self._deadlines = [
-            (
-                item.request.deadline_s, item.request.request_time_s,
-                session_id, code, next(pushes), item,
+        deadlines: list[_DeadlineEntry] = []
+        for (session_id, code), waiting in self._by_key.items():
+            request = (
+                waiting.request if isinstance(waiting, WorkItem) else waiting
             )
-            for (session_id, code), item in self._by_key.items()
-        ]
+            deadlines.append((
+                request.deadline_s, request.request_time_s,
+                session_id, code, next(pushes), request,
+            ))
         heapq.heapify(deadlines)
+        self._deadlines = deadlines
         return deadlines
 
     # -- read-only sequence view (what schedulers see) -----------------------
@@ -233,16 +281,28 @@ class WaitingQueue:
     def __getitem__(self, index: int) -> WorkItem:
         """The item at ``index`` in dispatch order.
 
-        The head is O(1); any other index builds the list (no built-in
-        scheduler indexes past the head).
+        The head is O(1); any other index lists the waiting entries (no
+        built-in scheduler indexes past the head).  Only the item read is
+        built.
         """
         if self._unordered:
             self._restore_order()
-        if index == 0 and self._by_key:
-            return next(iter(self._by_key.values()))
-        return list(self._by_key.values())[index]
+        by_key = self._by_key
+        if index == 0 and by_key:
+            key, waiting = next(iter(by_key.items()))
+        else:
+            key, waiting = list(by_key.items())[index]
+        if isinstance(waiting, WorkItem):
+            return waiting
+        return self._build_item(key, waiting)
 
     def __iter__(self) -> Iterator[WorkItem]:
         if self._unordered:
             self._restore_order()
-        return iter(self._by_key.values())
+        # Storing an item back under its key leaves the dict's size and
+        # order alone, so the walk may do it as it goes.
+        for key, waiting in self._by_key.items():
+            yield (
+                waiting if isinstance(waiting, WorkItem)
+                else self._build_item(key, waiting)
+            )

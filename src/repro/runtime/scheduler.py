@@ -72,7 +72,9 @@ class Scheduler(Protocol):
 
     The chosen item must be one of ``waiting`` (the object itself, not
     an equal copy) and the chosen engine one of ``idle_engines``; the
-    event loop raises ``ValueError`` otherwise.
+    event loop raises ``ValueError`` otherwise.  The queue builds a
+    waiting request's item on the first read that returns it, and every
+    later read returns that same object.
     """
 
     def select(

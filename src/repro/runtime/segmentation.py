@@ -203,13 +203,13 @@ class SegmentChain:
     :class:`~repro.costmodel.PriceTable`, the pieces' code ids in it
     (:attr:`ids`).  Its suffixes memoise the per-``(engine, ladder
     position)`` latencies the slack governor reserves deadline budget
-    with.  The event loop hangs the chain on every
-    :class:`~repro.runtime.engine.WorkItem` it creates, so successor
-    segments, prices and governor budget reservations never re-derive
-    the plan per request: segment ``k``'s follow-up and its code id are
-    tuple indexes, and reserving the remaining chain's time is one memo
-    probe instead of a price-table read per remaining segment per
-    candidate point.
+    with.  The waiting queue hangs the chain on every
+    :class:`~repro.runtime.engine.WorkItem` it builds, and each
+    successor segment inherits it, so successor segments, prices and
+    governor budget reservations never re-derive the plan per request:
+    segment ``k``'s follow-up and its code id are tuple indexes, and
+    reserving the remaining chain's time is one memo probe instead of a
+    price-table read per remaining segment per candidate point.
     """
 
     __slots__ = ("model_code", "codes", "ids", "suffixes")

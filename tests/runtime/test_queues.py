@@ -8,6 +8,7 @@ from sim_helpers import replicate
 from test_schedule_equivalence import REQUEST_CELLS, run_case
 
 import repro.runtime.multisim as multisim
+from repro.api import RunSpec, execute
 from repro.hardware import build_accelerator
 from repro.runtime.queues import DEADLINE_VIEW_BOUND
 from repro.runtime import (
@@ -15,6 +16,7 @@ from repro.runtime import (
     WorkItem,
     make_scheduler,
 )
+from repro.runtime.segmentation import SegmentChain
 from repro.workload import InferenceRequest, get_scenario
 
 
@@ -22,153 +24,205 @@ def req(code="HT", frame=0, t=0.0, slack=0.033):
     return InferenceRequest(code, frame, t, t + slack)
 
 
-def item(code="HT", frame=0, t=0.0, session=0, slack=0.033):
-    return WorkItem(request=req(code, frame, t, slack), session_id=session)
+#: Whole-model chains of every code the tests offer.
+CHAINS = {
+    code: SegmentChain(code, (None,)) for code in ("ES", "GE", "HT", "OD")
+}
+
+
+def queue() -> WaitingQueue:
+    return WaitingQueue(CHAINS)
+
+
+def requests(q: WaitingQueue) -> list[tuple[int, int]]:
+    """(session, request identity) of each waiting item, dispatch order."""
+    return [(w.session_id, id(w.request)) for w in q]
+
+
+def entries(*pairs: tuple[int, InferenceRequest]) -> list[tuple[int, int]]:
+    return [(session, id(request)) for session, request in pairs]
 
 
 class TestWaitingQueue:
     def test_offer_and_read(self):
-        q = WaitingQueue()
-        a = item()
-        assert q.offer(a) is None
-        assert list(q) == [a]
-        assert q[0] is a
+        q = queue()
+        a = req()
+        assert q.offer(a, 0) is None
+        assert requests(q) == entries((0, a))
+        assert q[0] == WorkItem(a, 0)
         assert len(q) == 1 and bool(q)
 
     def test_kept_in_dispatch_order(self):
         # Sorted by (request_time_s, session_id, model_code), regardless
         # of offer order.
-        q = WaitingQueue()
-        late = item("HT", t=0.5, session=0)
-        early_hi = item("ES", t=0.1, session=1)
-        early_lo = item("OD", t=0.1, session=0)
-        for work in (late, early_hi, early_lo):
-            q.offer(work)
-        assert list(q) == [early_lo, early_hi, late]
+        q = queue()
+        late = req("HT", t=0.5)
+        early_hi = req("ES", t=0.1)
+        early_lo = req("OD", t=0.1)
+        for request, session in ((late, 0), (early_hi, 1), (early_lo, 0)):
+            q.offer(request, session)
+        assert requests(q) == entries((0, early_lo), (1, early_hi), (0, late))
 
     def test_stale_frame_dropped_per_session_and_model(self):
-        q = WaitingQueue()
-        old = item("HT", frame=0, t=0.0, session=1)
-        new = item("HT", frame=1, t=0.033, session=1)
-        other_session = item("HT", frame=0, t=0.0, session=2)
-        q.offer(old)
-        q.offer(other_session)
-        displaced = q.offer(new)
-        assert displaced is old
-        assert old.request.dropped
-        assert not new.request.dropped
+        q = queue()
+        old = req("HT", frame=0, t=0.0)
+        new = req("HT", frame=1, t=0.033)
+        other_session = req("HT", frame=0, t=0.0)
+        q.offer(old, 1)
+        q.offer(other_session, 2)
+        assert q.offer(new, 1) is None
+        assert old.dropped
+        assert not new.dropped
         # The same model in a different session is untouched.
-        assert not other_session.request.dropped
-        assert list(q) == [other_session, new]
+        assert not other_session.dropped
+        assert requests(q) == entries((2, other_session), (1, new))
 
     def test_purge_session_retires_only_that_session(self):
-        q = WaitingQueue()
-        late = item("HT", t=0.5, session=1)
-        early = item("ES", t=0.1, session=1)
-        other = item("HT", t=0.2, session=2)
-        for work in (late, early, other):
-            q.offer(work)
-        assert q.purge_session(1) == [early, late]
-        assert early.request.dropped and late.request.dropped
-        assert not other.request.dropped
-        assert list(q) == [other]
+        q = queue()
+        late = req("HT", t=0.5)
+        early = req("ES", t=0.1)
+        other = req("HT", t=0.2)
+        for request, session in ((late, 1), (early, 1), (other, 2)):
+            q.offer(request, session)
+        # A request a read turned into an item retires the same way.
+        assert q.peek(1, "ES").request is early
+        assert q.purge_session(1) is None
+        assert early.dropped and late.dropped
+        assert not other.dropped
+        assert requests(q) == entries((2, other))
         assert q.peek(1, "HT") is None
-        assert q.purge_session(1) == []
+        q.purge_session(1)
+        assert requests(q) == entries((2, other))
 
     def test_take_removes(self):
-        q = WaitingQueue()
-        a, b = item("HT", session=0), item("ES", session=0)
-        q.offer(a)
-        q.offer(b)
-        q.take(a)
-        assert list(q) == [b]
+        q = queue()
+        a, b = req("HT"), req("ES")
+        q.offer(a, 0)
+        q.offer(b, 0)
+        q.take(q.peek(0, "HT"))
+        assert requests(q) == entries((0, b))
 
     def test_take_unknown_item_raises(self):
-        q = WaitingQueue()
-        a = item("HT", frame=0)
-        q.offer(a)
+        q = queue()
+        a = req("HT", frame=0)
+        q.offer(a, 0)
         with pytest.raises(ValueError, match="not waiting"):
-            q.take(item("HT", frame=1))
+            q.take(WorkItem(req("HT", frame=1), 0))
+        # Nor is an equal copy of the waiting item that item.
+        with pytest.raises(ValueError, match="not waiting"):
+            q.take(WorkItem(a, 0))
 
     def test_take_displaced_item_raises(self):
         # After a fresh frame displaces it, the stale item is gone.
-        q = WaitingQueue()
-        old, new = item("HT", frame=0), item("HT", frame=1, t=0.033)
-        q.offer(old)
-        q.offer(new)
+        q = queue()
+        q.offer(req("HT", frame=0), 0)
+        old = q[0]
+        q.offer(req("HT", frame=1, t=0.033), 0)
         with pytest.raises(ValueError, match="not waiting"):
             q.take(old)
 
     def test_equal_sort_keys_coexist(self):
         # Same-instant frames of one model differ only by session id;
         # taking the middle one must leave the others in order.
-        q = WaitingQueue()
-        a = item("HT", t=0.2, session=0)
-        b = item("HT", t=0.2, session=1)
-        c = item("HT", t=0.2, session=2)
-        for work in (a, b, c):
-            q.offer(work)
-        q.take(b)
-        assert list(q) == [a, c]
+        q = queue()
+        a, b, c = req("HT", t=0.2), req("HT", t=0.2), req("HT", t=0.2)
+        for session, request in enumerate((a, b, c)):
+            q.offer(request, session)
+        q.take(q.peek(1, "HT"))
+        assert requests(q) == entries((0, a), (2, c))
 
     def test_earliest_deadline(self):
-        q = WaitingQueue()
+        q = queue()
         assert q.earliest_deadline() is None
-        relaxed = item("HT", t=0.0, session=0, slack=0.5)
-        urgent = item("ES", t=0.1, session=0, slack=0.1)
+        relaxed = req("HT", t=0.0, slack=0.5)
+        urgent = req("ES", t=0.1, slack=0.1)
         # Same deadline as ``urgent``, but older data: it goes first.
-        older = item("GE", t=0.0, session=1, slack=0.2)
-        for work in (relaxed, urgent, older):
-            q.offer(work)
-        assert q.earliest_deadline() is older
-        q.take(older)
-        assert q.earliest_deadline() is urgent
+        older = req("GE", t=0.0, slack=0.2)
+        for request, session in ((relaxed, 0), (urgent, 0), (older, 1)):
+            q.offer(request, session)
+        first = q.earliest_deadline()
+        assert first.request is older and first.session_id == 1
+        q.take(first)
+        assert q.earliest_deadline().request is urgent
         # A fresher frame supersedes ``urgent``; the view follows.
-        fresh = item("ES", t=0.2, session=0, slack=0.1)
-        q.offer(fresh)
-        assert q.earliest_deadline() is fresh
-        q.take(fresh)
-        q.take(relaxed)
+        fresh = req("ES", t=0.2, slack=0.1)
+        q.offer(fresh, 0)
+        assert q.earliest_deadline().request is fresh
+        q.take(q.earliest_deadline())
+        q.take(q.earliest_deadline())
         assert q.earliest_deadline() is None
 
     def test_earliest_deadline_sees_a_requeued_item(self):
-        # A fault retry offers the very item that was taken.
-        q = WaitingQueue()
-        a = item("HT", t=0.0, session=0, slack=0.1)
-        b = item("ES", t=0.0, session=0, slack=0.2)
-        q.offer(a)
-        q.offer(b)
+        # A fault retry requeues the very item that was taken.
+        q = queue()
+        q.offer(req("HT", t=0.0, slack=0.1), 0)
+        q.offer(req("ES", t=0.0, slack=0.2), 0)
+        a = q.earliest_deadline()
+        assert a.request.model_code == "HT"
+        q.take(a)
+        b = q.earliest_deadline()
+        assert b.request.model_code == "ES"
+        q.requeue(a)
         assert q.earliest_deadline() is a
         q.take(a)
         assert q.earliest_deadline() is b
-        q.offer(a)
-        assert q.earliest_deadline() is a
-        q.take(a)
-        assert q.earliest_deadline() is b
+
+    @pytest.mark.parametrize("first", ["head", "iter", "peek", "edf"])
+    def test_reads_return_one_object(self, first):
+        # Whichever read builds the waiting request's item, every other
+        # read returns that same object, and take() accepts it.
+        q = queue()
+        request = req("HT", t=0.1)
+        q.offer(request, 3)
+        reads = {
+            "head": lambda: q[0],
+            "iter": lambda: list(q)[0],
+            "peek": lambda: q.peek(3, "HT"),
+            "edf": q.earliest_deadline,
+        }
+        item = reads.pop(first)()
+        assert item == WorkItem(request, 3)
+        assert item.chain is CHAINS["HT"]
+        for read in reads.values():
+            assert read() is item
+        q.take(item)
+        assert not q
+
+    def test_item_starts_the_requests_chain(self):
+        # A split model's request waits for its first segment.
+        chain = SegmentChain("HT", ("HT.0", "HT.1", "HT.2"))
+        q = WaitingQueue({"HT": chain})
+        request = req("HT")
+        q.offer(request, 0)
+        assert q[0] == WorkItem(request, 0, 0, 3, "HT.0")
+        assert q[0].chain is chain
 
 
 class _ReferenceQueue:
-    """The waiting-queue contract at its plainest: one dict keyed by
-    (session, model), sorted by dispatch key on every read, and scanned
-    for the earliest deadline the way EDF scans a plain sequence."""
+    """The waiting-queue contract at its plainest: one dict of waiting
+    requests keyed by (session, model), sorted by dispatch key on every
+    read, and scanned for the earliest deadline the way EDF scans a
+    plain sequence."""
 
     def __init__(self) -> None:
-        self.by_key: dict[tuple[int, str], WorkItem] = {}
+        self.by_key: dict[tuple[int, str], InferenceRequest] = {}
 
-    def order(self) -> list[WorkItem]:
+    def order(self) -> list[tuple[int, InferenceRequest]]:
         return sorted(
-            self.by_key.values(),
-            key=lambda w: (w.request.request_time_s, w.session_id,
-                           w.request.model_code),
+            ((session, request)
+             for (session, _), request in self.by_key.items()),
+            key=lambda entry: (entry[1].request_time_s, entry[0],
+                               entry[1].model_code),
         )
 
-    def earliest_deadline(self) -> WorkItem | None:
+    def earliest_deadline(self) -> tuple[int, InferenceRequest] | None:
         order = self.order()
         if not order:
             return None
         return min(
             order,
-            key=lambda w: (w.request.deadline_s, w.request.request_time_s),
+            key=lambda entry: (entry[1].deadline_s,
+                               entry[1].request_time_s),
         )
 
 
@@ -180,10 +234,11 @@ _MODEL = st.sampled_from(["ES", "GE", "HT"])
 _SLACK = st.sampled_from([0.0, 0.25, 0.5, 1.0])
 #: One queue operation.  ``arrive`` steps the clock forward (a zero step
 #: is a same-instant offer, from any session in any order); ``retry``
-#: re-offers at an older time; ``requeue`` re-offers an item taken
+#: offers at an older time; ``requeue`` brings back an item taken
 #: earlier, the same object, as a fault retry does; ``take`` takes the
 #: item at a position of the dispatch order (0 is the head);
-#: ``take_gone`` takes an item that no longer waits, which must raise.
+#: ``take_gone`` takes an item that no longer waits, or an equal copy
+#: of one that does, which must raise.
 _OPERATION = st.one_of(
     st.tuples(st.just("arrive"), st.sampled_from([0.0, 0.0, 0.25, 1.0]),
               _SESSION, _MODEL, _SLACK),
@@ -199,16 +254,18 @@ _OPERATION = st.one_of(
 
 class TestWaitingQueueAgainstReference:
     """Random operation sequences: the maintained queue must read exactly
-    like a dict sorted on every read.
+    like a dict of requests sorted on every read, and every read of one
+    waiting request must return the same work item.
 
     Reading the order restores it, so each operation draws how the test
     reads it afterwards — not at all, by iteration, by indexing the head
     or the tail, or by earliest deadline: unread, an out-of-order offer
     stays pending into the operations that follow, and each read path
-    gets to restore it.  The deadline view is built on its first read
-    and dropped whenever the queue empties, so its lazy deletion and
-    rebuilds run between reads too; it may never hold more than
-    ``DEADLINE_VIEW_BOUND`` entries per waiting item."""
+    gets to restore it.  Takes find their item through ``peek``, which
+    leaves the order alone.  The deadline view is built on its first
+    read and dropped whenever the queue empties, so its lazy deletion
+    and rebuilds run between reads too; it may never hold more than
+    ``DEADLINE_VIEW_BOUND`` entries per waiting request."""
 
     @settings(max_examples=150, deadline=None)
     @given(operations=st.lists(
@@ -218,109 +275,139 @@ class TestWaitingQueueAgainstReference:
         min_size=20, max_size=80,
     ))
     def test_matches_sorted_dict(self, operations):
-        queue, ref = WaitingQueue(), _ReferenceQueue()
-        created: list[WorkItem] = []
+        queue, ref = WaitingQueue(CHAINS), _ReferenceQueue()
+        created: list[InferenceRequest] = []
         dropped: set[int] = set()
+        #: The item reads returned for the request waiting under a key.
+        items: dict[tuple[int, str], WorkItem] = {}
         gone: list[WorkItem] = []
         taken: list[WorkItem] = []
         clock = 0.0
         high_water = 0
-        for index, (op, read) in enumerate(operations):
+
+        def read(key: tuple[int, str], work: WorkItem) -> None:
+            """A read returned ``work`` for ``key``: it is the waiting
+            request's one item."""
+            assert work.session_id == key[0]
+            assert work.request is ref.by_key[key]
+            assert work is items.setdefault(key, work)
+            assert work == WorkItem(work.request, key[0])
+
+        def supersede(key: tuple[int, str]) -> None:
+            stale = ref.by_key.pop(key, None)
+            if stale is not None:
+                dropped.add(id(stale))
+            if key in items:
+                gone.append(items.pop(key))
+
+        for index, (op, mode) in enumerate(operations):
             kind = op[0]
-            if kind in ("arrive", "retry", "requeue"):
-                if kind == "requeue":
-                    # Only an item that no longer waits and was never
-                    # dropped can come back, as a killed dispatch does.
-                    candidates = [
-                        w for w in taken
-                        if id(w) not in dropped
-                        and ref.by_key.get(
-                            (w.session_id, w.request.model_code)
-                        ) is not w
-                    ]
-                    if not candidates:
-                        continue
-                    work = candidates[op[1] % len(candidates)]
-                    session = work.session_id
-                    model = work.request.model_code
+            if kind in ("arrive", "retry"):
+                _, step, session, model, slack = op
+                if kind == "arrive":
+                    clock += step
+                    t = clock
                 else:
-                    _, step, session, model, slack = op
-                    if kind == "arrive":
-                        clock += step
-                        t = clock
-                    else:
-                        t = max(0.0, clock - step)
-                    work = item(model, frame=len(created), t=t,
-                                session=session, slack=slack)
-                    created.append(work)
-                stale = queue.offer(work)
-                expected = ref.by_key.pop((session, model), None)
-                ref.by_key[(session, model)] = work
-                assert stale is expected
-                if expected is not None:
-                    dropped.add(id(expected))
-                    gone.append(expected)
-                high_water = max(high_water, len(ref.by_key))
-                deadlines = queue._deadlines
-                if deadlines is not None:
-                    assert len(deadlines) <= (
-                        DEADLINE_VIEW_BOUND * len(ref.by_key)
-                    )
+                    t = max(0.0, clock - step)
+                request = req(model, frame=len(created), t=t, slack=slack)
+                created.append(request)
+                key = (session, model)
+                assert queue.offer(request, session) is None
+                supersede(key)
+                ref.by_key[key] = request
+            elif kind == "requeue":
+                # Only an item whose request no longer waits and was
+                # never dropped can come back, as a killed dispatch does.
+                candidates = [
+                    w for w in taken
+                    if id(w.request) not in dropped
+                    and ref.by_key.get(
+                        (w.session_id, w.request.model_code)
+                    ) is not w.request
+                ]
+                if not candidates:
+                    continue
+                work = candidates[op[1] % len(candidates)]
+                key = (work.session_id, work.request.model_code)
+                queue.requeue(work)
+                supersede(key)
+                ref.by_key[key] = work.request
+                items[key] = work
             elif kind == "take":
                 order = ref.order()
                 if not order:
                     continue
-                work = order[op[1] % len(order)]
+                session, request = order[op[1] % len(order)]
+                key = (session, request.model_code)
+                work = queue.peek(*key)
+                read(key, work)
                 queue.take(work)
-                del ref.by_key[(work.session_id, work.request.model_code)]
-                gone.append(work)
+                del ref.by_key[key]
+                gone.append(items.pop(key))
                 taken.append(work)
             elif kind == "take_gone":
                 absent = [
                     w for w in gone
-                    if ref.by_key.get(
-                        (w.session_id, w.request.model_code)
-                    ) is not w
+                    if items.get((w.session_id, w.request.model_code))
+                    is not w
                 ]
-                if not absent:
+                copies = [
+                    WorkItem(request, session)
+                    for session, request in ref.order()
+                ]
+                pool = absent + copies
+                if not pool:
                     continue
                 with pytest.raises(ValueError, match="not waiting"):
-                    queue.take(absent[op[1] % len(absent)])
+                    queue.take(pool[op[1] % len(pool)])
             elif kind == "peek":
                 _, session, model = op
-                assert queue.peek(session, model) is ref.by_key.get(
-                    (session, model)
-                )
+                key = (session, model)
+                work = queue.peek(session, model)
+                if key in ref.by_key:
+                    read(key, work)
+                else:
+                    assert work is None
             else:
                 session = op[1]
-                expected = [
-                    w for w in ref.order() if w.session_id == session
-                ]
-                retired = queue.purge_session(session)
-                assert [id(w) for w in retired] == [id(w) for w in expected]
-                for work in expected:
-                    del ref.by_key[(session, work.request.model_code)]
-                    dropped.add(id(work))
-                    gone.append(work)
+                assert queue.purge_session(session) is None
+                for key in [k for k in ref.by_key if k[0] == session]:
+                    supersede(key)
+            high_water = max(high_water, len(ref.by_key))
             order = ref.order()
             assert len(queue) == len(order)
             assert bool(queue) == bool(order)
-            assert [w.request.dropped for w in created] == [
-                id(w) in dropped for w in created
+            assert [r.dropped for r in created] == [
+                id(r) in dropped for r in created
             ]
             deadlines = queue._deadlines
             if deadlines is not None:
                 assert len(deadlines) <= DEADLINE_VIEW_BOUND * high_water
+                if kind in ("arrive", "retry", "requeue"):
+                    assert len(deadlines) <= (
+                        DEADLINE_VIEW_BOUND * len(ref.by_key)
+                    )
             if index == len(operations) - 1:
-                read = "iter"
-            if read == "iter":
-                assert [id(w) for w in queue] == [id(w) for w in order]
-            elif read == "head" and order:
-                assert queue[0] is order[0]
-            elif read == "tail" and order:
-                assert queue[-1] is order[-1]
-            elif read == "edf":
-                assert queue.earliest_deadline() is ref.earliest_deadline()
+                mode = "iter"
+            if mode == "iter":
+                walked = list(queue)
+                assert [(w.session_id, id(w.request)) for w in walked] == [
+                    (session, id(request)) for session, request in order
+                ]
+                for work in walked:
+                    read((work.session_id, work.request.model_code), work)
+            elif mode in ("head", "tail") and order:
+                session, request = order[0 if mode == "head" else -1]
+                key = (session, request.model_code)
+                read(key, queue[0 if mode == "head" else -1])
+            elif mode == "edf":
+                expected = ref.earliest_deadline()
+                work = queue.earliest_deadline()
+                if expected is None:
+                    assert work is None
+                else:
+                    session, request = expected
+                    read((session, request.model_code), work)
 
 
 class _CountingQueue(WaitingQueue):
@@ -328,8 +415,8 @@ class _CountingQueue(WaitingQueue):
 
     instances: list["_CountingQueue"] = []
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, chains) -> None:
+        super().__init__(chains)
         self.resorts = 0
         _CountingQueue.instances.append(self)
 
@@ -393,3 +480,29 @@ class TestReSortsInRealRuns:
         )
         assert queue.resorts == 0
 
+
+
+class TestWorkItemsInRealRuns:
+    """A waiting request becomes a work item only when a policy first
+    reads it, so a frame superseded while it waits never becomes one."""
+
+    def test_one_work_item_per_execution_record(self, monkeypatch):
+        built = 0
+        init = WorkItem.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorkItem, "__init__", counting_init)
+        report = execute(RunSpec(
+            scenario="vr_gaming", sessions=16, accelerator="J", pes=8192,
+            duration_s=0.5,
+        ))
+        records = report.result.records
+        requests = report.result.all_requests()
+        # latency_greedy dispatches each head it reads, so every item
+        # built runs, while most frames are superseded unread.
+        assert len(requests) > 4 * len(records)
+        assert built == len(records)

@@ -8,14 +8,17 @@ the energy ledgers agree, no engine is busy past the run, every request
 ends exactly once and the score counts it, the cost cache is consulted,
 the admission and fault records exist exactly when their policy is on
 and reconcile, QoE stays in [0, 1], faults never zero a run that scored
-without them, and a spec's plan, round-tripped through JSON and run
-again, equals the compiled plan and gives the same digests.
+without them, no engine executes during an outage of the plan's
+faults, no session dispatches before its arrival, at or after its
+departure or after it is shed, and a spec's plan, round-tripped through
+JSON and run again, equals the compiled plan and gives the same digests.
 """
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_faults import downtime_windows
 from test_schedule_equivalence import (
     checksum_of,
     fault_log_checksum_of,
@@ -128,8 +131,31 @@ def test_every_spec_keeps_the_run_invariants(spec):
         if mean_qoe(twin) > 0:
             assert mean_qoe(report) > 0
 
-    # The second run replays the plan through its JSON round trip.
     plan = compile_plan(spec)
+    # No engine executes during an outage of the plan's faults.
+    fault_plan = plan.fault_plan()
+    if fault_plan is not None:
+        for engine, fail_s, recover_s in downtime_windows(fault_plan):
+            for record in result.records:
+                if record.sub_index == engine:
+                    assert (record.end_s <= fail_s + 1e-9
+                            or record.start_s >= recover_s - 1e-9), (
+                        record, engine, fail_s, recover_s,
+                    )
+    # No session dispatches outside its window, or once it is shed.
+    rows = {row.session_id: row for row in plan.sessions}
+    for sim in result.sessions:
+        row = rows[sim.session_id]
+        actions = sim.admission.actions if sim.admission is not None else ()
+        sheds = [a.time_s for a in actions if a.kind == "shed"]
+        for record in sim.records:
+            assert record.start_s >= row.arrival_s, (record, row)
+            if row.departure_s is not None:
+                assert record.start_s < row.departure_s, (record, row)
+            if sheds:
+                assert record.start_s <= sheds[0], (record, sheds[0])
+
+    # The second run replays the plan through its JSON round trip.
     replayed = DispatchPlan.from_json(plan.to_json())
     assert replayed == plan
     assert digests(execute_plan(replayed).result) == digests(result)

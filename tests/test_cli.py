@@ -684,6 +684,20 @@ class TestPlanCommand:
         document = json.loads(capsys.readouterr().out)
         assert document["spec"]["scenario"] == "vr_gaming"
 
+    def test_passed_default_flag_overrides_spec(self, tmp_path, capsys):
+        # --pes 4096 is the default budget, but it was passed: it must
+        # override the spec's 8192 PEs.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            RunSpec(scenario="vr_gaming", accelerator="J", pes=8192,
+                    duration_s=0.25).to_json()
+        )
+        assert main(["plan", "--spec", str(spec_path), "--pes", "4096"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["spec"]["pes"] == 4096
+        assert main(["plan", "--spec", str(spec_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["spec"]["pes"] == 8192
+
     def test_diff_renders_structured_entries(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path, scheduler in ((a, "latency_greedy"), (b, "edf")):

@@ -10,7 +10,8 @@ from repro.core import energy_score, qoe_score, realtime_score
 from repro.core.aggregate import InferenceScore, ModelScore, ScenarioScore
 from repro.costmodel import CostModel, Dataflow
 from repro.nn import GraphBuilder, GraphExecutor
-from repro.runtime import WaitingQueue, WorkItem
+from repro.runtime import WaitingQueue
+from repro.runtime.segmentation import SegmentChain
 from repro.workload import InferenceRequest
 
 
@@ -184,6 +185,9 @@ class TestRandomScenarioSimulation:
 
 
 class TestWaitingQueueProperties:
+    #: Whole-model chains of the codes these properties offer.
+    CHAINS = {code: SegmentChain(code, (None,)) for code in "ABC"}
+
     @given(
         arrivals=st.lists(
             st.tuples(st.integers(0, 2), st.sampled_from(["A", "B", "C"]),
@@ -195,17 +199,19 @@ class TestWaitingQueueProperties:
         # Offered in time order, as the event loop offers arrivals: the
         # view holds exactly the freshest frame of each (session, model),
         # in dispatch order.
-        q = WaitingQueue()
-        freshest: dict[tuple[int, str], WorkItem] = {}
+        q = WaitingQueue(self.CHAINS)
+        freshest: dict[tuple[int, str], InferenceRequest] = {}
         ordered = sorted(arrivals, key=lambda x: x[2])
         for i, (session, code, t) in enumerate(ordered):
-            work = WorkItem(InferenceRequest(code, i, t, t + 1), session)
-            q.offer(work)
-            freshest[(session, code)] = work
+            request = InferenceRequest(code, i, t, t + 1)
+            q.offer(request, session)
+            freshest[(session, code)] = request
         waiting = list(q)
         keys = [(w.session_id, w.request.model_code) for w in waiting]
         assert len(keys) == len(set(keys))
-        assert {id(w) for w in waiting} == {id(w) for w in freshest.values()}
+        assert {id(w.request) for w in waiting} == {
+            id(r) for r in freshest.values()
+        }
         order = [
             (w.request.request_time_s, w.session_id, w.request.model_code)
             for w in waiting
@@ -216,20 +222,21 @@ class TestWaitingQueueProperties:
     def test_conservation(self, n, sessions):
         # Every offered request is either waiting or was displaced, and
         # exactly the displaced ones are marked dropped.
-        q = WaitingQueue()
+        q = WaitingQueue(self.CHAINS)
         offered, displaced = [], []
+        waiting_of: dict[int, InferenceRequest] = {}
         for i in range(n):
-            work = WorkItem(
-                InferenceRequest("A", i, float(i), float(i) + 1), i % sessions
-            )
-            offered.append(work)
-            stale = q.offer(work)
+            request = InferenceRequest("A", i, float(i), float(i) + 1)
+            offered.append(request)
+            q.offer(request, i % sessions)
+            stale = waiting_of.get(i % sessions)
             if stale is not None:
                 displaced.append(stale)
+            waiting_of[i % sessions] = request
         assert len(q) + len(displaced) == n
-        assert {id(w) for w in q} | {id(w) for w in displaced} == {
-            id(w) for w in offered
+        assert {id(w.request) for w in q} | {id(r) for r in displaced} == {
+            id(r) for r in offered
         }
-        assert [w.request.dropped for w in offered] == [
-            any(w is d for d in displaced) for w in offered
+        assert [r.dropped for r in offered] == [
+            any(r is d for d in displaced) for r in offered
         ]
